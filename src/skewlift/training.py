@@ -10,11 +10,21 @@ Cell indicators: for a sample mu the coarse-grid model estimator Delta is
 evaluated with the current modes *augmented by mu's own snapshots*, so
 eta(g) = min over g's samples is a lookahead ("how good could the model get
 if this cell's parameters joined the basis") and marking the smallest eta
-refines the most promising cells, as printed in the source algorithm. With
-augment=False the indicator falls back to the literal mu-independent
-estimator (and, with an empty space, to the norm of the full right-hand-side
-residual). The age indicator sigma(g) = diam(g) * rho(g) forces refinement of
-long-ignored cells.
+refines the most promising cells, as printed in the source algorithm. The
+age indicator sigma(g) = diam(g) * rho(g) forces refinement of long-ignored
+cells.
+
+The indicator is a Galerkin solve in span(I (x) [Phi E]) on the coarse
+N_H' x n_h grid, split by when its pieces change:
+
+* once per training run: the coarse reference operators and the x-block
+  structure of A (CoarseOperator);
+* once per outer iteration: the block moments A_ij Phi, Phi^T A_ij Phi and
+  Phi^T rhs_i of the base space Phi, the (m-1)-mode POD space (BaseMoments);
+* once per sample: the <= 2 Qbar snapshot columns E, M-orthonormalized
+  against Phi, their products A_ij E, the bordered blocks
+  [Phi E]^T A_ij [Phi E], the dense reduced solve and the V-dual norm of the
+  explicit coarse residual (one sparse Gram solve).
 """
 
 import csv
@@ -24,7 +34,6 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
 from .mesh import Partition1D, TensorGrid, build_uniform_partition
 from .problem import reference_operators
@@ -237,75 +246,116 @@ def refine(cells, marked, n_xi, rng, th):
 
 
 def _orthonormalize(base_int, extra_int, M_int, drop_tol=1e-10):
-    """Append extra columns to an M-orthonormal base by modified
-    Gram-Schmidt, dropping near-dependent vectors."""
-    cols = [] if base_int.size == 0 else [base_int[:, j] for j in range(base_int.shape[1])]
-    for j in range(extra_int.shape[1]):
-        v = extra_int[:, j].copy()
+    """Append extra columns to an M-orthonormal base, dropping near-dependent
+    vectors.
+
+    Each extra column is projected out of the base in one block step and out
+    of the columns accepted before it one at a time, in two passes (twice is
+    enough); it is kept if its M-norm is still above drop_tol times its norm
+    before projection."""
+    new = []
+    for v in extra_int.T:
         nrm0 = math.sqrt(max(v @ (M_int @ v), 0.0))
         if nrm0 == 0.0:
             continue
-        for _ in range(2):  # twice is enough
-            for u in cols:
-                v -= (u @ (M_int @ v)) * u
+        for _ in range(2):
+            v = v - base_int @ (base_int.T @ (M_int @ v))
+            for u in new:
+                v = v - (u @ (M_int @ v)) * u
         nrm = math.sqrt(max(v @ (M_int @ v), 0.0))
         if nrm > drop_tol * nrm0:
-            cols.append(v / nrm)
-    if not cols:
-        return np.zeros((M_int.shape[0], 0))
-    return np.column_stack(cols)
+            new.append(v / nrm)
+    return np.column_stack([base_int] + new)
 
 
-def element_indicators(space, cells, pd, lift, coarse_nhp, solver, mode,
-                       augment=True):
-    """Per-cell (eta, sigma) on the coarse dominant-direction grid.
+class CoarseOperator:
+    """Coarse N_H' x n_h reference operators cut into x-blocks.
 
-    For every sample mu of a cell, the reduced problem is solved on the
-    N_H' x n_h grid with the space (optionally augmented by mu's snapshots)
-    and the model estimator Delta is evaluated there; eta is the minimum over
-    the cell's samples. sigma = diam * rho. With an empty space and
-    augment=False this is the bootstrap residual-norm indicator.
+    In the x-major interior ordering the coarse A is block-tridiagonal in x
+    with (n_h - 1) x (n_h - 1) blocks A_ij; the nonzero blocks, |i - j| <= 1,
+    are the pairs (rows[p], cols[p]). Built once per training run.
     """
-    yh = solver.yh
-    thp = build_uniform_partition(pd.omega_x[0], pd.omega_x[1], coarse_nhp)
-    grid = TensorGrid(thp, yh)
-    ops = reference_operators(pd, lift, grid, mode)
-    A = ops.A_int
-    rhs = ops.rhs_int
-    M_y = transverse_mass(yh)[1:-1, 1:-1]
-    base_int = space.modes[1:-1, :]
-    n_blocks = thp.n - 1
 
-    delta0 = None  # bootstrap value, mu-independent
+    def __init__(self, ops):
+        self.ops = ops
+        self.n_x = ops.grid.tx.n - 1
+        self.n_y = ops.grid.ty.n - 1
+        self.rhs = ops.rhs_int.reshape(self.n_x, self.n_y)
+        self.M_y = transverse_mass(ops.grid.ty)[1:-1, 1:-1]
+        self.rows, self.cols = np.array(
+            [(i, j) for i in range(self.n_x)
+             for j in range(max(i - 1, 0), min(i + 2, self.n_x))]).T
 
-    def delta_for(phi_int):
-        nonlocal delta0
-        if phi_int.shape[1] == 0:
-            if delta0 is None:
-                R = ops.gram_solve(rhs)
-                delta0 = math.sqrt(max(rhs @ R, 0.0))
-            return delta0
-        P = sp.kron(sp.identity(n_blocks, format="csr"),
-                    sp.csr_matrix(phi_int), format="csr")
-        A_r = (P.T @ (A @ P)).toarray()
-        rhs_r = P.T @ rhs
-        sol = np.linalg.solve(A_r, rhs_r)
-        r = rhs - A @ (P @ sol)
-        R = ops.gram_solve(r)
+    def block_products(self, X):
+        """A_ij X for every stored pair, shape (n_pairs, n_y, k).
+
+        X goes into the block columns j = c (mod 3) for c = 0, 1, 2; a block
+        row meets exactly one of each, so three sparse products give every
+        A_ij X without summing two blocks.
+        """
+        k = X.shape[1]
+        out = np.empty((3, self.n_x, self.n_y, k))
+        for c in range(3):
+            Xc = np.zeros((self.n_x, self.n_y, k))
+            Xc[c::3] = X
+            out[c] = (self.ops.A_int @ Xc.reshape(self.n_x * self.n_y, k)
+                      ).reshape(self.n_x, self.n_y, k)
+        return out[self.cols % 3, self.rows]
+
+    def moments(self, space):
+        return BaseMoments(self, space.modes[1:-1, :])
+
+
+class BaseMoments:
+    """Block moments of one base space Phi (interior rows of the POD modes):
+    A_ij Phi, Phi^T A_ij Phi and Phi^T rhs_i. Built once per outer
+    iteration."""
+
+    def __init__(self, coarse, phi):
+        self.coarse = coarse
+        self.phi = phi
+        self.A_phi = coarse.block_products(phi)
+        self.phi_A_phi = phi.T @ self.A_phi
+        self.phi_rhs = coarse.rhs @ phi
+
+    def delta(self, extra):
+        """Model estimator Delta on the coarse grid for the base augmented by
+        the M-orthonormalized extra columns: the Galerkin solution in
+        span(I (x) [Phi E]) (x-major, mode-minor) and the V-dual norm of its
+        explicit residual."""
+        c, phi = self.coarse, self.phi
+        m = phi.shape[1]
+        E = _orthonormalize(phi, extra, c.M_y)[:, m:]
+        w = m + E.shape[1]
+        A_E = c.block_products(E)
+        blocks = np.block([[self.phi_A_phi, phi.T @ A_E],
+                           [E.T @ self.A_phi, E.T @ A_E]])
+        A_r = np.zeros((c.n_x, w, c.n_x, w))
+        A_r[c.rows, :, c.cols, :] = blocks
+        rhs_r = np.hstack([self.phi_rhs, c.rhs @ E])
+        sol = np.linalg.solve(A_r.reshape(c.n_x * w, c.n_x * w),
+                              rhs_r.ravel())
+        u = sol.reshape(c.n_x, w) @ np.hstack([phi, E]).T
+        r = c.ops.rhs_int - c.ops.A_int @ u.ravel()
+        R = c.ops.gram_solve(r)
         return math.sqrt(max(r @ R, 0.0))
 
+
+def element_indicators(base, cells, solver):
+    """Per-cell (eta, sigma) on the coarse dominant-direction grid.
+
+    base: BaseMoments of the current space. For every sample mu of a cell
+    the reduced problem is solved on the N_H' x n_h grid with the space
+    augmented by mu's snapshots and the model estimator Delta is evaluated
+    there; eta is the minimum over the cell's samples. sigma = diam * rho.
+    """
     eta = np.empty(len(cells))
     sigma = np.empty(len(cells))
     for ci, cell in enumerate(cells):
         best = math.inf
         for mu in cell.samples:
-            if augment:
-                snaps = solver.solve(mu)
-                extra = np.column_stack([s.values[1:-1] for s in snaps])
-                phi = _orthonormalize(base_int, extra, M_y)
-            else:
-                phi = base_int
-            best = min(best, delta_for(phi))
+            extra = np.column_stack([s.values[1:-1] for s in solver.solve(mu)])
+            best = min(best, base.delta(extra))
         eta[ci] = best
         sigma[ci] = cell.sigma
         cell.eta = best
@@ -334,16 +384,17 @@ def _all_snapshots(cells, solver):
 
 def adaptive_train_extension(g0, pd, lift, m_max, i_max, n_xi, theta,
                              sigma_thres, coarse_nhp, *, th, yh, mode,
-                             solver=None, qbar=2, seed=0, augment=True):
+                             solver=None, qbar=2, seed=0):
     """Adaptively grown training set plus its snapshots.
 
     g0: either an initial ParamCell list or an int n (regular n^qbar grid
-    over the training domain). Each outer iteration m = 1..m_max computes
-    indicators with the (m-1)-mode POD space of the current snapshots and
-    runs i_max mark/refine/solve rounds; the caller compresses the returned
-    snapshots with pod(). Identical seeds give identical training sets (the
-    RNG is a counter-based Philox generator and snapshot caching is keyed by
-    exact parameter tuples).
+    over the training domain). The coarse N_H' x n_h indicator operators are
+    built once. Each outer iteration m = 1..m_max computes indicators with
+    the (m-1)-mode POD space of the current snapshots and runs i_max
+    mark/refine/solve rounds; the caller compresses the returned snapshots
+    with pod(). Identical seeds give identical training sets (the RNG is a
+    counter-based Philox generator and snapshot caching is keyed by exact
+    parameter tuples).
     """
     rng = np.random.Generator(np.random.Philox(seed))
     if solver is None:
@@ -352,12 +403,15 @@ def adaptive_train_extension(g0, pd, lift, m_max, i_max, n_xi, theta,
         cells = initial_cells(pd.omega_x, qbar, g0, n_xi, rng, th)
     else:
         cells = list(g0)
+    thp = build_uniform_partition(pd.omega_x[0], pd.omega_x[1], coarse_nhp)
+    coarse = CoarseOperator(
+        reference_operators(pd, lift, TensorGrid(thp, yh), mode))
     min_width = 2.0 * th.h
     for m in range(1, m_max + 1):
         snaps = _all_snapshots(cells, solver)
         space = pod(snaps, yh, count=m - 1) if m > 1 else empty_space(yh)
-        element_indicators(space, cells, pd, lift, coarse_nhp, solver, mode,
-                           augment=augment)
+        base = coarse.moments(space)
+        element_indicators(base, cells, solver)
         for _ in range(i_max):
             chosen = mark(cells, theta, sigma_thres, min_width=min_width)
             if not chosen:
@@ -367,8 +421,7 @@ def adaptive_train_extension(g0, pd, lift, m_max, i_max, n_xi, theta,
             for cell in new_cells:
                 for mu in cell.samples:
                     solver.solve(mu)
-            element_indicators(space, new_cells, pd, lift, coarse_nhp,
-                               solver, mode, augment=augment)
+            element_indicators(base, new_cells, solver)
     return TrainingResult(_all_snapshots(cells, solver), cells, solver)
 
 

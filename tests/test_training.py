@@ -4,20 +4,27 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from skewlift.mesh import build_uniform_partition
-from skewlift.problem import LiftingFunction, ProblemData
+from skewlift import training
+from skewlift.cases import case1
+from skewlift.mesh import TensorGrid, build_uniform_partition
+from skewlift.problem import LiftingFunction, ProblemData, reference_operators
 from skewlift.training import (
+    CoarseOperator,
     ParamCell,
     _draw_samples,
     _orthonormalize,
     adaptive_train_extension,
+    element_indicators,
+    empty_space,
     initial_cells,
     mark,
     pod,
     refine,
     transverse_mass,
 )
+from skewlift.transverse import TransverseSolver
 
 
 def _exact_mass(part):
@@ -175,6 +182,45 @@ def test_orthonormalize_drops_dependent_columns():
 
 
 # ---------------------------------------------------------------------------
+# Cell indicators against an explicit Galerkin projection
+
+
+@pytest.mark.parametrize("mode", ["weak_lifting", "delta_h"])
+@pytest.mark.parametrize("m", [0, 3])
+def test_element_indicators_match_explicit_projection(mode, m):
+    # nonsymmetric A (advection), so a transposed moment block shows up
+    cs = case1(b=(1.0, 0.5))
+    pd, lift = cs.problem, cs.lift
+    th = build_uniform_partition(*pd.omega_x, 12)
+    yh = build_uniform_partition(*pd.omega_y, 12)
+    thp = build_uniform_partition(*pd.omega_x, 5)
+    solver = TransverseSolver(pd, lift, th, yh, recon=mode)
+    rng = np.random.Generator(np.random.Philox(0))
+    cells = initial_cells(pd.omega_x, 2, 2, 2, rng, th)
+    snaps = [s for c in cells for mu in c.samples for s in solver.solve(mu)]
+    space = pod(snaps, yh, count=m) if m else empty_space(yh)
+    assert space.m == m
+    ops = reference_operators(pd, lift, TensorGrid(thp, yh), mode)
+    eta, _ = element_indicators(CoarseOperator(ops).moments(space),
+                                cells, solver)
+
+    A, G, rhs = ops.A_int.toarray(), ops.G_int.toarray(), ops.rhs_int
+    for cell, got in zip(cells, eta):
+        deltas = []
+        for mu in cell.samples:
+            E = np.column_stack([s.values[1:-1] for s in solver.solve(mu)])
+            # the Galerkin space in any basis; delta_h snapshots of one
+            # sample can be exactly dependent, so the basis is rank-revealing
+            Q = scipy.linalg.orth(np.hstack([space.modes[1:-1], E]),
+                                  rcond=1e-10)
+            P = np.kron(np.eye(thp.n - 1), Q)
+            u = P @ np.linalg.solve(P.T @ A @ P, P.T @ rhs)
+            r = rhs - A @ u
+            deltas.append(math.sqrt(r @ np.linalg.solve(G, r)))
+        assert got == pytest.approx(min(deltas), rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
 # Training cells: sampling, marking, refinement
 
 
@@ -281,3 +327,22 @@ def test_training_is_seed_reproducible():
     assert len(run_a.cells) > 4
     run_c = adaptive_train_extension(2, pd, lift, seed=8, **kw)
     assert [(s.mu, s.component) for s in run_c.snapshots] != mus_a
+
+
+def test_training_builds_coarse_operators_once(monkeypatch):
+    pd, lift = _smooth_setup()
+    calls = []
+    original = training.reference_operators
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(training, "reference_operators", counting)
+    run = adaptive_train_extension(
+        2, pd, lift, m_max=3, i_max=1, n_xi=2, theta=0.5, sigma_thres=30.0,
+        coarse_nhp=4, th=build_uniform_partition(0.0, 2.0, 12),
+        yh=build_uniform_partition(0.0, 1.0, 8), mode="weak_lifting",
+        qbar=2, seed=7)
+    assert len(run.cells) > 4  # indicators ran over several rounds
+    assert len(calls) == 1
