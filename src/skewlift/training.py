@@ -37,7 +37,7 @@ import scipy.linalg
 
 from .mesh import Partition1D, TensorGrid, build_uniform_partition
 from .problem import reference_operators
-from .transverse import TransverseSolver, _p1_matrix
+from .transverse import TransverseSolver, _p1_diagonals
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +81,9 @@ def empty_space(part):
 
 
 def transverse_mass(part):
-    return _p1_matrix(part, np.ones((part.n, 2)), "mass")
+    """Full (n_h + 1)^2 P1 mass matrix of part."""
+    lower, diag, upper = _p1_diagonals(part, np.ones((part.n, 2)), "mass")
+    return np.diag(diag) + np.diag(upper, 1) + np.diag(lower, -1)
 
 
 def pod(snapshots, part, count=None, tol=None):
@@ -322,11 +324,15 @@ class BaseMoments:
         """Model estimator Delta on the coarse grid for the base augmented by
         the M-orthonormalized extra columns: the Galerkin solution in
         span(I (x) [Phi E]) (x-major, mode-minor) and the V-dual norm of its
-        explicit residual."""
+        explicit residual. When [Phi E] spans the whole interior transverse
+        space, the Galerkin solution is the coarse FE solution and Delta is
+        exactly 0 (computing it would only return round-off)."""
         c, phi = self.coarse, self.phi
         m = phi.shape[1]
         E = _orthonormalize(phi, extra, c.M_y)[:, m:]
         w = m + E.shape[1]
+        if w >= c.n_y:
+            return 0.0
         A_E = c.block_products(E)
         blocks = np.block([[self.phi_A_phi, phi.T @ A_E],
                            [E.T @ self.A_phi, E.T @ A_E]])

@@ -24,15 +24,25 @@ sum_i xi_i'(x_l) P_i enters the diffusion-in-x/b1 row; the right-hand side
 collects F (plus k*Lap(h) in delta_h mode) against xi_k(x_l) and, in weak
 mode, the lifting terms k h_y against v' and k h_x xi_k' + (b.grad h) xi_k
 against v.
+
+Unknown order and cost: with n_a active hats and n_i = n_h - 1 interior
+y-nodes, unknown j * n_a + a is hat a at interior y-node j + 1 (y-node-major,
+active-hat minor). Every x-point couples all active hats but only
+neighbouring y-nodes, so the system is block-tridiagonal with n_a x n_a
+blocks: a band matrix with lower and upper bandwidth bw = 2 n_a - 1, stored
+in LAPACK band layout. Assembly takes O((qbar + qhat) n_a^2 n_h) time and the
+banded LU O(n bw^2) for n = n_a n_i unknowns; no dense n x n matrix is formed.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
+import scipy.linalg
+import scipy.sparse as sp
 
 from .mesh import Partition1D
-from .problem import GridField  # noqa: F401  (re-exported for source shifts)
 
 _GP = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 
@@ -64,7 +74,6 @@ class CoupledBasis:
     mu: tuple
     kept_nodes: np.ndarray
     active: np.ndarray
-    _pos: dict = field(repr=False, compare=False, default_factory=dict)
 
     @property
     def kept_x(self):
@@ -175,47 +184,65 @@ def augment_quadrature(th, mu):
 
 # ---------------------------------------------------------------------------
 # 1D P1 assembly helpers (coefficient values given at the 2 Gauss points of
-# every element, shape (n_elements, 2))
+# every element, shape (..., n_elements, 2); leading axes are batched)
+
+_VAL = np.array([[1.0 - g, g] for g in _GP])  # (q, local) shape values
 
 
-def _p1_matrix(part, cvals, kind):
-    n = part.n
-    h = part.h
-    w = h / 2.0
-    if kind == "stiff":
-        t_tab = np.array([[-1.0 / h, 1.0 / h]] * 2)  # (q, local)
-        s_tab = t_tab
-    elif kind == "grad":  # int c u' v : trial derivative, test value
-        t_tab = np.array([[1.0 - g, g] for g in _GP])
-        s_tab = np.array([[-1.0 / h, 1.0 / h]] * 2)
-    elif kind == "mass":
-        t_tab = np.array([[1.0 - g, g] for g in _GP])
-        s_tab = t_tab
-    else:
-        raise ValueError(kind)
-    loc = w * np.einsum("eq,qt,qs->ets", cvals, t_tab, s_tab)
-    out = np.zeros((n + 1, n + 1))
-    e = np.arange(n)
-    for a in range(2):
-        for b in range(2):
-            np.add.at(out, (e + a, e + b), loc[:, a, b])
-    return out
+def _der(h):
+    """(q, local) shape derivatives on elements of width h."""
+    return np.array([[-1.0 / h, 1.0 / h]] * 2)
 
 
-def _p1_vector(part, cvals, against_deriv=False):
-    n = part.n
-    h = part.h
-    w = h / 2.0
-    if against_deriv:
-        t_tab = np.array([[-1.0 / h, 1.0 / h]] * 2)
-    else:
-        t_tab = np.array([[1.0 - g, g] for g in _GP])
-    loc = w * np.einsum("eq,qt->et", cvals, t_tab)
-    out = np.zeros(n + 1)
-    e = np.arange(n)
-    for a in range(2):
-        np.add.at(out, e + a, loc[:, a])
-    return out
+def _p1_diagonals(part, cvals, kind):
+    """Diagonals (lower, diag, upper) of a 1D P1 matrix over all n + 1 nodes.
+
+    kind is "stiff" (int c u' v'), "grad" (int c u' v: trial derivative,
+    test value) or "mass" (int c u v). lower[..., i] is entry (i + 1, i) and
+    upper[..., i] entry (i, i + 1); both have n entries, diag n + 1.
+    """
+    der = _der(part.h)
+    row, col = {"stiff": (der, der), "grad": (_VAL, der),
+                "mass": (_VAL, _VAL)}[kind]
+    c_row = cvals[..., None] * row  # (..., e, q, t)
+    loc = part.h / 2.0 * (c_row[..., 0, :, None] * col[0]
+                          + c_row[..., 1, :, None] * col[1])
+    diag = np.zeros(loc.shape[:-3] + (part.n + 1,))
+    diag[..., :-1] += loc[..., 0, 0]
+    diag[..., 1:] += loc[..., 1, 1]
+    return loc[..., 1, 0], diag, loc[..., 0, 1]
+
+
+def _p1_load(part, cvals, against_deriv=False):
+    """Load vector int c v (or int c v') at the interior nodes."""
+    tab = _der(part.h) if against_deriv else _VAL
+    loc = part.h / 2.0 * (cvals[..., 0, None] * tab[0]
+                          + cvals[..., 1, None] * tab[1])
+    return loc[..., 1:, 0] + loc[..., :-1, 1]
+
+
+def _interior_stack(diags):
+    """Interior diagonals of (lower, diag, upper) stacked as diag, upper,
+    lower along the last axis (length 3 n_i - 2 for n_i interior nodes)."""
+    lower, diag, upper = diags
+    return np.concatenate([diag[..., 1:-1], upper[..., 1:-1],
+                           lower[..., 1:-1]], axis=-1)
+
+
+@lru_cache(maxsize=32)
+def _band_index(n_a, n_i):
+    """Positions in LAPACK band storage (bandwidth 2 n_a - 1) of the entries
+    of the n_a x n_a blocks stacked as in _interior_stack: diagonal blocks
+    (j, j), then upper (j, j + 1), then lower (j + 1, j)."""
+    bw = 2 * n_a - 1
+    j = np.arange(n_i)
+    col_node = np.concatenate([j, j[1:], j[:-1]])
+    shift = np.repeat([0, -n_a, n_a], [n_i, n_i - 1, n_i - 1])
+    t = np.arange(n_a)[:, None]
+    s = np.arange(n_a)[None, :]
+    band_row = bw + shift[:, None, None] + t - s
+    band_col = col_node[:, None, None] * n_a + s
+    return band_row, band_col
 
 
 def _y_gauss(part):
@@ -224,7 +251,15 @@ def _y_gauss(part):
 
 @dataclass
 class TransverseSystem:
-    matrix: np.ndarray
+    """Coupled transverse system of one parameter vector.
+
+    Unknowns are y-node-major, active-hat minor: row j * n_a + a belongs to
+    hat cb.active[a] at interior y-node j + 1. matrix is a scipy.sparse DIA
+    matrix with offsets bw, ..., -bw, bw = 2 n_a - 1, so matrix.data is
+    the LAPACK band storage of the block-tridiagonal system.
+    """
+
+    matrix: sp.dia_matrix
     rhs: np.ndarray
     cb: CoupledBasis
     rule: QuadratureRule
@@ -240,7 +275,12 @@ def assemble_transverse(pd, lift, cb, rule, yh, recon="weak_lifting",
     "weak_lifting" keeps the k h_y / k h_x / b.grad(h) terms, "delta_h" folds
     k*Lap(h) into the source and drops them. source_shift, when given, is an
     extra vectorized (x, y) term added to F (used for reconstructed sources).
-    Unknown ordering is active-hat major, interior y-node minor.
+
+    Unknowns are y-node-major, active-hat minor (see TransverseSystem). Every
+    callback is evaluated once, at all x-points and y Gauss points together;
+    the n_a x n_a blocks of the three y-diagonals are accumulated over the
+    x-points and scattered into band storage, in O((qbar + qhat) n_a^2 n_h)
+    time and O(n_a^2 n_h) memory.
     """
     if recon not in ("weak_lifting", "delta_h"):
         raise ValueError(f"unsupported transverse recon mode {recon!r}")
@@ -253,55 +293,62 @@ def assemble_transverse(pd, lift, cb, rule, yh, recon="weak_lifting",
     n_i = yh.n - 1
     yg = _y_gauss(yh)
     pts, wts = rule.points, rule.weights
+    X, Y = (np.ascontiguousarray(c)
+            for c in np.broadcast_arrays(pts[:, None, None], yg))
+    shape = X.shape
 
-    Xi = np.array([[cb.value(a, x) for x in pts] for a in act])
-    dXi = np.array([[cb.deriv(a, x) for x in pts] for a in act])
+    def at_points(f):
+        return np.broadcast_to(np.asarray(f(X, Y), dtype=float), shape)
 
-    A = np.zeros((n_a * n_i, n_a * n_i))
-    rhs = np.zeros(n_a * n_i)
-    sl = lambda a: slice(a * n_i, (a + 1) * n_i)
-    inner = slice(1, yh.n)
+    # xi_a(x_l) and xi_a'(x_l), shape (n_points, n_a)
+    Xi = np.array([[cb.value(a, x) for a in act] for x in pts])
+    dXi = np.array([[cb.deriv(a, x) for a in act] for x in pts])
+    # per-point block coefficients [l, test hat, trial hat]
+    w_trial_val = wts[:, None, None] * Xi[:, None, :]
+    w_trial_der = wts[:, None, None] * dXi[:, None, :]
+    c_kd = w_trial_val * Xi[:, :, None]
+    c_mk = w_trial_der * dXi[:, :, None]
+    c_mb = w_trial_der * Xi[:, :, None]
 
+    kv, b1v, b2v = at_points(pd.k), at_points(pd.b1), at_points(pd.b2)
+    K = _interior_stack(_p1_diagonals(yh, kv, "stiff"))
+    D = _interior_stack(_p1_diagonals(yh, b2v, "grad"))
+    Mk = _interior_stack(_p1_diagonals(yh, kv, "mass"))
+    Mb = _interior_stack(_p1_diagonals(yh, b1v, "mass"))
+    KD = K + D
+    blocks = np.zeros((3 * n_i - 2, n_a, n_a))
     for l in range(pts.size):
-        x = pts[l]
-        al = wts[l]
-        kv = pd.k(x, yg)
-        kv = np.broadcast_to(np.asarray(kv, dtype=float), yg.shape)
-        b1v = np.broadcast_to(np.asarray(pd.b1(x, yg), dtype=float), yg.shape)
-        b2v = np.broadcast_to(np.asarray(pd.b2(x, yg), dtype=float), yg.shape)
-        K_l = _p1_matrix(yh, kv, "stiff")[inner, inner]
-        D_l = _p1_matrix(yh, b2v, "grad")[inner, inner]
-        Mk_l = _p1_matrix(yh, kv, "mass")[inner, inner]
-        Mb_l = _p1_matrix(yh, b1v, "mass")[inner, inner]
-        for a_t in range(n_a):       # test hat
-            for a_s in range(n_a):   # trial hat
-                c_val = al * Xi[a_s, l] * Xi[a_t, l]
-                block = c_val * (K_l + D_l)
-                block += al * dXi[a_s, l] * dXi[a_t, l] * Mk_l
-                block += al * dXi[a_s, l] * Xi[a_t, l] * Mb_l
-                A[sl(a_t), sl(a_s)] += block
+        block = c_kd[l] * KD[l][:, None, None]
+        block += c_mk[l] * Mk[l][:, None, None]
+        block += c_mb[l] * Mb[l][:, None, None]
+        blocks += block
+    bw = 2 * n_a - 1
+    band = np.zeros((2 * bw + 1, n_a * n_i))
+    band[_band_index(n_a, n_i)] = blocks
+    matrix = sp.dia_matrix((band, np.arange(bw, -bw - 1, -1)),
+                           shape=(n_a * n_i, n_a * n_i))
 
-        Fv = np.broadcast_to(np.asarray(pd.F(x, yg), dtype=float), yg.shape).copy()
-        if source_shift is not None:
-            Fv += np.broadcast_to(np.asarray(source_shift(x, yg), dtype=float), yg.shape)
-        if recon == "delta_h":
-            Fv = Fv + kv * np.broadcast_to(
-                np.asarray(lift.laplacian(x, yg), dtype=float), yg.shape)
-            load_F = _p1_vector(yh, Fv)[inner]
-            for a_t in range(n_a):
-                rhs[sl(a_t)] += al * Xi[a_t, l] * load_F
-        else:
-            hx = np.broadcast_to(np.asarray(lift.dx(x, yg), dtype=float), yg.shape)
-            hy = np.broadcast_to(np.asarray(lift.dy(x, yg), dtype=float), yg.shape)
-            load_F = _p1_vector(yh, Fv)[inner]
-            h1 = _p1_vector(yh, kv * hy, against_deriv=True)[inner]
-            h2_common = _p1_vector(yh, b1v * hx + b2v * hy)[inner]
-            h2_grad = _p1_vector(yh, kv * hx)[inner]
-            for a_t in range(n_a):
-                rhs[sl(a_t)] += al * Xi[a_t, l] * (load_F - h1 - h2_common)
-                rhs[sl(a_t)] -= al * dXi[a_t, l] * h2_grad
+    Fv = at_points(pd.F).copy()
+    if source_shift is not None:
+        Fv += at_points(source_shift)
+    w_val = wts[:, None] * Xi
+    rhs = np.zeros((n_i, n_a))
+    if recon == "delta_h":
+        Fv = Fv + kv * at_points(lift.laplacian)
+        load = _p1_load(yh, Fv)
+        for l in range(pts.size):
+            rhs += w_val[l] * load[l][:, None]
+    else:
+        hx, hy = at_points(lift.dx), at_points(lift.dy)
+        load = (_p1_load(yh, Fv) - _p1_load(yh, kv * hy, against_deriv=True)
+                - _p1_load(yh, b1v * hx + b2v * hy))
+        h2_grad = _p1_load(yh, kv * hx)
+        w_der = wts[:, None] * dXi
+        for l in range(pts.size):
+            rhs += w_val[l] * load[l][:, None]
+            rhs -= w_der[l] * h2_grad[l][:, None]
 
-    return TransverseSystem(A, rhs, cb, rule, yh, recon)
+    return TransverseSystem(matrix, rhs.ravel(), cb, rule, yh, recon)
 
 
 @dataclass
@@ -314,19 +361,27 @@ class TransverseSnapshot:
 
 
 def snapshot_solve(system, cb=None):
-    """Solve the coupled system; one snapshot per active hat."""
+    """Solve the coupled system; one snapshot per active hat, in the order
+    of cb.active.
+
+    LAPACK banded LU on the band storage of system.matrix: O(n bw^2) time
+    for n = n_a (n_h - 1) unknowns and bandwidth bw = 2 n_a - 1. A singular
+    or non-finite solve raises RuntimeError.
+    """
     cb = cb if cb is not None else system.cb
+    bw = int(system.matrix.offsets[0])
     try:
-        sol = np.linalg.solve(system.matrix, system.rhs)
+        sol = scipy.linalg.solve_banded((bw, bw), system.matrix.data,
+                                        system.rhs, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"transverse system singular for mu={cb.mu}") from exc
     if not np.all(np.isfinite(sol)):
         raise RuntimeError(f"transverse solve diverged for mu={cb.mu}")
-    n_i = system.yh.n - 1
+    sol = sol.reshape(system.yh.n - 1, cb.active.size)
     out = []
     for a, node in enumerate(cb.active):
         vals = np.zeros(system.yh.n + 1)
-        vals[1:-1] = sol[a * n_i:(a + 1) * n_i]
+        vals[1:-1] = sol[:, a]
         out.append(TransverseSnapshot(cb.mu, int(node), vals))
     return out
 

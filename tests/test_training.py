@@ -220,6 +220,31 @@ def test_element_indicators_match_explicit_projection(mode, m):
         assert got == pytest.approx(min(deltas), rel=1e-10)
 
 
+def test_indicators_vanish_when_the_space_is_full():
+    # m - 1 + 2 qbar >= n_h - 1: [Phi E] spans the interior transverse space,
+    # the coarse Galerkin solution is the coarse FE solution and Delta is
+    # exactly 0, so marking falls to cell ids instead of round-off
+    cs = case1(b=(1.0, 0.5))
+    pd, lift = cs.problem, cs.lift
+    th = build_uniform_partition(*pd.omega_x, 12)
+    yh = build_uniform_partition(*pd.omega_y, 12)
+    thp = build_uniform_partition(*pd.omega_x, 5)
+    marks = []
+    for _ in range(2):
+        solver = TransverseSolver(pd, lift, th, yh)
+        rng = np.random.Generator(np.random.Philox(0))
+        cells = initial_cells(pd.omega_x, 2, 2, 2, rng, th)
+        snaps = [s for c in cells for mu in c.samples for s in solver.solve(mu)]
+        space = pod(snaps, yh, count=8)
+        assert space.m == 8
+        ops = reference_operators(pd, lift, TensorGrid(thp, yh), "weak_lifting")
+        eta, _ = element_indicators(CoarseOperator(ops).moments(space),
+                                    cells, solver)
+        assert np.all(eta == 0.0)
+        marks.append(mark(cells, 0.5, sigma_thres=1e9))
+    assert marks[0] == marks[1] == [0, 1]
+
+
 # ---------------------------------------------------------------------------
 # Training cells: sampling, marking, refinement
 

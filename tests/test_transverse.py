@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from skewlift.cases import skew_lifting
 from skewlift.mesh import build_uniform_partition
 from skewlift.problem import LiftingFunction, ProblemData
 from skewlift.transverse import (
@@ -13,6 +14,7 @@ from skewlift.transverse import (
     assemble_transverse,
     augment_quadrature,
     build_coupled_basis,
+    snapshot_solve,
 )
 
 
@@ -184,7 +186,8 @@ def test_midpoint_rule_reproduces_full_fe_system():
     wy = np.full(yg.size, yh.h / 2.0)
     n_i = yh.n - 1
     act = list(range(1, th.n))
-    size = len(act) * n_i
+    n_a = len(act)
+    size = n_a * n_i
     A = np.zeros((size, size))
     rhs = np.zeros(size)
     psi = np.array([[_hat(yh, j, y) for y in yg] for j in range(yh.n + 1)])
@@ -199,12 +202,12 @@ def test_midpoint_rule_reproduces_full_fe_system():
             if pt == 0.0 and dpt == 0.0:
                 continue
             for jt in range(1, yh.n):
-                row = at * n_i + (jt - 1)
+                row = (jt - 1) * n_a + at  # y-node-major, hat-minor
                 rhs[row] += th.h * pt * np.sum(wy * Fv * psi[jt])
                 for as_, is_ in enumerate(act):
                     ps, dps = _hat(th, is_, xm), _dhat(th, is_, xm)
                     for js in range(1, yh.n):
-                        col = as_ * n_i + (js - 1)
+                        col = (js - 1) * n_a + as_
                         diff = np.sum(
                             wy * kv * (dps * dpt * psi[js] * psi[jt]
                                        + ps * pt * dpsi[js] * dpsi[jt])
@@ -230,8 +233,117 @@ def test_source_shift_equals_modified_source():
     rule = augment_quadrature(th, mu)
     sys_a = assemble_transverse(pd, lift, cb, rule, yh, source_shift=shift)
     sys_b = assemble_transverse(pd_shifted, lift, cb, rule, yh)
-    assert np.allclose(sys_a.matrix, sys_b.matrix, rtol=0, atol=1e-15)
+    assert np.allclose(sys_a.matrix.toarray(), sys_b.matrix.toarray(),
+                       rtol=0, atol=1e-15)
     assert np.allclose(sys_a.rhs, sys_b.rhs, rtol=0, atol=1e-15)
+
+
+def _dense_p1(part, c, kind):
+    """Interior rows/columns of a 1D P1 matrix, one element and Gauss point
+    at a time; kind: "stiff" (c u' v'), "grad" (c u' v) or "mass" (c u v)."""
+    n, h = part.n, part.h
+    out = np.zeros((n + 1, n + 1))
+    for e in range(n):
+        for g in (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)):
+            cv = c(part.nodes[e] + g * h)
+            val, der = (1.0 - g, g), (-1.0 / h, 1.0 / h)
+            for r in range(2):
+                for q in range(2):
+                    test = der[r] if kind == "stiff" else val[r]
+                    trial = val[q] if kind == "mass" else der[q]
+                    out[e + r, e + q] += h / 2.0 * cv * test * trial
+    return out[1:-1, 1:-1]
+
+
+def _dense_load(part, c, against_deriv=False):
+    n, h = part.n, part.h
+    out = np.zeros(n + 1)
+    for e in range(n):
+        for g in (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)):
+            tab = (-1.0 / h, 1.0 / h) if against_deriv else (1.0 - g, g)
+            for r in range(2):
+                out[e + r] += h / 2.0 * c(part.nodes[e] + g * h) * tab[r]
+    return out[1:-1]
+
+
+def _coupled_oracle(pd, lift, cb, rule, yh, recon):
+    """Coupled system block by block: for every x-point, test hat and trial
+    hat, a dense y-matrix placed at rows j * n_a + a_t, columns
+    j' * n_a + a_s."""
+    act = cb.active
+    n_a, n_i = act.size, yh.n - 1
+    A = np.zeros((n_a * n_i, n_a * n_i))
+    rhs = np.zeros(n_a * n_i)
+    for x, al in zip(rule.points, rule.weights):
+        at_x = lambda f: (lambda y: float(f(x, y)))
+        K = _dense_p1(yh, at_x(pd.k), "stiff")
+        D = _dense_p1(yh, at_x(pd.b2), "grad")
+        Mk = _dense_p1(yh, at_x(pd.k), "mass")
+        Mb = _dense_p1(yh, at_x(pd.b1), "mass")
+        if recon == "delta_h":
+            g = _dense_load(yh, lambda y: float(
+                pd.F(x, y) + pd.k(x, y) * lift.laplacian(x, y)))
+            g_der = np.zeros(n_i)
+        else:
+            g = (_dense_load(yh, at_x(pd.F))
+                 - _dense_load(yh, lambda y: float(pd.k(x, y) * lift.dy(x, y)),
+                               against_deriv=True)
+                 - _dense_load(yh, lambda y: float(pd.b1(x, y) * lift.dx(x, y)
+                                                   + pd.b2(x, y) * lift.dy(x, y))))
+            g_der = _dense_load(yh, lambda y: float(pd.k(x, y) * lift.dx(x, y)))
+        for a_t, it in enumerate(act):
+            v_t, d_t = cb.value(it, x), cb.deriv(it, x)
+            rhs[a_t::n_a] += al * (v_t * g - d_t * g_der)
+            for a_s, is_ in enumerate(act):
+                v_s, d_s = cb.value(is_, x), cb.deriv(is_, x)
+                A[a_t::n_a, a_s::n_a] += al * (v_s * v_t * (K + D)
+                                              + d_s * d_t * Mk + d_s * v_t * Mb)
+    return A, rhs
+
+
+@pytest.mark.parametrize("recon", ["weak_lifting", "delta_h"])
+def test_coupled_system_matches_blockwise_oracle(recon):
+    """Three parameters with a gap: long hats, an inserted midpoint, n_a = 5,
+    nonsymmetric advection; band storage, dense oracle and dense solve."""
+    th = build_uniform_partition(0.0, 2.0, 10)  # H = 0.2
+    yh = build_uniform_partition(0.0, 1.0, 9)
+    pd = _pd(
+        k=lambda x, y: 1.0 + 0.2 * x + 0.1 * y * y,
+        b1=lambda x, y: 1.0 + 0.5 * y,
+        b2=lambda x, y: -0.7 + 0.3 * x,
+        F=lambda x, y: np.sin(3.0 * x) + y * np.cos(x),
+    )
+    lift = skew_lifting()
+    mu = (0.25, 0.5, 1.55)  # elements 1, 2, 7: nodes 4..6 deleted
+    cb = build_coupled_basis(th, mu)
+    rule = augment_quadrature(th, mu)
+    assert cb.active.tolist() == [1, 2, 3, 7, 8]
+    assert rule.qhat == 1
+    system = assemble_transverse(pd, lift, cb, rule, yh, recon=recon)
+
+    n_a, n_i = cb.active.size, yh.n - 1
+    bw = 2 * n_a - 1
+    assert system.matrix.shape == (n_a * n_i, n_a * n_i)
+    assert system.matrix.offsets.tolist() == list(range(bw, -bw - 1, -1))
+    A, rhs = _coupled_oracle(pd, lift, cb, rule, yh, recon)
+    assert np.max(np.abs(system.matrix.toarray() - A)) \
+        <= 1e-14 * np.max(np.abs(A))
+    assert np.max(np.abs(system.rhs - rhs)) <= 1e-14 * np.max(np.abs(rhs))
+
+    sol = np.linalg.solve(system.matrix.toarray(), system.rhs)
+    snaps = snapshot_solve(system)
+    assert [s.component for s in snaps] == cb.active.tolist()
+    scale = np.max(np.abs(sol))
+    for a, s in enumerate(snaps):
+        assert s.values[0] == 0.0 and s.values[-1] == 0.0
+        assert np.max(np.abs(s.values[1:-1] - sol[a::n_a])) <= 1e-12 * scale
+
+    # no diffusion, no advection: a singular system is a RuntimeError
+    zero = lambda x, y: np.zeros(np.broadcast(x, y).shape)
+    solver = TransverseSolver(_pd(k=zero, F=pd.F), lift, th, yh, recon=recon)
+    with pytest.raises(RuntimeError) as info:
+        solver.solve(mu)
+    assert not isinstance(info.value, np.linalg.LinAlgError)
 
 
 def test_recon_mode_validation():
