@@ -7,12 +7,11 @@ p_m(x, y) = sum_k pbar_k(x) phi_k(y) whose transverse basis comes from
 adaptively trained POD snapshots.
 """
 
-from .mesh import (Partition1D, TensorGrid, build_grid,
-                   build_uniform_partition, eval_p1)
+from .mesh import Partition1D, TensorGrid, build_grid, build_uniform_partition
 from .problem import (MODES, FullSolution, GridField, LiftingFunction,
                       ProblemData, ReferenceSystem, TensorOperators,
                       affine_boundary_blend, assemble_reference_system,
-                      reference_operators, solve_reference, v_inner)
+                      reference_operators, solve_reference)
 from .interface import (InterfaceCurve, InterfaceNotFoundError, Profile1D,
                         WaterTable, boussinesq_steady_profile, build_lifting,
                         detection_partitions, locate_interface,
@@ -25,13 +24,10 @@ from .transverse import (CoupledBasis, QuadPointsInSameElement,
 from .training import (ParamCell, ReductionSpace, TrainingResult,
                        adaptive_train_extension, element_indicators,
                        empty_space, initial_cells, mark, pod, refine,
-                       snapshots_to_csv, training_set_to_csv,
                        transverse_mass)
 from .reduced import (ReducedSolution, ReducedSystem, assemble_reduced,
-                      local_reconstruction, prolongation,
-                      riesz_lifting_reconstruction, solve_reduced)
-from .estimator import (ErrorReport, delta_m, error_report, reports_to_csv,
-                        riesz_residual)
+                      solve_reduced)
+from .estimator import ErrorReport, error_report, reports_to_csv
 from .cases import (CaseSpec, box_source, case1, case2, case3,
                     cosine_profile, detection_data, get_case, skew_lifting,
                     smooth_part)
@@ -41,11 +37,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Partition1D", "TensorGrid", "build_grid", "build_uniform_partition",
-    "eval_p1",
     "MODES", "FullSolution", "GridField", "LiftingFunction", "ProblemData",
     "ReferenceSystem", "TensorOperators", "affine_boundary_blend",
     "assemble_reference_system", "reference_operators", "solve_reference",
-    "v_inner",
     "InterfaceCurve", "InterfaceNotFoundError", "Profile1D", "WaterTable",
     "boussinesq_steady_profile", "build_lifting", "detection_partitions",
     "locate_interface", "solve_boussinesq",
@@ -55,13 +49,9 @@ __all__ = [
     "snapshot_solve",
     "ParamCell", "ReductionSpace", "TrainingResult",
     "adaptive_train_extension", "element_indicators", "empty_space",
-    "initial_cells", "mark", "pod", "refine", "snapshots_to_csv",
-    "training_set_to_csv", "transverse_mass",
-    "ReducedSolution", "ReducedSystem", "assemble_reduced",
-    "local_reconstruction", "prolongation", "riesz_lifting_reconstruction",
-    "solve_reduced",
-    "ErrorReport", "delta_m", "error_report", "reports_to_csv",
-    "riesz_residual",
+    "initial_cells", "mark", "pod", "refine", "transverse_mass",
+    "ReducedSolution", "ReducedSystem", "assemble_reduced", "solve_reduced",
+    "ErrorReport", "error_report", "reports_to_csv",
     "CaseSpec", "box_source", "case1", "case2", "case3", "cosine_profile",
     "detection_data", "get_case", "skew_lifting", "smooth_part",
     "DetectConfig", "RunConfig", "main", "run_case", "run_detect",

@@ -222,7 +222,6 @@ def case2():
         dirichlet=lift.value,
         omega_x=(0.0, 2.0),
         omega_y=(0.0, 1.1),
-        f_smooth=False,
     )
     return CaseSpec("case2", pd, lift, cosine_profile(), None)
 

@@ -10,7 +10,7 @@ Two subcommands:
 
 Flags may also be supplied through a plain key=value config file (--config);
 a flag given on the command line wins. Exit codes: 0 success, 2 configuration
-error, 3 numerical failure.
+error, 3 numerical failure; any other exception is a bug and propagates.
 """
 
 import argparse
@@ -24,10 +24,9 @@ from . import cases
 from .estimator import error_report, reports_to_csv
 from .interface import InterfaceNotFoundError, locate_interface
 from .mesh import TensorGrid, build_uniform_partition
-from .problem import (GridField, LiftingFunction, ReferenceSystem,
-                      affine_boundary_blend, reference_operators,
-                      solve_reference)
-from .reduced import assemble_reduced, ReducedSystem, solve_reduced
+from .problem import (GridField, LiftingFunction, affine_boundary_blend,
+                      assemble_reference_system, solve_reference)
+from .reduced import assemble_reduced, solve_reduced
 from .training import adaptive_train_extension, pod
 from .transverse import TransverseSolver
 
@@ -65,9 +64,13 @@ class RunConfig:
     g0: int = 2  # initial training grid: g0^qbar cells
 
     def validate(self):
-        for name in ("NH", "nh", "NHp", "qbar", "m_max", "i_max", "n_xi", "g0"):
+        for name in ("qbar", "m_max", "i_max", "n_xi", "g0"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be a positive integer")
+        for name in ("NH", "nh", "NHp"):
+            if getattr(self, name) < 2:
+                raise ConfigError(f"{name} must be at least 2 (one interior "
+                                  f"grid node)")
         if self.case not in (1, 2, 3):
             raise ConfigError(f"case must be 1, 2 or 3 (got {self.case})")
         if self.mode not in MODE_MAP:
@@ -125,19 +128,6 @@ def build_transverse_solver(pd, lift, th, yh, mode, ops=None):
     return TransverseSolver(pd, lift, th, yh, recon=mode)
 
 
-def _slice_reduced(system, m):
-    """Restrict a reduced system assembled with m_full modes to its leading m
-    modes (exact: the matrix blocks are Galerkin moments of the mode set)."""
-    m_full = system.space.m
-    if m == m_full:
-        return system
-    nx = system.grid.nx
-    idx = (np.arange(nx - 1)[:, None] * m_full + np.arange(m)).ravel()
-    mat = system.matrix[idx][:, idx].tocsr()
-    return ReducedSystem(mat, system.rhs[idx], system.space.truncate(m),
-                         system.grid, system.mode, system.ops)
-
-
 def run_case(cfg, log=print):
     """Execute one convergence study; returns the ErrorReport rows."""
     t_start = time.perf_counter()
@@ -150,8 +140,9 @@ def run_case(cfg, log=print):
 
     log(f"[{case.name}] mode={mode} grid {cfg.NH}x{cfg.nh}, "
         f"indicator grid {cfg.NHp}x{cfg.nh}, qbar={cfg.qbar}")
-    ops = reference_operators(pd, lift, grid, mode)
-    ref = solve_reference(ReferenceSystem(ops.A_int, ops.rhs_int, grid, mode, ops))
+    ref_system = assemble_reference_system(pd, lift, grid, mode)
+    ops = ref_system.ops
+    ref = solve_reference(ref_system)
     log(f"  reference solved ({grid.node_count} nodes, "
         f"{time.perf_counter() - t_start:.2f}s)")
 
@@ -182,7 +173,7 @@ def run_case(cfg, log=print):
     full = assemble_reduced(pd, lift, space, th, mode, ops=ops)
     reports = []
     for m in range(1, cfg.m_max + 1):
-        rsol = solve_reduced(_slice_reduced(full, m))
+        rsol = solve_reduced(full.truncate(m))
         rep = error_report(ref, rsol, space, pd, lift, ops=ops)
         reports.append(rep)
         log(f"  m={m:3d}  err_V_rel={rep.err_V_rel:.3e}  "
@@ -317,8 +308,9 @@ def main(argv=None):
         # domain problems surfacing mid-run still count as numerical failures
         print(f"skewlift: {exc}", file=sys.stderr)
         return 3
-    except (RuntimeError, ValueError, ArithmeticError, KeyError,
-            np.linalg.LinAlgError) as exc:
+    except (RuntimeError, np.linalg.LinAlgError) as exc:
+        # numerical guards; programming errors (ValueError, KeyError, ...)
+        # propagate with their traceback
         print(f"skewlift: numerical failure: {exc}", file=sys.stderr)
         return 3
     return 0

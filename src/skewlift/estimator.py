@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import reference_operators
+from .problem import LiftingFunction, reference_operators
 
 
 @dataclass
@@ -46,34 +46,6 @@ def reports_to_csv(reports, path):
             w.writerow(r.row())
 
 
-def _get_ops(pd, lift, grid, mode, ops):
-    if ops is None:
-        ops = reference_operators(pd, lift, grid, mode)
-    return ops
-
-
-def riesz_residual(pd, lift, grid, rsol, mode=None, ops=None):
-    """Riesz representative of the reduced solution's residual (nodal field,
-    boundary zero). The right-hand side follows the solution's lifting mode
-    so weak, folded-Laplacian and reconstructed sources are compared
-    consistently."""
-    mode = mode or rsol.mode
-    ops = _get_ops(pd, lift, grid, mode, ops)
-    r = ops.rhs_int - ops.A_int @ rsol.interior_vector()
-    R = np.zeros(grid.node_count)
-    R[grid.interior_ids()] = ops.gram_solve(r)
-    return R.reshape(grid.shape)
-
-
-def delta_m(R, pd, grid, lift=None, mode="weak_lifting", ops=None):
-    """V-norm of a Riesz representative field."""
-    from .problem import LiftingFunction
-
-    ops = _get_ops(pd, lift or LiftingFunction.zero(), grid, mode, ops)
-    r_int = np.asarray(R, dtype=float).ravel()[grid.interior_ids()]
-    return ops.v_norm(r_int)
-
-
 def error_report(reference, rsol, space, pd, lift=None, ops=None):
     """Compare a reduced solution against the reference on the same grid.
 
@@ -88,9 +60,9 @@ def error_report(reference, rsol, space, pd, lift=None, ops=None):
     if reference.mode != rsol.mode:
         raise ValueError(
             f"mode mismatch: reference {reference.mode!r} vs reduced {rsol.mode!r}")
-    from .problem import LiftingFunction
-
-    ops = _get_ops(pd, lift or LiftingFunction.zero(), grid, reference.mode, ops)
+    if ops is None:
+        ops = reference_operators(pd, lift or LiftingFunction.zero(), grid,
+                                  reference.mode)
     p_ref = reference.interior_vector()
     p_red = rsol.interior_vector()
     e = p_ref - p_red

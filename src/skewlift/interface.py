@@ -18,10 +18,10 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-from scipy.linalg import solve_banded
 
 from .mesh import Partition1D, build_uniform_partition
 from .problem import LiftingFunction
+from .transverse import band_solve
 
 
 class InterfaceNotFoundError(RuntimeError):
@@ -264,10 +264,7 @@ def solve_boussinesq(wt, dt, t_end, bc):
         ab[1, 0] = ab[1, -1] = 1.0
         ab[0, 1] = ab[2, -2] = 0.0
         rhs[0], rhs[-1] = bc
-        w_new = solve_banded((1, 1), ab, rhs)
-        if not np.all(np.isfinite(w_new)):
-            raise RuntimeError(f"Boussinesq step {step} diverged")
-        w = w_new
+        w = band_solve(ab, rhs, f"Boussinesq step {step}")
         W[step] = w
     return times, W
 

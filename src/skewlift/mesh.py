@@ -1,4 +1,4 @@
-"""Uniform 1D partitions, tensor-product grids and P1 hat evaluation."""
+"""Uniform 1D partitions and tensor-product grids."""
 
 from dataclasses import dataclass, field
 
@@ -44,30 +44,6 @@ class Partition1D:
 def build_uniform_partition(a, b, n):
     """Uniform partition of [a, b] with n elements."""
     return Partition1D(float(a), float(b), int(n))
-
-
-def eval_p1(part, i, x):
-    """Evaluate the i-th P1 hat of a partition at a point.
-
-    Returns (value, derivative). At the hat's own node the derivative is 0 by
-    convention; at other points it is taken from the element containing x
-    (right-continuous element lookup). Assemblies only query element-interior
-    quadrature points, so the node convention never influences operators.
-    """
-    if not 0 <= i <= part.n:
-        raise IndexError(f"hat index {i} out of range 0..{part.n}")
-    x = float(x)
-    if x < part.a or x > part.b:
-        raise ValueError(f"x={x} outside [{part.a}, {part.b}]")
-    xi = part.nodes[i]
-    if x == xi:
-        return 1.0, 0.0
-    h = part.h
-    if x < xi - h or x > xi + h:
-        return 0.0, 0.0
-    if x < xi:
-        return (x - (xi - h)) / h, 1.0 / h
-    return ((xi + h) - x) / h, -1.0 / h
 
 
 @dataclass(frozen=True)

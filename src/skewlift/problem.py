@@ -72,11 +72,6 @@ class ProblemData:
     div_b : callable(x, y), optional
         Divergence of b, used by the -1/2 div(b) u v term of the V-inner
         product. None means divergence-free (all built-in cases).
-    f_smooth : bool
-        Declares whether F is smooth. No solver reads it: F is integrated
-        with the right-hand-side rule of the mode (see the module docstring),
-        which refines only the lifting band, so jumps of F elsewhere (the
-        box edges of case 2) keep the low-order error of the 2x2 rule.
     """
 
     k: Callable
@@ -87,7 +82,6 @@ class ProblemData:
     omega_x: tuple
     omega_y: tuple
     div_b: Optional[Callable] = None
-    f_smooth: bool = True
 
 
 @dataclass(frozen=True)
@@ -406,25 +400,6 @@ def solve_reference(system):
     coeffs = np.zeros(grid.node_count)
     coeffs[grid.interior_ids()] = x
     return FullSolution(grid, coeffs.reshape(grid.shape), system.mode)
-
-
-def v_inner(grid, pd, u, v):
-    """V-inner product (symmetric part of a) of two nodal fields.
-
-    u, v are nodal arrays over all grid nodes (any shape that flattens to the
-    node count). Symmetric positive definite on interior nodes; the
-    -1/2 div(b) term vanishes for the constant-b experiments.
-    """
-    react = None
-    if pd.div_b is not None:
-        react = lambda x, y: -0.5 * pd.div_b(x, y)
-    quad = _Quadrature(grid)
-    G = _assemble_matrix(quad, diff=pd.k, react=react)
-    uu = np.asarray(u, dtype=float).ravel()
-    vv = np.asarray(v, dtype=float).ravel()
-    if uu.size != grid.node_count or vv.size != grid.node_count:
-        raise ValueError("nodal array size does not match the grid")
-    return float(uu @ (G @ vv))
 
 
 def affine_boundary_blend(lift, omega_x):

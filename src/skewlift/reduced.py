@@ -1,44 +1,92 @@
 """Reduced tensor-product systems p_m(x,y) = sum_k pbar_k(x) phi_k(y).
 
-The reduced block system is the Galerkin projection of the assembled
-reference operator onto span{xi_i(x) phi_k(y)}: with P = kron(I, Phi) holding
-the modes' interior nodal values, the matrix is P^T A P and the right-hand
-side P^T rhs. Because fine and reduced quadratures then coincide by
-construction, discrete Galerkin orthogonality holds exactly: modes spanning
-the full transverse space reproduce the reference solution, and with b = 0
-the error estimator equals the V-norm error to round-off. Assembled once at
-the largest m, smaller systems are leading sub-blocks (mode index fastest),
-so m-sweeps cost one projection plus cheap solves.
+The reduced system is the Galerkin projection of the assembled reference
+operator onto span{xi_i(x) phi_k(y)}, taken x-block by x-block. In the
+x-major interior ordering the reference A is block-tridiagonal in x with
+(n_h - 1) x (n_h - 1) blocks A_ij; with Phi the modes' interior nodal
+values, the reduced matrix has the m x m blocks Phi^T A_ij Phi (x-node
+major, mode minor) and the right-hand side Phi^T rhs_i. It is
+block-tridiagonal too and is solved as a band matrix of bandwidth 2m - 1.
+The training indicator (training.BaseMoments) is the same projection on
+its coarse x-grid.
+
+Because fine and reduced quadratures coincide by construction, discrete
+Galerkin orthogonality holds exactly: modes spanning the full transverse
+space reproduce the reference solution, and with b = 0 the error estimator
+equals the V-norm error to round-off. Assembled once at the largest m,
+smaller systems are the leading m x m sub-blocks (ReducedSystem.truncate),
+so m-sweeps cost one projection plus banded solves.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .mesh import TensorGrid
 from .problem import reference_operators
+from .transverse import band_matrix, band_solve, block_band
 
 
-def prolongation(space, grid):
-    """Sparse map from reduced dofs (x-node major, mode minor) to interior
-    tensor-grid dofs."""
-    phi_int = space.modes[1:-1, :]
-    if phi_int.shape[0] != grid.ny - 1:
-        raise ValueError("mode resolution does not match the grid")
-    return sp.kron(sp.identity(grid.nx - 1, format="csr"),
-                   sp.csr_matrix(phi_int), format="csr")
+class XBlocks:
+    """x-block view of assembled tensor operators.
+
+    The nonzero blocks A_ij of the interior A, |i - j| <= 1, are the pairs
+    (rows[p], cols[p]), stacked diagonal (i, i), upper (i, i + 1), lower
+    (i + 1, i): the block order of transverse.block_band. rhs holds the
+    interior right-hand side as (n_x, n_y) x-block rows.
+    """
+
+    def __init__(self, ops):
+        self.ops = ops
+        self.n_x = ops.grid.nx - 1
+        self.n_y = ops.grid.ny - 1
+        self.rhs = ops.rhs_int.reshape(self.n_x, self.n_y)
+        i = np.arange(self.n_x)
+        self.rows = np.concatenate([i, i[:-1], i[1:]])
+        self.cols = np.concatenate([i, i[1:], i[:-1]])
+
+    def products(self, X):
+        """A_ij X for every stored pair, shape (n_pairs, n_y, k).
+
+        X goes into the block columns j = c (mod 3) for c = 0, 1, 2; a block
+        row meets exactly one of each, so three sparse products give every
+        A_ij X without summing two blocks.
+        """
+        k = X.shape[1]
+        out = np.empty((self.rows.size, self.n_y, k))
+        for c in range(3):
+            Xc = np.zeros((self.n_x, self.n_y, k))
+            Xc[c::3] = X
+            AX = (self.ops.A_int @ Xc.reshape(self.n_x * self.n_y, k)
+                  ).reshape(self.n_x, self.n_y, k)
+            hit = self.cols % 3 == c
+            out[hit] = AX[self.rows[hit]]
+        return out
 
 
 @dataclass
 class ReducedSystem:
-    matrix: sp.csr_matrix  # (m*(NH-1))^2, x-node major / mode minor
+    """Block-tridiagonal reduced system, x-node major / mode minor.
+
+    blocks: (3 (NH - 1) - 2, m, m) projected x-blocks Phi^T A_ij Phi in
+    XBlocks order; rhs: (NH - 1, m) projected right-hand side.
+    """
+
+    blocks: np.ndarray
     rhs: np.ndarray
     space: object
     grid: TensorGrid
     mode: str
-    ops: object
+
+    @property
+    def matrix(self):
+        """The assembled (m (NH - 1))^2 matrix, in band storage (DIA)."""
+        return band_matrix(block_band(self.blocks))
+
+    def truncate(self, m):
+        """The system of the leading m modes: leading m x m sub-blocks."""
+        return ReducedSystem(self.blocks[:, :m, :m], self.rhs[:, :m],
+                             self.space.truncate(m), self.grid, self.mode)
 
 
 def assemble_reduced(pd, lift, space, th, mode="weak_lifting", ops=None):
@@ -50,10 +98,12 @@ def assemble_reduced(pd, lift, space, th, mode="weak_lifting", ops=None):
     grid = TensorGrid(th, space.part)
     if ops is None:
         ops = reference_operators(pd, lift, grid, mode)
-    P = prolongation(space, grid)
-    A_r = (P.T @ (ops.A_int @ P)).tocsr()
-    rhs_r = P.T @ ops.rhs_int
-    return ReducedSystem(A_r, rhs_r, space, grid, mode, ops)
+    elif ops.grid != grid:
+        raise ValueError("operators do not live on the th x space.part grid")
+    xb = XBlocks(ops)
+    phi = space.modes[1:-1, :]
+    return ReducedSystem(phi.T @ xb.products(phi), xb.rhs @ phi, space, grid,
+                         mode)
 
 
 @dataclass
@@ -96,70 +146,11 @@ def solve_reduced(system):
     m = system.space.m
     if m == 0:
         raise ValueError("cannot solve with an empty reduction space")
-    sol = spla.spsolve(system.matrix.tocsc(), system.rhs)
-    if not np.all(np.isfinite(sol)):
-        raise RuntimeError(f"reduced system singular at m={m}")
-    res = np.linalg.norm(system.matrix @ sol - system.rhs)
-    if res > 1e-9 * max(np.linalg.norm(system.rhs), 1.0):
+    matrix = system.matrix
+    rhs = system.rhs.ravel()
+    sol = band_solve(matrix.data, rhs, f"reduced system at m={m}")
+    res = np.linalg.norm(matrix @ sol - rhs)
+    if res > 1e-9 * max(np.linalg.norm(rhs), 1.0):
         raise RuntimeError(f"reduced solve residual {res:.3e} too large")
     coeffs = sol.reshape(system.grid.nx - 1, m).T
     return ReducedSolution(system.space, coeffs, system.grid, system.mode)
-
-
-def riesz_lifting_reconstruction(pd, lift, grid, ops=None):
-    """L2 Riesz representative of the lifting functional.
-
-    Solves (R, v)_L2 = a(h, v) for all interior hats; for smooth h with k=1
-    and b=0 this approximates -Lap(h). Returns the nodal field (boundary
-    zero) of shape grid.shape.
-    """
-    full_ops = reference_operators(pd, lift, grid, "riesz_recon")
-    return full_ops.riesz_field
-
-
-def local_reconstruction(pd, lift, mu, R, grid):
-    """Oversampled lifting reconstruction on the strip (mu-R, mu+R) x omega_hat.
-
-    The L2 projection of the lifting functional is solved on the cell columns
-    intersecting the strip only, then restricted to the fiber x = mu. Cheaper
-    than the global reconstruction and intended as an optional source term of
-    the parametrized transverse problem (off by default everywhere).
-    Returns nodal values over grid.ty.
-    """
-    tx = grid.tx
-    if R < tx.h:
-        raise ValueError(f"strip half-width {R} below one element width {tx.h}")
-    if not (tx.a < mu < tx.b):
-        raise ValueError(f"fiber x={mu} outside the domain")
-    c_lo = int(np.clip(np.floor((mu - R - tx.a) / tx.h), 0, tx.n - 1))
-    c_hi = int(np.clip(np.ceil((mu + R - tx.a) / tx.h), 1, tx.n))
-    # strip operators: assemble on the sub-grid spanned by columns c_lo..c_hi
-    from .mesh import Partition1D
-
-    sub_tx = Partition1D(tx.nodes[c_lo], tx.nodes[c_hi], c_hi - c_lo)
-    sub_grid = TensorGrid(sub_tx, grid.ty)
-    from .problem import (_Quadrature, _assemble_matrix, _lifting_vector,
-                          _rhs_rules)
-
-    quad = _Quadrature(sub_grid)
-    M = _assemble_matrix(quad, react=lambda x, y: 1.0)
-    lv = _lifting_vector(_rhs_rules(quad, lift), pd, lift)
-    # outer Dirichlet nodes stay zero (as in the global reconstruction); the
-    # artificial strip edges are free, so a full-width strip reproduces the
-    # global operator exactly
-    free = np.ones(sub_grid.shape, dtype=bool)
-    free[:, 0] = free[:, -1] = False
-    if c_lo == 0:
-        free[0, :] = False
-    if c_hi == tx.n:
-        free[-1, :] = False
-    free = free.ravel()
-    idx = np.nonzero(free)[0]
-    rec = np.zeros(sub_grid.node_count)
-    rec[idx] = spla.spsolve(M[np.ix_(idx, idx)].tocsc(), lv[idx])
-    rec = rec.reshape(sub_grid.shape)
-    # evaluate on the fiber x = mu (linear interpolation between columns)
-    s = (mu - sub_tx.a) / sub_tx.h
-    c = int(np.clip(np.floor(s), 0, sub_tx.n - 1))
-    t = s - c
-    return (1 - t) * rec[c] + t * rec[c + 1]

@@ -14,30 +14,33 @@ refines the most promising cells, as printed in the source algorithm. The
 age indicator sigma(g) = diam(g) * rho(g) forces refinement of long-ignored
 cells.
 
-The indicator is a Galerkin solve in span(I (x) [Phi E]) on the coarse
-N_H' x n_h grid, split by when its pieces change:
+The indicator is the reduced Galerkin projection of reduced.py (x-block
+moments Phi^T A_ij Phi, one banded block-tridiagonal solve) taken on the
+coarse N_H' x n_h grid, in span(I (x) [Phi E]), and split by when its pieces
+change:
 
-* once per training run: the coarse reference operators and the x-block
-  structure of A (CoarseOperator);
+* once per training run: the coarse reference operators and their x-block
+  view (reduced.XBlocks);
 * once per outer iteration: the block moments A_ij Phi, Phi^T A_ij Phi and
   Phi^T rhs_i of the base space Phi, the (m-1)-mode POD space (BaseMoments);
 * once per sample: the <= 2 Qbar snapshot columns E, M-orthonormalized
-  against Phi, their products A_ij E, the bordered blocks
-  [Phi E]^T A_ij [Phi E], the dense reduced solve and the V-dual norm of the
-  explicit coarse residual (one sparse Gram solve).
+  against Phi, their products A_ij E, the bordered w x w blocks
+  [Phi E]^T A_ij [Phi E] (w = m - 1 + new columns), their banded solve
+  (bandwidth 2w - 1) and the V-dual norm of the explicit coarse residual
+  (one sparse Gram solve).
 """
 
-import csv
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Optional
 
 import numpy as np
 import scipy.linalg
 
 from .mesh import Partition1D, TensorGrid, build_uniform_partition
 from .problem import reference_operators
-from .transverse import TransverseSolver, _p1_diagonals
+from .reduced import XBlocks
+from .transverse import (TransverseSolver, _p1_diagonals, band_solve,
+                         block_band)
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +195,13 @@ def initial_cells(omega_x, qbar, n_per_dim, n_xi, rng, th):
     return cells
 
 
-def mark(cells, theta, sigma_thres, invert=False, min_width=None):
+def mark(cells, theta, sigma_thres, min_width=None):
     """Indices (positions) of cells to refine.
 
-    The ceil(theta * N) cells of smallest eta (largest with invert=True; ties
-    by cell id) are marked, plus every cell with sigma > sigma_thres. Cells
-    narrower than min_width in any direction are never marked (their children
-    could not hold valid samples).
+    The ceil(theta * N) cells of smallest eta (ties by cell id) are marked,
+    plus every cell with sigma > sigma_thres. Cells narrower than min_width
+    in any direction are never marked (their children could not hold valid
+    samples).
     """
     if not 0 < theta <= 1:
         raise ValueError(f"theta must be in (0, 1], got {theta}")
@@ -209,9 +212,7 @@ def mark(cells, theta, sigma_thres, invert=False, min_width=None):
     if not eligible:
         return []
     n_mark = math.ceil(theta * len(cells))
-    key = (lambda i: (-cells[i].eta, cells[i].id)) if invert else \
-          (lambda i: (cells[i].eta, cells[i].id))
-    by_eta = sorted(eligible, key=key)
+    by_eta = sorted(eligible, key=lambda i: (cells[i].eta, cells[i].id))
     chosen = set(by_eta[:n_mark])
     chosen.update(i for i in eligible if cells[i].sigma > sigma_thres)
     return sorted(chosen)
@@ -270,80 +271,42 @@ def _orthonormalize(base_int, extra_int, M_int, drop_tol=1e-10):
     return np.column_stack([base_int] + new)
 
 
-class CoarseOperator:
-    """Coarse N_H' x n_h reference operators cut into x-blocks.
-
-    In the x-major interior ordering the coarse A is block-tridiagonal in x
-    with (n_h - 1) x (n_h - 1) blocks A_ij; the nonzero blocks, |i - j| <= 1,
-    are the pairs (rows[p], cols[p]). Built once per training run.
-    """
-
-    def __init__(self, ops):
-        self.ops = ops
-        self.n_x = ops.grid.tx.n - 1
-        self.n_y = ops.grid.ty.n - 1
-        self.rhs = ops.rhs_int.reshape(self.n_x, self.n_y)
-        self.M_y = transverse_mass(ops.grid.ty)[1:-1, 1:-1]
-        self.rows, self.cols = np.array(
-            [(i, j) for i in range(self.n_x)
-             for j in range(max(i - 1, 0), min(i + 2, self.n_x))]).T
-
-    def block_products(self, X):
-        """A_ij X for every stored pair, shape (n_pairs, n_y, k).
-
-        X goes into the block columns j = c (mod 3) for c = 0, 1, 2; a block
-        row meets exactly one of each, so three sparse products give every
-        A_ij X without summing two blocks.
-        """
-        k = X.shape[1]
-        out = np.empty((3, self.n_x, self.n_y, k))
-        for c in range(3):
-            Xc = np.zeros((self.n_x, self.n_y, k))
-            Xc[c::3] = X
-            out[c] = (self.ops.A_int @ Xc.reshape(self.n_x * self.n_y, k)
-                      ).reshape(self.n_x, self.n_y, k)
-        return out[self.cols % 3, self.rows]
-
-    def moments(self, space):
-        return BaseMoments(self, space.modes[1:-1, :])
-
-
 class BaseMoments:
-    """Block moments of one base space Phi (interior rows of the POD modes):
-    A_ij Phi, Phi^T A_ij Phi and Phi^T rhs_i. Built once per outer
-    iteration."""
+    """Block moments of one base space Phi (interior rows of the POD modes)
+    on the x-blocks of the coarse operators: A_ij Phi, Phi^T A_ij Phi and
+    Phi^T rhs_i. Built once per outer iteration."""
 
-    def __init__(self, coarse, phi):
-        self.coarse = coarse
-        self.phi = phi
-        self.A_phi = coarse.block_products(phi)
+    def __init__(self, xb, space):
+        self.xb = xb
+        self.phi = phi = space.modes[1:-1, :]
+        self.M_y = transverse_mass(xb.ops.grid.ty)[1:-1, 1:-1]
+        self.A_phi = xb.products(phi)
         self.phi_A_phi = phi.T @ self.A_phi
-        self.phi_rhs = coarse.rhs @ phi
+        self.phi_rhs = xb.rhs @ phi
 
     def delta(self, extra):
         """Model estimator Delta on the coarse grid for the base augmented by
         the M-orthonormalized extra columns: the Galerkin solution in
-        span(I (x) [Phi E]) (x-major, mode-minor) and the V-dual norm of its
+        span(I (x) [Phi E]) (x-major, mode-minor; a banded solve of the
+        bordered block-tridiagonal system) and the V-dual norm of its
         explicit residual. When [Phi E] spans the whole interior transverse
         space, the Galerkin solution is the coarse FE solution and Delta is
         exactly 0 (computing it would only return round-off)."""
-        c, phi = self.coarse, self.phi
+        xb, phi = self.xb, self.phi
         m = phi.shape[1]
-        E = _orthonormalize(phi, extra, c.M_y)[:, m:]
+        E = _orthonormalize(phi, extra, self.M_y)[:, m:]
         w = m + E.shape[1]
-        if w >= c.n_y:
+        if w >= xb.n_y:
             return 0.0
-        A_E = c.block_products(E)
+        A_E = xb.products(E)
         blocks = np.block([[self.phi_A_phi, phi.T @ A_E],
                            [E.T @ self.A_phi, E.T @ A_E]])
-        A_r = np.zeros((c.n_x, w, c.n_x, w))
-        A_r[c.rows, :, c.cols, :] = blocks
-        rhs_r = np.hstack([self.phi_rhs, c.rhs @ E])
-        sol = np.linalg.solve(A_r.reshape(c.n_x * w, c.n_x * w),
-                              rhs_r.ravel())
-        u = sol.reshape(c.n_x, w) @ np.hstack([phi, E]).T
-        r = c.ops.rhs_int - c.ops.A_int @ u.ravel()
-        R = c.ops.gram_solve(r)
+        rhs_r = np.hstack([self.phi_rhs, xb.rhs @ E])
+        sol = band_solve(block_band(blocks), rhs_r.ravel(),
+                         "coarse indicator system")
+        u = sol.reshape(xb.n_x, w) @ np.hstack([phi, E]).T
+        r = xb.ops.rhs_int - xb.ops.A_int @ u.ravel()
+        R = xb.ops.gram_solve(r)
         return math.sqrt(max(r @ R, 0.0))
 
 
@@ -410,13 +373,12 @@ def adaptive_train_extension(g0, pd, lift, m_max, i_max, n_xi, theta,
     else:
         cells = list(g0)
     thp = build_uniform_partition(pd.omega_x[0], pd.omega_x[1], coarse_nhp)
-    coarse = CoarseOperator(
-        reference_operators(pd, lift, TensorGrid(thp, yh), mode))
+    coarse = XBlocks(reference_operators(pd, lift, TensorGrid(thp, yh), mode))
     min_width = 2.0 * th.h
     for m in range(1, m_max + 1):
         snaps = _all_snapshots(cells, solver)
         space = pod(snaps, yh, count=m - 1) if m > 1 else empty_space(yh)
-        base = coarse.moments(space)
+        base = BaseMoments(coarse, space)
         element_indicators(base, cells, solver)
         for _ in range(i_max):
             chosen = mark(cells, theta, sigma_thres, min_width=min_width)
@@ -429,39 +391,3 @@ def adaptive_train_extension(g0, pd, lift, m_max, i_max, n_xi, theta,
                     solver.solve(mu)
             element_indicators(base, new_cells, solver)
     return TrainingResult(_all_snapshots(cells, solver), cells, solver)
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-
-
-def training_set_to_csv(cells, path):
-    if not cells:
-        raise ValueError("no cells to write")
-    qbar = cells[0].lo.size
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        header = (["cell_id"]
-                  + [f"lo_{d + 1}" for d in range(qbar)]
-                  + [f"hi_{d + 1}" for d in range(qbar)]
-                  + ["rho", "eta", "sigma"])
-        w.writerow(header)
-        for c in cells:
-            w.writerow([c.id]
-                       + [f"{v:.17g}" for v in c.lo]
-                       + [f"{v:.17g}" for v in c.hi]
-                       + [c.rho, f"{c.eta:.17g}", f"{c.sigma:.17g}"])
-
-
-def snapshots_to_csv(snaps, path):
-    if not snaps:
-        raise ValueError("no snapshots to write")
-    qbar = len(snaps[0].mu)
-    n_vals = snaps[0].values.size
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([f"mu_{d + 1}" for d in range(qbar)] + ["component"]
-                   + [f"v_{j}" for j in range(n_vals)])
-        for s in snaps:
-            w.writerow([f"{m:.17g}" for m in s.mu] + [s.component]
-                       + [f"{v:.17g}" for v in s.values])

@@ -245,6 +245,43 @@ def _band_index(n_a, n_i):
     return band_row, band_col
 
 
+def block_band(blocks):
+    """LAPACK band storage of a block-tridiagonal matrix.
+
+    blocks has shape (3 n - 2, w, w): the n diagonal blocks (j, j), then the
+    n - 1 upper blocks (j, j + 1), then the n - 1 lower blocks (j + 1, j)
+    (the _interior_stack order); entry [t, s] of a block couples its row t
+    to its column s. The n w x n w matrix has lower and upper bandwidth
+    bw = 2 w - 1 and its entry (r, c) sits at band[bw + r - c, c].
+    """
+    n_b, w, _ = blocks.shape
+    n = (n_b + 2) // 3
+    bw = 2 * w - 1
+    band = np.zeros((2 * bw + 1, n * w))
+    band[_band_index(w, n)] = blocks
+    return band
+
+
+def band_matrix(band):
+    """The band storage as a scipy.sparse DIA matrix (offsets bw, ..., -bw)."""
+    bw, n = band.shape[0] // 2, band.shape[1]
+    return sp.dia_matrix((band, np.arange(bw, -bw - 1, -1)), shape=(n, n))
+
+
+def band_solve(band, rhs, what):
+    """LAPACK banded LU solve, O(n bw^2) for n unknowns. A singular or
+    non-finite solve raises RuntimeError naming the system (what)."""
+    bw = band.shape[0] // 2
+    try:
+        sol = scipy.linalg.solve_banded((bw, bw), band, rhs,
+                                        check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"{what} is singular") from exc
+    if not np.all(np.isfinite(sol)):
+        raise RuntimeError(f"{what}: solve diverged")
+    return sol
+
+
 def _y_gauss(part):
     return (part.nodes[:-1, None] + _GP[None, :] * part.h)  # (ne, 2)
 
@@ -322,11 +359,7 @@ def assemble_transverse(pd, lift, cb, rule, yh, recon="weak_lifting",
         block += c_mk[l] * Mk[l][:, None, None]
         block += c_mb[l] * Mb[l][:, None, None]
         blocks += block
-    bw = 2 * n_a - 1
-    band = np.zeros((2 * bw + 1, n_a * n_i))
-    band[_band_index(n_a, n_i)] = blocks
-    matrix = sp.dia_matrix((band, np.arange(bw, -bw - 1, -1)),
-                           shape=(n_a * n_i, n_a * n_i))
+    matrix = band_matrix(block_band(blocks))
 
     Fv = at_points(pd.F).copy()
     if source_shift is not None:
@@ -369,14 +402,8 @@ def snapshot_solve(system, cb=None):
     or non-finite solve raises RuntimeError.
     """
     cb = cb if cb is not None else system.cb
-    bw = int(system.matrix.offsets[0])
-    try:
-        sol = scipy.linalg.solve_banded((bw, bw), system.matrix.data,
-                                        system.rhs, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"transverse system singular for mu={cb.mu}") from exc
-    if not np.all(np.isfinite(sol)):
-        raise RuntimeError(f"transverse solve diverged for mu={cb.mu}")
+    sol = band_solve(system.matrix.data, system.rhs,
+                     f"transverse system for mu={cb.mu}")
     sol = sol.reshape(system.yh.n - 1, cb.active.size)
     out = []
     for a, node in enumerate(cb.active):

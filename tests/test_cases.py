@@ -165,7 +165,6 @@ def test_box_source_values_and_edges():
 def test_case2_domain_and_flags():
     cs = get_case(2)
     assert cs.problem.omega_y == (0.0, 1.1)
-    assert cs.problem.f_smooth is False
     with pytest.raises(ValueError):
         cs.exact_homogenized(0.5, 0.5)
 

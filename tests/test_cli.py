@@ -4,6 +4,7 @@ import csv
 
 import pytest
 
+from skewlift import cli
 from skewlift.cli import (
     MODE_MAP,
     ConfigError,
@@ -65,6 +66,9 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert main(_run_args(tmp_path / "x.csv", case=9)) == 2
     assert "config error" in capsys.readouterr().err
     assert main(_run_args(tmp_path / "y.csv", theta="1.5")) == 2
+    # a grid without interior nodes is a configuration error, not a crash
+    for knob in ("NH", "nh", "NHp"):
+        assert main(_run_args(tmp_path / "z.csv", **{knob: 1})) == 2
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys):
@@ -74,6 +78,20 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     code = main(_run_args(out, NH=12, nh=6, m_max=8))
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_programming_errors_are_not_numerical_failures(tmp_path,
+                                                       monkeypatch):
+    # only numerical guards map to exit 3; a bug inside run_case keeps its
+    # exception and traceback
+    def broken(*args, **kwargs):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(cli, "pod", broken)
+    out = tmp_path / "bug.csv"
+    with pytest.raises(KeyError):
+        main(_run_args(out, m_max=1))
     assert not out.exists()
 
 

@@ -7,10 +7,8 @@ import pytest
 
 from skewlift.estimator import (
     ErrorReport,
-    delta_m,
     error_report,
     reports_to_csv,
-    riesz_residual,
 )
 from skewlift.mesh import TensorGrid, build_uniform_partition
 from skewlift.problem import (
@@ -76,18 +74,6 @@ def test_estimator_bounds_error_with_advection():
         err_V = ops.v_norm(ref.interior_vector() - rsol.interior_vector())
         assert err_V <= rep.delta_m + 1e-8
         assert rep.delta_m > 0.0
-
-
-def test_riesz_residual_field_matches_delta():
-    pd = _pd(b=(10.0, -3.0))
-    ops, ref, space, rsol = _solve_pair(pd, 2)
-    grid = ref.grid
-    R = riesz_residual(pd, LiftingFunction.zero(), grid, rsol, ops=ops)
-    assert R.shape == grid.shape
-    assert np.all(R[0, :] == 0) and np.all(R[:, 0] == 0)
-    rep = error_report(ref, rsol, space, pd, ops=ops)
-    d = delta_m(R, pd, grid, ops=ops)
-    assert d == pytest.approx(rep.delta_m, rel=1e-10)
 
 
 def test_relative_errors_are_scale_invariant():

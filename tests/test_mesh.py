@@ -1,4 +1,4 @@
-"""Partition, tensor-grid indexing and P1 hat evaluation."""
+"""Partition and tensor-grid indexing."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from skewlift.mesh import (
     TensorGrid,
     build_grid,
     build_uniform_partition,
-    eval_p1,
 )
 
 
@@ -39,33 +38,6 @@ def test_element_of_is_right_continuous():
     np.testing.assert_array_equal(
         part.element_of([0.1, 0.26, 0.99]), [0, 1, 3]
     )
-
-
-def test_eval_p1_values_and_derivatives():
-    part = build_uniform_partition(0.0, 1.0, 4)
-    h = 0.25
-    # mid-element point x = 0.3 lies between nodes 1 (0.25) and 2 (0.5)
-    v1, d1 = eval_p1(part, 1, 0.3)
-    assert v1 == pytest.approx((0.5 - 0.3) / h)
-    assert d1 == pytest.approx(-1.0 / h)
-    v2, d2 = eval_p1(part, 2, 0.3)
-    assert v2 == pytest.approx((0.3 - 0.25) / h)
-    assert d2 == pytest.approx(1.0 / h)
-    # partition of unity away from nodes
-    total = sum(eval_p1(part, i, 0.3)[0] for i in range(5))
-    assert total == pytest.approx(1.0)
-    # outside the hat support
-    assert eval_p1(part, 0, 0.7) == (0.0, 0.0)
-
-
-def test_eval_p1_node_convention():
-    part = build_uniform_partition(0.0, 1.0, 4)
-    # at its own node the hat reports value 1 and, by convention, slope 0
-    assert eval_p1(part, 2, 0.5) == (1.0, 0.0)
-    with pytest.raises(IndexError):
-        eval_p1(part, 5, 0.5)
-    with pytest.raises(ValueError):
-        eval_p1(part, 1, 1.5)
 
 
 def test_tensor_grid_node_numbering_is_x_major():

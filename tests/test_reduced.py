@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from skewlift.cases import get_case
+from skewlift.cases import case1, get_case
 from skewlift.mesh import TensorGrid, build_uniform_partition
 from skewlift.problem import (
     MODES,
@@ -13,13 +13,7 @@ from skewlift.problem import (
     reference_operators,
     solve_reference,
 )
-from skewlift.reduced import (
-    assemble_reduced,
-    local_reconstruction,
-    prolongation,
-    riesz_lifting_reconstruction,
-    solve_reduced,
-)
+from skewlift.reduced import ReducedSystem, assemble_reduced, solve_reduced
 from skewlift.training import (
     ReductionSpace,
     _orthonormalize,
@@ -127,7 +121,7 @@ def test_single_mode_system_is_the_expected_tridiagonal():
     rhs_exp = _gauss_load_1d(th, fx)[1:-1] * (phi @ _gauss_load_1d(yh, gy)[1:-1])
     assert np.allclose(system.matrix.toarray(), A_exp, rtol=0,
                        atol=1e-12 * np.max(np.abs(A_exp)))
-    assert np.allclose(system.rhs, rhs_exp, rtol=0,
+    assert np.allclose(system.rhs.ravel(), rhs_exp, rtol=0,
                        atol=1e-12 * np.max(np.abs(rhs_exp)))
     expected = np.linalg.solve(A_exp, rhs_exp)
     rsol = solve_reduced(system)
@@ -189,15 +183,90 @@ def test_reduced_solution_reconstruction_layout():
 
 
 def test_prolongation_and_empty_space_guards():
+    # modes of another transverse resolution than the operators' grid
     th = build_uniform_partition(0.0, 2.0, 8)
     yh = build_uniform_partition(0.0, 1.0, 5)
     other = build_uniform_partition(0.0, 1.0, 7)
-    with pytest.raises(ValueError):
-        prolongation(_full_space(other), TensorGrid(th, yh))
     case = get_case(1)
+    ops = reference_operators(case.problem, case.lift, TensorGrid(th, yh))
+    with pytest.raises(ValueError):
+        assemble_reduced(case.problem, case.lift, _full_space(other), th,
+                         ops=ops)
     system = assemble_reduced(case.problem, case.lift, empty_space(yh), th)
     with pytest.raises(ValueError):
         solve_reduced(system)
+    # a singular reduced system is a numerical failure, not a LinAlgError
+    system = assemble_reduced(case.problem, case.lift, _full_space(yh), th)
+    singular = ReducedSystem(np.zeros_like(system.blocks), system.rhs,
+                             system.space, system.grid, system.mode)
+    with pytest.raises(RuntimeError):
+        solve_reduced(singular)
+
+
+# ---------------------------------------------------------------------------
+# The x-block projection against the tensor-product oracle
+
+
+def _random_space(yh, m, seed=0):
+    """m generic M-orthonormal modes (no symmetry a wrong block could hide
+    behind)."""
+    n_i = yh.n - 1
+    rng = np.random.default_rng(seed)
+    M_int = transverse_mass(yh)[1:-1, 1:-1]
+    cols = _orthonormalize(np.zeros((n_i, 0)), rng.normal(size=(n_i, m)),
+                           M_int)
+    modes = np.zeros((yh.n + 1, m))
+    modes[1:-1, :] = cols
+    return ReductionSpace(yh, modes, np.ones(m), np.zeros(m + 1))
+
+
+def _advective_setup(m=5):
+    # nonsymmetric A: a transposed or shifted x-block fails the oracle
+    cs = case1(b=(1.0, 0.5))
+    th = build_uniform_partition(*cs.problem.omega_x, 11)
+    yh = build_uniform_partition(*cs.problem.omega_y, 13)
+    ops = reference_operators(cs.problem, cs.lift, TensorGrid(th, yh))
+    return cs, th, _random_space(yh, m), ops
+
+
+def test_block_projection_matches_kron_oracle():
+    cs, th, space, ops = _advective_setup()
+    system = assemble_reduced(cs.problem, cs.lift, space, th, ops=ops)
+    P = np.kron(np.eye(th.n - 1), space.modes[1:-1, :])
+    A_r = P.T @ ops.A_int.toarray() @ P
+    rhs_r = P.T @ ops.rhs_int
+    m = space.m
+    assert system.blocks.shape == (3 * (th.n - 1) - 2, m, m)
+    assert system.rhs.shape == (th.n - 1, m)
+    assert np.max(np.abs(system.matrix.toarray() - A_r)) \
+        <= 1e-14 * np.max(np.abs(A_r))
+    assert np.max(np.abs(system.rhs.ravel() - rhs_r)) \
+        <= 1e-14 * np.max(np.abs(rhs_r))
+    # the reduced coefficients are the dense Galerkin solution
+    expected = np.linalg.solve(A_r, rhs_r).reshape(th.n - 1, m).T
+    rsol = solve_reduced(system)
+    assert np.max(np.abs(rsol.coeffs - expected)) \
+        <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_truncated_system_is_the_system_of_the_truncated_space():
+    # truncate() slices the leading m x m sub-blocks exactly; against a
+    # fresh assembly it agrees to round-off only, because BLAS rounds
+    # Phi^T A_ij Phi differently for different column counts (m = 1 takes
+    # the matrix-vector kernel)
+    cs, th, space, ops = _advective_setup()
+    full = assemble_reduced(cs.problem, cs.lift, space, th, ops=ops)
+    for m in (1, 3, space.m):
+        cut = full.truncate(m)
+        direct = assemble_reduced(cs.problem, cs.lift, space.truncate(m), th,
+                                  ops=ops)
+        assert cut.space.m == m
+        assert np.array_equal(cut.blocks, full.blocks[:, :m, :m])
+        assert np.array_equal(cut.rhs, full.rhs[:, :m])
+        for got, want in ((cut.blocks, direct.blocks), (cut.rhs, direct.rhs),
+                          (solve_reduced(cut).coeffs,
+                           solve_reduced(direct).coeffs)):
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +302,8 @@ def test_riesz_reconstruction_approximates_minus_k_laplacian():
     Dirichlet frame of the projection leaves a local layer."""
     grid = TensorGrid(build_uniform_partition(0.0, 2.0, 100),
                       build_uniform_partition(0.0, 1.0, 100))
-    rec = riesz_lifting_reconstruction(_plain_pd(), _smooth_sine_lift(), grid)
+    rec = reference_operators(_plain_pd(), _smooth_sine_lift(), grid,
+                              "riesz_recon").riesz_field
     X, Y = grid.node_coords()
     target = np.pi ** 2 * np.sin(np.pi * Y)
     inner = (X >= 0.2) & (X <= 1.8)
@@ -270,44 +340,3 @@ def test_delta_h_and_riesz_agree_on_a_smooth_lifting():
     a = sols["delta_h"].interior_vector()
     b = sols["riesz_recon"].interior_vector()
     assert np.linalg.norm(a - b) <= 0.1 * np.linalg.norm(b)
-
-
-def test_local_reconstruction_full_strip_matches_global():
-    pd = _plain_pd()
-    lift = _smooth_sine_lift()
-    grid = TensorGrid(build_uniform_partition(0.0, 2.0, 40),
-                      build_uniform_partition(0.0, 1.0, 20))
-    mu = 1.03
-    fiber = local_reconstruction(pd, lift, mu, R=2.5, grid=grid)
-    rec = riesz_lifting_reconstruction(pd, lift, grid)
-    s = mu / grid.tx.h
-    c = int(np.floor(s))
-    t = s - c
-    expected = (1 - t) * rec[c] + t * rec[c + 1]
-    assert np.max(np.abs(fiber - expected)) <= 1e-8 * np.max(np.abs(expected))
-
-
-def test_local_reconstruction_narrow_strip_is_accurate():
-    """x-independent lifting: a narrow strip with free artificial edges must
-    reproduce the global fiber to about a percent."""
-    pd = _plain_pd()
-    lift = _smooth_sine_lift()
-    grid = TensorGrid(build_uniform_partition(0.0, 2.0, 40),
-                      build_uniform_partition(0.0, 1.0, 20))
-    mu = 1.0
-    fiber = local_reconstruction(pd, lift, mu, R=0.3, grid=grid)
-    rec = riesz_lifting_reconstruction(pd, lift, grid)
-    expected = rec[20]  # x = 1.0 is a grid column
-    scale = np.max(np.abs(expected))
-    assert np.max(np.abs(fiber - expected)) <= 0.01 * scale
-
-
-def test_local_reconstruction_validation():
-    pd = _plain_pd()
-    lift = _smooth_sine_lift()
-    grid = TensorGrid(build_uniform_partition(0.0, 2.0, 10),
-                      build_uniform_partition(0.0, 1.0, 10))
-    with pytest.raises(ValueError):
-        local_reconstruction(pd, lift, 1.0, R=0.05, grid=grid)
-    with pytest.raises(ValueError):
-        local_reconstruction(pd, lift, 2.5, R=0.5, grid=grid)

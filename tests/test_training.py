@@ -10,8 +10,9 @@ from skewlift import training
 from skewlift.cases import case1
 from skewlift.mesh import TensorGrid, build_uniform_partition
 from skewlift.problem import LiftingFunction, ProblemData, reference_operators
+from skewlift.reduced import XBlocks
 from skewlift.training import (
-    CoarseOperator,
+    BaseMoments,
     ParamCell,
     _draw_samples,
     _orthonormalize,
@@ -201,8 +202,8 @@ def test_element_indicators_match_explicit_projection(mode, m):
     space = pod(snaps, yh, count=m) if m else empty_space(yh)
     assert space.m == m
     ops = reference_operators(pd, lift, TensorGrid(thp, yh), mode)
-    eta, _ = element_indicators(CoarseOperator(ops).moments(space),
-                                cells, solver)
+    eta, _ = element_indicators(BaseMoments(XBlocks(ops), space), cells,
+                                solver)
 
     A, G, rhs = ops.A_int.toarray(), ops.G_int.toarray(), ops.rhs_int
     for cell, got in zip(cells, eta):
@@ -238,8 +239,8 @@ def test_indicators_vanish_when_the_space_is_full():
         space = pod(snaps, yh, count=8)
         assert space.m == 8
         ops = reference_operators(pd, lift, TensorGrid(thp, yh), "weak_lifting")
-        eta, _ = element_indicators(CoarseOperator(ops).moments(space),
-                                    cells, solver)
+        eta, _ = element_indicators(BaseMoments(XBlocks(ops), space), cells,
+                                    solver)
         assert np.all(eta == 0.0)
         marks.append(mark(cells, 0.5, sigma_thres=1e9))
     assert marks[0] == marks[1] == [0, 1]
@@ -289,7 +290,6 @@ def _toy_cells(etas, widths=None, rhos=None):
 def test_mark_selects_smallest_eta_plus_stale_cells():
     cells = _toy_cells([0.5, 0.1, 0.9, 0.3])
     assert mark(cells, 0.34, sigma_thres=1e9) == [1, 3]  # ceil(.34*4) = 2
-    assert mark(cells, 0.34, sigma_thres=1e9, invert=True) == [0, 2]
     # sigma = diam * rho: an old cell joins regardless of its eta
     cells = _toy_cells([0.5, 0.1, 0.9, 0.3], rhos=[0, 0, 3, 0])
     assert mark(cells, 0.25, sigma_thres=2.0) == [1, 2]
