@@ -17,6 +17,7 @@ import numpy as np
 from skewlift.cases import case1
 from skewlift.mesh import build_uniform_partition
 from skewlift.training import adaptive_train_extension, initial_cells, pod
+from skewlift.transverse import TransverseSolver
 
 
 def show_cells(cells, label, limit=None):
@@ -57,7 +58,8 @@ def main():
     result = adaptive_train_extension(
         2, case.problem, case.lift, m_max=4, i_max=1, n_xi=2, theta=0.25,
         sigma_thres=30.0, coarse_nhp=10, th=th, yh=yh, mode="weak_lifting",
-        qbar=2, seed=0)
+        solver=TransverseSolver(case.problem, case.lift, th, yh), qbar=2,
+        seed=0)
     show_cells(result.cells,
                "after 4 extension steps (10 smallest cells shown)", limit=10)
     summarize(result.cells)

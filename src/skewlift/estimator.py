@@ -6,7 +6,8 @@ Delta_m = ||R_m||_V (the coercivity constant of the V-inner product is 1 by
 construction). It bounds the V-norm error from above and, scaled by the
 continuity constant, from below; without advection the symmetric identity
 Delta_m = ||e_m||_V holds to round-off because the residual equation is then
-the error equation.
+the error equation. Delta_m is TensorOperators.residual_norm, as is the
+training indicator; with b = 0 it reuses the reference solve's factor.
 """
 
 import csv
@@ -70,9 +71,6 @@ def error_report(reference, rsol, space, pd, lift=None, ops=None):
     ref_L2 = ops.l2_norm(p_ref)
     err_V = ops.v_norm(e) / ref_V if ref_V > 0 else ops.v_norm(e)
     err_L2 = ops.l2_norm(e) / ref_L2 if ref_L2 > 0 else ops.l2_norm(e)
-    r = ops.rhs_int - ops.A_int @ p_red
-    R = ops.gram_solve(r)
-    delta = float(np.sqrt(max(r @ R, 0.0)))
     m = rsol.m
     lam = float(space.eigenvalues[m - 1]) if m <= space.eigenvalues.size else 0.0
     pbar = rsol.pbar(m - 1)
@@ -86,7 +84,7 @@ def error_report(reference, rsol, space, pd, lift=None, ops=None):
         m=m,
         err_V_rel=float(err_V),
         err_L2_rel=float(err_L2),
-        delta_m=delta,
+        delta_m=ops.residual_norm(p_red),
         e_pod=space.tail(m),
         lambda_m=lam,
         pbar_norm=pbar_norm,

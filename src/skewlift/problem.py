@@ -23,6 +23,10 @@ Four right-hand-side treatments of the lifting are supported:
   data through an affine blend of the two vertical-side traces.
 
 The system matrix is identical in all modes; only the right-hand side differs.
+TensorOperators.solve is a grid's only sparse solver: one SuperLU factor per
+distinct interior matrix, minimum-degree ordered on A + A^T (the Q1 pattern is
+structurally symmetric). If b = 0 at every quadrature point and div_b is None,
+G is A, and the reference solve, estimator and indicator share one factor.
 Matrices use the 2x2 Gauss rule on every cell. The right-hand side of
 weak_lifting, riesz_recon and plain_gD (F and every lifting term) uses 2x2
 Gauss on 4x4 sub-cells of the cells where the lifting's gradient is nonzero
@@ -37,7 +41,9 @@ The V-inner product is the symmetric part of a: (u, v)_V = int k grad(u).grad(v)
 skew advection part drops out of a(v, v)).
 """
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -266,8 +272,8 @@ class TensorOperators:
 
     Holds the full-grid bilinear-form matrix A, the V-Gram matrix G
     (symmetric part of A), the mass matrix M and the mode-consistent
-    right-hand side; interior restrictions and LU factors are cached lazily
-    so estimator sweeps stay cheap.
+    right-hand side (G is A when b = 0 and div_b is None); the interior
+    restrictions and one LU factor per distinct interior matrix are cached.
     """
 
     def __init__(self, pd, lift, grid, mode="weak_lifting"):
@@ -287,13 +293,16 @@ class TensorOperators:
         if kv.min() <= 0.0:
             raise ValueError(f"diffusivity not positive (min {kv.min():g})")
         self.A = _assemble_matrix(quad, diff=pd.k, b1=pd.b1, b2=pd.b2)
-        react = None
+        self.G = self.A  # b = 0, div_b None: a is symmetric
         if pd.div_b is not None:
             react = lambda x, y: -0.5 * pd.div_b(x, y)
-        self.G = _assemble_matrix(quad, diff=pd.k, react=react)
+            self.G = _assemble_matrix(quad, diff=pd.k, react=react)
+        elif quad.evaluate(pd.b1).any() or quad.evaluate(pd.b2).any():
+            self.G = _assemble_matrix(quad, diff=pd.k)
         self.M = _assemble_matrix(quad, react=lambda x, y: 1.0)
         self.interior = grid.interior_ids()
         self.riesz_field = None
+        self._factors = {}
 
         self.lift = lift
         if mode == "plain_gD":
@@ -315,44 +324,50 @@ class TensorOperators:
             lv = _lifting_vector(rule, pd, self.lift)
             if mode == "riesz_recon":
                 rec = np.zeros(grid.node_count)
-                rec[self.interior] = spla.spsolve(
-                    self.M[np.ix_(self.interior, self.interior)].tocsc(),
-                    lv[self.interior],
-                )
+                rec[self.interior] = self.solve("M", lv[self.interior])
                 self.riesz_field = rec.reshape(grid.shape)
                 self.rhs_full = load_f - self.M @ rec
             else:  # weak_lifting (plain_gD: the same with the blended lift)
                 self.rhs_full = load_f - lv
 
-    # -- lazy interior restrictions / factorizations ------------------------
+    # -- interior restrictions, factorizations and norms -------------------
 
-    def _restrict(self, name):
-        key = "_" + name + "_int"
-        if not hasattr(self, key):
-            mat = getattr(self, name)[np.ix_(self.interior, self.interior)]
-            setattr(self, key, mat.tocsr())
-        return getattr(self, key)
+    def _restrict(self, mat):
+        return mat[np.ix_(self.interior, self.interior)].tocsr()
 
-    @property
+    @cached_property
     def A_int(self):
-        return self._restrict("A")
+        return self._restrict(self.A)
 
-    @property
+    @cached_property
     def G_int(self):
-        return self._restrict("G")
+        return self.A_int if self.G is self.A else self._restrict(self.G)
 
-    @property
+    @cached_property
     def M_int(self):
-        return self._restrict("M")
+        return self._restrict(self.M)
 
-    @property
+    @cached_property
     def rhs_int(self):
         return self.rhs_full[self.interior]
 
-    def gram_solve(self, r):
-        if not hasattr(self, "_lu_G"):
-            self._lu_G = spla.splu(self.G_int.tocsc())
-        return self._lu_G.solve(r)
+    def solve(self, name, rhs):
+        """Solve X_int x = rhs (X = "A", "G" or "M") with X_int's cached
+        factor; a singular or non-finite solve raises RuntimeError."""
+        mat = getattr(self, name + "_int")
+        if id(mat) not in self._factors:
+            self._factors[id(mat)] = spla.splu(mat.tocsc(),
+                                               permc_spec="MMD_AT_PLUS_A")
+        x = self._factors[id(mat)].solve(rhs)
+        if not np.all(np.isfinite(x)):
+            raise RuntimeError(f"interior {name} solve produced non-finite "
+                               f"values (singular matrix?)")
+        return x
+
+    def residual_norm(self, u_int):
+        """V-dual norm sqrt(r . G_int^-1 r) of the residual r = rhs - A u."""
+        r = self.rhs_int - self.A_int @ u_int
+        return math.sqrt(max(r @ self.solve("G", r), 0.0))
 
     def v_norm(self, u_int):
         return float(np.sqrt(max(u_int @ (self.G_int @ u_int), 0.0)))
@@ -388,10 +403,8 @@ def assemble_reference_system(pd, lift, grid, mode="weak_lifting"):
 
 
 def solve_reference(system):
-    """Direct sparse solve of the reference system -> FullSolution."""
-    x = spla.spsolve(system.matrix.tocsc(), system.rhs)
-    if not np.all(np.isfinite(x)):
-        raise RuntimeError("reference solve produced non-finite values (singular system?)")
+    """Solve the reference system through system.ops -> FullSolution."""
+    x = system.ops.solve("A", system.rhs)
     res = np.linalg.norm(system.matrix @ x - system.rhs)
     scale = max(np.linalg.norm(system.rhs), 1.0)
     if res > 1e-10 * scale:

@@ -27,7 +27,7 @@ change:
   against Phi, their products A_ij E, the bordered w x w blocks
   [Phi E]^T A_ij [Phi E] (w = m - 1 + new columns), their banded solve
   (bandwidth 2w - 1) and the V-dual norm of the explicit coarse residual
-  (one sparse Gram solve).
+  (TensorOperators.residual_norm, one Gram solve with a cached factor).
 """
 
 import math
@@ -39,8 +39,7 @@ import scipy.linalg
 from .mesh import Partition1D, TensorGrid, build_uniform_partition
 from .problem import reference_operators
 from .reduced import XBlocks
-from .transverse import (TransverseSolver, _p1_diagonals, band_solve,
-                         block_band)
+from .transverse import _p1_diagonals, band_solve, block_band
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +88,7 @@ def transverse_mass(part):
     return np.diag(diag) + np.diag(upper, 1) + np.diag(lower, -1)
 
 
-def pod(snapshots, part, count=None, tol=None):
+def pod(snapshots, part, count=None):
     """POD in the L2(omega_hat) inner product by a thin SVD.
 
     snapshots: sequence of TransverseSnapshot or plain nodal arrays over
@@ -99,11 +98,10 @@ def pod(snapshots, part, count=None, tol=None):
     squaring S into its Gram matrix, so energies far below eps * lambda_1
     stay resolved; singular values below max(shape) * eps * s_1 count as
     numerically zero. Returns a ReductionSpace with modes ordered by
-    descending energy; the number of modes is count (if given), else the
-    smallest m with pod_tail <= tol (if given), else every numerically
-    meaningful mode. Mode signs are fixed (largest-magnitude entry positive)
-    so equal snapshot sets give identical spaces regardless of input
-    ordering.
+    descending energy; the number of modes is count (if given), else every
+    numerically meaningful mode. Mode signs are fixed (largest-magnitude
+    entry positive) so equal snapshot sets give identical spaces regardless
+    of input ordering.
     """
     arrs = [getattr(s, "values", s) for s in snapshots]
     if len(arrs) == 0:
@@ -122,13 +120,7 @@ def pod(snapshots, part, count=None, tol=None):
     pod_tail = np.append(tails, 0.0)  # pod_tail[m], m = 0..rank bound
     m_avail = int(np.count_nonzero(sv > max(B.shape) * np.finfo(float).eps
                                    * sv[0]))
-    if count is not None:
-        m = min(int(count), m_avail)
-    elif tol is not None:
-        m = int(np.searchsorted(-pod_tail, -tol))  # first index with tail <= tol
-        m = min(max(m, 1), m_avail)
-    else:
-        m = m_avail
+    m = m_avail if count is None else min(int(count), m_avail)
     modes = scipy.linalg.solve_triangular(L.T, U[:, :m], lower=False)
     flip = modes[np.abs(modes).argmax(axis=0), np.arange(m)] < 0
     modes[:, flip] *= -1.0
@@ -305,9 +297,7 @@ class BaseMoments:
         sol = band_solve(block_band(blocks), rhs_r.ravel(),
                          "coarse indicator system")
         u = sol.reshape(xb.n_x, w) @ np.hstack([phi, E]).T
-        r = xb.ops.rhs_int - xb.ops.A_int @ u.ravel()
-        R = xb.ops.gram_solve(r)
-        return math.sqrt(max(r @ R, 0.0))
+        return xb.ops.residual_norm(u.ravel())
 
 
 def element_indicators(base, cells, solver):
@@ -339,7 +329,6 @@ def element_indicators(base, cells, solver):
 class TrainingResult:
     snapshots: list
     cells: list
-    solver: TransverseSolver
 
 
 def _all_snapshots(cells, solver):
@@ -353,21 +342,20 @@ def _all_snapshots(cells, solver):
 
 def adaptive_train_extension(g0, pd, lift, m_max, i_max, n_xi, theta,
                              sigma_thres, coarse_nhp, *, th, yh, mode,
-                             solver=None, qbar=2, seed=0):
+                             solver, qbar=2, seed=0):
     """Adaptively grown training set plus its snapshots.
 
     g0: either an initial ParamCell list or an int n (regular n^qbar grid
-    over the training domain). The coarse N_H' x n_h indicator operators are
-    built once. Each outer iteration m = 1..m_max computes indicators with
-    the (m-1)-mode POD space of the current snapshots and runs i_max
+    over the training domain); solver: the mode's TransverseSolver
+    (cli.build_transverse_solver). The coarse N_H' x n_h indicator operators
+    are built once. Each outer iteration m = 1..m_max computes indicators
+    with the (m-1)-mode POD space of the current snapshots and runs i_max
     mark/refine/solve rounds; the caller compresses the returned snapshots
     with pod(). Identical seeds give identical training sets (the RNG is a
     counter-based Philox generator and snapshot caching is keyed by exact
     parameter tuples).
     """
     rng = np.random.Generator(np.random.Philox(seed))
-    if solver is None:
-        solver = TransverseSolver(pd, lift, th, yh, recon=mode)
     if isinstance(g0, int):
         cells = initial_cells(pd.omega_x, qbar, g0, n_xi, rng, th)
     else:
@@ -390,4 +378,4 @@ def adaptive_train_extension(g0, pd, lift, m_max, i_max, n_xi, theta,
                 for mu in cell.samples:
                     solver.solve(mu)
             element_indicators(base, new_cells, solver)
-    return TrainingResult(_all_snapshots(cells, solver), cells, solver)
+    return TrainingResult(_all_snapshots(cells, solver), cells)

@@ -393,15 +393,15 @@ class TransverseSnapshot:
     values: np.ndarray  # nodal over yh, boundary entries zero
 
 
-def snapshot_solve(system, cb=None):
+def snapshot_solve(system):
     """Solve the coupled system; one snapshot per active hat, in the order
-    of cb.active.
+    of system.cb.active.
 
     LAPACK banded LU on the band storage of system.matrix: O(n bw^2) time
     for n = n_a (n_h - 1) unknowns and bandwidth bw = 2 n_a - 1. A singular
     or non-finite solve raises RuntimeError.
     """
-    cb = cb if cb is not None else system.cb
+    cb = system.cb
     sol = band_solve(system.matrix.data, system.rhs,
                      f"transverse system for mu={cb.mu}")
     sol = sol.reshape(system.yh.n - 1, cb.active.size)
@@ -439,5 +439,5 @@ class TransverseSolver:
                 self.pd, self.lift, cb, rule, self.yh,
                 recon=self.recon, source_shift=self.source_shift,
             )
-            self._cache[key] = snapshot_solve(system, cb)
+            self._cache[key] = snapshot_solve(system)
         return self._cache[key]

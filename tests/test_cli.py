@@ -1,6 +1,7 @@
 """Command-line driver: flags, config files, exit codes, determinism."""
 
 import csv
+import math
 
 import pytest
 
@@ -60,6 +61,18 @@ def test_case3_delta_h_smoke(tmp_path):
     args += ["--mode", "delta-h"]
     assert main(args) == 0
     assert len(_read_rows(out)) == 3
+
+
+@pytest.mark.parametrize("mode", sorted(MODE_MAP))
+def test_run_case_smoke_in_every_mode(tmp_path, mode):
+    cfg = RunConfig(NH=16, nh=10, NHp=4, m_max=2, n_xi=2, theta=0.5,
+                    mode=mode, out=str(tmp_path / "conv.csv")).validate()
+    reports = cli.run_case(cfg, log=lambda *a: None)
+    assert [r.m for r in reports] == [1, 2]
+    for r in reports:
+        assert all(math.isfinite(float(v)) for v in r.row())
+    assert reports[-1].err_V_rel < reports[0].err_V_rel
+    assert len(_read_rows(cfg.out)) == 3
 
 
 def test_config_error_exit_code(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from skewlift import cli, problem
 from skewlift.cases import case1, get_case
 from skewlift.mesh import build_grid
 from skewlift.problem import (
@@ -140,6 +141,50 @@ def test_gram_matrix_is_symmetric():
     G = reference_operators(cs.problem, cs.lift, grid).G_int
     asym = np.abs((G - G.T).toarray()).max()
     assert asym <= 1e-13 * np.abs(G.toarray()).max()
+
+
+def test_one_factorization_per_grid(tmp_path, monkeypatch):
+    # b = 0: G is A, so the reference solve and every error_report share the
+    # fine grid's factor and the indicator the coarse grid's; nothing solves
+    # through spsolve
+    factored = []
+    splu = problem.spla.splu
+
+    def counting_splu(mat, *args, **kwargs):
+        factored.append(mat.shape)
+        return splu(mat, *args, **kwargs)
+
+    def no_spsolve(*args, **kwargs):
+        raise AssertionError("spsolve called")
+
+    monkeypatch.setattr(problem.spla, "splu", counting_splu)
+    monkeypatch.setattr(problem.spla, "spsolve", no_spsolve)
+    cfg = cli.RunConfig(NH=16, nh=10, NHp=4, m_max=2, n_xi=2, theta=0.5,
+                        out=str(tmp_path / "conv.csv"))
+    reports = cli.run_case(cfg.validate(), log=lambda *a: None)
+    assert len(reports) == 2
+    assert factored == [(15 * 9,) * 2, (3 * 9,) * 2]
+
+
+def test_gram_is_assembled_separately_with_advection():
+    grid = build_grid((0.0, 2.0), (0.0, 1.0), 12, 8)
+    cs = case1(b=(1.0, 0.5))
+    ops = reference_operators(cs.problem, cs.lift, grid)
+    assert ops.G is not ops.A
+    assert ops.G_int is not ops.A_int
+    # G is the diffusion-only (b = 0) operator, which is then A itself
+    still = reference_operators(case1().problem, cs.lift, grid)
+    assert still.G is still.A
+    assert (ops.G_int != still.A_int).nnz == 0
+    # one factor per distinct matrix: a G solve does not reuse A's factor
+    r = ops.rhs_int
+    x = ops.solve("A", r)
+    R = ops.solve("G", r)
+    np.testing.assert_allclose(ops.A_int @ x, r, rtol=0,
+                               atol=1e-10 * np.linalg.norm(r))
+    np.testing.assert_allclose(ops.G_int @ R, r, rtol=0,
+                               atol=1e-10 * np.linalg.norm(r))
+    assert len(ops._factors) == 2
 
 
 def test_plain_gd_blend_carries_boundary_traces():
