@@ -17,7 +17,7 @@ from skewlift.mesh import TensorGrid, build_uniform_partition
 from skewlift.problem import (
     LiftingFunction,
     ProblemData,
-    assemble_reference_system,
+    reference_operators,
     solve_reference,
 )
 from skewlift.reduced import assemble_reduced, solve_reduced
@@ -49,16 +49,15 @@ def sine_space(yh, m):
 
 def sweep(pd, th, yh, label):
     grid = TensorGrid(th, yh)
-    system = assemble_reference_system(pd, LiftingFunction.zero(), grid)
-    ref = solve_reference(system)
+    ops = reference_operators(pd, LiftingFunction.zero(), grid)
+    ref = solve_reference(ops)
     print(f"{label}")
     print("   m    ||e_m||_V      Delta_m        Delta_m / ||e_m||_V")
     for m in (1, 2, 4, 8):
         space = sine_space(yh, m)
-        rsol = solve_reduced(assemble_reduced(
-            pd, LiftingFunction.zero(), space, th, ops=system.ops))
-        rep = error_report(ref, rsol, space, pd, ops=system.ops)
-        err = system.ops.v_norm(ref.interior_vector() - rsol.interior_vector())
+        rsol = solve_reduced(assemble_reduced(ops, space))
+        rep = error_report(ops, ref, rsol)
+        err = ops.v_norm(ref.interior_vector() - rsol.interior_vector())
         print(f"   {m}    {err:.6e}   {rep.delta_m:.6e}   "
               f"{rep.delta_m / err:.12f}")
     print()

@@ -24,7 +24,7 @@ from skewlift.cli import RunConfig, run_case
 SIZES = dict(case=1, NH=80, nh=40, NHp=10, g0=2, n_xi=3, theta=0.1, seed=0)
 
 
-def sweep(mode, m_max, out_dir="."):
+def sweep(mode, m_max):
     cfg = RunConfig(mode=mode, m_max=m_max,
                     out=f"mode_comparison_{mode.replace('-', '_')}.csv",
                     **SIZES).validate()
@@ -51,7 +51,7 @@ def main():
 
     print("\nlift/riesz track each other (same load on the reference grid);")
     print("delta-h drops 3-4 orders within a handful of modes; gD lags the")
-    print("lifted runs at every m. CSVs land next to this script.")
+    print("lifted runs at every m. CSVs land in the working directory.")
 
 
 if __name__ == "__main__":

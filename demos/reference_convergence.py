@@ -16,7 +16,7 @@ from skewlift.mesh import TensorGrid, build_uniform_partition
 from skewlift.problem import (
     LiftingFunction,
     ProblemData,
-    assemble_reference_system,
+    reference_operators,
     solve_reference,
 )
 
@@ -43,12 +43,12 @@ def main():
     for nx, ny in ((10, 5), (20, 10), (40, 20), (80, 40)):
         grid = TensorGrid(build_uniform_partition(0.0, 2.0, nx),
                           build_uniform_partition(0.0, 1.0, ny))
-        system = assemble_reference_system(pd, lift, grid)
-        ref = solve_reference(system)
+        ops = reference_operators(pd, lift, grid)
+        ref = solve_reference(ops)
         X, Y = grid.node_coords()
         e = (ref.coeffs - exact(X, Y)).ravel()[grid.interior_ids()]
-        err_l2 = system.ops.l2_norm(e)
-        err_v = system.ops.v_norm(e)
+        err_l2 = ops.l2_norm(e)
+        err_v = ops.v_norm(e)
         if prev is None:
             print(f"  {nx:3d} x {ny:3d}   {err_l2:.3e}     --     "
                   f"{err_v:.3e}     --")

@@ -24,8 +24,8 @@ from . import cases
 from .estimator import error_report, reports_to_csv
 from .interface import InterfaceNotFoundError, locate_interface
 from .mesh import TensorGrid, build_uniform_partition
-from .problem import (GridField, LiftingFunction, affine_boundary_blend,
-                      assemble_reference_system, solve_reference)
+from .problem import (GridField, LiftingFunction, reference_operators,
+                      solve_reference)
 from .reduced import assemble_reduced, solve_reduced
 from .training import adaptive_train_extension, pod
 from .transverse import TransverseSolver
@@ -107,25 +107,22 @@ class DetectConfig:
         return self
 
 
-def build_transverse_solver(pd, lift, th, yh, mode, ops=None):
-    """Map a lifting mode onto a transverse snapshot solver.
+def build_transverse_solver(ops):
+    """Map ops.mode onto a transverse snapshot solver on ops' partitions.
 
-    riesz_recon feeds the (negated) reconstructed field as a source shift and
-    drops the lifting; plain_gD swaps in the affine boundary blend; the other
-    two modes pass straight through.
+    riesz_recon feeds the (negated) reconstructed field ops.riesz_field as a
+    source shift and drops the lifting. The other modes pass ops.lift on;
+    under plain_gD that is the affine boundary blend, treated as a weak
+    lifting.
     """
-    if mode == "riesz_recon":
-        if ops is None or ops.riesz_field is None:
-            raise ValueError("riesz_recon needs reference operators with a "
-                             "reconstructed field")
+    pd, th, yh = ops.pd, ops.grid.tx, ops.grid.ty
+    if ops.mode == "riesz_recon":
         rec = GridField(ops.grid, ops.riesz_field)
         shift = lambda x, y: -rec(x, y)
         return TransverseSolver(pd, LiftingFunction.zero(), th, yh,
                                 recon="weak_lifting", source_shift=shift)
-    if mode == "plain_gD":
-        blend = affine_boundary_blend(lift, pd.omega_x)
-        return TransverseSolver(pd, blend, th, yh, recon="weak_lifting")
-    return TransverseSolver(pd, lift, th, yh, recon=mode)
+    recon = "weak_lifting" if ops.mode == "plain_gD" else ops.mode
+    return TransverseSolver(pd, ops.lift, th, yh, recon=recon)
 
 
 def run_case(cfg, log=print):
@@ -140,13 +137,12 @@ def run_case(cfg, log=print):
 
     log(f"[{case.name}] mode={mode} grid {cfg.NH}x{cfg.nh}, "
         f"indicator grid {cfg.NHp}x{cfg.nh}, qbar={cfg.qbar}")
-    ref_system = assemble_reference_system(pd, lift, grid, mode)
-    ops = ref_system.ops
-    ref = solve_reference(ref_system)
+    ops = reference_operators(pd, lift, grid, mode)
+    ref = solve_reference(ops)
     log(f"  reference solved ({grid.node_count} nodes, "
         f"{time.perf_counter() - t_start:.2f}s)")
 
-    solver = build_transverse_solver(pd, lift, th, yh, mode, ops=ops)
+    solver = build_transverse_solver(ops)
     result = adaptive_train_extension(
         cfg.g0, pd, lift, cfg.m_max, cfg.i_max, cfg.n_xi, cfg.theta,
         cfg.sigma_thres, cfg.NHp, th=th, yh=yh, mode=mode, solver=solver,
@@ -170,11 +166,11 @@ def run_case(cfg, log=print):
             log(f"  POD tail does not reach eps-tol {cfg.eps_tol:g} "
                 f"within m_max={cfg.m_max}")
 
-    full = assemble_reduced(pd, lift, space, th, mode, ops=ops)
+    full = assemble_reduced(ops, space)
     reports = []
     for m in range(1, cfg.m_max + 1):
         rsol = solve_reduced(full.truncate(m))
-        rep = error_report(ref, rsol, space, pd, lift, ops=ops)
+        rep = error_report(ops, ref, rsol)
         reports.append(rep)
         log(f"  m={m:3d}  err_V_rel={rep.err_V_rel:.3e}  "
             f"err_L2_rel={rep.err_L2_rel:.3e}  delta_m={rep.delta_m:.3e}  "

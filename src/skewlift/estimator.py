@@ -8,14 +8,14 @@ continuity constant, from below; without advection the symmetric identity
 Delta_m = ||e_m||_V holds to round-off because the residual equation is then
 the error equation. Delta_m is TensorOperators.residual_norm, as is the
 training indicator; with b = 0 it reuses the reference solve's factor.
+error_report(ops, reference, rsol) takes the operators the reference was
+solved with.
 """
 
 import csv
 from dataclasses import dataclass
 
 import numpy as np
-
-from .problem import LiftingFunction, reference_operators
 
 
 @dataclass
@@ -47,23 +47,23 @@ def reports_to_csv(reports, path):
             w.writerow(r.row())
 
 
-def error_report(reference, rsol, space, pd, lift=None, ops=None):
-    """Compare a reduced solution against the reference on the same grid.
+def error_report(ops, reference, rsol):
+    """Compare a reduced solution against the reference on the grid of ops.
 
     Relative errors are taken against the reference's norms; delta_m is the
     residual-based estimator, e_pod the POD truncation tail at this m,
     lambda_m the m-th POD energy and pbar_norm the L2(Omega_1D) norm of the
-    m-th coefficient function.
+    m-th coefficient function; the POD figures come from rsol.space.
     """
-    grid = reference.grid
-    if grid.shape != rsol.grid.shape:
-        raise ValueError("reference and reduced solutions live on different grids")
-    if reference.mode != rsol.mode:
+    grid = ops.grid
+    if reference.grid.shape != grid.shape or rsol.grid.shape != grid.shape:
+        raise ValueError("reference and reduced solutions live on different "
+                         "grids")
+    if reference.mode != ops.mode or rsol.mode != ops.mode:
         raise ValueError(
-            f"mode mismatch: reference {reference.mode!r} vs reduced {rsol.mode!r}")
-    if ops is None:
-        ops = reference_operators(pd, lift or LiftingFunction.zero(), grid,
-                                  reference.mode)
+            f"mode mismatch: operators {ops.mode!r}, reference "
+            f"{reference.mode!r}, reduced {rsol.mode!r}")
+    space = rsol.space
     p_ref = reference.interior_vector()
     p_red = rsol.interior_vector()
     e = p_ref - p_red

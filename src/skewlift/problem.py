@@ -23,10 +23,14 @@ Four right-hand-side treatments of the lifting are supported:
   data through an affine blend of the two vertical-side traces.
 
 The system matrix is identical in all modes; only the right-hand side differs.
-TensorOperators.solve is a grid's only sparse solver: one SuperLU factor per
-distinct interior matrix, minimum-degree ordered on A + A^T (the Q1 pattern is
-structurally symmetric). If b = 0 at every quadrature point and div_b is None,
-G is A, and the reference solve, estimator and indicator share one factor.
+One TensorOperators object is the handle of a grid: solve_reference(ops),
+reduced.assemble_reduced(ops, space), estimator.error_report(ops, ...) and
+cli.build_transverse_solver(ops) read the problem, lifting, grid and mode
+from it. TensorOperators.solve is a grid's only sparse solver: one SuperLU
+factor per distinct interior matrix, minimum-degree ordered on A + A^T (the
+Q1 pattern is structurally symmetric). If b = 0 at every quadrature point
+and div_b is None, G is A, and the reference solve, estimator and indicator
+share one factor.
 Matrices use the 2x2 Gauss rule on every cell. The right-hand side of
 weak_lifting, riesz_recon and plain_gD (F and every lifting term) uses 2x2
 Gauss on 4x4 sub-cells of the cells where the lifting's gradient is nonzero
@@ -274,6 +278,9 @@ class TensorOperators:
     (symmetric part of A), the mass matrix M and the mode-consistent
     right-hand side (G is A when b = 0 and div_b is None); the interior
     restrictions and one LU factor per distinct interior matrix are cached.
+    lift is the lifting the right-hand side carries (under plain_gD the
+    affine boundary blend of the one handed in); riesz_field is the
+    reconstructed nodal field under riesz_recon, else None.
     """
 
     def __init__(self, pd, lift, grid, mode="weak_lifting"):
@@ -380,39 +387,22 @@ def reference_operators(pd, lift, grid, mode="weak_lifting"):
     return TensorOperators(pd, lift, grid, mode)
 
 
-@dataclass
-class ReferenceSystem:
-    """Interior Q1 linear system of the homogenized reference problem."""
-
-    matrix: sp.csr_matrix
-    rhs: np.ndarray
-    grid: TensorGrid
-    mode: str
-    ops: TensorOperators
-
-
-def assemble_reference_system(pd, lift, grid, mode="weak_lifting"):
-    """Assemble the interior Q1 system for one lifting mode.
+def solve_reference(ops):
+    """Solve the interior reference system A_int x = rhs_int of ops.
 
     Dirichlet rows/columns are eliminated (the homogenized solution vanishes
     on the boundary), so the unknowns are the (nx-1)(ny-1) interior nodes in
-    x-major ordering.
+    x-major ordering. Returns the FullSolution on ops.grid in ops.mode.
     """
-    ops = reference_operators(pd, lift, grid, mode)
-    return ReferenceSystem(ops.A_int, ops.rhs_int, grid, mode, ops)
-
-
-def solve_reference(system):
-    """Solve the reference system through system.ops -> FullSolution."""
-    x = system.ops.solve("A", system.rhs)
-    res = np.linalg.norm(system.matrix @ x - system.rhs)
-    scale = max(np.linalg.norm(system.rhs), 1.0)
+    x = ops.solve("A", ops.rhs_int)
+    res = np.linalg.norm(ops.A_int @ x - ops.rhs_int)
+    scale = max(np.linalg.norm(ops.rhs_int), 1.0)
     if res > 1e-10 * scale:
         raise RuntimeError(f"reference solve residual {res:.3e} exceeds tolerance")
-    grid = system.grid
+    grid = ops.grid
     coeffs = np.zeros(grid.node_count)
-    coeffs[grid.interior_ids()] = x
-    return FullSolution(grid, coeffs.reshape(grid.shape), system.mode)
+    coeffs[ops.interior] = x
+    return FullSolution(grid, coeffs.reshape(grid.shape), ops.mode)
 
 
 def affine_boundary_blend(lift, omega_x):

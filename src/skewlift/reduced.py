@@ -1,9 +1,11 @@
 """Reduced tensor-product systems p_m(x,y) = sum_k pbar_k(x) phi_k(y).
 
 The reduced system is the Galerkin projection of the assembled reference
-operator onto span{xi_i(x) phi_k(y)}, taken x-block by x-block. In the
-x-major interior ordering the reference A is block-tridiagonal in x with
-(n_h - 1) x (n_h - 1) blocks A_ij; with Phi the modes' interior nodal
+operators onto span{xi_i(x) phi_k(y)}, taken x-block by x-block:
+assemble_reduced(ops, space) takes the grid's TensorOperators and a
+ReductionSpace on its transverse partition. In the x-major interior
+ordering the reference A is block-tridiagonal in x with (n_h - 1) x
+(n_h - 1) blocks A_ij; with Phi the modes' interior nodal
 values, the reduced matrix has the m x m blocks Phi^T A_ij Phi (x-node
 major, mode minor) and the right-hand side Phi^T rhs_i. It is
 block-tridiagonal too and is solved as a band matrix of bandwidth 2m - 1.
@@ -23,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import TensorGrid
-from .problem import reference_operators
 from .transverse import band_matrix, band_solve, block_band
 
 
@@ -89,21 +90,18 @@ class ReducedSystem:
                              self.space.truncate(m), self.grid, self.mode)
 
 
-def assemble_reduced(pd, lift, space, th, mode="weak_lifting", ops=None):
-    """Assemble the reduced block system on dominant partition th.
+def assemble_reduced(ops, space):
+    """Project the operators ops onto span{xi_i(x) phi_k(y)} of space.
 
-    ops may carry pre-assembled reference operators on the (th x space.part)
-    grid to avoid re-assembly during sweeps.
+    The modes live on the operators' transverse partition (space.part equals
+    ops.grid.ty); the reduced system inherits ops' grid and mode.
     """
-    grid = TensorGrid(th, space.part)
-    if ops is None:
-        ops = reference_operators(pd, lift, grid, mode)
-    elif ops.grid != grid:
-        raise ValueError("operators do not live on the th x space.part grid")
+    if space.part != ops.grid.ty:
+        raise ValueError("space.part is not the operators' y-partition")
     xb = XBlocks(ops)
     phi = space.modes[1:-1, :]
-    return ReducedSystem(phi.T @ xb.products(phi), xb.rhs @ phi, space, grid,
-                         mode)
+    return ReducedSystem(phi.T @ xb.products(phi), xb.rhs @ phi, space,
+                         ops.grid, ops.mode)
 
 
 @dataclass

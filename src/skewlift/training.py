@@ -39,7 +39,7 @@ import scipy.linalg
 from .mesh import Partition1D, TensorGrid, build_uniform_partition
 from .problem import reference_operators
 from .reduced import XBlocks
-from .transverse import _p1_diagonals, band_solve, block_band
+from .transverse import _elements, _p1_diagonals, band_solve, block_band
 
 
 # ---------------------------------------------------------------------------
@@ -156,14 +156,13 @@ class ParamCell:
 
 def _draw_samples(rng, lo, hi, n_xi, th):
     """n_xi uniform samples; components redrawn until they land in distinct
-    elements of th (the coupled basis rejects same-element parameters)."""
+    elements of th, classified as the coupled basis does (it rejects
+    same-element parameters)."""
     out = []
     for _ in range(n_xi):
         for _attempt in range(200):
             mu = tuple(np.sort(rng.uniform(lo, hi)))
-            els = np.floor((np.asarray(mu) - th.a) / th.h).astype(int)
-            els = np.clip(els, 0, th.n - 1)
-            if np.unique(els).size == len(mu):
+            if np.unique(_elements(th, mu)).size == len(mu):
                 out.append(mu)
                 break
         else:

@@ -116,6 +116,14 @@ def _rel(part, x):
     return float(rr) if abs(r - rr) <= 1e-10 * max(1.0, abs(r)) else r
 
 
+def _elements(th, mu):
+    """Element of th holding each parameter, floor of the snapped _rel: a
+    parameter within round-off of a node belongs to the element on its
+    right."""
+    els = np.floor([_rel(th, m) for m in mu]).astype(int)
+    return np.clip(els, 0, th.n - 1)
+
+
 def _sorted_mu(th, mu):
     mu = np.sort(np.asarray(mu, dtype=float))
     if mu.size < 1:
@@ -128,8 +136,7 @@ def _sorted_mu(th, mu):
 def build_coupled_basis(th, mu):
     """Delete nodes between parameter points and collect the active hats."""
     mu = _sorted_mu(th, mu)
-    els = np.floor([_rel(th, m) for m in mu]).astype(int)
-    els = np.clip(els, 0, th.n - 1)
+    els = _elements(th, mu)
     if np.any(np.diff(els) == 0):
         dup = mu[np.argmin(np.diff(els))]
         raise QuadPointsInSameElement(
@@ -299,9 +306,7 @@ class TransverseSystem:
     matrix: sp.dia_matrix
     rhs: np.ndarray
     cb: CoupledBasis
-    rule: QuadratureRule
     yh: Partition1D
-    mode: str
 
 
 def assemble_transverse(pd, lift, cb, rule, yh, recon="weak_lifting",
@@ -381,7 +386,7 @@ def assemble_transverse(pd, lift, cb, rule, yh, recon="weak_lifting",
             rhs += w_val[l] * load[l][:, None]
             rhs -= w_der[l] * h2_grad[l][:, None]
 
-    return TransverseSystem(matrix, rhs.ravel(), cb, rule, yh, recon)
+    return TransverseSystem(matrix, rhs.ravel(), cb, yh)
 
 
 @dataclass

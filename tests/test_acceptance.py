@@ -28,7 +28,6 @@ from skewlift.problem import (
     MODES,
     LiftingFunction,
     ProblemData,
-    ReferenceSystem,
     reference_operators,
     solve_reference,
 )
@@ -73,14 +72,13 @@ def _slice_pod_errors(mode, ms):
     yh = build_uniform_partition(*pd.omega_y, MINI["nh"])
     grid = TensorGrid(th, yh)
     ops = reference_operators(pd, lift, grid, mode)
-    ref = solve_reference(
-        ReferenceSystem(ops.A_int, ops.rhs_int, grid, mode, ops))
+    ref = solve_reference(ops)
     space = pod(list(ref.coeffs[1:-1]), yh, count=max(ms))
     out = {}
     for m in ms:
         sub = space.truncate(m)
-        rsol = solve_reduced(assemble_reduced(pd, lift, sub, th, mode, ops=ops))
-        out[m] = error_report(ref, rsol, sub, pd, lift, ops=ops).err_V_rel
+        rsol = solve_reduced(assemble_reduced(ops, sub))
+        out[m] = error_report(ops, ref, rsol).err_V_rel
     return out
 
 
@@ -278,12 +276,10 @@ def test_criterion_05_estimator_identity_and_bound():
     for kfun in (lambda x, y: 1.0 + 0.2 * y, lambda x, y: 2.0 + 0.0 * x):
         pd = make_pd(0.0, 0.0, kfun)
         ops = reference_operators(pd, lift, grid, "weak_lifting")
-        ref = solve_reference(
-            ReferenceSystem(ops.A_int, ops.rhs_int, grid, "weak_lifting", ops))
+        ref = solve_reference(ops)
         for m in (1, 2, 3, 5):
-            rsol = solve_reduced(
-                assemble_reduced(pd, lift, sine_space(m), th, ops=ops))
-            rep = error_report(ref, rsol, sine_space(m), pd, ops=ops)
+            rsol = solve_reduced(assemble_reduced(ops, sine_space(m)))
+            rep = error_report(ops, ref, rsol)
             err_V = ops.v_norm(ref.interior_vector() - rsol.interior_vector())
             worst_id = max(worst_id, abs(rep.delta_m - err_V) / err_V)
             assert abs(rep.delta_m - err_V) <= 1e-8 * err_V
@@ -291,12 +287,10 @@ def test_criterion_05_estimator_identity_and_bound():
     for b1, b2 in ((100.0, 0.0), (3.0, -2.0), (10.0, 40.0)):
         pd = make_pd(b1, b2, lambda x, y: 1.0 + 0.2 * y)
         ops = reference_operators(pd, lift, grid, "weak_lifting")
-        ref = solve_reference(
-            ReferenceSystem(ops.A_int, ops.rhs_int, grid, "weak_lifting", ops))
+        ref = solve_reference(ops)
         for m in (1, 3, 5):
-            rsol = solve_reduced(
-                assemble_reduced(pd, lift, sine_space(m), th, ops=ops))
-            rep = error_report(ref, rsol, sine_space(m), pd, ops=ops)
+            rsol = solve_reduced(assemble_reduced(ops, sine_space(m)))
+            rep = error_report(ops, ref, rsol)
             err_V = ops.v_norm(ref.interior_vector() - rsol.interior_vector())
             assert err_V <= rep.delta_m + 1e-8
     elapsed = time.perf_counter() - t0
@@ -364,11 +358,8 @@ def test_criterion_07_full_space_recovery():
     worst = 0.0
     for mode in MODES:
         ops = reference_operators(case.problem, case.lift, grid, mode)
-        ref = solve_reference(
-            ReferenceSystem(ops.A_int, ops.rhs_int, grid, mode, ops))
-        rsol = solve_reduced(
-            assemble_reduced(case.problem, case.lift, space, th, mode,
-                             ops=ops))
+        ref = solve_reference(ops)
+        rsol = solve_reduced(assemble_reduced(ops, space))
         diff = float(np.max(np.abs(rsol.nodal_array() - ref.coeffs)))
         worst = max(worst, diff)
         assert diff <= 1e-9, f"mode {mode}: nodal max {diff:.2e}"
@@ -393,8 +384,7 @@ def test_criterion_08_reference_order():
         grid = TensorGrid(build_uniform_partition(0.0, 2.0, nx),
                           build_uniform_partition(0.0, 1.0, ny))
         ops = reference_operators(pd, lift, grid, "weak_lifting")
-        ref = solve_reference(
-            ReferenceSystem(ops.A_int, ops.rhs_int, grid, "weak_lifting", ops))
+        ref = solve_reference(ops)
         X, Y = grid.node_coords()
         e = (ref.coeffs - exact(X, Y)).ravel()[grid.interior_ids()]
         errs.append(ops.l2_norm(e))

@@ -14,7 +14,6 @@ from skewlift.mesh import TensorGrid, build_uniform_partition
 from skewlift.problem import (
     LiftingFunction,
     ProblemData,
-    ReferenceSystem,
     reference_operators,
     solve_reference,
 )
@@ -50,10 +49,9 @@ def _solve_pair(pd, m, nx=40, ny=20):
     grid = TensorGrid(th, yh)
     lift = LiftingFunction.zero()
     ops = reference_operators(pd, lift, grid, "weak_lifting")
-    ref = solve_reference(
-        ReferenceSystem(ops.A_int, ops.rhs_int, grid, "weak_lifting", ops))
+    ref = solve_reference(ops)
     space = _sine_space(yh, m)
-    rsol = solve_reduced(assemble_reduced(pd, lift, space, th, ops=ops))
+    rsol = solve_reduced(assemble_reduced(ops, space))
     return ops, ref, space, rsol
 
 
@@ -61,7 +59,7 @@ def test_estimator_equals_error_without_advection():
     pd = _pd(b=(0.0, 0.0))
     for m in (1, 2, 4):
         ops, ref, space, rsol = _solve_pair(pd, m)
-        rep = error_report(ref, rsol, space, pd, ops=ops)
+        rep = error_report(ops, ref, rsol)
         err_V = ops.v_norm(ref.interior_vector() - rsol.interior_vector())
         assert abs(rep.delta_m - err_V) <= 1e-8 * err_V
 
@@ -70,7 +68,7 @@ def test_estimator_bounds_error_with_advection():
     pd = _pd(b=(100.0, 7.0))
     for m in (1, 2, 4):
         ops, ref, space, rsol = _solve_pair(pd, m)
-        rep = error_report(ref, rsol, space, pd, ops=ops)
+        rep = error_report(ops, ref, rsol)
         err_V = ops.v_norm(ref.interior_vector() - rsol.interior_vector())
         assert err_V <= rep.delta_m + 1e-8
         assert rep.delta_m > 0.0
@@ -81,7 +79,7 @@ def test_relative_errors_are_scale_invariant():
     for scale in (1.0, 37.5):
         pd = _pd(b=(5.0, 1.0), scale=scale)
         ops, ref, space, rsol = _solve_pair(pd, 2)
-        reps.append(error_report(ref, rsol, space, pd, ops=ops))
+        reps.append(error_report(ops, ref, rsol))
     assert reps[0].err_V_rel == pytest.approx(reps[1].err_V_rel, rel=1e-12)
     assert reps[0].err_L2_rel == pytest.approx(reps[1].err_L2_rel, rel=1e-12)
     # absolute quantities scale linearly instead
@@ -93,14 +91,14 @@ def test_v_error_decreases_with_nested_spaces():
     errs = []
     for m in (1, 2, 3, 4):
         ops, ref, space, rsol = _solve_pair(pd, m)
-        errs.append(error_report(ref, rsol, space, pd, ops=ops).err_V_rel)
+        errs.append(error_report(ops, ref, rsol).err_V_rel)
     assert all(b < a for a, b in zip(errs, errs[1:]))
 
 
 def test_report_fields_and_csv_roundtrip(tmp_path):
     pd = _pd(b=(3.0, -2.0))
     ops, ref, space, rsol = _solve_pair(pd, 2)
-    rep = error_report(ref, rsol, space, pd, ops=ops)
+    rep = error_report(ops, ref, rsol)
     assert rep.m == 2
     assert rep.e_pod == space.tail(2)
     assert rep.lambda_m == space.eigenvalues[1]
@@ -121,9 +119,9 @@ def test_error_report_rejects_mismatched_inputs():
     ops, ref, space, rsol = _solve_pair(pd, 2)
     _, _, _, other = _solve_pair(pd, 2, nx=30, ny=14)
     with pytest.raises(ValueError):
-        error_report(ref, other, space, pd)
+        error_report(ops, ref, other)
     import dataclasses
 
     wrong_mode = dataclasses.replace(ref, mode="delta_h")
     with pytest.raises(ValueError):
-        error_report(wrong_mode, rsol, space, pd)
+        error_report(ops, wrong_mode, rsol)

@@ -11,7 +11,6 @@ from skewlift.problem import (
     LiftingFunction,
     MODES,
     ProblemData,
-    assemble_reference_system,
     reference_operators,
     solve_reference,
 )
@@ -57,8 +56,8 @@ def test_reference_second_order_in_L2():
     errs = []
     for nx, ny in ((20, 10), (40, 20)):
         grid = build_grid(pd.omega_x, pd.omega_y, nx, ny)
-        sol = solve_reference(assemble_reference_system(pd, lift, grid))
         ops = reference_operators(pd, lift, grid)
+        sol = solve_reference(ops)
         X, Y = grid.node_coords()
         diff = (sol.coeffs - _sine(X, Y))[1:-1, 1:-1].ravel()
         errs.append(ops.l2_norm(diff))
@@ -80,9 +79,9 @@ def test_riesz_rhs_equals_weak_rhs_on_matching_grid():
     cs = case1()
     grid = build_grid(cs.problem.omega_x, cs.problem.omega_y, 48, 24)
     weak = solve_reference(
-        assemble_reference_system(cs.problem, cs.lift, grid, "weak_lifting"))
+        reference_operators(cs.problem, cs.lift, grid, "weak_lifting"))
     riesz = solve_reference(
-        assemble_reference_system(cs.problem, cs.lift, grid, "riesz_recon"))
+        reference_operators(cs.problem, cs.lift, grid, "riesz_recon"))
     scale = np.abs(weak.coeffs).max()
     assert np.abs(weak.coeffs - riesz.coeffs).max() <= 1e-10 * scale
 
@@ -91,10 +90,9 @@ def test_weak_and_delta_h_references_converge_together():
     cs = case1()
     grid = build_grid(cs.problem.omega_x, cs.problem.omega_y, 120, 60)
     ops = reference_operators(cs.problem, cs.lift, grid, "weak_lifting")
-    weak = solve_reference(
-        assemble_reference_system(cs.problem, cs.lift, grid, "weak_lifting"))
+    weak = solve_reference(ops)
     dh = solve_reference(
-        assemble_reference_system(cs.problem, cs.lift, grid, "delta_h"))
+        reference_operators(cs.problem, cs.lift, grid, "delta_h"))
     X, Y = grid.node_coords()
     exact = cs.exact_homogenized(X, Y)
     nrm = ops.l2_norm(exact[1:-1, 1:-1].ravel())
@@ -113,10 +111,9 @@ def test_weak_lifting_cancels_band_source_like_delta_h():
     cs = case1()
     grid = build_grid(cs.problem.omega_x, cs.problem.omega_y, 160, 80)
     ops = reference_operators(cs.problem, cs.lift, grid, "weak_lifting")
-    weak = solve_reference(
-        assemble_reference_system(cs.problem, cs.lift, grid, "weak_lifting"))
+    weak = solve_reference(ops)
     dh = solve_reference(
-        assemble_reference_system(cs.problem, cs.lift, grid, "delta_h"))
+        reference_operators(cs.problem, cs.lift, grid, "delta_h"))
     gap = ops.v_norm(weak.interior_vector() - dh.interior_vector())
     assert gap <= 1e-3 * ops.v_norm(dh.interior_vector())
 
@@ -264,8 +261,7 @@ def test_grid_field_interpolates_bilinearly():
 def test_total_field_adds_lifting_back():
     cs = get_case(1)
     grid = build_grid(cs.problem.omega_x, cs.problem.omega_y, 60, 30)
-    sol = solve_reference(
-        assemble_reference_system(cs.problem, cs.lift, grid))
+    sol = solve_reference(reference_operators(cs.problem, cs.lift, grid))
     X, Y = grid.node_coords()
     total = sol.total_field(cs.lift)
     exact = cs.exact_total(X, Y)

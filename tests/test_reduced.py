@@ -9,7 +9,6 @@ from skewlift.problem import (
     MODES,
     LiftingFunction,
     ProblemData,
-    ReferenceSystem,
     reference_operators,
     solve_reference,
 )
@@ -70,10 +69,8 @@ def test_full_space_recovers_reference_in_every_mode():
     space = _full_space(yh)
     for mode in MODES:
         ops = reference_operators(case.problem, case.lift, grid, mode)
-        ref = solve_reference(
-            ReferenceSystem(ops.A_int, ops.rhs_int, grid, mode, ops))
-        system = assemble_reduced(case.problem, case.lift, space, th, mode,
-                                  ops=ops)
+        ref = solve_reference(ops)
+        system = assemble_reduced(ops, space)
         rsol = solve_reduced(system)
         scale = np.max(np.abs(ref.coeffs))
         diff = np.max(np.abs(rsol.nodal_array() - ref.coeffs))
@@ -100,7 +97,9 @@ def test_single_mode_system_is_the_expected_tridiagonal():
     )
     phi_int = (yh.nodes * (1.0 - yh.nodes))[1:-1]
     space = _space_from_columns(yh, phi_int[:, None])
-    system = assemble_reduced(pd, LiftingFunction.zero(), space, th)
+    system = assemble_reduced(
+        reference_operators(pd, LiftingFunction.zero(), TensorGrid(th, yh)),
+        space)
 
     # closed-form 1D operators
     def k_tri(part):
@@ -145,7 +144,9 @@ def test_discrete_sine_modes_decouple_the_blocks():
         omega_x=(0.0, 2.0),
         omega_y=(0.0, 1.0),
     )
-    system = assemble_reduced(pd, LiftingFunction.zero(), space, th)
+    system = assemble_reduced(
+        reference_operators(pd, LiftingFunction.zero(), TensorGrid(th, yh)),
+        space)
     A = system.matrix.toarray()
     m = 3
     scale = np.max(np.abs(A))
@@ -165,7 +166,9 @@ def test_reduced_solution_reconstruction_layout():
     space = _space_from_columns(
         yh, np.column_stack([np.sin(np.pi * j / yh.n),
                              np.sin(2 * np.pi * j / yh.n)]))
-    system = assemble_reduced(case.problem, case.lift, space, th)
+    system = assemble_reduced(
+        reference_operators(case.problem, case.lift, TensorGrid(th, yh)),
+        space)
     rsol = solve_reduced(system)
     assert rsol.m == 2
     nodal = rsol.nodal_array()
@@ -190,13 +193,12 @@ def test_prolongation_and_empty_space_guards():
     case = get_case(1)
     ops = reference_operators(case.problem, case.lift, TensorGrid(th, yh))
     with pytest.raises(ValueError):
-        assemble_reduced(case.problem, case.lift, _full_space(other), th,
-                         ops=ops)
-    system = assemble_reduced(case.problem, case.lift, empty_space(yh), th)
+        assemble_reduced(ops, _full_space(other))
+    system = assemble_reduced(ops, empty_space(yh))
     with pytest.raises(ValueError):
         solve_reduced(system)
     # a singular reduced system is a numerical failure, not a LinAlgError
-    system = assemble_reduced(case.problem, case.lift, _full_space(yh), th)
+    system = assemble_reduced(ops, _full_space(yh))
     singular = ReducedSystem(np.zeros_like(system.blocks), system.rhs,
                              system.space, system.grid, system.mode)
     with pytest.raises(RuntimeError):
@@ -231,7 +233,7 @@ def _advective_setup(m=5):
 
 def test_block_projection_matches_kron_oracle():
     cs, th, space, ops = _advective_setup()
-    system = assemble_reduced(cs.problem, cs.lift, space, th, ops=ops)
+    system = assemble_reduced(ops, space)
     P = np.kron(np.eye(th.n - 1), space.modes[1:-1, :])
     A_r = P.T @ ops.A_int.toarray() @ P
     rhs_r = P.T @ ops.rhs_int
@@ -255,11 +257,10 @@ def test_truncated_system_is_the_system_of_the_truncated_space():
     # Phi^T A_ij Phi differently for different column counts (m = 1 takes
     # the matrix-vector kernel)
     cs, th, space, ops = _advective_setup()
-    full = assemble_reduced(cs.problem, cs.lift, space, th, ops=ops)
+    full = assemble_reduced(ops, space)
     for m in (1, 3, space.m):
         cut = full.truncate(m)
-        direct = assemble_reduced(cs.problem, cs.lift, space.truncate(m), th,
-                                  ops=ops)
+        direct = assemble_reduced(ops, space.truncate(m))
         assert cut.space.m == m
         assert np.array_equal(cut.blocks, full.blocks[:, :m, :m])
         assert np.array_equal(cut.rhs, full.rhs[:, :m])
@@ -335,8 +336,7 @@ def test_delta_h_and_riesz_agree_on_a_smooth_lifting():
     sols = {}
     for mode in ("delta_h", "riesz_recon"):
         ops = reference_operators(pd, lift, grid, mode)
-        sols[mode] = solve_reference(
-            ReferenceSystem(ops.A_int, ops.rhs_int, grid, mode, ops))
+        sols[mode] = solve_reference(ops)
     a = sols["delta_h"].interior_vector()
     b = sols["riesz_recon"].interior_vector()
     assert np.linalg.norm(a - b) <= 0.1 * np.linalg.norm(b)

@@ -25,7 +25,7 @@ from skewlift.training import (
     refine,
     transverse_mass,
 )
-from skewlift.transverse import TransverseSolver
+from skewlift.transverse import TransverseSolver, build_coupled_basis
 
 
 def _exact_mass(part):
@@ -258,6 +258,25 @@ def test_draw_samples_land_in_distinct_elements():
     # a cell inside one element can never satisfy the constraint
     with pytest.raises(RuntimeError):
         _draw_samples(rng, np.array([0.1, 0.15]), np.array([0.12, 0.18]), 1, th)
+
+
+def test_draw_samples_classify_elements_like_the_coupled_basis():
+    # x_10 - 1e-12 snaps onto node 10, so the pair shares element 10 for
+    # build_coupled_basis; the draw must reject it and redraw
+    th = build_uniform_partition(0.0, 2.0, 160)
+    x10 = th.nodes[10]
+    draws = [np.array([x10 - 1e-12, x10 + 0.005]), np.array([0.5, 1.5])]
+
+    class StubRng:
+        def uniform(self, lo, hi):
+            return draws.pop(0)
+
+    lo, hi = np.array([0.0, 0.0]), np.array([2.0, 2.0])
+    samples = _draw_samples(StubRng(), lo, hi, 1, th)
+    assert samples == [(0.5, 1.5)]
+    assert draws == []
+    for mu in samples:
+        build_coupled_basis(th, mu)
 
 
 def test_initial_cells_tile_the_parameter_box():
