@@ -15,9 +15,9 @@ import math
 import numpy as np
 
 from skewlift.cases import case1
-from skewlift.mesh import build_uniform_partition
+from skewlift.mesh import TensorGrid, build_uniform_partition
+from skewlift.problem import reference_operators
 from skewlift.training import adaptive_train_extension, initial_cells, pod
-from skewlift.transverse import TransverseSolver
 
 
 def show_cells(cells, label, limit=None):
@@ -55,11 +55,12 @@ def main():
                           rng=rng, th=th)
     show_cells(start, "initial 2x2 grid over the (mu_1, mu_2) box")
 
+    # the reference operators fix the lifting mode (weak lifting by default)
+    # and with it the snapshot problem and the coarse indicator operators
+    ops = reference_operators(case.problem, case.lift, TensorGrid(th, yh))
     result = adaptive_train_extension(
-        2, case.problem, case.lift, m_max=4, i_max=1, n_xi=2, theta=0.25,
-        sigma_thres=30.0, coarse_nhp=10, th=th, yh=yh, mode="weak_lifting",
-        solver=TransverseSolver(case.problem, case.lift, th, yh), qbar=2,
-        seed=0)
+        ops, 2, m_max=4, i_max=1, n_xi=2, theta=0.25, sigma_thres=30.0,
+        coarse_nhp=10, qbar=2, seed=0)
     show_cells(result.cells,
                "after 4 extension steps (10 smallest cells shown)", limit=10)
     summarize(result.cells)

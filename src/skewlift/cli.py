@@ -24,11 +24,9 @@ from . import cases
 from .estimator import error_report, reports_to_csv
 from .interface import InterfaceNotFoundError, locate_interface
 from .mesh import TensorGrid, build_uniform_partition
-from .problem import (GridField, LiftingFunction, reference_operators,
-                      solve_reference)
+from .problem import reference_operators, solve_reference
 from .reduced import assemble_reduced, solve_reduced
 from .training import adaptive_train_extension, pod
-from .transverse import TransverseSolver
 
 
 class ConfigError(ValueError):
@@ -96,8 +94,11 @@ class DetectConfig:
     out: str = "interface.csv"
 
     def validate(self):
-        if self.NHp < 1 or self.nh < 1:
-            raise ConfigError("NHp and nh must be positive integers")
+        if self.NHp < 1:
+            raise ConfigError("NHp must be a positive integer")
+        if self.nh < 3:
+            # fewer than two y-differences per station have no spread
+            raise ConfigError(f"nh must be at least 3 (got {self.nh})")
         if self.mode not in ("max", "min", "both"):
             raise ConfigError(f"mode must be max, min or both (got {self.mode!r})")
         try:
@@ -105,24 +106,6 @@ class DetectConfig:
         except KeyError as exc:
             raise ConfigError(str(exc)) from exc
         return self
-
-
-def build_transverse_solver(ops):
-    """Map ops.mode onto a transverse snapshot solver on ops' partitions.
-
-    riesz_recon feeds the (negated) reconstructed field ops.riesz_field as a
-    source shift and drops the lifting. The other modes pass ops.lift on;
-    under plain_gD that is the affine boundary blend, treated as a weak
-    lifting.
-    """
-    pd, th, yh = ops.pd, ops.grid.tx, ops.grid.ty
-    if ops.mode == "riesz_recon":
-        rec = GridField(ops.grid, ops.riesz_field)
-        shift = lambda x, y: -rec(x, y)
-        return TransverseSolver(pd, LiftingFunction.zero(), th, yh,
-                                recon="weak_lifting", source_shift=shift)
-    recon = "weak_lifting" if ops.mode == "plain_gD" else ops.mode
-    return TransverseSolver(pd, ops.lift, th, yh, recon=recon)
 
 
 def run_case(cfg, log=print):
@@ -142,11 +125,9 @@ def run_case(cfg, log=print):
     log(f"  reference solved ({grid.node_count} nodes, "
         f"{time.perf_counter() - t_start:.2f}s)")
 
-    solver = build_transverse_solver(ops)
     result = adaptive_train_extension(
-        cfg.g0, pd, lift, cfg.m_max, cfg.i_max, cfg.n_xi, cfg.theta,
-        cfg.sigma_thres, cfg.NHp, th=th, yh=yh, mode=mode, solver=solver,
-        qbar=cfg.qbar, seed=cfg.seed)
+        ops, cfg.g0, cfg.m_max, cfg.i_max, cfg.n_xi, cfg.theta,
+        cfg.sigma_thres, cfg.NHp, qbar=cfg.qbar, seed=cfg.seed)
     n_mu = len({s.mu for s in result.snapshots})
     log(f"  training: {len(result.cells)} cells, {n_mu} parameter points, "
         f"{len(result.snapshots)} snapshots "
@@ -198,16 +179,10 @@ def run_detect(cfg, log=print):
 # ---------------------------------------------------------------------------
 # Argument / config-file handling
 
-_RUN_TYPES = {
-    "case": int, "NH": int, "nh": int, "NHp": int, "qbar": int,
-    "mode": str, "m_max": int, "i_max": int, "n_xi": int, "theta": float,
-    "sigma_thres": float, "eps_tol": float, "seed": int, "out": str, "g0": int,
-}
-_DETECT_TYPES = {"data": str, "NHp": int, "nh": int, "mode": str, "out": str}
-
-
-def read_config_file(path, types):
-    """Parse a plain key=value file (# comments, blank lines allowed)."""
+def read_config_file(path, cfg_cls):
+    """Parse a plain key=value file (# comments, blank lines allowed) into
+    values of the fields of cfg_cls, converted by their declared types."""
+    types = {f.name: f.type for f in fields(cfg_cls)}
     values = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -271,10 +246,10 @@ def build_parser():
     return parser
 
 
-def _merge(cfg_cls, types, args):
+def _merge(cfg_cls, args):
     base = {}
     if args.config:
-        base = read_config_file(args.config, types)
+        base = read_config_file(args.config, cfg_cls)
     for f in fields(cfg_cls):
         v = getattr(args, f.name, None)
         if v is not None:
@@ -290,10 +265,10 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         if args.command == "run":
-            cfg = _merge(RunConfig, _RUN_TYPES, args)
+            cfg = _merge(RunConfig, args)
             runner = run_case
         else:
-            cfg = _merge(DetectConfig, _DETECT_TYPES, args)
+            cfg = _merge(DetectConfig, args)
             runner = run_detect
     except ConfigError as exc:
         print(f"skewlift: config error: {exc}", file=sys.stderr)

@@ -23,10 +23,14 @@ Four right-hand-side treatments of the lifting are supported:
   data through an affine blend of the two vertical-side traces.
 
 The system matrix is identical in all modes; only the right-hand side differs.
-One TensorOperators object is the handle of a grid: solve_reference(ops),
-reduced.assemble_reduced(ops, space), estimator.error_report(ops, ...) and
-cli.build_transverse_solver(ops) read the problem, lifting, grid and mode
-from it. TensorOperators.solve is a grid's only sparse solver: one SuperLU
+The mode is decided once, here: TensorOperators builds the mode's reference
+right-hand side and fixes its transverse snapshot problem
+(ops.snapshot_problem, see TensorOperators), so no other layer branches on
+the mode. One TensorOperators object is the handle of a grid:
+solve_reference(ops), reduced.assemble_reduced(ops, space),
+estimator.error_report(ops, ...) and training.adaptive_train_extension(ops,
+...) read the problem, lifting, grid and mode from it.
+TensorOperators.solve is a grid's only sparse solver: one SuperLU
 factor per distinct interior matrix, minimum-degree ordered on A + A^T (the
 Q1 pattern is structurally symmetric). If b = 0 at every quadrature point
 and div_b is None, G is A, and the reference solve, estimator and indicator
@@ -46,7 +50,7 @@ skew advection part drops out of a(v, v)).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -278,9 +282,13 @@ class TensorOperators:
     (symmetric part of A), the mass matrix M and the mode-consistent
     right-hand side (G is A when b = 0 and div_b is None); the interior
     restrictions and one LU factor per distinct interior matrix are cached.
-    lift is the lifting the right-hand side carries (under plain_gD the
-    affine boundary blend of the one handed in); riesz_field is the
-    reconstructed nodal field under riesz_recon, else None.
+    lift is the lifting handed in; riesz_field is the reconstructed nodal
+    field under riesz_recon, else None. snapshot_problem is the mode's
+    transverse snapshot problem as a (ProblemData, LiftingFunction) pair,
+    solved as source . xi psi - a(h, xi psi): (pd, lift) for weak_lifting,
+    (pd, affine boundary blend) for plain_gD, and pd with F + k Lap(h)
+    (delta_h) or F - R (riesz_recon, R the bilinear interpolant of
+    riesz_field) plus the zero lifting.
     """
 
     def __init__(self, pd, lift, grid, mode="weak_lifting"):
@@ -310,10 +318,8 @@ class TensorOperators:
         self.interior = grid.interior_ids()
         self.riesz_field = None
         self._factors = {}
-
         self.lift = lift
-        if mode == "plain_gD":
-            self.lift = affine_boundary_blend(lift, pd.omega_x)
+
         if mode == "delta_h":
             if lift.laplacian is None:
                 raise ValueError("delta_h mode needs lift.laplacian")
@@ -322,20 +328,32 @@ class TensorOperators:
             folded = lambda x, y: pd.k(x, y) * lift.laplacian(x, y)
             self.rhs_full = (_assemble_load([quad], pd.F)
                              + _assemble_load([quad], folded))
-        else:
-            # F jumps where the interface lifting's Laplacian does, so the
-            # band of the lifting handed in (not the plain_gD blend) selects
-            # the rule
-            rule = _rhs_rules(quad, lift)
-            load_f = _assemble_load(rule, pd.F)
-            lv = _lifting_vector(rule, pd, self.lift)
-            if mode == "riesz_recon":
-                rec = np.zeros(grid.node_count)
-                rec[self.interior] = self.solve("M", lv[self.interior])
-                self.riesz_field = rec.reshape(grid.shape)
-                self.rhs_full = load_f - self.M @ rec
-            else:  # weak_lifting (plain_gD: the same with the blended lift)
-                self.rhs_full = load_f - lv
+            self.snapshot_problem = (
+                replace(pd, F=lambda x, y: pd.F(x, y) + folded(x, y)),
+                LiftingFunction.zero())
+            return
+        # F jumps where the interface lifting's Laplacian does, so the band
+        # of the lifting handed in (not the plain_gD blend) selects the rule
+        rule = _rhs_rules(quad, lift)
+        load_f = _assemble_load(rule, pd.F)
+        if mode == "riesz_recon":
+            rec = np.zeros(grid.node_count)
+            rec[self.interior] = self.solve(
+                "M", _lifting_vector(rule, pd, lift)[self.interior])
+            # only this reconstruction solves with M: free its factor before
+            # the reference LU exists
+            del self._factors[id(self.M_int)]
+            self.riesz_field = rec.reshape(grid.shape)
+            self.rhs_full = load_f - self.M @ rec
+            field = GridField(grid, self.riesz_field)
+            self.snapshot_problem = (
+                replace(pd, F=lambda x, y: pd.F(x, y) - field(x, y)),
+                LiftingFunction.zero())
+            return
+        if mode == "plain_gD":
+            lift = affine_boundary_blend(lift, pd.omega_x)
+        self.rhs_full = load_f - _lifting_vector(rule, pd, lift)
+        self.snapshot_problem = (pd, lift)
 
     # -- interior restrictions, factorizations and norms -------------------
 

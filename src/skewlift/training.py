@@ -6,6 +6,12 @@ uniform samples; transverse snapshots are solved per sample and compressed by
 POD in the L2(omega_hat) inner product (thin SVD of the mass-weighted
 snapshot matrix).
 
+Training takes the reference TensorOperators of the study: its grid gives
+the partitions, its snapshot_problem the transverse snapshot problem of the
+lifting mode (one cached TransverseSolver per run), and its problem, lifting
+and mode the coarse indicator operators, so the snapshots and the indicator
+cannot disagree on the mode.
+
 Cell indicators: for a sample mu the coarse-grid model estimator Delta is
 evaluated with the current modes *augmented by mu's own snapshots*, so
 eta(g) = min over g's samples is a lookahead ("how good could the model get
@@ -39,7 +45,8 @@ import scipy.linalg
 from .mesh import Partition1D, TensorGrid, build_uniform_partition
 from .problem import reference_operators
 from .reduced import XBlocks
-from .transverse import _elements, _p1_diagonals, band_solve, block_band
+from .transverse import (TransverseSolver, _elements, _p1_diagonals,
+                         band_solve, block_band)
 
 
 # ---------------------------------------------------------------------------
@@ -339,28 +346,31 @@ def _all_snapshots(cells, solver):
     return snaps
 
 
-def adaptive_train_extension(g0, pd, lift, m_max, i_max, n_xi, theta,
-                             sigma_thres, coarse_nhp, *, th, yh, mode,
-                             solver, qbar=2, seed=0):
+def adaptive_train_extension(ops, g0, m_max, i_max, n_xi, theta, sigma_thres,
+                             coarse_nhp, *, qbar=2, seed=0):
     """Adaptively grown training set plus its snapshots.
 
-    g0: either an initial ParamCell list or an int n (regular n^qbar grid
-    over the training domain); solver: the mode's TransverseSolver
-    (cli.build_transverse_solver). The coarse N_H' x n_h indicator operators
-    are built once. Each outer iteration m = 1..m_max computes indicators
-    with the (m-1)-mode POD space of the current snapshots and runs i_max
-    mark/refine/solve rounds; the caller compresses the returned snapshots
-    with pod(). Identical seeds give identical training sets (the RNG is a
-    counter-based Philox generator and snapshot caching is keyed by exact
-    parameter tuples).
+    ops: the reference TensorOperators, whose grid gives the partitions th
+    and yh and whose snapshot_problem gives the transverse snapshots; g0:
+    either an initial ParamCell list or an int n (regular n^qbar grid over
+    the training domain). The coarse N_H' x n_h indicator operators are
+    built once, from the problem, lifting and mode of ops. Each outer
+    iteration m = 1..m_max computes indicators with the (m-1)-mode POD space
+    of the current snapshots and runs i_max mark/refine/solve rounds; the
+    caller compresses the returned snapshots with pod(). Identical seeds
+    give identical training sets (the RNG is a counter-based Philox
+    generator and snapshot caching is keyed by exact parameter tuples).
     """
+    pd, th, yh = ops.pd, ops.grid.tx, ops.grid.ty
+    solver = TransverseSolver(*ops.snapshot_problem, th, yh)
     rng = np.random.Generator(np.random.Philox(seed))
     if isinstance(g0, int):
         cells = initial_cells(pd.omega_x, qbar, g0, n_xi, rng, th)
     else:
         cells = list(g0)
     thp = build_uniform_partition(pd.omega_x[0], pd.omega_x[1], coarse_nhp)
-    coarse = XBlocks(reference_operators(pd, lift, TensorGrid(thp, yh), mode))
+    coarse = XBlocks(reference_operators(pd, ops.lift, TensorGrid(thp, yh),
+                                         ops.mode))
     min_width = 2.0 * th.h
     for m in range(1, m_max + 1):
         snaps = _all_snapshots(cells, solver)

@@ -21,9 +21,11 @@ element midpoint reproduces the midpoint-quadrature FE system exactly.
 Per quadrature point x_l the trial combination sum_i xi_i(x_l) P_i enters the
 diffusion-in-y and b2-advection rows while the derivative-weighted combination
 sum_i xi_i'(x_l) P_i enters the diffusion-in-x/b1 row; the right-hand side
-collects F (plus k*Lap(h) in delta_h mode) against xi_k(x_l) and, in weak
-mode, the lifting terms k h_y against v' and k h_x xi_k' + (b.grad h) xi_k
-against v.
+collects F against xi_k(x_l) and the lifting terms k h_y against v' and
+k h_x xi_k' + (b.grad h) xi_k against v. Every lifting mode reaches this
+module as one (ProblemData, LiftingFunction) pair,
+problem.TensorOperators.snapshot_problem: a mode that folds its lifting into
+the source (delta_h, riesz_recon) hands over the zero lifting.
 
 Unknown order and cost: with n_a active hats and n_i = n_h - 1 interior
 y-nodes, unknown j * n_a + a is hat a at interior y-node j + 1 (y-node-major,
@@ -36,7 +38,6 @@ banded LU O(n bw^2) for n = n_a n_i unknowns; no dense n x n matrix is formed.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
@@ -309,14 +310,12 @@ class TransverseSystem:
     yh: Partition1D
 
 
-def assemble_transverse(pd, lift, cb, rule, yh, recon="weak_lifting",
-                        source_shift: Optional[Callable] = None):
+def assemble_transverse(pd, lift, cb, rule, yh):
     """Assemble the coupled transverse system for one parameter vector.
 
-    recon selects the lifting treatment of the snapshot right-hand side:
-    "weak_lifting" keeps the k h_y / k h_x / b.grad(h) terms, "delta_h" folds
-    k*Lap(h) into the source and drops them. source_shift, when given, is an
-    extra vectorized (x, y) term added to F (used for reconstructed sources).
+    (pd, lift) is a snapshot problem (TensorOperators.snapshot_problem): the
+    right-hand side is F . xi psi - a(h, xi psi), with the k h_y, k h_x and
+    b.grad(h) terms of the lifting h.
 
     Unknowns are y-node-major, active-hat minor (see TransverseSystem). Every
     callback is evaluated once, at all x-points and y Gauss points together;
@@ -324,10 +323,6 @@ def assemble_transverse(pd, lift, cb, rule, yh, recon="weak_lifting",
     x-points and scattered into band storage, in O((qbar + qhat) n_a^2 n_h)
     time and O(n_a^2 n_h) memory.
     """
-    if recon not in ("weak_lifting", "delta_h"):
-        raise ValueError(f"unsupported transverse recon mode {recon!r}")
-    if recon == "delta_h" and lift.laplacian is None:
-        raise ValueError("delta_h recon needs lift.laplacian")
     act = cb.active
     n_a = act.size
     if n_a == 0:
@@ -366,25 +361,17 @@ def assemble_transverse(pd, lift, cb, rule, yh, recon="weak_lifting",
         blocks += block
     matrix = band_matrix(block_band(blocks))
 
-    Fv = at_points(pd.F).copy()
-    if source_shift is not None:
-        Fv += at_points(source_shift)
+    hx, hy = at_points(lift.dx), at_points(lift.dy)
+    load = (_p1_load(yh, at_points(pd.F))
+            - _p1_load(yh, kv * hy, against_deriv=True)
+            - _p1_load(yh, b1v * hx + b2v * hy))
+    h2_grad = _p1_load(yh, kv * hx)
     w_val = wts[:, None] * Xi
+    w_der = wts[:, None] * dXi
     rhs = np.zeros((n_i, n_a))
-    if recon == "delta_h":
-        Fv = Fv + kv * at_points(lift.laplacian)
-        load = _p1_load(yh, Fv)
-        for l in range(pts.size):
-            rhs += w_val[l] * load[l][:, None]
-    else:
-        hx, hy = at_points(lift.dx), at_points(lift.dy)
-        load = (_p1_load(yh, Fv) - _p1_load(yh, kv * hy, against_deriv=True)
-                - _p1_load(yh, b1v * hx + b2v * hy))
-        h2_grad = _p1_load(yh, kv * hx)
-        w_der = wts[:, None] * dXi
-        for l in range(pts.size):
-            rhs += w_val[l] * load[l][:, None]
-            rhs -= w_der[l] * h2_grad[l][:, None]
+    for l in range(pts.size):
+        rhs += w_val[l] * load[l][:, None]
+        rhs -= w_der[l] * h2_grad[l][:, None]
 
     return TransverseSystem(matrix, rhs.ravel(), cb, yh)
 
@@ -426,13 +413,11 @@ class TransverseSolver:
     runs deterministic, so the cache preserves it.
     """
 
-    def __init__(self, pd, lift, th, yh, recon="weak_lifting", source_shift=None):
+    def __init__(self, pd, lift, th, yh):
         self.pd = pd
         self.lift = lift
         self.th = th
         self.yh = yh
-        self.recon = recon
-        self.source_shift = source_shift
         self._cache = {}
 
     def solve(self, mu):
@@ -440,9 +425,6 @@ class TransverseSolver:
         if key not in self._cache:
             cb = build_coupled_basis(self.th, key)
             rule = augment_quadrature(self.th, key)
-            system = assemble_transverse(
-                self.pd, self.lift, cb, rule, self.yh,
-                recon=self.recon, source_shift=self.source_shift,
-            )
+            system = assemble_transverse(self.pd, self.lift, cb, rule, self.yh)
             self._cache[key] = snapshot_solve(system)
         return self._cache[key]

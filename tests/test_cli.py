@@ -12,7 +12,6 @@ from skewlift.cli import (
     RunConfig,
     main,
     read_config_file,
-    _RUN_TYPES,
 )
 from skewlift.problem import MODES
 
@@ -135,9 +134,9 @@ def test_config_file_validation(tmp_path, capsys):
     worse = tmp_path / "worse.cfg"
     worse.write_text("just a line without equals\n")
     with pytest.raises(ConfigError):
-        read_config_file(worse, _RUN_TYPES)
+        read_config_file(worse, RunConfig)
     with pytest.raises(ConfigError):
-        read_config_file(tmp_path / "missing.cfg", _RUN_TYPES)
+        read_config_file(tmp_path / "missing.cfg", RunConfig)
 
 
 def test_detect_subcommand_writes_polyline(tmp_path):
@@ -156,7 +155,11 @@ def test_detect_subcommand_writes_polyline(tmp_path):
 def test_detect_config_errors(tmp_path, capsys):
     assert main(["detect", "--data", "no-such-data"]) == 2
     assert main(["detect", "--NHp", "0"]) == 2
-    capsys.readouterr()
+    # one or two transverse cells leave fewer than two y-differences per
+    # station: a config error, not a crash or a false "no variation"
+    assert main(["detect", "--nh", "1"]) == 2
+    assert main(["detect", "--nh", "2"]) == 2
+    assert "nh must be at least 3" in capsys.readouterr().err
 
 
 def test_mode_map_covers_all_modes():

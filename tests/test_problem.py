@@ -190,7 +190,9 @@ def test_plain_gd_blend_carries_boundary_traces():
         cs.problem, cs.lift,
         build_grid(cs.problem.omega_x, cs.problem.omega_y, 16, 10),
         "plain_gD")
-    blend = ops.lift
+    assert ops.lift is cs.lift  # the lifting handed in, kept for the coarse grid
+    snap_pd, blend = ops.snapshot_problem
+    assert snap_pd is cs.problem
     y = np.linspace(0.0, 1.0, 21)
     np.testing.assert_allclose(blend.value(0.0, y), cs.lift.value(0.0, y),
                                atol=1e-14)
@@ -209,6 +211,36 @@ def test_plain_gd_blend_carries_boundary_traces():
     x = np.linspace(0.0, 2.0, 9)[:, None]
     np.testing.assert_allclose(blend2.value(x, y[None, :]),
                                flat.value(x, y[None, :]), atol=1e-14)
+
+
+def test_snapshot_problem_of_each_mode():
+    # weak_lifting hands its own pair on; delta_h folds k Lap(h) into the
+    # source, bit for bit the reference's integrand, and hands on the zero
+    # lifting (riesz_recon: tests/test_transverse.py)
+    cs = case1()
+    pd, lift = cs.problem, cs.lift
+    grid = build_grid(pd.omega_x, pd.omega_y, 16, 10)
+    weak = reference_operators(pd, lift, grid, "weak_lifting")
+    assert weak.snapshot_problem[0] is pd and weak.snapshot_problem[1] is lift
+    ops = reference_operators(pd, lift, grid, "delta_h")
+    snap_pd, snap_lift = ops.snapshot_problem
+    rng = np.random.default_rng(1)
+    x, y = rng.uniform(0.0, 2.0, 50), rng.uniform(0.0, 1.0, 50)
+    assert np.array_equal(snap_pd.F(x, y),
+                          pd.F(x, y) + pd.k(x, y) * lift.laplacian(x, y))
+    for part in (snap_lift.value, snap_lift.dx, snap_lift.dy):
+        assert not np.any(part(x, y))
+
+
+def test_riesz_operators_hold_no_mass_factor():
+    # only the reconstruction solves with M; its factor is freed before the
+    # reference solve adds the A factor
+    cs = case1()
+    grid = build_grid(cs.problem.omega_x, cs.problem.omega_y, 16, 10)
+    ops = reference_operators(cs.problem, cs.lift, grid, "riesz_recon")
+    assert ops._factors == {}
+    solve_reference(ops)
+    assert len(ops._factors) == 1
 
 
 def test_nonpositive_diffusivity_is_rejected():

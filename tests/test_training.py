@@ -189,7 +189,8 @@ def test_element_indicators_match_explicit_projection(mode, m):
     th = build_uniform_partition(*pd.omega_x, 12)
     yh = build_uniform_partition(*pd.omega_y, 12)
     thp = build_uniform_partition(*pd.omega_x, 5)
-    solver = TransverseSolver(pd, lift, th, yh, recon=mode)
+    fine = reference_operators(pd, lift, TensorGrid(th, yh), mode)
+    solver = TransverseSolver(*fine.snapshot_problem, th, yh)
     rng = np.random.Generator(np.random.Philox(0))
     cells = initial_cells(pd.omega_x, 2, 2, 2, rng, th)
     snaps = [s for c in cells for mu in c.samples for s in solver.solve(mu)]
@@ -351,12 +352,11 @@ def test_training_is_seed_reproducible():
     th = build_uniform_partition(0.0, 2.0, 12)
     yh = build_uniform_partition(0.0, 1.0, 8)
     kw = dict(m_max=3, i_max=1, n_xi=2, theta=0.5, sigma_thres=30.0,
-              coarse_nhp=4, th=th, yh=yh, mode="weak_lifting", qbar=2)
+              coarse_nhp=4, qbar=2)
 
     def run(seed):
-        return adaptive_train_extension(
-            2, pd, lift, solver=TransverseSolver(pd, lift, th, yh), seed=seed,
-            **kw)
+        ops = reference_operators(pd, lift, TensorGrid(th, yh))
+        return adaptive_train_extension(ops, 2, seed=seed, **kw)
 
     run_a = run(7)
     run_b = run(7)
@@ -385,9 +385,37 @@ def test_training_builds_coarse_operators_once(monkeypatch):
     monkeypatch.setattr(training, "reference_operators", counting)
     th = build_uniform_partition(0.0, 2.0, 12)
     yh = build_uniform_partition(0.0, 1.0, 8)
+    ops = original(pd, lift, TensorGrid(th, yh))
     run = adaptive_train_extension(
-        2, pd, lift, m_max=3, i_max=1, n_xi=2, theta=0.5, sigma_thres=30.0,
-        coarse_nhp=4, th=th, yh=yh, mode="weak_lifting",
-        solver=TransverseSolver(pd, lift, th, yh), qbar=2, seed=7)
+        ops, 2, m_max=3, i_max=1, n_xi=2, theta=0.5, sigma_thres=30.0,
+        coarse_nhp=4, qbar=2, seed=7)
     assert len(run.cells) > 4  # indicators ran over several rounds
     assert len(calls) == 1
+
+
+def test_training_takes_lifting_and_mode_from_ops(monkeypatch):
+    # plain_gD: the snapshots solve the boundary-blend problem, and the
+    # coarse operators get the lifting the fine ones were handed (they blend
+    # it themselves), in the fine operators' mode
+    cs = case1()
+    pd, lift = cs.problem, cs.lift
+    calls = []
+    original = training.reference_operators
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(training, "reference_operators", recording)
+    th = build_uniform_partition(*pd.omega_x, 12)
+    yh = build_uniform_partition(*pd.omega_y, 8)
+    ops = original(pd, lift, TensorGrid(th, yh), "plain_gD")
+    run = adaptive_train_extension(ops, 2, 1, 1, 2, 0.5, 30.0, 4, seed=3)
+    [(c_pd, c_lift, c_grid, c_mode)] = calls
+    assert c_pd is pd and c_lift is lift and c_mode == "plain_gD"
+    assert c_grid.tx.n == 4 and c_grid.ty is yh
+    blend_solver = TransverseSolver(*ops.snapshot_problem, th, yh)
+    for s in run.snapshots:
+        ref = next(r for r in blend_solver.solve(s.mu)
+                   if r.component == s.component)
+        assert np.array_equal(s.values, ref.values)

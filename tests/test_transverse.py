@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from skewlift.cases import skew_lifting
-from skewlift.mesh import build_uniform_partition
-from skewlift.problem import LiftingFunction, ProblemData
+from skewlift.mesh import TensorGrid, build_uniform_partition
+from skewlift.problem import (GridField, LiftingFunction, ProblemData,
+                              reference_operators)
 from skewlift.transverse import (
     QuadPointsInSameElement,
     TransverseSolver,
@@ -221,21 +222,33 @@ def test_midpoint_rule_reproduces_full_fe_system():
     assert np.max(np.abs(system.rhs - rhs)) <= 1e-13 * np.max(np.abs(rhs))
 
 
-def test_source_shift_equals_modified_source():
-    th = build_uniform_partition(0.0, 2.0, 6)
-    yh = build_uniform_partition(0.0, 1.0, 5)
+def test_riesz_snapshot_problem_folds_minus_reconstruction():
+    """riesz_recon hands the snapshots F - R (R the bilinear interpolant of
+    the reconstructed field) and the zero lifting; its coupled system is the
+    blockwise oracle's for that source."""
+    th = build_uniform_partition(0.0, 2.0, 10)
+    yh = build_uniform_partition(0.0, 1.0, 9)
     pd = _pd(F=lambda x, y: np.sin(x) + y)
-    shift = lambda x, y: np.cos(3.0 * x) * (1.0 - y)
-    pd_shifted = dataclasses.replace(pd, F=lambda x, y: pd.F(x, y) + shift(x, y))
-    lift = LiftingFunction.zero()
-    mu = (0.4, 1.1)
+    lift = skew_lifting()
+    ops = reference_operators(pd, lift, TensorGrid(th, yh), "riesz_recon")
+    snap_pd, snap_lift = ops.snapshot_problem
+    assert dataclasses.replace(snap_pd, F=pd.F) == pd
+    rng = np.random.default_rng(0)
+    x, y = rng.uniform(0.0, 2.0, 40), rng.uniform(0.0, 1.0, 40)
+    rec = GridField(ops.grid, ops.riesz_field)
+    assert np.array_equal(snap_pd.F(x, y), pd.F(x, y) - rec(x, y))
+    for part in (snap_lift.value, snap_lift.dx, snap_lift.dy):
+        assert not np.any(part(x, y))
+
+    mu = (0.25, 0.5, 1.55)
     cb = build_coupled_basis(th, mu)
     rule = augment_quadrature(th, mu)
-    sys_a = assemble_transverse(pd, lift, cb, rule, yh, source_shift=shift)
-    sys_b = assemble_transverse(pd_shifted, lift, cb, rule, yh)
-    assert np.allclose(sys_a.matrix.toarray(), sys_b.matrix.toarray(),
-                       rtol=0, atol=1e-15)
-    assert np.allclose(sys_a.rhs, sys_b.rhs, rtol=0, atol=1e-15)
+    system = assemble_transverse(snap_pd, snap_lift, cb, rule, yh)
+    A, rhs = _coupled_oracle(snap_pd, LiftingFunction.zero(), cb, rule, yh,
+                             "weak_lifting")
+    assert np.max(np.abs(system.matrix.toarray() - A)) \
+        <= 1e-14 * np.max(np.abs(A))
+    assert np.max(np.abs(system.rhs - rhs)) <= 1e-14 * np.max(np.abs(rhs))
 
 
 def _dense_p1(part, c, kind):
@@ -266,10 +279,11 @@ def _dense_load(part, c, against_deriv=False):
     return out[1:-1]
 
 
-def _coupled_oracle(pd, lift, cb, rule, yh, recon):
+def _coupled_oracle(pd, lift, cb, rule, yh, mode):
     """Coupled system block by block: for every x-point, test hat and trial
     hat, a dense y-matrix placed at rows j * n_a + a_t, columns
-    j' * n_a + a_s."""
+    j' * n_a + a_s. mode "delta_h" folds k Lap(h) into F and drops the
+    lifting terms; any other mode keeps them (weak lifting)."""
     act = cb.active
     n_a, n_i = act.size, yh.n - 1
     A = np.zeros((n_a * n_i, n_a * n_i))
@@ -280,7 +294,7 @@ def _coupled_oracle(pd, lift, cb, rule, yh, recon):
         D = _dense_p1(yh, at_x(pd.b2), "grad")
         Mk = _dense_p1(yh, at_x(pd.k), "mass")
         Mb = _dense_p1(yh, at_x(pd.b1), "mass")
-        if recon == "delta_h":
+        if mode == "delta_h":
             g = _dense_load(yh, lambda y: float(
                 pd.F(x, y) + pd.k(x, y) * lift.laplacian(x, y)))
             g_der = np.zeros(n_i)
@@ -301,10 +315,12 @@ def _coupled_oracle(pd, lift, cb, rule, yh, recon):
     return A, rhs
 
 
-@pytest.mark.parametrize("recon", ["weak_lifting", "delta_h"])
-def test_coupled_system_matches_blockwise_oracle(recon):
+@pytest.mark.parametrize("mode", ["weak_lifting", "delta_h"])
+def test_coupled_system_matches_blockwise_oracle(mode):
     """Three parameters with a gap: long hats, an inserted midpoint, n_a = 5,
-    nonsymmetric advection; band storage, dense oracle and dense solve."""
+    nonsymmetric advection; band storage, dense oracle and dense solve. The
+    system is assembled from the mode's snapshot problem; the oracle treats
+    the lifting per mode on its own."""
     th = build_uniform_partition(0.0, 2.0, 10)  # H = 0.2
     yh = build_uniform_partition(0.0, 1.0, 9)
     pd = _pd(
@@ -319,13 +335,15 @@ def test_coupled_system_matches_blockwise_oracle(recon):
     rule = augment_quadrature(th, mu)
     assert cb.active.tolist() == [1, 2, 3, 7, 8]
     assert rule.qhat == 1
-    system = assemble_transverse(pd, lift, cb, rule, yh, recon=recon)
+    ops = reference_operators(pd, lift, TensorGrid(th, yh), mode)
+    snap_pd, snap_lift = ops.snapshot_problem
+    system = assemble_transverse(snap_pd, snap_lift, cb, rule, yh)
 
     n_a, n_i = cb.active.size, yh.n - 1
     bw = 2 * n_a - 1
     assert system.matrix.shape == (n_a * n_i, n_a * n_i)
     assert system.matrix.offsets.tolist() == list(range(bw, -bw - 1, -1))
-    A, rhs = _coupled_oracle(pd, lift, cb, rule, yh, recon)
+    A, rhs = _coupled_oracle(pd, lift, cb, rule, yh, mode)
     assert np.max(np.abs(system.matrix.toarray() - A)) \
         <= 1e-14 * np.max(np.abs(A))
     assert np.max(np.abs(system.rhs - rhs)) <= 1e-14 * np.max(np.abs(rhs))
@@ -340,27 +358,11 @@ def test_coupled_system_matches_blockwise_oracle(recon):
 
     # no diffusion, no advection: a singular system is a RuntimeError
     zero = lambda x, y: np.zeros(np.broadcast(x, y).shape)
-    solver = TransverseSolver(_pd(k=zero, F=pd.F), lift, th, yh, recon=recon)
+    solver = TransverseSolver(dataclasses.replace(snap_pd, k=zero, b1=zero,
+                                                  b2=zero), snap_lift, th, yh)
     with pytest.raises(RuntimeError) as info:
         solver.solve(mu)
     assert not isinstance(info.value, np.linalg.LinAlgError)
-
-
-def test_recon_mode_validation():
-    th = build_uniform_partition(0.0, 2.0, 4)
-    yh = build_uniform_partition(0.0, 1.0, 4)
-    pd = _pd()
-    cb = build_coupled_basis(th, (0.6, 1.2))
-    rule = augment_quadrature(th, (0.6, 1.2))
-    with pytest.raises(ValueError):
-        assemble_transverse(pd, LiftingFunction.zero(), cb, rule, yh,
-                            recon="riesz_recon")
-    no_lap = LiftingFunction(
-        value=lambda x, y: 0.0 * x, dx=lambda x, y: 0.0 * x,
-        dy=lambda x, y: 0.0 * x, laplacian=None,
-    )
-    with pytest.raises(ValueError):
-        assemble_transverse(pd, no_lap, cb, rule, yh, recon="delta_h")
 
 
 def test_no_interior_hats_raises():
