@@ -34,7 +34,8 @@ TensorOperators.solve is a grid's only sparse solver: one SuperLU
 factor per distinct interior matrix, minimum-degree ordered on A + A^T (the
 Q1 pattern is structurally symmetric). If b = 0 at every quadrature point
 and div_b is None, G is A, and the reference solve, estimator and indicator
-share one factor.
+share one factor; otherwise solve_reference frees A's factor once it has
+solved, so a grid keeps one factor (G's) alive either way.
 Matrices use the 2x2 Gauss rule on every cell. The right-hand side of
 weak_lifting, riesz_recon and plain_gD (F and every lifting term) uses 2x2
 Gauss on 4x4 sub-cells of the cells where the lifting's gradient is nonzero
@@ -281,7 +282,8 @@ class TensorOperators:
     Holds the full-grid bilinear-form matrix A, the V-Gram matrix G
     (symmetric part of A), the mass matrix M and the mode-consistent
     right-hand side (G is A when b = 0 and div_b is None); the interior
-    restrictions and one LU factor per distinct interior matrix are cached.
+    restrictions and one LU factor per distinct interior matrix are cached
+    until released.
     lift is the lifting handed in; riesz_field is the reconstructed nodal
     field under riesz_recon, else None. snapshot_problem is the mode's
     transverse snapshot problem as a (ProblemData, LiftingFunction) pair,
@@ -342,7 +344,7 @@ class TensorOperators:
                 "M", _lifting_vector(rule, pd, lift)[self.interior])
             # only this reconstruction solves with M: free its factor before
             # the reference LU exists
-            del self._factors[id(self.M_int)]
+            self.release("M")
             self.riesz_field = rec.reshape(grid.shape)
             self.rhs_full = load_f - self.M @ rec
             field = GridField(grid, self.riesz_field)
@@ -389,10 +391,21 @@ class TensorOperators:
                                f"values (singular matrix?)")
         return x
 
+    def release(self, name):
+        """Free X_int's cached factor (X = "A", "G" or "M"); a later solve
+        with X_int factors it again."""
+        self._factors.pop(id(getattr(self, name + "_int")), None)
+
     def residual_norm(self, u_int):
-        """V-dual norm sqrt(r . G_int^-1 r) of the residual r = rhs - A u."""
-        r = self.rhs_int - self.A_int @ u_int
-        return math.sqrt(max(r @ self.solve("G", r), 0.0))
+        """V-dual norm sqrt(r . G_int^-1 r) of the residual r = rhs - A u.
+
+        u_int is one interior state, or a (k, n) stack of k states (one per
+        row), which gives the k norms from one k-column Gram solve."""
+        U = np.atleast_2d(u_int)
+        R = np.ascontiguousarray(self.rhs_int - (self.A_int @ U.T).T)
+        Z = np.ascontiguousarray(self.solve("G", R.T).T)
+        norms = np.array([math.sqrt(max(r @ z, 0.0)) for r, z in zip(R, Z)])
+        return norms if np.ndim(u_int) == 2 else float(norms[0])
 
     def v_norm(self, u_int):
         return float(np.sqrt(max(u_int @ (self.G_int @ u_int), 0.0)))
@@ -411,8 +424,13 @@ def solve_reference(ops):
     Dirichlet rows/columns are eliminated (the homogenized solution vanishes
     on the boundary), so the unknowns are the (nx-1)(ny-1) interior nodes in
     x-major ordering. Returns the FullSolution on ops.grid in ops.mode.
+    When G is not A (advection), A's factor is freed after the solve: the
+    estimator and the indicator solve with G only.
     """
     x = ops.solve("A", ops.rhs_int)
+    if ops.G is not ops.A:
+        # the estimator and the indicator solve with G only: free A's factor
+        ops.release("A")
     res = np.linalg.norm(ops.A_int @ x - ops.rhs_int)
     scale = max(np.linalg.norm(ops.rhs_int), 1.0)
     if res > 1e-10 * scale:

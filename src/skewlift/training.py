@@ -29,11 +29,18 @@ change:
   view (reduced.XBlocks);
 * once per outer iteration: the block moments A_ij Phi, Phi^T A_ij Phi and
   Phi^T rhs_i of the base space Phi, the (m-1)-mode POD space (BaseMoments);
-* once per sample: the <= 2 Qbar snapshot columns E, M-orthonormalized
-  against Phi, their products A_ij E, the bordered w x w blocks
-  [Phi E]^T A_ij [Phi E] (w = m - 1 + new columns), their banded solve
-  (bandwidth 2w - 1) and the V-dual norm of the explicit coarse residual
-  (TensorOperators.residual_norm, one Gram solve with a cached factor).
+* once per chunk of up to _CHUNK samples (BaseMoments.deltas): the products
+  A_ij E of all the chunk's new columns (three sparse products) and the
+  V-dual norms of all its explicit coarse residuals
+  (TensorOperators.residual_norm, one multi-column Gram solve with a cached
+  factor);
+* once per sample: its <= 2 Qbar snapshot columns E, M-orthonormalized
+  against Phi, the bordered w x w blocks [Phi E]^T A_ij [Phi E]
+  (w = m - 1 + new columns), written into a buffer of the chunk, and their
+  banded solve (bandwidth 2w - 1).
+
+Chunking does not change the arithmetic: every Delta is bitwise the one a
+sample-by-sample evaluation gives.
 """
 
 import math
@@ -269,6 +276,12 @@ def _orthonormalize(base_int, extra_int, M_int, drop_tol=1e-10):
     return np.column_stack([base_int] + new)
 
 
+# Samples per BaseMoments.deltas call in element_indicators: large enough to
+# share the sparse products and the Gram solve, small enough that the chunk's
+# (3 N_H' - 5) x (n_h - 1) x (2 Qbar x chunk) products stay a few MB.
+_CHUNK = 32
+
+
 class BaseMoments:
     """Block moments of one base space Phi (interior rows of the POD modes)
     on the x-blocks of the coarse operators: A_ij Phi, Phi^T A_ij Phi and
@@ -282,28 +295,62 @@ class BaseMoments:
         self.phi_A_phi = phi.T @ self.A_phi
         self.phi_rhs = xb.rhs @ phi
 
-    def delta(self, extra):
-        """Model estimator Delta on the coarse grid for the base augmented by
-        the M-orthonormalized extra columns: the Galerkin solution in
-        span(I (x) [Phi E]) (x-major, mode-minor; a banded solve of the
-        bordered block-tridiagonal system) and the V-dual norm of its
-        explicit residual. When [Phi E] spans the whole interior transverse
-        space, the Galerkin solution is the coarse FE solution and Delta is
-        exactly 0 (computing it would only return round-off)."""
+    def deltas(self, extras):
+        """Model estimator Delta on the coarse grid for each entry of extras,
+        the base augmented by that entry's M-orthonormalized columns E.
+
+        Per entry: the Galerkin solution in span(I (x) [Phi E]) (x-major,
+        mode-minor; a banded solve of the bordered block-tridiagonal system
+        [Phi E]^T A_ij [Phi E]) and the V-dual norm of its explicit residual.
+        Shared by all entries: one sparse product A_ij E over all their
+        columns and one Gram solve over all their residuals. The small dense
+        products are taken per entry, on slices, because BLAS rounds them
+        differently for different column counts; so every Delta is bitwise
+        the same whatever entries share the call. When [Phi E] spans the
+        whole interior transverse space, the Galerkin solution is the
+        coarse FE solution and Delta is exactly 0 (computing it would only
+        return round-off).
+        """
         xb, phi = self.xb, self.phi
-        m = phi.shape[1]
-        E = _orthonormalize(phi, extra, self.M_y)[:, m:]
-        w = m + E.shape[1]
-        if w >= xb.n_y:
-            return 0.0
-        A_E = xb.products(E)
-        blocks = np.block([[self.phi_A_phi, phi.T @ A_E],
-                           [E.T @ self.A_phi, E.T @ A_E]])
-        rhs_r = np.hstack([self.phi_rhs, xb.rhs @ E])
-        sol = band_solve(block_band(blocks), rhs_r.ravel(),
-                         "coarse indicator system")
-        u = sol.reshape(xb.n_x, w) @ np.hstack([phi, E]).T
-        return xb.ops.residual_norm(u.ravel())
+        n_x, n_y, m = xb.n_x, xb.n_y, phi.shape[1]
+        Es = [_orthonormalize(phi, extra, self.M_y)[:, m:] for extra in extras]
+        A_E = xb.products(np.hstack(Es))
+        w_max = m + max(E.shape[1] for E in Es)
+        # bordered blocks, right-hand side and basis [Phi E]; the Phi parts
+        # are the same for every entry
+        blocks = np.empty((xb.rows.size, w_max, w_max))
+        blocks[:, :m, :m] = self.phi_A_phi
+        rhs_r = np.empty((n_x, w_max))
+        rhs_r[:, :m] = self.phi_rhs
+        basis = np.empty((n_y, w_max))
+        basis[:, :m] = phi
+        out = np.zeros(len(Es))
+        U = np.empty((len(Es), n_x * n_y))
+        solved = []
+        col = 0
+        for s, E in enumerate(Es):
+            k = E.shape[1]
+            w = m + k
+            A_Es = A_E[:, :, col:col + k]
+            col += k
+            if w >= n_y:
+                continue
+            if min(m, k) == 1:
+                # matrix-vector BLAS kernels round a strided operand
+                # differently from a contiguous one
+                A_Es = A_Es.copy()
+            blocks[:, :m, m:w] = phi.T @ A_Es
+            blocks[:, m:w, :m] = E.T @ self.A_phi
+            blocks[:, m:w, m:w] = E.T @ A_Es
+            rhs_r[:, m:w] = xb.rhs @ E
+            basis[:, m:w] = E
+            sol = band_solve(block_band(blocks[:, :w, :w]),
+                             rhs_r[:, :w].ravel(), "coarse indicator system")
+            U[len(solved)] = (sol.reshape(n_x, w) @ basis[:, :w].T).ravel()
+            solved.append(s)
+        if solved:
+            out[solved] = xb.ops.residual_norm(U[:len(solved)])
+        return out
 
 
 def element_indicators(base, cells, solver):
@@ -312,18 +359,22 @@ def element_indicators(base, cells, solver):
     base: BaseMoments of the current space. For every sample mu of a cell
     the reduced problem is solved on the N_H' x n_h grid with the space
     augmented by mu's snapshots and the model estimator Delta is evaluated
-    there; eta is the minimum over the cell's samples. sigma = diam * rho.
+    there, _CHUNK samples per BaseMoments.deltas call; eta is the minimum
+    over the cell's samples. sigma = diam * rho.
     """
-    eta = np.empty(len(cells))
+    owner = np.repeat(np.arange(len(cells)), [len(c.samples) for c in cells])
+    mus = [mu for cell in cells for mu in cell.samples]
+    delta = np.empty(len(mus))
+    for lo in range(0, len(mus), _CHUNK):
+        extras = [np.column_stack([s.values[1:-1] for s in solver.solve(mu)])
+                  for mu in mus[lo:lo + _CHUNK]]
+        delta[lo:lo + len(extras)] = base.deltas(extras)
+    eta = np.full(len(cells), math.inf)
+    np.minimum.at(eta, owner, delta)
     sigma = np.empty(len(cells))
     for ci, cell in enumerate(cells):
-        best = math.inf
-        for mu in cell.samples:
-            extra = np.column_stack([s.values[1:-1] for s in solver.solve(mu)])
-            best = min(best, base.delta(extra))
-        eta[ci] = best
+        cell.eta = float(eta[ci])
         sigma[ci] = cell.sigma
-        cell.eta = best
     return eta, sigma
 
 

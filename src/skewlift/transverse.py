@@ -80,34 +80,28 @@ class CoupledBasis:
     def kept_x(self):
         return self.base.nodes[self.kept_nodes]
 
-    def _neighbors(self, node_id):
-        pos = np.searchsorted(self.kept_nodes, node_id)
-        if pos >= self.kept_nodes.size or self.kept_nodes[pos] != node_id:
-            raise KeyError(f"node {node_id} was deleted")
+    def tables(self, x):
+        """Values and derivatives of the active hats at the points x.
+
+        Returns two (len(x), n_active) arrays. A hat is 1 at its node and
+        linear down to 0 at the neighbouring kept nodes (an active hat is
+        interior, so it has both); its derivative is right-continuous at
+        the breakpoints.
+        """
+        pos = np.searchsorted(self.kept_nodes, self.active)
         kx = self.kept_x
-        left = kx[pos - 1] if pos > 0 else None
-        right = kx[pos + 1] if pos + 1 < kx.size else None
-        return left, kx[pos], right
-
-    def value(self, node_id, x):
-        """Modified hat value at x (scalar)."""
-        left, center, right = self._neighbors(node_id)
-        if x == center:
-            return 1.0
-        if left is not None and left < x < center:
-            return (x - left) / (center - left)
-        if right is not None and center < x < right:
-            return (right - x) / (right - center)
-        return 0.0
-
-    def deriv(self, node_id, x):
-        """Modified hat derivative at x; right-continuous at breakpoints."""
-        left, center, right = self._neighbors(node_id)
-        if left is not None and left <= x < center:
-            return 1.0 / (center - left)
-        if right is not None and center <= x < right:
-            return -1.0 / (right - center)
-        return 0.0
+        left, center, right = kx[pos - 1], kx[pos], kx[pos + 1]
+        x = np.asarray(x, dtype=float)[:, None]
+        rise = (left < x) & (x < center)
+        fall = (center < x) & (x < right)
+        val = np.where(x == center, 1.0,
+                       np.where(rise, (x - left) / (center - left),
+                                np.where(fall, (right - x) / (right - center),
+                                         0.0)))
+        der = np.where((left <= x) & (x < center), 1.0 / (center - left),
+                       np.where((center <= x) & (x < right),
+                                -1.0 / (right - center), 0.0))
+        return val, der
 
 
 def _rel(part, x):
@@ -276,15 +270,34 @@ def band_matrix(band):
     return sp.dia_matrix((band, np.arange(bw, -bw - 1, -1)), shape=(n, n))
 
 
+_gbsv = scipy.linalg.lapack.dgbsv
+
+
 def band_solve(band, rhs, what):
-    """LAPACK banded LU solve, O(n bw^2) for n unknowns. A singular or
-    non-finite solve raises RuntimeError naming the system (what)."""
+    """LAPACK banded LU solve, O(n bw^2) for n unknowns.
+
+    band is the (2 bw + 1, n) storage of block_band, rhs one right-hand side
+    of length n. For bw > 1 the band is padded with the bw rows of LU fill
+    and handed to LAPACK gbsv directly: the call scipy.linalg.solve_banded
+    makes after its input checks, without their per-call cost. Tridiagonal
+    systems (bw = 1) go through solve_banded, which uses gtsv. A singular or
+    non-finite solve raises RuntimeError naming the system (what).
+    """
     bw = band.shape[0] // 2
-    try:
-        sol = scipy.linalg.solve_banded((bw, bw), band, rhs,
-                                        check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"{what} is singular") from exc
+    if bw == 1:
+        try:
+            sol = scipy.linalg.solve_banded((1, 1), band, rhs,
+                                            check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise RuntimeError(f"{what} is singular") from exc
+    else:
+        padded = np.zeros((3 * bw + 1, band.shape[1]), order="F")
+        padded[bw:] = band
+        _, _, sol, info = _gbsv(bw, bw, padded, rhs, overwrite_ab=True)
+        if info > 0:
+            raise RuntimeError(f"{what} is singular")
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of gbsv")
     if not np.all(np.isfinite(sol)):
         raise RuntimeError(f"{what}: solve diverged")
     return sol
@@ -338,8 +351,7 @@ def assemble_transverse(pd, lift, cb, rule, yh):
         return np.broadcast_to(np.asarray(f(X, Y), dtype=float), shape)
 
     # xi_a(x_l) and xi_a'(x_l), shape (n_points, n_a)
-    Xi = np.array([[cb.value(a, x) for a in act] for x in pts])
-    dXi = np.array([[cb.deriv(a, x) for a in act] for x in pts])
+    Xi, dXi = cb.tables(pts)
     # per-point block coefficients [l, test hat, trial hat]
     w_trial_val = wts[:, None, None] * Xi[:, None, :]
     w_trial_der = wts[:, None, None] * dXi[:, None, :]

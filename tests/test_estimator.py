@@ -55,6 +55,18 @@ def _solve_pair(pd, m, nx=40, ny=20):
     return ops, ref, space, rsol
 
 
+def test_advective_study_keeps_only_the_gram_factor():
+    # after the reference solve only G is solved with, so A's factor is
+    # freed: one factor (G's) is cached after the estimator, as at b = 0
+    ops, ref, _, rsol = _solve_pair(_pd(b=(1.0, 0.5)), 3)
+    assert ops.G is not ops.A
+    error_report(ops, ref, rsol)
+    assert list(ops._factors) == [id(ops.G_int)]
+    ops0, ref0, _, rsol0 = _solve_pair(_pd(), 3)
+    error_report(ops0, ref0, rsol0)
+    assert list(ops0._factors) == [id(ops0.A_int)]  # G is A
+
+
 def test_estimator_equals_error_without_advection():
     pd = _pd(b=(0.0, 0.0))
     for m in (1, 2, 4):

@@ -25,7 +25,8 @@ from skewlift.training import (
     refine,
     transverse_mass,
 )
-from skewlift.transverse import TransverseSolver, build_coupled_basis
+from skewlift.transverse import (TransverseSolver, block_band,
+                                 build_coupled_basis)
 
 
 def _exact_mass(part):
@@ -214,6 +215,64 @@ def test_element_indicators_match_explicit_projection(mode, m):
             r = rhs - A @ u
             deltas.append(math.sqrt(r @ np.linalg.solve(G, r)))
         assert got == pytest.approx(min(deltas), rel=1e-10)
+
+
+def _unbatched_delta(base, extra):
+    """Delta of one sample, one step at a time: the bordered blocks by
+    np.block, scipy's solve_banded, a one-column Gram solve."""
+    xb, phi = base.xb, base.phi
+    m = phi.shape[1]
+    E = _orthonormalize(phi, extra, base.M_y)[:, m:]
+    w = m + E.shape[1]
+    if w >= xb.n_y:
+        return 0.0
+    A_E = xb.products(E)
+    blocks = np.block([[base.phi_A_phi, phi.T @ A_E],
+                       [E.T @ base.A_phi, E.T @ A_E]])
+    rhs = np.hstack([base.phi_rhs, xb.rhs @ E]).ravel()
+    bw = 2 * w - 1
+    sol = scipy.linalg.solve_banded((bw, bw), block_band(blocks), rhs)
+    u = (sol.reshape(xb.n_x, w) @ np.hstack([phi, E]).T).ravel()
+    r = xb.ops.rhs_int - xb.ops.A_int @ u
+    return math.sqrt(max(r @ xb.ops.solve("G", r), 0.0))
+
+
+@pytest.mark.parametrize("mode", ["weak_lifting", "delta_h"])
+@pytest.mark.parametrize("m", [0, 1, 3])
+def test_batched_indicators_equal_the_unbatched_maths(mode, m):
+    # more samples than one chunk; advection, so G is not A
+    cs = case1(b=(1.0, 0.5))
+    pd, lift = cs.problem, cs.lift
+    th = build_uniform_partition(*pd.omega_x, 12)
+    yh = build_uniform_partition(*pd.omega_y, 12)
+    thp = build_uniform_partition(*pd.omega_x, 5)
+    fine = reference_operators(pd, lift, TensorGrid(th, yh), mode)
+    solver = TransverseSolver(*fine.snapshot_problem, th, yh)
+    rng = np.random.Generator(np.random.Philox(1))
+    cells = initial_cells(pd.omega_x, 2, 4, 3, rng, th)
+    mus = [mu for c in cells for mu in c.samples]
+    assert len(mus) > training._CHUNK
+    snaps = [s for mu in mus for s in solver.solve(mu)]
+    space = pod(snaps, yh, count=m) if m else empty_space(yh)
+    ops = reference_operators(pd, lift, TensorGrid(thp, yh), mode)
+    assert ops.G is not ops.A
+    base = BaseMoments(XBlocks(ops), space)
+    eta, _ = element_indicators(base, cells, solver)
+
+    dropped = 0
+    expected = []
+    for cell in cells:
+        deltas = []
+        for mu in cell.samples:
+            extra = np.column_stack([s.values[1:-1] for s in solver.solve(mu)])
+            kept = _orthonormalize(base.phi, extra, base.M_y).shape[1] - m
+            dropped += kept < extra.shape[1]
+            deltas.append(_unbatched_delta(base, extra))
+        expected.append(min(deltas))
+    assert np.array_equal(eta, expected)
+    assert [c.eta for c in cells] == expected
+    if mode == "delta_h":
+        assert dropped > 0  # dependent snapshot columns were dropped
 
 
 def test_indicators_vanish_when_the_space_is_full():

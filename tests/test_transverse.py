@@ -4,16 +4,20 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from skewlift.cases import skew_lifting
 from skewlift.mesh import TensorGrid, build_uniform_partition
 from skewlift.problem import (GridField, LiftingFunction, ProblemData,
                               reference_operators)
 from skewlift.transverse import (
+    CoupledBasis,
     QuadPointsInSameElement,
     TransverseSolver,
     assemble_transverse,
     augment_quadrature,
+    band_solve,
+    block_band,
     build_coupled_basis,
     snapshot_solve,
 )
@@ -43,17 +47,16 @@ def test_gap_deletion_and_long_hats():
     assert cb.kept_nodes.tolist() == [0, 1, 3, 4]
     assert np.allclose(cb.kept_x, [0.0, 0.5, 1.5, 2.0])
     assert cb.active.tolist() == [1, 3]
-    # the surviving hats stretch over the deleted range
-    assert cb.value(1, 0.5) == 1.0
-    assert cb.value(1, 1.0) == pytest.approx(0.5)
-    assert cb.value(3, 1.0) == pytest.approx(0.5)
-    assert cb.value(1, 1.5) == 0.0
-    assert cb.deriv(1, 0.7) == pytest.approx(-1.0)
-    assert cb.deriv(1, 0.2) == pytest.approx(2.0)
+    # the surviving hats stretch over the deleted range; columns are the
+    # active hats 1 and 3
+    val, der = cb.tables([0.5, 1.0, 1.5, 0.7, 0.2])
+    assert val[0].tolist() == [1.0, 0.0]
+    assert val[1] == pytest.approx([0.5, 0.5])
+    assert val[2].tolist() == [0.0, 1.0]
+    assert der[3] == pytest.approx([-1.0, 1.0])
+    assert der[4] == pytest.approx([2.0, 0.0])
     # right-continuous switch at the hat center
-    assert cb.deriv(1, 0.5) == pytest.approx(-1.0)
-    with pytest.raises(KeyError):
-        cb.value(2, 1.0)
+    assert der[0] == pytest.approx([-1.0, 1.0])
 
 
 def test_adjacent_elements_keep_all_nodes():
@@ -305,11 +308,12 @@ def _coupled_oracle(pd, lift, cb, rule, yh, mode):
                  - _dense_load(yh, lambda y: float(pd.b1(x, y) * lift.dx(x, y)
                                                    + pd.b2(x, y) * lift.dy(x, y))))
             g_der = _dense_load(yh, lambda y: float(pd.k(x, y) * lift.dx(x, y)))
-        for a_t, it in enumerate(act):
-            v_t, d_t = cb.value(it, x), cb.deriv(it, x)
+        val, der = cb.tables([x])
+        for a_t in range(n_a):
+            v_t, d_t = val[0, a_t], der[0, a_t]
             rhs[a_t::n_a] += al * (v_t * g - d_t * g_der)
-            for a_s, is_ in enumerate(act):
-                v_s, d_s = cb.value(is_, x), cb.deriv(is_, x)
+            for a_s in range(n_a):
+                v_s, d_s = val[0, a_s], der[0, a_s]
                 A[a_t::n_a, a_s::n_a] += al * (v_s * v_t * (K + D)
                                               + d_s * d_t * Mk + d_s * v_t * Mb)
     return A, rhs
@@ -363,6 +367,95 @@ def test_coupled_system_matches_blockwise_oracle(mode):
     with pytest.raises(RuntimeError) as info:
         solver.solve(mu)
     assert not isinstance(info.value, np.linalg.LinAlgError)
+
+
+def _scalar_tables(cb, x):
+    """The modified hats of cb.active evaluated one (point, hat) at a time
+    from the hat definition: 1 at the node, linear down to 0 at the
+    neighbouring kept nodes, derivative right-continuous."""
+    kx = cb.kept_x
+    val = np.zeros((len(x), cb.active.size))
+    der = np.zeros_like(val)
+    for a, node in enumerate(cb.active):
+        p = cb.kept_nodes.tolist().index(node)
+        left, center, right = kx[p - 1], kx[p], kx[p + 1]
+        for l, xl in enumerate(x):
+            if xl == center:
+                val[l, a] = 1.0
+            elif left < xl < center:
+                val[l, a] = (xl - left) / (center - left)
+            elif center < xl < right:
+                val[l, a] = (right - xl) / (right - center)
+            if left <= xl < center:
+                der[l, a] = 1.0 / (center - left)
+            elif center <= xl < right:
+                der[l, a] = -1.0 / (right - center)
+    return val, der
+
+
+class _ScalarBasis(CoupledBasis):
+    def tables(self, x):
+        return _scalar_tables(self, x)
+
+
+def test_hat_tables_keep_the_assembly_bitwise():
+    """Over a sweep of parameter pairs (adjacent, gapped, on nodes, at the
+    ends), the array evaluation of the hats equals the one-at-a-time one
+    bit for bit, and so do the assembled matrix and right-hand side."""
+    th = build_uniform_partition(0.0, 2.0, 10)  # H = 0.2
+    yh = build_uniform_partition(0.0, 1.0, 6)
+    pd = _pd(
+        k=lambda x, y: 1.0 + 0.2 * x + 0.1 * y * y,
+        b1=lambda x, y: 1.0 + 0.5 * y,
+        b2=lambda x, y: -0.7 + 0.3 * x,
+        F=lambda x, y: np.sin(3.0 * x) + y * np.cos(x),
+    )
+    lift = skew_lifting()
+    grid = np.concatenate([np.linspace(0.013, 1.987, 23), th.nodes[1:-1]])
+    checked = 0
+    for i, lo in enumerate(grid):
+        for hi in grid[i + 1:]:
+            try:
+                cb = build_coupled_basis(th, (lo, hi))
+            except QuadPointsInSameElement:
+                continue
+            rule = augment_quadrature(th, (lo, hi))
+            val, der = cb.tables(rule.points)
+            ref_val, ref_der = _scalar_tables(cb, rule.points)
+            assert np.array_equal(val, ref_val) and np.array_equal(der, ref_der)
+            scalar = _ScalarBasis(cb.base, cb.mu, cb.kept_nodes, cb.active)
+            got = assemble_transverse(pd, lift, cb, rule, yh)
+            ref = assemble_transverse(pd, lift, scalar, rule, yh)
+            assert np.array_equal(got.matrix.data, ref.matrix.data)
+            assert np.array_equal(got.rhs, ref.rhs)
+            checked += 1
+    assert checked > 400
+
+
+@pytest.mark.parametrize("w", [1, 2, 4])
+def test_band_solve_matches_solve_banded(w):
+    """bw = 1 goes through solve_banded (gtsv), bw > 1 straight to gbsv:
+    both bitwise equal to scipy's solve_banded; a singular band raises
+    RuntimeError naming the system."""
+    rng = np.random.default_rng(w)
+    n = 7
+    blocks = rng.normal(size=(3 * n - 2, w, w))
+    blocks[:n] += 4.0 * np.eye(w)
+    band = block_band(blocks)
+    bw = 2 * w - 1
+    assert band.shape == (2 * bw + 1, n * w)
+    rhs = rng.normal(size=n * w)
+    expected = scipy.linalg.solve_banded((bw, bw), band, rhs)
+    rhs0 = rhs.copy()
+    got = band_solve(band, rhs, "test system")
+    assert np.array_equal(got, expected)
+    # inputs untouched
+    assert np.array_equal(band, block_band(blocks))
+    assert np.array_equal(rhs, rhs0)
+    singular = band.copy()
+    singular[:, n * w // 2] = 0.0  # a zero column
+    with pytest.raises(RuntimeError, match="test system is singular"):
+        band_solve(singular, rhs, "test system")
 
 
 def test_no_interior_hats_raises():
