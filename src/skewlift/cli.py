@@ -14,6 +14,7 @@ error, 3 numerical failure; any other exception is a bug and propagates.
 """
 
 import argparse
+import os
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -41,6 +42,13 @@ MODE_MAP = {
 }
 
 
+def _check_out_dir(out):
+    """Reject an output directory that does not exist ("" is the cwd)."""
+    folder = os.path.dirname(out)
+    if folder and not os.path.isdir(folder):
+        raise ConfigError(f"output directory {folder!r} does not exist")
+
+
 @dataclass
 class RunConfig:
     """Hyperparameters of one convergence study."""
@@ -56,7 +64,6 @@ class RunConfig:
     n_xi: int = 4
     theta: float = 0.1
     sigma_thres: float = 30.0
-    eps_tol: float = 0.0
     seed: int = 0
     out: str = "convergence.csv"
     g0: int = 2  # initial training grid: g0^qbar cells
@@ -78,8 +85,9 @@ class RunConfig:
             raise ConfigError(f"theta must lie in (0, 1] (got {self.theta})")
         if self.sigma_thres <= 0.0:
             raise ConfigError("sigma-thres must be positive")
-        if self.eps_tol < 0.0:
-            raise ConfigError("eps-tol must be nonnegative")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative (got {self.seed})")
+        _check_out_dir(self.out)
         return self
 
 
@@ -105,6 +113,7 @@ class DetectConfig:
             cases.detection_data(self.data)
         except KeyError as exc:
             raise ConfigError(str(exc)) from exc
+        _check_out_dir(self.out)
         return self
 
 
@@ -138,14 +147,6 @@ def run_case(cfg, log=print):
         raise RuntimeError(
             f"POD yielded only {space.m} numerically independent modes "
             f"(< m_max={cfg.m_max}); enlarge the training set (n-xi, g0)")
-    if cfg.eps_tol > 0.0:
-        reached = [m for m in range(1, space.m + 1)
-                   if space.tail(m) <= cfg.eps_tol]
-        if reached:
-            log(f"  POD tail meets eps-tol {cfg.eps_tol:g} at m={reached[0]}")
-        else:
-            log(f"  POD tail does not reach eps-tol {cfg.eps_tol:g} "
-                f"within m_max={cfg.m_max}")
 
     full = assemble_reduced(ops, space)
     reports = []
@@ -220,7 +221,6 @@ def _add_run_flags(p):
     p.add_argument("--n-xi", type=int, help="samples per training cell")
     p.add_argument("--theta", type=float, help="marking fraction in (0, 1]")
     p.add_argument("--sigma-thres", type=float, help="age-indicator threshold")
-    p.add_argument("--eps-tol", type=float, help="POD tail tolerance to report")
     p.add_argument("--seed", type=int, help="training RNG seed")
     p.add_argument("--g0", type=int, help="initial cells per parameter direction")
     p.add_argument("--out", help="output CSV path")

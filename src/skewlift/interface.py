@@ -21,7 +21,7 @@ from scipy.interpolate import PchipInterpolator
 
 from .mesh import Partition1D, build_uniform_partition
 from .problem import LiftingFunction
-from .transverse import band_solve
+from .transverse import band_solve, block_band, block_pairs
 
 
 class InterfaceNotFoundError(RuntimeError):
@@ -252,19 +252,17 @@ def solve_boussinesq(wt, dt, t_end, bc):
     W[0] = wt.w
     W[0, 0], W[0, -1] = bc
     w = W[0].copy()
+    c = 0.5 * wt.K / h2
+    rows, cols = block_pairs(n + 1)
+    diagonal = rows == cols
+    pinned = (rows == 0) | (rows == n)  # rows holding the boundary values
     for step in range(1, nsteps + 1):
-        c = 0.5 * wt.K / h2
-        # banded storage: row 0 upper, row 1 diag, row 2 lower
-        ab = np.zeros((3, n + 1))
-        rhs = np.empty(n + 1)
-        ab[1, :] = 1.0 / dt + 2.0 * c * w
-        ab[0, 1:] = -c * w[1:]
-        ab[2, :-1] = -c * w[:-1]
-        rhs[:] = w / dt - wt.N
-        ab[1, 0] = ab[1, -1] = 1.0
-        ab[0, 1] = ab[2, -2] = 0.0
+        blocks = np.where(diagonal, 1.0 / dt + 2.0 * c * w[cols], -c * w[cols])
+        blocks[pinned] = diagonal[pinned]
+        rhs = w / dt - wt.N
         rhs[0], rhs[-1] = bc
-        w = band_solve(ab, rhs, f"Boussinesq step {step}")
+        w = band_solve(block_band(blocks[:, None, None]), rhs,
+                       f"Boussinesq step {step}")
         W[step] = w
     return times, W
 

@@ -4,6 +4,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# two-point Gauss-Legendre nodes on the reference element [0, 1]
+GAUSS_NODES = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
+GAUSS_NODES.setflags(write=False)
+
 
 @dataclass(frozen=True)
 class Partition1D:

@@ -59,11 +59,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import TensorGrid
+from .mesh import GAUSS_NODES, TensorGrid
 
 MODES = ("weak_lifting", "delta_h", "riesz_recon", "plain_gD")
-
-_GP = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 
 
 @dataclass(frozen=True)
@@ -165,7 +163,7 @@ def _shape_tables(sub=1):
     """Q1 shape values/derivatives at the 2x2 Gauss points of each of the
     sub x sub sub-cells of the unit square. Node order (0,0),(1,0),(1,1),(0,1);
     qpoint order u-major. Returns (u, v, N, dNu, dNv), N etc. of shape (q, 4)."""
-    u1 = ((np.arange(sub)[:, None] + _GP[None, :]) / sub).ravel()
+    u1 = ((np.arange(sub)[:, None] + GAUSS_NODES[None, :]) / sub).ravel()
     u = np.repeat(u1, u1.size)
     v = np.tile(u1, u1.size)
     N = np.stack([(1 - u) * (1 - v), u * (1 - v), u * v, (1 - u) * v], axis=1)

@@ -8,7 +8,8 @@ ordering the reference A is block-tridiagonal in x with (n_h - 1) x
 (n_h - 1) blocks A_ij; with Phi the modes' interior nodal
 values, the reduced matrix has the m x m blocks Phi^T A_ij Phi (x-node
 major, mode minor) and the right-hand side Phi^T rhs_i. It is
-block-tridiagonal too and is solved as a band matrix of bandwidth 2m - 1.
+block-tridiagonal too; ReducedSystem keeps only its blocks, solved as a
+band matrix (transverse.block_band) of bandwidth 2m - 1.
 The training indicator (training.BaseMoments) is the same projection on
 its coarse x-grid.
 
@@ -25,16 +26,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import TensorGrid
-from .transverse import band_matrix, band_solve, block_band
+from .transverse import band_solve, block_band, block_pairs
 
 
 class XBlocks:
     """x-block view of assembled tensor operators.
 
     The nonzero blocks A_ij of the interior A, |i - j| <= 1, are the pairs
-    (rows[p], cols[p]), stacked diagonal (i, i), upper (i, i + 1), lower
-    (i + 1, i): the block order of transverse.block_band. rhs holds the
-    interior right-hand side as (n_x, n_y) x-block rows.
+    (rows[p], cols[p]) = transverse.block_pairs(n_x), the block order of
+    transverse.block_band. rhs holds the interior right-hand side as
+    (n_x, n_y) x-block rows.
     """
 
     def __init__(self, ops):
@@ -42,9 +43,7 @@ class XBlocks:
         self.n_x = ops.grid.nx - 1
         self.n_y = ops.grid.ny - 1
         self.rhs = ops.rhs_int.reshape(self.n_x, self.n_y)
-        i = np.arange(self.n_x)
-        self.rows = np.concatenate([i, i[:-1], i[1:]])
-        self.cols = np.concatenate([i, i[1:], i[:-1]])
+        self.rows, self.cols = block_pairs(self.n_x)
 
     def products(self, X):
         """A_ij X for every stored pair, shape (n_pairs, n_y, k).
@@ -78,11 +77,6 @@ class ReducedSystem:
     space: object
     grid: TensorGrid
     mode: str
-
-    @property
-    def matrix(self):
-        """The assembled (m (NH - 1))^2 matrix, in band storage (DIA)."""
-        return band_matrix(block_band(self.blocks))
 
     def truncate(self, m):
         """The system of the leading m modes: leading m x m sub-blocks."""
@@ -141,14 +135,19 @@ class ReducedSolution:
 
 
 def solve_reduced(system):
+    """Banded LU solve of system.blocks; a residual (one block matvec over
+    the blocks) above 1e-9 max(|rhs|, 1) raises RuntimeError."""
     m = system.space.m
     if m == 0:
         raise ValueError("cannot solve with an empty reduction space")
-    matrix = system.matrix
-    rhs = system.rhs.ravel()
-    sol = band_solve(matrix.data, rhs, f"reduced system at m={m}")
-    res = np.linalg.norm(matrix @ sol - rhs)
+    rhs = system.rhs
+    sol = band_solve(block_band(system.blocks), rhs.ravel(),
+                     f"reduced system at m={m}").reshape(rhs.shape)
+    rows, cols = block_pairs(rhs.shape[0])
+    product = np.zeros_like(sol)
+    np.add.at(product, rows, np.einsum("pts,ps->pt", system.blocks, sol[cols]))
+    res = np.linalg.norm(product - rhs)
     if res > 1e-9 * max(np.linalg.norm(rhs), 1.0):
         raise RuntimeError(f"reduced solve residual {res:.3e} too large")
-    coeffs = sol.reshape(system.grid.nx - 1, m).T
+    coeffs = sol.T
     return ReducedSolution(system.space, coeffs, system.grid, system.mode)

@@ -37,7 +37,7 @@ change:
 * once per sample: its <= 2 Qbar snapshot columns E, M-orthonormalized
   against Phi, the bordered w x w blocks [Phi E]^T A_ij [Phi E]
   (w = m - 1 + new columns), written into a buffer of the chunk, and their
-  banded solve (bandwidth 2w - 1).
+  banded solve (transverse.block_band and band_solve, bandwidth 2w - 1).
 
 Chunking does not change the arithmetic: every Delta is bitwise the one a
 sample-by-sample evaluation gives.

@@ -31,9 +31,11 @@ Unknown order and cost: with n_a active hats and n_i = n_h - 1 interior
 y-nodes, unknown j * n_a + a is hat a at interior y-node j + 1 (y-node-major,
 active-hat minor). Every x-point couples all active hats but only
 neighbouring y-nodes, so the system is block-tridiagonal with n_a x n_a
-blocks: a band matrix with lower and upper bandwidth bw = 2 n_a - 1, stored
-in LAPACK band layout. Assembly takes O((qbar + qhat) n_a^2 n_h) time and the
-banded LU O(n bw^2) for n = n_a n_i unknowns; no dense n x n matrix is formed.
+blocks: bandwidth bw = 2 n_a - 1. Like every block-tridiagonal system of the
+package (reduced m-sweep, training indicator, Boussinesq march), it is held
+only as LAPACK band storage (block_band) and solved by band_solve. Assembly
+takes O((qbar + qhat) n_a^2 n_h) time and the banded LU O(n bw^2) for
+n = n_a n_i unknowns; no dense or sparse n x n matrix is formed.
 """
 
 from dataclasses import dataclass
@@ -41,11 +43,8 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
-from .mesh import Partition1D
-
-_GP = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
+from .mesh import GAUSS_NODES, Partition1D
 
 
 class QuadPointsInSameElement(ValueError):
@@ -188,7 +187,7 @@ def augment_quadrature(th, mu):
 # 1D P1 assembly helpers (coefficient values given at the 2 Gauss points of
 # every element, shape (..., n_elements, 2); leading axes are batched)
 
-_VAL = np.array([[1.0 - g, g] for g in _GP])  # (q, local) shape values
+_VAL = np.array([[1.0 - g, g] for g in GAUSS_NODES])  # (q, local) values
 
 
 def _der(h):
@@ -225,86 +224,84 @@ def _p1_load(part, cvals, against_deriv=False):
 
 def _interior_stack(diags):
     """Interior diagonals of (lower, diag, upper) stacked as diag, upper,
-    lower along the last axis (length 3 n_i - 2 for n_i interior nodes)."""
+    lower along the last axis: 3 n_i - 2 entries in block_pairs order."""
     lower, diag, upper = diags
     return np.concatenate([diag[..., 1:-1], upper[..., 1:-1],
                            lower[..., 1:-1]], axis=-1)
 
 
+def block_pairs(n):
+    """Block rows and columns of the 3 n - 2 nonzero blocks of a
+    block-tridiagonal matrix with n block rows, in the one order every
+    stacked-block array uses: the diagonal blocks (j, j), then the upper
+    blocks (j, j + 1), then the lower blocks (j + 1, j)."""
+    j = np.arange(n)
+    return (np.concatenate([j, j[:-1], j[1:]]),
+            np.concatenate([j, j[1:], j[:-1]]))
+
+
 @lru_cache(maxsize=32)
-def _band_index(n_a, n_i):
-    """Positions in LAPACK band storage (bandwidth 2 n_a - 1) of the entries
-    of the n_a x n_a blocks stacked as in _interior_stack: diagonal blocks
-    (j, j), then upper (j, j + 1), then lower (j + 1, j)."""
-    bw = 2 * n_a - 1
-    j = np.arange(n_i)
-    col_node = np.concatenate([j, j[1:], j[:-1]])
-    shift = np.repeat([0, -n_a, n_a], [n_i, n_i - 1, n_i - 1])
-    t = np.arange(n_a)[:, None]
-    s = np.arange(n_a)[None, :]
-    band_row = bw + shift[:, None, None] + t - s
-    band_col = col_node[:, None, None] * n_a + s
-    return band_row, band_col
+def _band_index(w, n):
+    """Flat positions in block_band's storage of the entries of the
+    (3 n - 2, w, w) blocks stacked in block_pairs(n) order."""
+    bw = 2 * w - 1
+    rows, cols = block_pairs(n)
+    r = rows[:, None, None] * w + np.arange(w)[:, None]
+    c = cols[:, None, None] * w + np.arange(w)
+    # c (3 bw + 1) + 2 bw + r - c, with one full-size array: temporaries of
+    # that size left between the cached indices fragment the heap
+    return r + (3 * bw * c + 2 * bw)
 
 
 def block_band(blocks):
     """LAPACK band storage of a block-tridiagonal matrix.
 
-    blocks has shape (3 n - 2, w, w): the n diagonal blocks (j, j), then the
-    n - 1 upper blocks (j, j + 1), then the n - 1 lower blocks (j + 1, j)
-    (the _interior_stack order); entry [t, s] of a block couples its row t
-    to its column s. The n w x n w matrix has lower and upper bandwidth
-    bw = 2 w - 1 and its entry (r, c) sits at band[bw + r - c, c].
+    blocks has shape (3 n - 2, w, w), stacked in block_pairs(n) order; entry
+    [t, s] of a block couples its row t to its column s. The n w x n w
+    matrix has lower and upper bandwidth bw = 2 w - 1. It is stored one row
+    per unknown, shape (n w, 3 bw + 1), with entry (r, c) at
+    band[c, 2 bw + r - c]: band.T is the Fortran (3 bw + 1, n w) array that
+    gbsv factors in place, its first bw rows left zero for the LU fill.
     """
     n_b, w, _ = blocks.shape
     n = (n_b + 2) // 3
     bw = 2 * w - 1
-    band = np.zeros((2 * bw + 1, n * w))
-    band[_band_index(w, n)] = blocks
+    band = np.zeros((n * w, 3 * bw + 1))
+    band.reshape(-1)[_band_index(w, n)] = blocks
     return band
 
 
-def band_matrix(band):
-    """The band storage as a scipy.sparse DIA matrix (offsets bw, ..., -bw)."""
-    bw, n = band.shape[0] // 2, band.shape[1]
-    return sp.dia_matrix((band, np.arange(bw, -bw - 1, -1)), shape=(n, n))
-
-
 _gbsv = scipy.linalg.lapack.dgbsv
+_gtsv = scipy.linalg.lapack.dgtsv
 
 
 def band_solve(band, rhs, what):
     """LAPACK banded LU solve, O(n bw^2) for n unknowns.
 
-    band is the (2 bw + 1, n) storage of block_band, rhs one right-hand side
-    of length n. For bw > 1 the band is padded with the bw rows of LU fill
-    and handed to LAPACK gbsv directly: the call scipy.linalg.solve_banded
-    makes after its input checks, without their per-call cost. Tridiagonal
-    systems (bw = 1) go through solve_banded, which uses gtsv. A singular or
-    non-finite solve raises RuntimeError naming the system (what).
+    band is the (n, 3 bw + 1) storage of block_band, rhs one right-hand
+    side of length n; neither is changed. Tridiagonal systems (bw = 1,
+    n > 1) go to gtsv, every other one to gbsv: the calls
+    scipy.linalg.solve_banded makes after its input checks, without their
+    per-call cost. A singular or non-finite solve raises RuntimeError
+    naming the system (what).
     """
-    bw = band.shape[0] // 2
-    if bw == 1:
-        try:
-            sol = scipy.linalg.solve_banded((1, 1), band, rhs,
-                                            check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError(f"{what} is singular") from exc
+    n, width = band.shape
+    bw = (width - 1) // 3
+    if bw == 1 and n > 1:
+        _, _, _, sol, info = _gtsv(band[:-1, 3], band[:, 2], band[1:, 1], rhs)
     else:
-        padded = np.zeros((3 * bw + 1, band.shape[1]), order="F")
-        padded[bw:] = band
-        _, _, sol, info = _gbsv(bw, bw, padded, rhs, overwrite_ab=True)
-        if info > 0:
-            raise RuntimeError(f"{what} is singular")
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of gbsv")
+        _, _, sol, info = _gbsv(bw, bw, band.T, rhs)
+    if info > 0:
+        raise RuntimeError(f"{what} is singular")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of gbsv/gtsv")
     if not np.all(np.isfinite(sol)):
         raise RuntimeError(f"{what}: solve diverged")
     return sol
 
 
 def _y_gauss(part):
-    return (part.nodes[:-1, None] + _GP[None, :] * part.h)  # (ne, 2)
+    return (part.nodes[:-1, None] + GAUSS_NODES[None, :] * part.h)  # (ne, 2)
 
 
 @dataclass
@@ -312,12 +309,12 @@ class TransverseSystem:
     """Coupled transverse system of one parameter vector.
 
     Unknowns are y-node-major, active-hat minor: row j * n_a + a belongs to
-    hat cb.active[a] at interior y-node j + 1. matrix is a scipy.sparse DIA
-    matrix with offsets bw, ..., -bw, bw = 2 n_a - 1, so matrix.data is
-    the LAPACK band storage of the block-tridiagonal system.
+    hat cb.active[a] at interior y-node j + 1. matrix is the block_band
+    storage of the block-tridiagonal system, one row per unknown: shape
+    (n_a (n_h - 1), 3 bw + 1) with bw = 2 n_a - 1.
     """
 
-    matrix: sp.dia_matrix
+    matrix: np.ndarray
     rhs: np.ndarray
     cb: CoupledBasis
     yh: Partition1D
@@ -333,8 +330,8 @@ def assemble_transverse(pd, lift, cb, rule, yh):
     Unknowns are y-node-major, active-hat minor (see TransverseSystem). Every
     callback is evaluated once, at all x-points and y Gauss points together;
     the n_a x n_a blocks of the three y-diagonals are accumulated over the
-    x-points and scattered into band storage, in O((qbar + qhat) n_a^2 n_h)
-    time and O(n_a^2 n_h) memory.
+    x-points and scattered once into band storage (block_band), in
+    O((qbar + qhat) n_a^2 n_h) time and O(n_a^2 n_h) memory.
     """
     act = cb.active
     n_a = act.size
@@ -371,7 +368,7 @@ def assemble_transverse(pd, lift, cb, rule, yh):
         block += c_mk[l] * Mk[l][:, None, None]
         block += c_mb[l] * Mb[l][:, None, None]
         blocks += block
-    matrix = band_matrix(block_band(blocks))
+    matrix = block_band(blocks)
 
     hx, hy = at_points(lift.dx), at_points(lift.dy)
     load = (_p1_load(yh, at_points(pd.F))
@@ -401,12 +398,12 @@ def snapshot_solve(system):
     """Solve the coupled system; one snapshot per active hat, in the order
     of system.cb.active.
 
-    LAPACK banded LU on the band storage of system.matrix: O(n bw^2) time
-    for n = n_a (n_h - 1) unknowns and bandwidth bw = 2 n_a - 1. A singular
-    or non-finite solve raises RuntimeError.
+    band_solve on the band storage system.matrix: O(n bw^2) time for
+    n = n_a (n_h - 1) unknowns and bandwidth bw = 2 n_a - 1. A singular or
+    non-finite solve raises RuntimeError.
     """
     cb = system.cb
-    sol = band_solve(system.matrix.data, system.rhs,
+    sol = band_solve(system.matrix, system.rhs,
                      f"transverse system for mu={cb.mu}")
     sol = sol.reshape(system.yh.n - 1, cb.active.size)
     out = []

@@ -1,0 +1,27 @@
+"""Helpers shared by the oracle tests."""
+
+import numpy as np
+import pytest
+
+
+def _dense_from_band(band):
+    """Dense matrix of a transverse.block_band storage, read entry by entry
+    from LAPACK's padded band layout: shape (n, 3 bw + 1), entry (r, c) at
+    band[c, 2 bw + r - c]. Every other slot (the bw rows of LU fill and the
+    corners outside the matrix) must hold zero."""
+    n, width = band.shape
+    bw = (width - 1) // 3
+    assert width == 3 * bw + 1
+    dense = np.zeros((n, n))
+    rest = band.copy()
+    for c in range(n):
+        for r in range(max(0, c - bw), min(n, c + bw + 1)):
+            dense[r, c] = band[c, 2 * bw + r - c]
+            rest[c, 2 * bw + r - c] = 0.0
+    assert not np.any(rest), "band storage holds entries outside the band"
+    return dense
+
+
+@pytest.fixture
+def dense_from_band():
+    return _dense_from_band

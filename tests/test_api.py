@@ -49,6 +49,10 @@ tracer = spans.Tracer()
 spans.instrument(tracer)
 cfg = cli.RunConfig(NH=16, nh=10, NHp=4, m_max=2, out=sys.argv[2])
 cli.run_case(cfg.validate(), log=lambda *a, **k: None)
+dofs = {name: [s.attrs["dofs"] for s in tracer.spans if s.name == name]
+        for name in ("transverse.assemble_transverse",
+                     "transverse.snapshot_solve")}
+print(json.dumps(dofs))
 print(json.dumps(collections.Counter(s.name for s in tracer.spans)))
 """
 
@@ -63,7 +67,8 @@ def test_traced_study_counts_each_layer(tmp_path):
          str(tmp_path / "conv.csv")],
         env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
-    counts = json.loads(out.stdout.splitlines()[-1])
+    lines = out.stdout.splitlines()
+    counts = json.loads(lines[-1])
     expected = {
         "problem.reference_operators": 2,  # fine reference + coarse indicator
         "problem.solve_reference": 1,
@@ -73,3 +78,8 @@ def test_traced_study_counts_each_layer(tmp_path):
         "training.pod": 2,
     }
     assert {name: counts.get(name, 0) for name in expected} == expected
+    # the benchmark reads matrix.shape[0] as the transverse unknown count:
+    # n_a (nh - 1) for n_a active hats, with nh = 10 in the traced study
+    for name, dofs in json.loads(lines[-2]).items():
+        assert len(dofs) == counts[name] > 0, name
+        assert all(d > 0 and d % 9 == 0 for d in dofs), (name, dofs)

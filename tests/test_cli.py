@@ -81,6 +81,25 @@ def test_config_error_exit_code(tmp_path, capsys):
     # a grid without interior nodes is a configuration error, not a crash
     for knob in ("NH", "nh", "NHp"):
         assert main(_run_args(tmp_path / "z.csv", **{knob: 1})) == 2
+    # np.random.Philox rejects a negative seed only after the reference
+    # solve; validation turns it away before any work
+    assert main(_run_args(tmp_path / "s.csv", seed=-1)) == 2
+    assert "seed must be nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "detect"])
+def test_missing_output_directory_is_a_config_error(tmp_path, capsys,
+                                                    command):
+    # rejected before the study runs, not when the CSV is written; a bare
+    # file name writes to the working directory
+    out = tmp_path / "missing" / "out.csv"
+    args = (_run_args(out) if command == "run"
+            else ["detect", "--out", str(out)])
+    assert main(args) == 2
+    assert "output directory" in capsys.readouterr().err
+    assert not out.parent.exists()
+    cfg_cls = RunConfig if command == "run" else cli.DetectConfig
+    assert cfg_cls(out="bare.csv").validate().out == "bare.csv"
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys):

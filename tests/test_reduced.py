@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from skewlift import reduced
 from skewlift.cases import case1, get_case
 from skewlift.mesh import TensorGrid, build_uniform_partition
 from skewlift.problem import (
@@ -19,6 +20,7 @@ from skewlift.training import (
     empty_space,
     transverse_mass,
 )
+from skewlift.transverse import block_band
 
 _GP = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 
@@ -81,7 +83,7 @@ def test_full_space_recovers_reference_in_every_mode():
 # Hand-checked single-mode system
 
 
-def test_single_mode_system_is_the_expected_tridiagonal():
+def test_single_mode_system_is_the_expected_tridiagonal(dense_from_band):
     th = build_uniform_partition(0.0, 2.0, 9)
     yh = build_uniform_partition(0.0, 1.0, 7)
     fx = lambda x: np.exp(0.3 * x)
@@ -118,8 +120,8 @@ def test_single_mode_system_is_the_expected_tridiagonal():
     c_stiff = phi @ (k_tri(yh) @ phi)
     A_exp = c_mass * k_tri(th) + c_stiff * m_tri(th)
     rhs_exp = _gauss_load_1d(th, fx)[1:-1] * (phi @ _gauss_load_1d(yh, gy)[1:-1])
-    assert np.allclose(system.matrix.toarray(), A_exp, rtol=0,
-                       atol=1e-12 * np.max(np.abs(A_exp)))
+    assert np.allclose(dense_from_band(block_band(system.blocks)), A_exp,
+                       rtol=0, atol=1e-12 * np.max(np.abs(A_exp)))
     assert np.allclose(system.rhs.ravel(), rhs_exp, rtol=0,
                        atol=1e-12 * np.max(np.abs(rhs_exp)))
     expected = np.linalg.solve(A_exp, rhs_exp)
@@ -127,7 +129,7 @@ def test_single_mode_system_is_the_expected_tridiagonal():
     assert np.allclose(rsol.coeffs[0], expected, rtol=1e-12)
 
 
-def test_discrete_sine_modes_decouple_the_blocks():
+def test_discrete_sine_modes_decouple_the_blocks(dense_from_band):
     """With k=1 and b=0 the discrete sines diagonalize both 1D operators, so
     the reduced matrix must be block-diagonal across modes."""
     th = build_uniform_partition(0.0, 2.0, 6)
@@ -147,7 +149,7 @@ def test_discrete_sine_modes_decouple_the_blocks():
     system = assemble_reduced(
         reference_operators(pd, LiftingFunction.zero(), TensorGrid(th, yh)),
         space)
-    A = system.matrix.toarray()
+    A = dense_from_band(block_band(system.blocks))
     m = 3
     scale = np.max(np.abs(A))
     n_x = th.n - 1
@@ -231,7 +233,7 @@ def _advective_setup(m=5):
     return cs, th, _random_space(yh, m), ops
 
 
-def test_block_projection_matches_kron_oracle():
+def test_block_projection_matches_kron_oracle(dense_from_band):
     cs, th, space, ops = _advective_setup()
     system = assemble_reduced(ops, space)
     P = np.kron(np.eye(th.n - 1), space.modes[1:-1, :])
@@ -240,8 +242,8 @@ def test_block_projection_matches_kron_oracle():
     m = space.m
     assert system.blocks.shape == (3 * (th.n - 1) - 2, m, m)
     assert system.rhs.shape == (th.n - 1, m)
-    assert np.max(np.abs(system.matrix.toarray() - A_r)) \
-        <= 1e-14 * np.max(np.abs(A_r))
+    A = dense_from_band(block_band(system.blocks))
+    assert np.max(np.abs(A - A_r)) <= 1e-14 * np.max(np.abs(A_r))
     assert np.max(np.abs(system.rhs.ravel() - rhs_r)) \
         <= 1e-14 * np.max(np.abs(rhs_r))
     # the reduced coefficients are the dense Galerkin solution
@@ -268,6 +270,20 @@ def test_truncated_system_is_the_system_of_the_truncated_space():
                           (solve_reduced(cut).coeffs,
                            solve_reduced(direct).coeffs)):
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_inaccurate_reduced_solve_is_caught_by_the_residual(monkeypatch):
+    # the guard multiplies the solution by the stacked blocks: an exact
+    # solve of the nonsymmetric system passes it, and one off by a relative
+    # 1e-6 raises
+    _, _, space, ops = _advective_setup()
+    system = assemble_reduced(ops, space)
+    solve_reduced(system)
+    exact = reduced.band_solve
+    monkeypatch.setattr(reduced, "band_solve",
+                        lambda *args: exact(*args) * (1.0 + 1e-6))
+    with pytest.raises(RuntimeError, match="reduced solve residual"):
+        solve_reduced(system)
 
 
 # ---------------------------------------------------------------------------

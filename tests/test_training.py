@@ -219,7 +219,8 @@ def test_element_indicators_match_explicit_projection(mode, m):
 
 def _unbatched_delta(base, extra):
     """Delta of one sample, one step at a time: the bordered blocks by
-    np.block, scipy's solve_banded, a one-column Gram solve."""
+    np.block, scipy's solve_banded (on block_band's storage without its LU
+    fill rows), a one-column Gram solve."""
     xb, phi = base.xb, base.phi
     m = phi.shape[1]
     E = _orthonormalize(phi, extra, base.M_y)[:, m:]
@@ -231,7 +232,7 @@ def _unbatched_delta(base, extra):
                        [E.T @ base.A_phi, E.T @ A_E]])
     rhs = np.hstack([base.phi_rhs, xb.rhs @ E]).ravel()
     bw = 2 * w - 1
-    sol = scipy.linalg.solve_banded((bw, bw), block_band(blocks), rhs)
+    sol = scipy.linalg.solve_banded((bw, bw), block_band(blocks).T[bw:], rhs)
     u = (sol.reshape(xb.n_x, w) @ np.hstack([phi, E]).T).ravel()
     r = xb.ops.rhs_int - xb.ops.A_int @ u
     return math.sqrt(max(r @ xb.ops.solve("G", r), 0.0))

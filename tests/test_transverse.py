@@ -18,6 +18,7 @@ from skewlift.transverse import (
     augment_quadrature,
     band_solve,
     block_band,
+    block_pairs,
     build_coupled_basis,
     snapshot_solve,
 )
@@ -162,7 +163,7 @@ def _dhat(part, i, x):
     return 0.0
 
 
-def test_midpoint_rule_reproduces_full_fe_system():
+def test_midpoint_rule_reproduces_full_fe_system(dense_from_band):
     """One parameter per element midpoint == 2D FE with x-midpoint quadrature.
 
     The coupled system then has every interior hat active with its original
@@ -221,11 +222,12 @@ def test_midpoint_rule_reproduces_full_fe_system():
                             * pt * psi[jt]
                         )
                         A[row, col] += th.h * (diff + adv)
-    assert np.max(np.abs(system.matrix - A)) <= 1e-13 * np.max(np.abs(A))
+    assert np.max(np.abs(dense_from_band(system.matrix) - A)) \
+        <= 1e-13 * np.max(np.abs(A))
     assert np.max(np.abs(system.rhs - rhs)) <= 1e-13 * np.max(np.abs(rhs))
 
 
-def test_riesz_snapshot_problem_folds_minus_reconstruction():
+def test_riesz_snapshot_problem_folds_minus_reconstruction(dense_from_band):
     """riesz_recon hands the snapshots F - R (R the bilinear interpolant of
     the reconstructed field) and the zero lifting; its coupled system is the
     blockwise oracle's for that source."""
@@ -249,7 +251,7 @@ def test_riesz_snapshot_problem_folds_minus_reconstruction():
     system = assemble_transverse(snap_pd, snap_lift, cb, rule, yh)
     A, rhs = _coupled_oracle(snap_pd, LiftingFunction.zero(), cb, rule, yh,
                              "weak_lifting")
-    assert np.max(np.abs(system.matrix.toarray() - A)) \
+    assert np.max(np.abs(dense_from_band(system.matrix) - A)) \
         <= 1e-14 * np.max(np.abs(A))
     assert np.max(np.abs(system.rhs - rhs)) <= 1e-14 * np.max(np.abs(rhs))
 
@@ -320,7 +322,7 @@ def _coupled_oracle(pd, lift, cb, rule, yh, mode):
 
 
 @pytest.mark.parametrize("mode", ["weak_lifting", "delta_h"])
-def test_coupled_system_matches_blockwise_oracle(mode):
+def test_coupled_system_matches_blockwise_oracle(mode, dense_from_band):
     """Three parameters with a gap: long hats, an inserted midpoint, n_a = 5,
     nonsymmetric advection; band storage, dense oracle and dense solve. The
     system is assembled from the mode's snapshot problem; the oracle treats
@@ -345,14 +347,13 @@ def test_coupled_system_matches_blockwise_oracle(mode):
 
     n_a, n_i = cb.active.size, yh.n - 1
     bw = 2 * n_a - 1
-    assert system.matrix.shape == (n_a * n_i, n_a * n_i)
-    assert system.matrix.offsets.tolist() == list(range(bw, -bw - 1, -1))
+    assert system.matrix.shape == (n_a * n_i, 3 * bw + 1)
     A, rhs = _coupled_oracle(pd, lift, cb, rule, yh, mode)
-    assert np.max(np.abs(system.matrix.toarray() - A)) \
+    assert np.max(np.abs(dense_from_band(system.matrix) - A)) \
         <= 1e-14 * np.max(np.abs(A))
     assert np.max(np.abs(system.rhs - rhs)) <= 1e-14 * np.max(np.abs(rhs))
 
-    sol = np.linalg.solve(system.matrix.toarray(), system.rhs)
+    sol = np.linalg.solve(dense_from_band(system.matrix), system.rhs)
     snaps = snapshot_solve(system)
     assert [s.component for s in snaps] == cb.active.tolist()
     scale = np.max(np.abs(sol))
@@ -426,36 +427,41 @@ def test_hat_tables_keep_the_assembly_bitwise():
             scalar = _ScalarBasis(cb.base, cb.mu, cb.kept_nodes, cb.active)
             got = assemble_transverse(pd, lift, cb, rule, yh)
             ref = assemble_transverse(pd, lift, scalar, rule, yh)
-            assert np.array_equal(got.matrix.data, ref.matrix.data)
+            assert np.array_equal(got.matrix, ref.matrix)
             assert np.array_equal(got.rhs, ref.rhs)
             checked += 1
     assert checked > 400
 
 
 @pytest.mark.parametrize("w", [1, 2, 4])
-def test_band_solve_matches_solve_banded(w):
-    """bw = 1 goes through solve_banded (gtsv), bw > 1 straight to gbsv:
-    both bitwise equal to scipy's solve_banded; a singular band raises
-    RuntimeError naming the system."""
+def test_band_solve_matches_solve_banded(w, dense_from_band):
+    """Tridiagonal systems go to gtsv, all others (one block row included)
+    to gbsv: both bitwise equal to scipy's solve_banded on the same band
+    (block_band's storage without its LU fill rows, band.T[bw:]); a
+    singular band raises RuntimeError naming the system."""
     rng = np.random.default_rng(w)
-    n = 7
-    blocks = rng.normal(size=(3 * n - 2, w, w))
-    blocks[:n] += 4.0 * np.eye(w)
-    band = block_band(blocks)
     bw = 2 * w - 1
-    assert band.shape == (2 * bw + 1, n * w)
-    rhs = rng.normal(size=n * w)
-    expected = scipy.linalg.solve_banded((bw, bw), band, rhs)
-    rhs0 = rhs.copy()
-    got = band_solve(band, rhs, "test system")
-    assert np.array_equal(got, expected)
-    # inputs untouched
-    assert np.array_equal(band, block_band(blocks))
-    assert np.array_equal(rhs, rhs0)
-    singular = band.copy()
-    singular[:, n * w // 2] = 0.0  # a zero column
-    with pytest.raises(RuntimeError, match="test system is singular"):
-        band_solve(singular, rhs, "test system")
+    for n in (7, 1):
+        blocks = rng.normal(size=(3 * n - 2, w, w))
+        blocks[:n] += 4.0 * np.eye(w)
+        band = block_band(blocks)
+        assert band.shape == (n * w, 3 * bw + 1)
+        dense = dense_from_band(band)
+        for p, (i, j) in enumerate(zip(*block_pairs(n))):
+            assert np.array_equal(
+                dense[i * w:(i + 1) * w, j * w:(j + 1) * w], blocks[p])
+        rhs = rng.normal(size=n * w)
+        expected = scipy.linalg.solve_banded((bw, bw), band.T[bw:], rhs)
+        rhs0 = rhs.copy()
+        got = band_solve(band, rhs, "test system")
+        assert np.array_equal(got, expected)
+        # inputs untouched
+        assert np.array_equal(band, block_band(blocks))
+        assert np.array_equal(rhs, rhs0)
+        singular = band.copy()
+        singular[n * w // 2] = 0.0  # a zero column
+        with pytest.raises(RuntimeError, match="test system is singular"):
+            band_solve(singular, rhs, "test system")
 
 
 def test_no_interior_hats_raises():
