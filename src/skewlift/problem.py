@@ -108,8 +108,14 @@ class LiftingFunction:
 
     @classmethod
     def zero(cls):
-        z = lambda x, y: np.zeros(np.broadcast(x, y).shape)
-        return cls(value=z, dx=z, dy=z, laplacian=z)
+        """The zero lifting: one shared instance, so an assembler can skip
+        its terms by identity (lift is LiftingFunction.zero())."""
+        return _ZERO_LIFTING
+
+
+_zero = lambda x, y: np.zeros(np.broadcast(x, y).shape)
+_ZERO_LIFTING = LiftingFunction(value=_zero, dx=_zero, dy=_zero,
+                                laplacian=_zero)
 
 
 @dataclass

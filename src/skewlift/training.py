@@ -29,18 +29,22 @@ change:
   view (reduced.XBlocks);
 * once per outer iteration: the block moments A_ij Phi, Phi^T A_ij Phi and
   Phi^T rhs_i of the base space Phi, the (m-1)-mode POD space (BaseMoments);
-* once per chunk of up to _CHUNK samples (BaseMoments.deltas): the products
-  A_ij E of all the chunk's new columns (three sparse products) and the
-  V-dual norms of all its explicit coarse residuals
-  (TensorOperators.residual_norm, one multi-column Gram solve with a cached
-  factor);
-* once per sample: its <= 2 Qbar snapshot columns E, M-orthonormalized
-  against Phi, the bordered w x w blocks [Phi E]^T A_ij [Phi E]
-  (w = m - 1 + new columns), written into a buffer of the chunk, and their
-  banded solve (transverse.block_band and band_solve, bandwidth 2w - 1).
+* once per chunk of up to _CHUNK samples (BaseMoments.deltas): the
+  M-orthonormalization of all the chunk's <= 2 Qbar snapshot columns per
+  sample against Phi (_orthonormalize_stack, one column slot at a time for
+  every sample, on the sparse tridiagonal transverse mass), the products
+  A_ij E of all its new columns (three sparse products), the dense
+  products Phi^T A_ij E, E^T A_ij Phi and rhs_i E over all of them, every
+  sample's k x k blocks E^T A_ij E in one batched product, and the V-dual
+  norms of all its explicit coarse residuals (TensorOperators.residual_norm,
+  one multi-column Gram solve with a cached factor);
+* once per sample: its bordered w x w blocks [Phi E]^T A_ij [Phi E]
+  (w = m - 1 + new columns), filled from slices of the chunk's products,
+  their banded solve (transverse.block_band and band_solve, bandwidth
+  2w - 1) and its coarse state.
 
-Chunking does not change the arithmetic: every Delta is bitwise the one a
-sample-by-sample evaluation gives.
+A chunk's dense products round differently from one sample's, so a Delta
+can move at round-off with the samples that share its chunk.
 """
 
 import math
@@ -48,6 +52,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .mesh import Partition1D, TensorGrid, build_uniform_partition
 from .problem import reference_operators
@@ -97,21 +102,23 @@ def empty_space(part):
 
 
 def transverse_mass(part):
-    """Full (n_h + 1)^2 P1 mass matrix of part."""
+    """P1 mass matrix of part over all n_h + 1 nodes: tridiagonal, returned
+    as a scipy.sparse CSR array ([1:-1, 1:-1] is the interior block)."""
     lower, diag, upper = _p1_diagonals(part, np.ones((part.n, 2)), "mass")
-    return np.diag(diag) + np.diag(upper, 1) + np.diag(lower, -1)
+    return scipy.sparse.diags_array([lower, diag, upper], offsets=[-1, 0, 1],
+                                    format="csr")
 
 
 def pod(snapshots, part, count=None):
     """POD in the L2(omega_hat) inner product by a thin SVD.
 
     snapshots: sequence of TransverseSnapshot or plain nodal arrays over
-    part (boundary entries allowed). With M = L L^T the Cholesky factor of
-    the full transverse mass, the thin SVD L^T S = U diag(s) W^T gives the
-    energies lambda = s^2 and the M-orthonormal modes L^{-T} U without
-    squaring S into its Gram matrix, so energies far below eps * lambda_1
-    stay resolved; singular values below max(shape) * eps * s_1 count as
-    numerically zero. Returns a ReductionSpace with modes ordered by
+    part (boundary entries allowed). With M = L L^T the dense Cholesky
+    factorization of the full transverse mass (transverse_mass, densified),
+    the thin SVD L^T S = U diag(s) W^T gives the energies lambda = s^2 and
+    the M-orthonormal modes L^{-T} U without squaring S into its Gram
+    matrix, so energies far below eps * lambda_1 stay resolved; singular
+    values below max(shape) * eps * s_1 count as numerically zero. Returns a ReductionSpace with modes ordered by
     descending energy; the number of modes is count (if given), else every
     numerically meaningful mode. Mode signs are fixed (largest-magnitude
     entry positive) so equal snapshot sets give identical spaces regardless
@@ -123,7 +130,7 @@ def pod(snapshots, part, count=None):
     S = np.column_stack([np.asarray(a, dtype=float) for a in arrs])
     if S.shape[0] != part.n + 1:
         raise ValueError("snapshot length does not match the partition")
-    L = np.linalg.cholesky(transverse_mass(part))
+    L = np.linalg.cholesky(transverse_mass(part).toarray())
     B = L.T @ S
     U, sv, _ = np.linalg.svd(B, full_matrices=False)
     lam = sv ** 2
@@ -253,39 +260,72 @@ def refine(cells, marked, n_xi, rng, th):
 # Indicators
 
 
+def _orthonormalize_stack(base_int, extras, M_int, drop_tol=1e-10):
+    """M-orthonormalize a stack of samples' columns against a base and
+    within each sample.
+
+    base_int: (n, m) M-orthonormal base; extras: (S, k, n), sample s's
+    columns as the rows of extras[s] (zero columns are dropped). Column slot
+    j is handled for all S samples at once: projected out of the base in one
+    block step (one sparse M product for the stack) and out of its sample's
+    columns accepted before it, in two passes (twice is enough); it is kept
+    if its M-norm is still above drop_tol times its norm before projection.
+    The dense products are stacked over samples (matmul over the leading
+    axis, one kernel call per sample), not gemms across samples: a nearly
+    dependent column amplifies rounding by its inverse norm ratio, and a
+    sample's columns should not depend on the samples that share its stack.
+    Returns (E, counts): sample s's accepted columns, in order, are the rows
+    E[s, :counts[s]]; the rest of E is zero.
+    """
+    n_s, k, _ = extras.shape
+    E = np.zeros(extras.shape)
+    counts = np.zeros(n_s, dtype=int)
+    samples = np.arange(n_s)
+
+    # contiguous (S, n, 1) stacks: matmul picks its kernel by the strides,
+    # and one layout gives every stack size the same per-sample kernel
+    def times_M(v):
+        return np.ascontiguousarray((M_int @ v[:, :, 0].T).T)[:, :, None]
+
+    def m_norms(v):
+        return np.sqrt(np.maximum((v.transpose(0, 2, 1) @ times_M(v))[:, 0, 0],
+                                  0.0))
+
+    for j in range(k):
+        v = np.ascontiguousarray(extras[:, j, :, None])
+        nrm0 = m_norms(v)
+        prev = E[:, :j]
+        for _ in range(2):
+            v = v - base_int @ (base_int.T @ times_M(v))
+            if j:
+                v = v - prev.transpose(0, 2, 1) @ (prev @ times_M(v))
+        nrm = m_norms(v)
+        keep = nrm > drop_tol * nrm0
+        E[samples[keep], counts[keep]] = v[keep, :, 0] / nrm[keep, None]
+        counts += keep
+    return E, counts
+
+
 def _orthonormalize(base_int, extra_int, M_int, drop_tol=1e-10):
     """Append extra columns to an M-orthonormal base, dropping near-dependent
-    vectors.
-
-    Each extra column is projected out of the base in one block step and out
-    of the columns accepted before it one at a time, in two passes (twice is
-    enough); it is kept if its M-norm is still above drop_tol times its norm
-    before projection."""
-    new = []
-    for v in extra_int.T:
-        nrm0 = math.sqrt(max(v @ (M_int @ v), 0.0))
-        if nrm0 == 0.0:
-            continue
-        for _ in range(2):
-            v = v - base_int @ (base_int.T @ (M_int @ v))
-            for u in new:
-                v = v - (u @ (M_int @ v)) * u
-        nrm = math.sqrt(max(v @ (M_int @ v), 0.0))
-        if nrm > drop_tol * nrm0:
-            new.append(v / nrm)
-    return np.column_stack([base_int] + new)
+    vectors: _orthonormalize_stack on a stack of one sample."""
+    E, counts = _orthonormalize_stack(base_int, extra_int.T[None], M_int,
+                                      drop_tol)
+    return np.hstack([base_int, E[0, :counts[0]].T])
 
 
 # Samples per BaseMoments.deltas call in element_indicators: large enough to
-# share the sparse products and the Gram solve, small enough that the chunk's
-# (3 N_H' - 5) x (n_h - 1) x (2 Qbar x chunk) products stay a few MB.
+# share the orthonormalization, the sparse and dense products and the Gram
+# solve, small enough that the chunk's (3 N_H' - 5) x (n_h - 1) x
+# (2 Qbar x chunk) products stay a few MB.
 _CHUNK = 32
 
 
 class BaseMoments:
     """Block moments of one base space Phi (interior rows of the POD modes)
     on the x-blocks of the coarse operators: A_ij Phi, Phi^T A_ij Phi and
-    Phi^T rhs_i. Built once per outer iteration."""
+    Phi^T rhs_i, with the sparse interior transverse mass M_y. Built once per
+    outer iteration."""
 
     def __init__(self, xb, space):
         self.xb = xb
@@ -302,20 +342,36 @@ class BaseMoments:
         Per entry: the Galerkin solution in span(I (x) [Phi E]) (x-major,
         mode-minor; a banded solve of the bordered block-tridiagonal system
         [Phi E]^T A_ij [Phi E]) and the V-dual norm of its explicit residual.
-        Shared by all entries: one sparse product A_ij E over all their
-        columns and one Gram solve over all their residuals. The small dense
-        products are taken per entry, on slices, because BLAS rounds them
-        differently for different column counts; so every Delta is bitwise
-        the same whatever entries share the call. When [Phi E] spans the
-        whole interior transverse space, the Galerkin solution is the
-        coarse FE solution and Delta is exactly 0 (computing it would only
-        return round-off).
+        Per call, over all entries at once: the M-orthonormalization
+        (_orthonormalize_stack), the sparse products A_ij E, the dense
+        products Phi^T A_ij E, E^T A_ij Phi and rhs_i E, each entry's k x k
+        blocks E^T A_ij E (one batched product) and one Gram solve over all
+        residuals. Per entry remain the bordered blocks, filled from slices
+        of those products, their band solve and the entry's state. BLAS
+        rounds a product over many entries differently from one over a
+        single entry, so a Delta can move at round-off with the entries that
+        share the call. When [Phi E] spans the whole interior transverse
+        space, the Galerkin solution is the coarse FE solution and Delta is
+        exactly 0 (computing it would only return round-off).
         """
         xb, phi = self.xb, self.phi
         n_x, n_y, m = xb.n_x, xb.n_y, phi.shape[1]
-        Es = [_orthonormalize(phi, extra, self.M_y)[:, m:] for extra in extras]
-        A_E = xb.products(np.hstack(Es))
-        w_max = m + max(E.shape[1] for E in Es)
+        n_s = len(extras)
+        k_max = max(extra.shape[1] for extra in extras)
+        stack = np.zeros((n_s, k_max, n_y))
+        for s, extra in enumerate(extras):
+            stack[s, :extra.shape[1]] = extra.T
+        E, counts = _orthonormalize_stack(phi, stack, self.M_y)
+        # entry s's columns are s * k_max + c of every chunk-wide product
+        E_cat = E.reshape(n_s * k_max, n_y).T
+        A_E = xb.products(E_cat)
+        phi_A_E = phi.T @ A_E
+        E_A_phi = E_cat.T @ self.A_phi
+        rhs_E = xb.rhs @ E_cat
+        # (n_s, n_pairs, k_max, k_max): one batched product over the entries
+        E_A_E = E[:, None] @ A_E.reshape(-1, n_y, n_s, k_max).transpose(
+            2, 0, 1, 3)
+        w_max = m + k_max
         # bordered blocks, right-hand side and basis [Phi E]; the Phi parts
         # are the same for every entry
         blocks = np.empty((xb.rows.size, w_max, w_max))
@@ -324,26 +380,19 @@ class BaseMoments:
         rhs_r[:, :m] = self.phi_rhs
         basis = np.empty((n_y, w_max))
         basis[:, :m] = phi
-        out = np.zeros(len(Es))
-        U = np.empty((len(Es), n_x * n_y))
+        out = np.zeros(n_s)
+        U = np.empty((n_s, n_x * n_y))
         solved = []
-        col = 0
-        for s, E in enumerate(Es):
-            k = E.shape[1]
+        for s, k in enumerate(counts):
             w = m + k
-            A_Es = A_E[:, :, col:col + k]
-            col += k
             if w >= n_y:
                 continue
-            if min(m, k) == 1:
-                # matrix-vector BLAS kernels round a strided operand
-                # differently from a contiguous one
-                A_Es = A_Es.copy()
-            blocks[:, :m, m:w] = phi.T @ A_Es
-            blocks[:, m:w, :m] = E.T @ self.A_phi
-            blocks[:, m:w, m:w] = E.T @ A_Es
-            rhs_r[:, m:w] = xb.rhs @ E
-            basis[:, m:w] = E
+            cols = slice(s * k_max, s * k_max + k)
+            blocks[:, :m, m:w] = phi_A_E[:, :, cols]
+            blocks[:, m:w, :m] = E_A_phi[:, cols]
+            blocks[:, m:w, m:w] = E_A_E[s, :, :k, :k]
+            rhs_r[:, m:w] = rhs_E[:, cols]
+            basis[:, m:w] = E[s, :k].T
             sol = band_solve(block_band(blocks[:, :w, :w]),
                              rhs_r[:, :w].ravel(), "coarse indicator system")
             U[len(solved)] = (sol.reshape(n_x, w) @ basis[:, :w].T).ravel()

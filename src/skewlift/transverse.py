@@ -25,7 +25,8 @@ collects F against xi_k(x_l) and the lifting terms k h_y against v' and
 k h_x xi_k' + (b.grad h) xi_k against v. Every lifting mode reaches this
 module as one (ProblemData, LiftingFunction) pair,
 problem.TensorOperators.snapshot_problem: a mode that folds its lifting into
-the source (delta_h, riesz_recon) hands over the zero lifting.
+the source (delta_h, riesz_recon) hands over the shared zero lifting
+(LiftingFunction.zero()), whose terms assemble_transverse skips.
 
 Unknown order and cost: with n_a active hats and n_i = n_h - 1 interior
 y-nodes, unknown j * n_a + a is hat a at interior y-node j + 1 (y-node-major,
@@ -45,6 +46,7 @@ import numpy as np
 import scipy.linalg
 
 from .mesh import GAUSS_NODES, Partition1D
+from .problem import LiftingFunction
 
 
 class QuadPointsInSameElement(ValueError):
@@ -145,9 +147,10 @@ def build_coupled_basis(th, mu):
     kept = np.nonzero(keep)[0]
     kx = th.nodes[kept]
     active = set()
-    for m in mu:
-        pos = np.searchsorted(kx, m)
-        if pos < kx.size and np.isclose(kx[pos], m, rtol=0, atol=1e-12 * max(1, abs(m))):
+    for m in mu.tolist():
+        pos = int(np.searchsorted(kx, m))
+        if (pos < kx.size
+                and abs(float(kx[pos]) - m) <= 1e-12 * max(1.0, abs(m))):
             cand = (kept[pos],)
         else:
             cand = (kept[pos - 1], kept[pos])
@@ -240,7 +243,10 @@ def block_pairs(n):
             np.concatenate([j, j[1:], j[:-1]]))
 
 
-@lru_cache(maxsize=32)
+# 8 keys hold the training phase's widths (up to 2 Qbar transverse ones and
+# the indicator's m - 1 + 1 .. m - 1 + 2 Qbar at Qbar = 2), so the reduced
+# m-sweep's one key per m evicts them instead of piling up
+@lru_cache(maxsize=8)
 def _band_index(w, n):
     """Flat positions in block_band's storage of the entries of the
     (3 n - 2, w, w) blocks stacked in block_pairs(n) order."""
@@ -325,7 +331,8 @@ def assemble_transverse(pd, lift, cb, rule, yh):
 
     (pd, lift) is a snapshot problem (TensorOperators.snapshot_problem): the
     right-hand side is F . xi psi - a(h, xi psi), with the k h_y, k h_x and
-    b.grad(h) terms of the lifting h.
+    b.grad(h) terms of the lifting h; for LiftingFunction.zero() those terms
+    are skipped, not assembled as zeros.
 
     Unknowns are y-node-major, active-hat minor (see TransverseSystem). Every
     callback is evaluated once, at all x-points and y Gauss points together;
@@ -370,17 +377,21 @@ def assemble_transverse(pd, lift, cb, rule, yh):
         blocks += block
     matrix = block_band(blocks)
 
-    hx, hy = at_points(lift.dx), at_points(lift.dy)
-    load = (_p1_load(yh, at_points(pd.F))
-            - _p1_load(yh, kv * hy, against_deriv=True)
-            - _p1_load(yh, b1v * hx + b2v * hy))
-    h2_grad = _p1_load(yh, kv * hx)
+    load = _p1_load(yh, at_points(pd.F))
+    # the zero lifting (delta_h, riesz_recon) has no terms to subtract
+    lifted = lift is not LiftingFunction.zero()
+    if lifted:
+        hx, hy = at_points(lift.dx), at_points(lift.dy)
+        load = (load - _p1_load(yh, kv * hy, against_deriv=True)
+                - _p1_load(yh, b1v * hx + b2v * hy))
+        h2_grad = _p1_load(yh, kv * hx)
+        w_der = wts[:, None] * dXi
     w_val = wts[:, None] * Xi
-    w_der = wts[:, None] * dXi
     rhs = np.zeros((n_i, n_a))
     for l in range(pts.size):
         rhs += w_val[l] * load[l][:, None]
-        rhs -= w_der[l] * h2_grad[l][:, None]
+        if lifted:
+            rhs -= w_der[l] * h2_grad[l][:, None]
 
     return TransverseSystem(matrix, rhs.ravel(), cb, yh)
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from skewlift import training
 from skewlift.cases import case1
@@ -25,7 +26,7 @@ from skewlift.training import (
     refine,
     transverse_mass,
 )
-from skewlift.transverse import (TransverseSolver, block_band,
+from skewlift.transverse import (TransverseSolver, _p1_diagonals, block_band,
                                  build_coupled_basis)
 
 
@@ -165,6 +166,16 @@ def test_pod_input_validation():
         pod([np.zeros(11), np.zeros(11)], part)
 
 
+def test_transverse_mass_is_the_sparse_tridiagonal_mass():
+    part = build_uniform_partition(0.3, 1.7, 13)
+    lower, diag, upper = _p1_diagonals(part, np.ones((part.n, 2)), "mass")
+    dense = np.diag(diag) + np.diag(upper, 1) + np.diag(lower, -1)
+    M = transverse_mass(part)
+    assert scipy.sparse.issparse(M) and M.nnz == 3 * part.n + 1
+    assert np.array_equal(M.toarray(), dense)
+    np.testing.assert_allclose(dense, _exact_mass(part), rtol=1e-14)
+
+
 def test_orthonormalize_drops_dependent_columns():
     part = build_uniform_partition(0.0, 1.0, 12)
     M = transverse_mass(part)[1:-1, 1:-1]
@@ -238,10 +249,9 @@ def _unbatched_delta(base, extra):
     return math.sqrt(max(r @ xb.ops.solve("G", r), 0.0))
 
 
-@pytest.mark.parametrize("mode", ["weak_lifting", "delta_h"])
-@pytest.mark.parametrize("m", [0, 1, 3])
-def test_batched_indicators_equal_the_unbatched_maths(mode, m):
-    # more samples than one chunk; advection, so G is not A
+def _indicator_setup(mode, m):
+    """BaseMoments of an m-mode space on a coarse advective grid (G is not
+    A), with more cells' samples than one chunk and their solver."""
     cs = case1(b=(1.0, 0.5))
     pd, lift = cs.problem, cs.lift
     th = build_uniform_partition(*pd.omega_x, 12)
@@ -257,7 +267,19 @@ def test_batched_indicators_equal_the_unbatched_maths(mode, m):
     space = pod(snaps, yh, count=m) if m else empty_space(yh)
     ops = reference_operators(pd, lift, TensorGrid(thp, yh), mode)
     assert ops.G is not ops.A
-    base = BaseMoments(XBlocks(ops), space)
+    return BaseMoments(XBlocks(ops), space), cells, solver
+
+
+def _extra(solver, mu):
+    return np.column_stack([s.values[1:-1] for s in solver.solve(mu)])
+
+
+@pytest.mark.parametrize("mode", ["weak_lifting", "delta_h"])
+@pytest.mark.parametrize("m", [0, 1, 3])
+def test_batched_indicators_equal_the_unbatched_maths(mode, m):
+    # a chunk's products round differently from one sample's, so the
+    # batched Delta matches the per-sample oracle to round-off, not bitwise
+    base, cells, solver = _indicator_setup(mode, m)
     eta, _ = element_indicators(base, cells, solver)
 
     dropped = 0
@@ -265,15 +287,37 @@ def test_batched_indicators_equal_the_unbatched_maths(mode, m):
     for cell in cells:
         deltas = []
         for mu in cell.samples:
-            extra = np.column_stack([s.values[1:-1] for s in solver.solve(mu)])
+            extra = _extra(solver, mu)
             kept = _orthonormalize(base.phi, extra, base.M_y).shape[1] - m
             dropped += kept < extra.shape[1]
             deltas.append(_unbatched_delta(base, extra))
         expected.append(min(deltas))
-    assert np.array_equal(eta, expected)
-    assert [c.eta for c in cells] == expected
+    np.testing.assert_allclose(eta, expected, rtol=1e-12, atol=0)
+    assert [c.eta for c in cells] == eta.tolist()
     if mode == "delta_h":
         assert dropped > 0  # dependent snapshot columns were dropped
+
+
+def test_batched_deltas_are_reproducible():
+    base, cells, solver = _indicator_setup("weak_lifting", 3)
+    extras = [_extra(solver, mu) for mu in cells[0].samples + cells[1].samples]
+    first = base.deltas(extras)
+    assert np.array_equal(base.deltas(extras), first)
+
+
+def test_chunk_mixing_dropped_columns_matches_one_sample_calls():
+    # delta_h snapshots of one sample can be exactly dependent: a chunk with
+    # samples that lose columns and samples that keep all of them
+    m = 3
+    base, cells, solver = _indicator_setup("delta_h", m)
+    extras = [_extra(solver, mu) for c in cells for mu in c.samples]
+    extras = extras[:training._CHUNK]
+    kept = [_orthonormalize(base.phi, e, base.M_y).shape[1] - m
+            for e in extras]
+    lost = [k < e.shape[1] for k, e in zip(kept, extras)]
+    assert any(lost) and not all(lost)
+    single = [base.deltas([e])[0] for e in extras]
+    np.testing.assert_allclose(base.deltas(extras), single, rtol=1e-12, atol=0)
 
 
 def test_indicators_vanish_when_the_space_is_full():

@@ -78,6 +78,25 @@ def test_single_point_on_a_node():
     assert rule.qhat == 0
 
 
+def test_parameters_within_round_off_of_a_node():
+    # a parameter within 1e-12 max(1, |mu|) below a kept node is on it, and
+    # only that node's hat is active; just above a node it lies in the
+    # element on its right, with both of that element's hats
+    th = build_uniform_partition(0.0, 2.0, 4)  # nodes 0, 0.5, 1, 1.5, 2
+    for mu, active in (((1.0 - 1e-13,), [2]),
+                       ((0.5 - 8e-14, 1.5 - 1e-13), [1, 3]),
+                       ((1.0 + 1e-13,), [2, 3]),
+                       ((1.0 - 1e-11,), [1, 2])):
+        cb = build_coupled_basis(th, mu)
+        assert cb.active.tolist() == active
+        # the decision is np.isclose's, with rtol = 0, on the first kept
+        # node at or above the parameter
+        kx = cb.kept_x
+        pinned = [np.isclose(kx[np.searchsorted(kx, m)], m, rtol=0,
+                             atol=1e-12 * max(1, abs(m))) for m in mu]
+        assert all(pinned) == (len(active) == len(mu))
+
+
 def test_same_element_parameters_rejected():
     th = build_uniform_partition(0.0, 2.0, 4)
     with pytest.raises(QuadPointsInSameElement):
@@ -472,6 +491,32 @@ def test_no_interior_hats_raises():
     rule = augment_quadrature(th, (1.0,))
     with pytest.raises(ValueError):
         assemble_transverse(_pd(), LiftingFunction.zero(), cb, rule, yh)
+
+
+def test_zero_lifting_terms_are_skipped(monkeypatch):
+    # the shared zero lifting adds nothing and is never evaluated; a fresh
+    # all-zero lifting goes through every term and gives the same system
+    assert LiftingFunction.zero() is LiftingFunction.zero()
+    zero = lambda x, y: np.zeros(np.broadcast(x, y).shape)
+
+    def unused(x, y):
+        raise AssertionError("zero lifting evaluated")
+
+    shared = LiftingFunction(value=zero, dx=unused, dy=unused, laplacian=zero)
+    monkeypatch.setattr(LiftingFunction, "zero", classmethod(lambda cls: shared))
+    th = build_uniform_partition(0.0, 2.0, 10)
+    yh = build_uniform_partition(0.0, 1.0, 6)
+    pd = _pd(k=lambda x, y: 1.0 + 0.2 * x, b1=lambda x, y: 1.0 + 0.5 * y,
+             b2=lambda x, y: -0.7 + 0.3 * x,
+             F=lambda x, y: np.sin(3.0 * x) + y)
+    for mu in ((0.31, 1.47), (0.5, 0.77)):
+        cb = build_coupled_basis(th, mu)
+        rule = augment_quadrature(th, mu)
+        got = assemble_transverse(pd, shared, cb, rule, yh)
+        ref = assemble_transverse(pd, LiftingFunction(zero, zero, zero, zero),
+                                  cb, rule, yh)
+        assert np.array_equal(got.matrix, ref.matrix)
+        assert np.array_equal(got.rhs, ref.rhs)
 
 
 # ---------------------------------------------------------------------------
