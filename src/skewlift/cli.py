@@ -137,7 +137,7 @@ def run_case(cfg, log=print):
     result = adaptive_train_extension(
         ops, cfg.g0, cfg.m_max, cfg.i_max, cfg.n_xi, cfg.theta,
         cfg.sigma_thres, cfg.NHp, qbar=cfg.qbar, seed=cfg.seed)
-    n_mu = len({s.mu for s in result.snapshots})
+    n_mu = len({mu for cell in result.cells for mu in cell.samples})
     log(f"  training: {len(result.cells)} cells, {n_mu} parameter points, "
         f"{len(result.snapshots)} snapshots "
         f"({time.perf_counter() - t_start:.2f}s)")

@@ -54,24 +54,6 @@ class InterfaceCurve:
                 hi = "" if self.ys_hi is None else f"{self.ys_hi[i]:.17g}"
                 w.writerow([f"{x:.17g}", f"{self.ys_lo[i]:.17g}", hi])
 
-    @classmethod
-    def from_csv(cls, path):
-        xs, lo, hi = [], [], []
-        with open(path, encoding="utf-8", newline="") as fh:
-            rd = csv.reader(fh)
-            header = next(rd)
-            if header[:3] != ["x", "y_lo", "y_hi"]:
-                raise ValueError(f"unexpected interface CSV header {header}")
-            for row in rd:
-                xs.append(float(row[0]))
-                lo.append(float(row[1]))
-                hi.append(float(row[2]) if row[2] != "" else np.nan)
-        hi = np.array(hi)
-        return cls(
-            np.array(xs), np.array(lo),
-            None if np.isnan(hi).all() else hi,
-        )
-
 
 def locate_interface(data, coarse_x, fine_y, mode="both"):
     """Track the band of extremal transverse variation of a data function.

@@ -4,7 +4,10 @@ The training domain is the Qbar-fold product of the dominant-direction
 interval. It is covered by hyper-rectangular cells, each carrying n_xi
 uniform samples; transverse snapshots are solved per sample and compressed by
 POD in the L2(omega_hat) inner product (thin SVD of the mass-weighted
-snapshot matrix).
+snapshot matrix). A sample's snapshots are the rows of the one array
+TransverseSolver.solve returns, and the training set is one
+(n_s, n_h + 1) array: every sample's rows, stacked in sorted-parameter
+order.
 
 Training takes the reference TensorOperators of the study: its grid gives
 the partitions, its snapshot_problem the transverse snapshot problem of the
@@ -58,7 +61,7 @@ from .mesh import Partition1D, TensorGrid, build_uniform_partition
 from .problem import reference_operators
 from .reduced import XBlocks
 from .transverse import (TransverseSolver, _elements, _p1_diagonals,
-                         band_solve, block_band)
+                         _snapped, band_solve, block_band)
 
 
 # ---------------------------------------------------------------------------
@@ -112,24 +115,26 @@ def transverse_mass(part):
 def pod(snapshots, part, count=None):
     """POD in the L2(omega_hat) inner product by a thin SVD.
 
-    snapshots: sequence of TransverseSnapshot or plain nodal arrays over
-    part (boundary entries allowed). With M = L L^T the dense Cholesky
-    factorization of the full transverse mass (transverse_mass, densified),
-    the thin SVD L^T S = U diag(s) W^T gives the energies lambda = s^2 and
-    the M-orthonormal modes L^{-T} U without squaring S into its Gram
-    matrix, so energies far below eps * lambda_1 stay resolved; singular
-    values below max(shape) * eps * s_1 count as numerically zero. Returns a ReductionSpace with modes ordered by
+    snapshots: the rows of one (n_s, n_h + 1) array, or a sequence of n_s
+    nodal arrays, over part (boundary entries allowed); S is the
+    (n_h + 1) x n_s matrix of their columns. With M = L L^T the dense
+    Cholesky factorization of the full transverse mass (transverse_mass,
+    densified), the thin SVD L^T S = U diag(s) W^T gives the energies
+    lambda = s^2 and the M-orthonormal modes L^{-T} U without squaring S
+    into its Gram matrix, so energies far below eps * lambda_1 stay
+    resolved; singular values below max(shape) * eps * s_1 count as
+    numerically zero. Returns a ReductionSpace with modes ordered by
     descending energy; the number of modes is count (if given), else every
     numerically meaningful mode. Mode signs are fixed (largest-magnitude
     entry positive) so equal snapshot sets give identical spaces regardless
     of input ordering.
     """
-    arrs = [getattr(s, "values", s) for s in snapshots]
-    if len(arrs) == 0:
+    S = np.asarray(snapshots, dtype=float)
+    if S.size == 0:
         raise ValueError("empty snapshot set")
-    S = np.column_stack([np.asarray(a, dtype=float) for a in arrs])
-    if S.shape[0] != part.n + 1:
+    if S.ndim != 2 or S.shape[1] != part.n + 1:
         raise ValueError("snapshot length does not match the partition")
+    S = np.ascontiguousarray(S.T)
     L = np.linalg.cholesky(transverse_mass(part).toarray())
     B = L.T @ S
     U, sv, _ = np.linalg.svd(B, full_matrices=False)
@@ -183,7 +188,7 @@ def _draw_samples(rng, lo, hi, n_xi, th):
     for _ in range(n_xi):
         for _attempt in range(200):
             mu = tuple(np.sort(rng.uniform(lo, hi)))
-            if np.unique(_elements(th, mu)).size == len(mu):
+            if np.unique(_elements(th, _snapped(th, mu))).size == len(mu):
                 out.append(mu)
                 break
         else:
@@ -337,7 +342,9 @@ class BaseMoments:
 
     def deltas(self, extras):
         """Model estimator Delta on the coarse grid for each entry of extras,
-        the base augmented by that entry's M-orthonormalized columns E.
+        the base augmented by the M-orthonormalized rows E of that entry, a
+        (k, n_y) array of interior transverse snapshot values (one
+        parameter's snapshots without their boundary entries).
 
         Per entry: the Galerkin solution in span(I (x) [Phi E]) (x-major,
         mode-minor; a banded solve of the bordered block-tridiagonal system
@@ -357,10 +364,10 @@ class BaseMoments:
         xb, phi = self.xb, self.phi
         n_x, n_y, m = xb.n_x, xb.n_y, phi.shape[1]
         n_s = len(extras)
-        k_max = max(extra.shape[1] for extra in extras)
+        k_max = max(extra.shape[0] for extra in extras)
         stack = np.zeros((n_s, k_max, n_y))
         for s, extra in enumerate(extras):
-            stack[s, :extra.shape[1]] = extra.T
+            stack[s, :extra.shape[0]] = extra
         E, counts = _orthonormalize_stack(phi, stack, self.M_y)
         # entry s's columns are s * k_max + c of every chunk-wide product
         E_cat = E.reshape(n_s * k_max, n_y).T
@@ -415,8 +422,7 @@ def element_indicators(base, cells, solver):
     mus = [mu for cell in cells for mu in cell.samples]
     delta = np.empty(len(mus))
     for lo in range(0, len(mus), _CHUNK):
-        extras = [np.column_stack([s.values[1:-1] for s in solver.solve(mu)])
-                  for mu in mus[lo:lo + _CHUNK]]
+        extras = [solver.solve(mu)[:, 1:-1] for mu in mus[lo:lo + _CHUNK]]
         delta[lo:lo + len(extras)] = base.deltas(extras)
     eta = np.full(len(cells), math.inf)
     np.minimum.at(eta, owner, delta)
@@ -433,17 +439,16 @@ def element_indicators(base, cells, solver):
 
 @dataclass
 class TrainingResult:
-    snapshots: list
+    snapshots: np.ndarray  # (n_s, n_h + 1), see _all_snapshots
     cells: list
 
 
 def _all_snapshots(cells, solver):
-    snaps = []
-    for cell in cells:
-        for mu in cell.samples:
-            snaps.extend(solver.solve(mu))
-    snaps.sort(key=lambda s: (s.mu, s.component))
-    return snaps
+    """Every sample's snapshot rows stacked into one (n_s, n_h + 1) array,
+    in sorted-parameter order (each sample's rows in its active-hat
+    order)."""
+    mus = sorted(mu for cell in cells for mu in cell.samples)
+    return np.vstack([solver.solve(mu) for mu in mus])
 
 
 def adaptive_train_extension(ops, g0, m_max, i_max, n_xi, theta, sigma_thres,
@@ -483,8 +488,5 @@ def adaptive_train_extension(ops, g0, m_max, i_max, n_xi, theta, sigma_thres,
                 break
             cells = refine(cells, chosen, n_xi, rng, th)
             new_cells = [c for c in cells if math.isnan(c.eta)]
-            for cell in new_cells:
-                for mu in cell.samples:
-                    solver.solve(mu)
             element_indicators(base, new_cells, solver)
     return TrainingResult(_all_snapshots(cells, solver), cells)

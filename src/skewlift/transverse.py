@@ -18,6 +18,13 @@ first/last points extend to the domain ends. All weights are positive and sum
 to |Omega_1D|, so the rule is exact for constants; placing one point per
 element midpoint reproduces the midpoint-quadrature FE system exactly.
 
+Where a point sits is decided once, by its snapped position
+r = (x - a)/H (_snapped: within 1e-10 relative of an integer, r is that
+integer). The elements, the deleted nodes, the active hats (the interior
+nodes floor(r) and ceil(r) of each parameter's element), the inserted
+midpoints and the handover bounds all derive from r, so a parameter within
+round-off of a node lies on that node for each of them.
+
 Per quadrature point x_l the trial combination sum_i xi_i(x_l) P_i enters the
 diffusion-in-y and b2-advection rows while the derivative-weighted combination
 sum_i xi_i'(x_l) P_i enters the diffusion-in-x/b1 row; the right-hand side
@@ -37,6 +44,11 @@ package (reduced m-sweep, training indicator, Boussinesq march), it is held
 only as LAPACK band storage (block_band) and solved by band_solve. Assembly
 takes O((qbar + qhat) n_a^2 n_h) time and the banded LU O(n bw^2) for
 n = n_a n_i unknowns; no dense or sparse n x n matrix is formed.
+
+A parameter vector's snapshots are the rows of one (n_a, n_h + 1) array:
+row a is the transverse solution P_a(y) of hat cb.active[a], nodal over
+the y-partition with zero boundary entries (snapshot_solve), cached
+read-only by TransverseSolver.
 """
 
 from dataclasses import dataclass
@@ -105,85 +117,73 @@ class CoupledBasis:
         return val, der
 
 
-def _rel(part, x):
-    """(x - a)/H snapped to integers within 1e-10 relative tolerance."""
-    r = (x - part.a) / part.h
-    rr = round(r)
-    return float(rr) if abs(r - rr) <= 1e-10 * max(1.0, abs(r)) else r
+def _snapped(th, x):
+    """Positions r = (x - a)/H of the points x in element units, each
+    snapped to the nearest integer when within 1e-10 max(1, |r|): the one
+    place where a point's position on th is decided, so a point within
+    round-off of a node lies on it for every decision taken from r."""
+    r = (np.asarray(x, dtype=float) - th.a) / th.h
+    node = np.round(r)
+    return np.where(np.abs(r - node) <= 1e-10 * np.maximum(1.0, np.abs(r)),
+                    node, r)
 
 
-def _elements(th, mu):
-    """Element of th holding each parameter, floor of the snapped _rel: a
-    parameter within round-off of a node belongs to the element on its
-    right."""
-    els = np.floor([_rel(th, m) for m in mu]).astype(int)
-    return np.clip(els, 0, th.n - 1)
+def _elements(th, r):
+    """Element of th holding each snapped position r: a point on a node
+    belongs to the element on its right."""
+    return np.clip(np.floor(r).astype(int), 0, th.n - 1)
 
 
-def _sorted_mu(th, mu):
+def _parameters(th, mu):
+    """The parameter vector sorted, and its snapped positions."""
     mu = np.sort(np.asarray(mu, dtype=float))
     if mu.size < 1:
         raise ValueError("need at least one quadrature point")
     if mu[0] <= th.a or mu[-1] >= th.b:
         raise ValueError(f"parameters must lie strictly inside ({th.a}, {th.b})")
-    return mu
+    return mu, _snapped(th, mu)
 
 
 def build_coupled_basis(th, mu):
-    """Delete nodes between parameter points and collect the active hats."""
-    mu = _sorted_mu(th, mu)
-    els = _elements(th, mu)
+    """Delete nodes between parameter points and collect the active hats.
+
+    The nodes strictly between ceil(r_l) and floor(r_{l+1}) of consecutive
+    points go; the active hats are the interior nodes floor(r) and ceil(r)
+    of each point's element (one node for a point on a node), which the
+    deletion always keeps.
+    """
+    mu, r = _parameters(th, mu)
+    els = _elements(th, r)
     if np.any(np.diff(els) == 0):
         dup = mu[np.argmin(np.diff(els))]
         raise QuadPointsInSameElement(
             f"parameters {mu} share element {els} (near x={dup:g})"
         )
+    left, right = np.floor(r).astype(int), np.ceil(r).astype(int)
     keep = np.ones(th.n + 1, dtype=bool)
-    for l in range(mu.size - 1):
-        lo = int(np.ceil(_rel(th, mu[l])))
-        hi = int(np.floor(_rel(th, mu[l + 1])))
-        if hi - lo >= 2:
-            keep[lo + 1:hi] = False
-    kept = np.nonzero(keep)[0]
-    kx = th.nodes[kept]
-    active = set()
-    for m in mu.tolist():
-        pos = int(np.searchsorted(kx, m))
-        if (pos < kx.size
-                and abs(float(kx[pos]) - m) <= 1e-12 * max(1.0, abs(m))):
-            cand = (kept[pos],)
-        else:
-            cand = (kept[pos - 1], kept[pos])
-        for node in cand:
-            if 0 < node < th.n:
-                active.add(int(node))
-    return CoupledBasis(th, tuple(mu), kept, np.array(sorted(active), dtype=int))
+    for start, stop in zip(right[:-1].tolist(), left[1:].tolist()):
+        keep[start + 1:stop] = False
+    hats = np.unique(np.concatenate([left, right]))
+    return CoupledBasis(th, tuple(mu), np.nonzero(keep)[0],
+                        hats[(hats > 0) & (hats < th.n)])
 
 
 def augment_quadrature(th, mu):
     """Insert gap midpoints and compute tiling weights (see module docstring)."""
-    mu = _sorted_mu(th, mu)
-    inserted = []
-    for l in range(mu.size - 1):
-        if np.floor(_rel(th, mu[l + 1])) - np.floor(_rel(th, mu[l])) >= 2:
-            inserted.append(0.5 * (mu[l] + mu[l + 1]))
-    pts = np.sort(np.concatenate([mu, np.array(inserted)]))
-    bounds = np.empty(pts.size + 1)
-    bounds[0] = th.a
-    bounds[-1] = th.b
-    for l in range(pts.size - 1):
-        p, q = pts[l], pts[l + 1]
-        fp, fq = np.floor(_rel(th, p)), np.floor(_rel(th, q))
-        if fp == fq:
-            bounds[l + 1] = 0.5 * (p + q)
-        else:
-            edge_r = th.a + np.ceil(_rel(th, p)) * th.h
-            edge_l = th.a + fq * th.h
-            bounds[l + 1] = 0.5 * (edge_r + edge_l)
-    weights = np.diff(bounds)
+    mu, r = _parameters(th, mu)
+    gaps = np.diff(np.floor(r)) >= 2
+    pts = np.sort(np.concatenate([mu, 0.5 * (mu[:-1] + mu[1:])[gaps]]))
+    rp = _snapped(th, pts)
+    lo, hi = np.floor(rp), np.ceil(rp)
+    # handover between consecutive points: their midpoint within one
+    # element, else the midpoint of the empty node range between them
+    inner = np.where(lo[:-1] == lo[1:], 0.5 * (pts[:-1] + pts[1:]),
+                     0.5 * ((th.a + hi[:-1] * th.h) + (th.a + lo[1:] * th.h)))
+    weights = np.diff(np.concatenate([[th.a], inner, [th.b]]))
     if np.any(weights <= 0):
         raise RuntimeError(f"non-positive quadrature weight for mu={mu}")
-    return QuadratureRule(pts, weights, qbar=mu.size, qhat=len(inserted))
+    return QuadratureRule(pts, weights, qbar=mu.size,
+                          qhat=int(np.count_nonzero(gaps)))
 
 
 # ---------------------------------------------------------------------------
@@ -396,18 +396,10 @@ def assemble_transverse(pd, lift, cb, rule, yh):
     return TransverseSystem(matrix, rhs.ravel(), cb, yh)
 
 
-@dataclass
-class TransverseSnapshot:
-    """One transverse solution component P_i(y) at parameter mu."""
-
-    mu: tuple
-    component: int  # original node id of the active hat
-    values: np.ndarray  # nodal over yh, boundary entries zero
-
-
 def snapshot_solve(system):
-    """Solve the coupled system; one snapshot per active hat, in the order
-    of system.cb.active.
+    """Solve the coupled system: the parameter's snapshots as the rows of
+    one (n_a, n_h + 1) array, row a the component P_a(y) of hat
+    system.cb.active[a], nodal over yh with zero boundary entries.
 
     band_solve on the band storage system.matrix: O(n bw^2) time for
     n = n_a (n_h - 1) unknowns and bandwidth bw = 2 n_a - 1. A singular or
@@ -416,21 +408,19 @@ def snapshot_solve(system):
     cb = system.cb
     sol = band_solve(system.matrix, system.rhs,
                      f"transverse system for mu={cb.mu}")
-    sol = sol.reshape(system.yh.n - 1, cb.active.size)
-    out = []
-    for a, node in enumerate(cb.active):
-        vals = np.zeros(system.yh.n + 1)
-        vals[1:-1] = sol[:, a]
-        out.append(TransverseSnapshot(cb.mu, int(node), vals))
+    out = np.zeros((cb.active.size, system.yh.n + 1))
+    out[:, 1:-1] = sol.reshape(system.yh.n - 1, cb.active.size).T
     return out
 
 
 class TransverseSolver:
-    """Snapshot factory with caching, keyed by the exact parameter tuple.
+    """Snapshot factory with caching, keyed by the sorted parameter tuple.
 
-    Snapshot solves are independent and could run in parallel; the output
-    ordering (sorted parameter tuple, then active component id) is what makes
-    runs deterministic, so the cache preserves it.
+    solve(mu) returns snapshot_solve's (n_a, n_h + 1) array for mu, one row
+    per active hat in cb.active order. Every call for the same parameters
+    returns the same cached array, so it is read-only. Snapshot solves are
+    independent and could run in parallel; the row order (sorted parameter
+    tuple, then active hat) is what makes runs deterministic.
     """
 
     def __init__(self, pd, lift, th, yh):
@@ -446,5 +436,7 @@ class TransverseSolver:
             cb = build_coupled_basis(self.th, key)
             rule = augment_quadrature(self.th, key)
             system = assemble_transverse(self.pd, self.lift, cb, rule, self.yh)
-            self._cache[key] = snapshot_solve(system)
+            snaps = snapshot_solve(system)
+            snaps.setflags(write=False)
+            self._cache[key] = snaps
         return self._cache[key]

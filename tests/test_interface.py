@@ -1,5 +1,7 @@
 """Interface detection, lifting construction and the groundwater model."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -51,14 +53,21 @@ def test_locate_rejects_flat_data():
 
 
 def test_curve_csv_roundtrip(tmp_path):
+    # to_csv writes every station at full precision: floats read back equal
     xs = np.linspace(0.1, 1.9, 7)
-    curve = InterfaceCurve(xs, 0.85 - 0.4 * xs)
-    path = tmp_path / "interface.csv"
-    curve.to_csv(path)
-    back = InterfaceCurve.from_csv(path)
-    np.testing.assert_allclose(back.xs, curve.xs, atol=0)
-    np.testing.assert_allclose(back.ys_lo, curve.ys_lo, atol=0)
-    assert back.ys_hi is None
+    for ys_hi in (None, 0.95 - 0.4 * xs):
+        curve = InterfaceCurve(xs, 0.85 - 0.4 * xs, ys_hi)
+        path = tmp_path / "interface.csv"
+        curve.to_csv(path)
+        with open(path, encoding="utf-8", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["x", "y_lo", "y_hi"]
+        assert [float(r[0]) for r in rows] == curve.xs.tolist()
+        assert [float(r[1]) for r in rows] == curve.ys_lo.tolist()
+        if ys_hi is None:  # one midline: the y_hi column is left empty
+            assert all(r[2] == "" for r in rows)
+        else:
+            assert [float(r[2]) for r in rows] == ys_hi.tolist()
 
 
 def test_build_lifting_reproduces_straight_skew():

@@ -156,6 +156,17 @@ def test_pod_truncation_controls():
     assert pod(dup, part, count=5).m == 2
 
 
+def test_pod_takes_the_rows_of_one_array():
+    # the rows of one array and the same rows as a list give the same space
+    rng = np.random.default_rng(29)
+    part = build_uniform_partition(0.0, 1.0, 16)
+    S = _random_snapshots(rng, part, 7)
+    rows, listed = pod(S.T, part), pod(list(S.T), part)
+    assert np.array_equal(rows.modes, listed.modes)
+    assert np.array_equal(rows.eigenvalues, listed.eigenvalues)
+    assert np.array_equal(rows.pod_tail, listed.pod_tail)
+
+
 def test_pod_input_validation():
     part = build_uniform_partition(0.0, 1.0, 10)
     with pytest.raises(ValueError):
@@ -216,7 +227,7 @@ def test_element_indicators_match_explicit_projection(mode, m):
     for cell, got in zip(cells, eta):
         deltas = []
         for mu in cell.samples:
-            E = np.column_stack([s.values[1:-1] for s in solver.solve(mu)])
+            E = solver.solve(mu)[:, 1:-1].T
             # the Galerkin space in any basis; delta_h snapshots of one
             # sample can be exactly dependent, so the basis is rank-revealing
             Q = scipy.linalg.orth(np.hstack([space.modes[1:-1], E]),
@@ -234,7 +245,7 @@ def _unbatched_delta(base, extra):
     fill rows), a one-column Gram solve."""
     xb, phi = base.xb, base.phi
     m = phi.shape[1]
-    E = _orthonormalize(phi, extra, base.M_y)[:, m:]
+    E = _orthonormalize(phi, extra.T, base.M_y)[:, m:]
     w = m + E.shape[1]
     if w >= xb.n_y:
         return 0.0
@@ -271,7 +282,8 @@ def _indicator_setup(mode, m):
 
 
 def _extra(solver, mu):
-    return np.column_stack([s.values[1:-1] for s in solver.solve(mu)])
+    """mu's snapshots without their boundary entries, one row each."""
+    return solver.solve(mu)[:, 1:-1]
 
 
 @pytest.mark.parametrize("mode", ["weak_lifting", "delta_h"])
@@ -288,8 +300,8 @@ def test_batched_indicators_equal_the_unbatched_maths(mode, m):
         deltas = []
         for mu in cell.samples:
             extra = _extra(solver, mu)
-            kept = _orthonormalize(base.phi, extra, base.M_y).shape[1] - m
-            dropped += kept < extra.shape[1]
+            kept = _orthonormalize(base.phi, extra.T, base.M_y).shape[1] - m
+            dropped += kept < extra.shape[0]
             deltas.append(_unbatched_delta(base, extra))
         expected.append(min(deltas))
     np.testing.assert_allclose(eta, expected, rtol=1e-12, atol=0)
@@ -312,9 +324,9 @@ def test_chunk_mixing_dropped_columns_matches_one_sample_calls():
     base, cells, solver = _indicator_setup("delta_h", m)
     extras = [_extra(solver, mu) for c in cells for mu in c.samples]
     extras = extras[:training._CHUNK]
-    kept = [_orthonormalize(base.phi, e, base.M_y).shape[1] - m
+    kept = [_orthonormalize(base.phi, e.T, base.M_y).shape[1] - m
             for e in extras]
-    lost = [k < e.shape[1] for k, e in zip(kept, extras)]
+    lost = [k < e.shape[0] for k, e in zip(kept, extras)]
     assert any(lost) and not all(lost)
     single = [base.deltas([e])[0] for e in extras]
     np.testing.assert_allclose(base.deltas(extras), single, rtol=1e-12, atol=0)
@@ -462,19 +474,22 @@ def test_training_is_seed_reproducible():
         ops = reference_operators(pd, lift, TensorGrid(th, yh))
         return adaptive_train_extension(ops, 2, seed=seed, **kw)
 
+    def samples(result):
+        return [mu for cell in result.cells for mu in cell.samples]
+
     run_a = run(7)
     run_b = run(7)
-    mus_a = [(s.mu, s.component) for s in run_a.snapshots]
-    mus_b = [(s.mu, s.component) for s in run_b.snapshots]
-    assert mus_a == mus_b
-    for sa, sb in zip(run_a.snapshots, run_b.snapshots):
-        assert np.array_equal(sa.values, sb.values)
-    # snapshots come back sorted by (mu, component)
-    assert mus_a == sorted(mus_a)
+    assert samples(run_a) == samples(run_b)
+    assert np.array_equal(run_a.snapshots, run_b.snapshots)
+    # snapshots come back as one array: every sample's rows (in active-hat
+    # order), samples sorted by parameter
+    solver = TransverseSolver(pd, lift, th, yh)
+    expected = np.vstack([solver.solve(mu) for mu in sorted(samples(run_a))])
+    assert np.array_equal(run_a.snapshots, expected)
     # the marked/refined loop actually grew the set
     assert len(run_a.cells) > 4
     run_c = run(8)
-    assert [(s.mu, s.component) for s in run_c.snapshots] != mus_a
+    assert samples(run_c) != samples(run_a)
 
 
 def test_training_builds_coarse_operators_once(monkeypatch):
@@ -519,7 +534,6 @@ def test_training_takes_lifting_and_mode_from_ops(monkeypatch):
     assert c_pd is pd and c_lift is lift and c_mode == "plain_gD"
     assert c_grid.tx.n == 4 and c_grid.ty is yh
     blend_solver = TransverseSolver(*ops.snapshot_problem, th, yh)
-    for s in run.snapshots:
-        ref = next(r for r in blend_solver.solve(s.mu)
-                   if r.component == s.component)
-        assert np.array_equal(s.values, ref.values)
+    mus = sorted(mu for cell in run.cells for mu in cell.samples)
+    assert np.array_equal(run.snapshots,
+                          np.vstack([blend_solver.solve(mu) for mu in mus]))

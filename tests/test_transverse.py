@@ -14,6 +14,8 @@ from skewlift.transverse import (
     CoupledBasis,
     QuadPointsInSameElement,
     TransverseSolver,
+    _elements,
+    _snapped,
     assemble_transverse,
     augment_quadrature,
     band_solve,
@@ -79,22 +81,28 @@ def test_single_point_on_a_node():
 
 
 def test_parameters_within_round_off_of_a_node():
-    # a parameter within 1e-12 max(1, |mu|) below a kept node is on it, and
-    # only that node's hat is active; just above a node it lies in the
-    # element on its right, with both of that element's hats
+    # a parameter whose position (mu - a)/H is within 1e-10 max(1, |r|) of
+    # a node index lies on that node, from either side: it is in the
+    # element right of the node, and only the node's hat is active
     th = build_uniform_partition(0.0, 2.0, 4)  # nodes 0, 0.5, 1, 1.5, 2
-    for mu, active in (((1.0 - 1e-13,), [2]),
-                       ((0.5 - 8e-14, 1.5 - 1e-13), [1, 3]),
-                       ((1.0 + 1e-13,), [2, 3]),
-                       ((1.0 - 1e-11,), [1, 2])):
-        cb = build_coupled_basis(th, mu)
-        assert cb.active.tolist() == active
-        # the decision is np.isclose's, with rtol = 0, on the first kept
-        # node at or above the parameter
-        kx = cb.kept_x
-        pinned = [np.isclose(kx[np.searchsorted(kx, m)], m, rtol=0,
-                             atol=1e-12 * max(1, abs(m))) for m in mu]
-        assert all(pinned) == (len(active) == len(mu))
+    for x in (1.0 - 1e-13, 1.0 + 1e-13, 1.0 - 1e-11):
+        cb = build_coupled_basis(th, (x,))
+        assert cb.active.tolist() == [2]
+        assert cb.kept_nodes.tolist() == [0, 1, 2, 3, 4]
+        assert _elements(th, _snapped(th, [x])).tolist() == [2]
+        # the quadrature point owns the whole domain, as one on the node
+        rule = augment_quadrature(th, (x,))
+        assert rule.points.tolist() == [x] and rule.weights.tolist() == [2.0]
+    # beyond the tolerance the point is inside its element: both hats
+    assert build_coupled_basis(th, (1.0 - 1e-9,)).active.tolist() == [1, 2]
+    # two points near nodes 1 and 3: hats 1 and 3 only, node 2 deleted
+    cb = build_coupled_basis(th, (0.5 - 8e-14, 1.5 + 1e-13))
+    assert cb.active.tolist() == [1, 3]
+    assert cb.kept_nodes.tolist() == [0, 1, 3, 4]
+    rule = augment_quadrature(th, (0.5 - 8e-14, 1.5 + 1e-13))
+    assert rule.qhat == 1
+    # handovers at the midpoints of the empty node ranges [1, 2] and [2, 3]
+    np.testing.assert_allclose(rule.weights, [0.75, 0.5, 0.75], rtol=1e-12)
 
 
 def test_same_element_parameters_rejected():
@@ -109,6 +117,100 @@ def test_parameters_must_be_interior():
         build_coupled_basis(th, (0.0, 1.0))
     with pytest.raises(ValueError):
         augment_quadrature(th, ())
+
+
+def _ref_rel(part, x):
+    """(x - a)/H snapped to integers within 1e-10 relative tolerance, one
+    scalar at a time."""
+    r = (x - part.a) / part.h
+    rr = round(r)
+    return float(rr) if abs(r - rr) <= 1e-10 * max(1.0, abs(r)) else r
+
+
+def _ref_sorted_mu(th, mu):
+    mu = np.sort(np.asarray(mu, dtype=float))
+    if mu.size < 1:
+        raise ValueError("need at least one quadrature point")
+    if mu[0] <= th.a or mu[-1] >= th.b:
+        raise ValueError(f"parameters must lie strictly inside ({th.a}, {th.b})")
+    return mu
+
+
+def _ref_coupled_basis(th, mu):
+    """Kept nodes and active hats, one parameter and one gap at a time: the
+    active hats are the kept nodes bracketing each parameter in x, or the
+    kept node within 1e-12 max(1, |mu|) at or above it."""
+    mu = _ref_sorted_mu(th, mu)
+    keep = np.ones(th.n + 1, dtype=bool)
+    for l in range(mu.size - 1):
+        lo = int(np.ceil(_ref_rel(th, mu[l])))
+        hi = int(np.floor(_ref_rel(th, mu[l + 1])))
+        if hi - lo >= 2:
+            keep[lo + 1:hi] = False
+    kept = np.nonzero(keep)[0]
+    kx = th.nodes[kept]
+    active = set()
+    for m in mu.tolist():
+        pos = int(np.searchsorted(kx, m))
+        if (pos < kx.size
+                and abs(float(kx[pos]) - m) <= 1e-12 * max(1.0, abs(m))):
+            cand = (kept[pos],)
+        else:
+            cand = (kept[pos - 1], kept[pos])
+        for node in cand:
+            if 0 < node < th.n:
+                active.add(int(node))
+    return kept, np.array(sorted(active), dtype=int)
+
+
+def _ref_quadrature(th, mu):
+    """Points, weights and qhat of the augmented rule, one point at a time."""
+    mu = _ref_sorted_mu(th, mu)
+    inserted = []
+    for l in range(mu.size - 1):
+        if np.floor(_ref_rel(th, mu[l + 1])) - np.floor(_ref_rel(th, mu[l])) >= 2:
+            inserted.append(0.5 * (mu[l] + mu[l + 1]))
+    pts = np.sort(np.concatenate([mu, np.array(inserted)]))
+    bounds = np.empty(pts.size + 1)
+    bounds[0] = th.a
+    bounds[-1] = th.b
+    for l in range(pts.size - 1):
+        p, q = pts[l], pts[l + 1]
+        fp, fq = np.floor(_ref_rel(th, p)), np.floor(_ref_rel(th, q))
+        if fp == fq:
+            bounds[l + 1] = 0.5 * (p + q)
+        else:
+            edge_r = th.a + np.ceil(_ref_rel(th, p)) * th.h
+            edge_l = th.a + fq * th.h
+            bounds[l + 1] = 0.5 * (edge_r + edge_l)
+    return pts, np.diff(bounds), len(inserted)
+
+
+@pytest.mark.parametrize("n", [4, 160])
+@pytest.mark.parametrize("qbar", [1, 2, 3])
+def test_geometry_matches_the_scalar_reference(n, qbar):
+    # away from nodes, the snapped-position geometry equals the scalar
+    # reference bit for bit
+    rng = np.random.default_rng(1000 * n + qbar)
+    for a, b in ((0.0, 2.0), (-0.7, 1.9)):
+        th = build_uniform_partition(a, b, n)
+        checked = 0
+        while checked < 250:
+            mu = rng.uniform(a, b, size=qbar)
+            r = (mu - a) / th.h
+            if (np.min(np.abs(r - np.round(r))) < 1e-8
+                    or np.unique(np.floor(r)).size < qbar):
+                continue
+            cb = build_coupled_basis(th, mu)
+            kept, active = _ref_coupled_basis(th, mu)
+            assert cb.kept_nodes.tolist() == kept.tolist()
+            assert cb.active.tolist() == active.tolist()
+            rule = augment_quadrature(th, mu)
+            pts, weights, qhat = _ref_quadrature(th, mu)
+            assert rule.points.tobytes() == pts.tobytes()
+            assert rule.weights.tobytes() == weights.tobytes()
+            assert rule.qhat == qhat
+            checked += 1
 
 
 # ---------------------------------------------------------------------------
@@ -373,12 +475,12 @@ def test_coupled_system_matches_blockwise_oracle(mode, dense_from_band):
     assert np.max(np.abs(system.rhs - rhs)) <= 1e-14 * np.max(np.abs(rhs))
 
     sol = np.linalg.solve(dense_from_band(system.matrix), system.rhs)
-    snaps = snapshot_solve(system)
-    assert [s.component for s in snaps] == cb.active.tolist()
+    snaps = snapshot_solve(system)  # row a: hat cb.active[a]
+    assert snaps.shape == (n_a, yh.n + 1)
+    assert np.all(snaps[:, [0, -1]] == 0.0)
     scale = np.max(np.abs(sol))
     for a, s in enumerate(snaps):
-        assert s.values[0] == 0.0 and s.values[-1] == 0.0
-        assert np.max(np.abs(s.values[1:-1] - sol[a::n_a])) <= 1e-12 * scale
+        assert np.max(np.abs(s[1:-1] - sol[a::n_a])) <= 1e-12 * scale
 
     # no diffusion, no advection: a singular system is a RuntimeError
     zero = lambda x, y: np.zeros(np.broadcast(x, y).shape)
@@ -528,14 +630,21 @@ def test_solver_snapshot_layout_and_cache():
     yh = build_uniform_partition(0.0, 1.0, 6)
     solver = TransverseSolver(_pd(), LiftingFunction.zero(), th, yh)
     snaps = solver.solve((1.75, 0.25))  # unsorted input
-    assert [s.component for s in snaps] == [1, 3]
-    assert all(s.mu == (0.25, 1.75) for s in snaps)
-    for s in snaps:
-        assert s.values.shape == (yh.n + 1,)
-        assert s.values[0] == 0.0 and s.values[-1] == 0.0
-        assert np.all(np.isfinite(s.values))
-        assert np.max(np.abs(s.values)) > 0.0
+    # one row per active hat, in cb.active order, nodal with boundary zeros
+    cb = build_coupled_basis(th, (0.25, 1.75))
+    assert cb.active.tolist() == [1, 3]
+    assert snaps.shape == (cb.active.size, yh.n + 1)
+    assert np.all(snaps[:, [0, -1]] == 0.0)
+    assert np.all(np.isfinite(snaps))
+    assert np.all(np.max(np.abs(snaps), axis=1) > 0.0)
+    system = assemble_transverse(_pd(), LiftingFunction.zero(), cb,
+                                 augment_quadrature(th, (0.25, 1.75)), yh)
+    assert np.array_equal(snaps, snapshot_solve(system))
+    # the cached array is shared by every caller, so it cannot be written
+    with pytest.raises(ValueError):
+        snaps[0, 1] = 1.0
     # cache is keyed by the sorted tuple: same object comes back
     assert solver.solve((0.25, 1.75)) is snaps
+    assert solver.solve((1.75, 0.25)) is snaps
     with pytest.raises(QuadPointsInSameElement):
         solver.solve((0.6, 0.9))
