@@ -32,10 +32,13 @@ change:
   view (reduced.XBlocks);
 * once per outer iteration: the block moments A_ij Phi, Phi^T A_ij Phi and
   Phi^T rhs_i of the base space Phi, the (m-1)-mode POD space (BaseMoments);
-* once per chunk of up to _CHUNK samples (BaseMoments.deltas): the
-  M-orthonormalization of all the chunk's <= 2 Qbar snapshot columns per
-  sample against Phi (_orthonormalize_stack, one column slot at a time for
-  every sample, on the sparse tridiagonal transverse mass), the products
+* once per chunk of up to _CHUNK samples: the y-operators of the chunk's
+  fresh samples, built in one pass (TransverseSolver.solve_many; each fresh
+  sample's geometry, assembly contraction and band solve stay its own),
+  then, in BaseMoments.deltas, the M-orthonormalization of all the chunk's
+  <= 2 Qbar snapshot columns per sample against Phi (_orthonormalize_stack,
+  one column slot at a time for every sample, on the sparse tridiagonal
+  transverse mass), the products
   A_ij E of all its new columns (three sparse products), the dense
   products Phi^T A_ij E, E^T A_ij Phi and rhs_i E over all of them, every
   sample's k x k blocks E^T A_ij E in one batched product, and the V-dual
@@ -415,14 +418,16 @@ def element_indicators(base, cells, solver):
     base: BaseMoments of the current space. For every sample mu of a cell
     the reduced problem is solved on the N_H' x n_h grid with the space
     augmented by mu's snapshots and the model estimator Delta is evaluated
-    there, _CHUNK samples per BaseMoments.deltas call; eta is the minimum
+    there, _CHUNK samples per TransverseSolver.solve_many and
+    BaseMoments.deltas call; eta is the minimum
     over the cell's samples. sigma = diam * rho.
     """
     owner = np.repeat(np.arange(len(cells)), [len(c.samples) for c in cells])
     mus = [mu for cell in cells for mu in cell.samples]
     delta = np.empty(len(mus))
     for lo in range(0, len(mus), _CHUNK):
-        extras = [solver.solve(mu)[:, 1:-1] for mu in mus[lo:lo + _CHUNK]]
+        extras = [snaps[:, 1:-1]
+                  for snaps in solver.solve_many(mus[lo:lo + _CHUNK])]
         delta[lo:lo + len(extras)] = base.deltas(extras)
     eta = np.full(len(cells), math.inf)
     np.minimum.at(eta, owner, delta)
@@ -448,7 +453,7 @@ def _all_snapshots(cells, solver):
     in sorted-parameter order (each sample's rows in its active-hat
     order)."""
     mus = sorted(mu for cell in cells for mu in cell.samples)
-    return np.vstack([solver.solve(mu) for mu in mus])
+    return np.vstack(solver.solve_many(mus))
 
 
 def adaptive_train_extension(ops, g0, m_max, i_max, n_xi, theta, sigma_thres,

@@ -33,7 +33,7 @@ k h_x xi_k' + (b.grad h) xi_k against v. Every lifting mode reaches this
 module as one (ProblemData, LiftingFunction) pair,
 problem.TensorOperators.snapshot_problem: a mode that folds its lifting into
 the source (delta_h, riesz_recon) hands over the shared zero lifting
-(LiftingFunction.zero()), whose terms assemble_transverse skips.
+(LiftingFunction.zero()), whose terms y_rows skips.
 
 Unknown order and cost: with n_a active hats and n_i = n_h - 1 interior
 y-nodes, unknown j * n_a + a is hat a at interior y-node j + 1 (y-node-major,
@@ -41,9 +41,18 @@ active-hat minor). Every x-point couples all active hats but only
 neighbouring y-nodes, so the system is block-tridiagonal with n_a x n_a
 blocks: bandwidth bw = 2 n_a - 1. Like every block-tridiagonal system of the
 package (reduced m-sweep, training indicator, Boussinesq march), it is held
-only as LAPACK band storage (block_band) and solved by band_solve. Assembly
-takes O((qbar + qhat) n_a^2 n_h) time and the banded LU O(n bw^2) for
-n = n_a n_i unknowns; no dense or sparse n x n matrix is formed.
+only as LAPACK band storage (block_band) and solved by band_solve.
+
+Assembly is split by what it depends on. The y-operators of an x-point
+(YRows: the interior diagonals of K + D, Mk and Mb, the load and the
+lifting-gradient load) depend only on the point, so they are built once per
+batch of parameter vectors, for all their points in one y_rows pass that
+evaluates every callback once (TransverseSolver.solve_many). What is left
+per parameter vector is its geometry (build_coupled_basis,
+augment_quadrature), the contraction of its points' rows with its hat
+tables in O((qbar + qhat) n_a^2 n_h) time (assemble_transverse), and the
+banded LU in O(n bw^2) for n = n_a n_i unknowns (snapshot_solve); no dense
+or sparse n x n matrix is formed.
 
 A parameter vector's snapshots are the rows of one (n_a, n_h + 1) array:
 row a is the transverse solution P_a(y) of hat cb.active[a], nodal over
@@ -203,26 +212,34 @@ def _p1_diagonals(part, cvals, kind):
 
     kind is "stiff" (int c u' v'), "grad" (int c u' v: trial derivative,
     test value) or "mass" (int c u v). lower[..., i] is entry (i + 1, i) and
-    upper[..., i] entry (i, i + 1); both have n entries, diag n + 1.
+    upper[..., i] entry (i, i + 1); both have n entries, diag n + 1. Each
+    local entry (test t, trial s) is its own (..., n) array, summed over the
+    two Gauss points q in the order q = 0, 1.
     """
     der = _der(part.h)
     row, col = {"stiff": (der, der), "grad": (_VAL, der),
                 "mass": (_VAL, _VAL)}[kind]
-    c_row = cvals[..., None] * row  # (..., e, q, t)
-    loc = part.h / 2.0 * (c_row[..., 0, :, None] * col[0]
-                          + c_row[..., 1, :, None] * col[1])
-    diag = np.zeros(loc.shape[:-3] + (part.n + 1,))
-    diag[..., :-1] += loc[..., 0, 0]
-    diag[..., 1:] += loc[..., 1, 1]
-    return loc[..., 1, 0], diag, loc[..., 0, 1]
+    c0, c1 = cvals[..., 0], cvals[..., 1]
+
+    def local(t, s):
+        return part.h / 2.0 * ((c0 * row[0, t]) * col[0, s]
+                               + (c1 * row[1, t]) * col[1, s])
+
+    diag = np.zeros(cvals.shape[:-2] + (part.n + 1,))
+    diag[..., :-1] += local(0, 0)
+    diag[..., 1:] += local(1, 1)
+    return local(1, 0), diag, local(0, 1)
 
 
 def _p1_load(part, cvals, against_deriv=False):
     """Load vector int c v (or int c v') at the interior nodes."""
     tab = _der(part.h) if against_deriv else _VAL
-    loc = part.h / 2.0 * (cvals[..., 0, None] * tab[0]
-                          + cvals[..., 1, None] * tab[1])
-    return loc[..., 1:, 0] + loc[..., :-1, 1]
+
+    def local(t):
+        return part.h / 2.0 * (cvals[..., 0] * tab[0, t]
+                               + cvals[..., 1] * tab[1, t])
+
+    return local(0)[..., 1:] + local(1)[..., :-1]
 
 
 def _interior_stack(diags):
@@ -310,6 +327,73 @@ def _y_gauss(part):
     return (part.nodes[:-1, None] + GAUSS_NODES[None, :] * part.h)  # (ne, 2)
 
 
+@dataclass(frozen=True)
+class YRows:
+    """The y-operators of a set of x-points, one row per point.
+
+    kd, mk and mb hold the interior diagonals (_interior_stack, block_pairs
+    order) of K + D (int k u' v' + int b2 u' v), of int k u v and of
+    int b1 u v; load holds the interior load int F v minus the k h_y,
+    b1 h_x and b2 h_y lifting terms, and load_der the lifting-gradient load
+    int k h_x v, or None for LiftingFunction.zero(). Indexing takes a
+    subset of the points.
+    """
+
+    kd: np.ndarray  # (n_points, 3 n_i - 2)
+    mk: np.ndarray
+    mb: np.ndarray
+    load: np.ndarray  # (n_points, n_i)
+    load_der: np.ndarray | None
+
+    def __getitem__(self, points):
+        return YRows(self.kd[points], self.mk[points], self.mb[points],
+                     self.load[points],
+                     None if self.load_der is None else self.load_der[points])
+
+
+def y_rows(pd, lift, points, yh):
+    """YRows of the snapshot problem (pd, lift) at the x-points: every
+    callback is evaluated once, at all points and y Gauss points together.
+
+    Every operation is elementwise along the points, so a point's rows do
+    not depend on the other points evaluated with it. For
+    LiftingFunction.zero() the lifting terms are skipped, not assembled as
+    zeros.
+    """
+    X, Y = (np.ascontiguousarray(c) for c in np.broadcast_arrays(
+        np.asarray(points, dtype=float)[:, None, None], _y_gauss(yh)))
+    shape = X.shape
+    lifted = lift is not LiftingFunction.zero()
+    n_i = yh.n - 1
+    widths = [3 * n_i - 2] * 3 + [n_i] * (2 if lifted else 1)
+    # the rows outlive the temporaries below, and a batch's solves allocate
+    # the cached snapshots while they are held: one buffer taken before the
+    # temporaries keeps the rows out of the space the temporaries free,
+    # which would otherwise fragment the heap (~1.5 MB more peak RSS on the
+    # benchmark's train-broad workload)
+    parts = np.split(np.empty((shape[0], sum(widths))),
+                     np.cumsum(widths)[:-1], axis=1)
+    kd, mk, mb, load = parts[:4]
+    load_der = parts[4] if lifted else None
+
+    def at_points(f):
+        return np.broadcast_to(np.asarray(f(X, Y), dtype=float), shape)
+
+    kv, b1v, b2v = at_points(pd.k), at_points(pd.b1), at_points(pd.b2)
+    np.add(_interior_stack(_p1_diagonals(yh, kv, "stiff")),
+           _interior_stack(_p1_diagonals(yh, b2v, "grad")), out=kd)
+    mk[:] = _interior_stack(_p1_diagonals(yh, kv, "mass"))
+    mb[:] = _interior_stack(_p1_diagonals(yh, b1v, "mass"))
+    load[:] = _p1_load(yh, at_points(pd.F))
+    # the zero lifting (delta_h, riesz_recon) has no terms to subtract
+    if lifted:
+        hx, hy = at_points(lift.dx), at_points(lift.dy)
+        load -= _p1_load(yh, kv * hy, against_deriv=True)
+        load -= _p1_load(yh, b1v * hx + b2v * hy)
+        load_der[:] = _p1_load(yh, kv * hx)
+    return YRows(kd, mk, mb, load, load_der)
+
+
 @dataclass
 class TransverseSystem:
     """Coupled transverse system of one parameter vector.
@@ -326,34 +410,24 @@ class TransverseSystem:
     yh: Partition1D
 
 
-def assemble_transverse(pd, lift, cb, rule, yh):
+def assemble_transverse(rows, cb, rule, yh):
     """Assemble the coupled transverse system for one parameter vector.
 
-    (pd, lift) is a snapshot problem (TensorOperators.snapshot_problem): the
-    right-hand side is F . xi psi - a(h, xi psi), with the k h_y, k h_x and
-    b.grad(h) terms of the lifting h; for LiftingFunction.zero() those terms
-    are skipped, not assembled as zeros.
+    rows are the YRows of the snapshot problem at rule.points (y_rows; row l
+    belongs to point l): the right-hand side is F . xi psi - a(h, xi psi),
+    with the k h_y, k h_x and b.grad(h) terms of the lifting h folded into
+    rows.load and rows.load_der.
 
-    Unknowns are y-node-major, active-hat minor (see TransverseSystem). Every
-    callback is evaluated once, at all x-points and y Gauss points together;
-    the n_a x n_a blocks of the three y-diagonals are accumulated over the
+    Unknowns are y-node-major, active-hat minor (see TransverseSystem). The
+    rows are contracted with the hat tables of cb, point by point: the
+    n_a x n_a blocks of the three y-diagonals are accumulated over the
     x-points and scattered once into band storage (block_band), in
     O((qbar + qhat) n_a^2 n_h) time and O(n_a^2 n_h) memory.
     """
-    act = cb.active
-    n_a = act.size
+    n_a = cb.active.size
     if n_a == 0:
         raise ValueError("no active interior hats for the given parameters")
-    n_i = yh.n - 1
-    yg = _y_gauss(yh)
     pts, wts = rule.points, rule.weights
-    X, Y = (np.ascontiguousarray(c)
-            for c in np.broadcast_arrays(pts[:, None, None], yg))
-    shape = X.shape
-
-    def at_points(f):
-        return np.broadcast_to(np.asarray(f(X, Y), dtype=float), shape)
-
     # xi_a(x_l) and xi_a'(x_l), shape (n_points, n_a)
     Xi, dXi = cb.tables(pts)
     # per-point block coefficients [l, test hat, trial hat]
@@ -363,37 +437,24 @@ def assemble_transverse(pd, lift, cb, rule, yh):
     c_mk = w_trial_der * dXi[:, :, None]
     c_mb = w_trial_der * Xi[:, :, None]
 
-    kv, b1v, b2v = at_points(pd.k), at_points(pd.b1), at_points(pd.b2)
-    K = _interior_stack(_p1_diagonals(yh, kv, "stiff"))
-    D = _interior_stack(_p1_diagonals(yh, b2v, "grad"))
-    Mk = _interior_stack(_p1_diagonals(yh, kv, "mass"))
-    Mb = _interior_stack(_p1_diagonals(yh, b1v, "mass"))
-    KD = K + D
-    blocks = np.zeros((3 * n_i - 2, n_a, n_a))
+    blocks = np.zeros((rows.kd.shape[1], n_a, n_a))
     for l in range(pts.size):
-        block = c_kd[l] * KD[l][:, None, None]
-        block += c_mk[l] * Mk[l][:, None, None]
-        block += c_mb[l] * Mb[l][:, None, None]
+        block = c_kd[l] * rows.kd[l][:, None, None]
+        block += c_mk[l] * rows.mk[l][:, None, None]
+        block += c_mb[l] * rows.mb[l][:, None, None]
         blocks += block
-    matrix = block_band(blocks)
 
-    load = _p1_load(yh, at_points(pd.F))
-    # the zero lifting (delta_h, riesz_recon) has no terms to subtract
-    lifted = lift is not LiftingFunction.zero()
-    if lifted:
-        hx, hy = at_points(lift.dx), at_points(lift.dy)
-        load = (load - _p1_load(yh, kv * hy, against_deriv=True)
-                - _p1_load(yh, b1v * hx + b2v * hy))
-        h2_grad = _p1_load(yh, kv * hx)
-        w_der = wts[:, None] * dXi
+    lifted = rows.load_der is not None
     w_val = wts[:, None] * Xi
-    rhs = np.zeros((n_i, n_a))
+    if lifted:
+        w_der = wts[:, None] * dXi
+    rhs = np.zeros((rows.load.shape[1], n_a))
     for l in range(pts.size):
-        rhs += w_val[l] * load[l][:, None]
+        rhs += w_val[l] * rows.load[l][:, None]
         if lifted:
-            rhs -= w_der[l] * h2_grad[l][:, None]
+            rhs -= w_der[l] * rows.load_der[l][:, None]
 
-    return TransverseSystem(matrix, rhs.ravel(), cb, yh)
+    return TransverseSystem(block_band(blocks), rhs.ravel(), cb, yh)
 
 
 def snapshot_solve(system):
@@ -418,9 +479,17 @@ class TransverseSolver:
 
     solve(mu) returns snapshot_solve's (n_a, n_h + 1) array for mu, one row
     per active hat in cb.active order. Every call for the same parameters
-    returns the same cached array, so it is read-only. Snapshot solves are
-    independent and could run in parallel; the row order (sorted parameter
-    tuple, then active hat) is what makes runs deterministic.
+    returns the same cached array, so it is read-only. The row order
+    (sorted parameter tuple, then active hat) is what makes runs
+    deterministic.
+
+    solve_many(mus) is solve over a batch: it first builds the geometry
+    (build_coupled_basis, augment_quadrature) of every key not yet cached
+    and their y-operators in one y_rows pass over all their x-points, then
+    calls solve for each entry, which assembles (assemble_transverse) and
+    solves (snapshot_solve) each fresh key on its own. solve of a key that
+    no batch prepared prepares it as a batch of one; both give the same
+    bits, since y_rows is elementwise along the points.
     """
 
     def __init__(self, pd, lift, th, yh):
@@ -429,14 +498,47 @@ class TransverseSolver:
         self.th = th
         self.yh = yh
         self._cache = {}
+        self._prepared = {}  # key -> (cb, rule, rows), only inside a batch
+
+    @staticmethod
+    def _key(mu):
+        return tuple(np.sort(np.asarray(mu, dtype=float)))
+
+    def _prepare(self, keys):
+        """Geometry and YRows of the distinct keys not yet cached. Every
+        key's geometry is built before anything is stored, so a rejected
+        key (QuadPointsInSameElement) prepares none."""
+        fresh = [key for key in dict.fromkeys(keys) if key not in self._cache]
+        if not fresh:
+            return
+        geometry = [(build_coupled_basis(self.th, key),
+                     augment_quadrature(self.th, key)) for key in fresh]
+        rows = y_rows(self.pd, self.lift,
+                      np.concatenate([rule.points for _, rule in geometry]),
+                      self.yh)
+        lo = 0
+        for key, (cb, rule) in zip(fresh, geometry):
+            hi = lo + rule.points.size
+            self._prepared[key] = (cb, rule, rows[lo:hi])
+            lo = hi
 
     def solve(self, mu):
-        key = tuple(np.sort(np.asarray(mu, dtype=float)))
+        key = self._key(mu)
         if key not in self._cache:
-            cb = build_coupled_basis(self.th, key)
-            rule = augment_quadrature(self.th, key)
-            system = assemble_transverse(self.pd, self.lift, cb, rule, self.yh)
-            snaps = snapshot_solve(system)
+            if key not in self._prepared:
+                self._prepare([key])
+            cb, rule, rows = self._prepared.pop(key)
+            snaps = snapshot_solve(assemble_transverse(rows, cb, rule, self.yh))
             snaps.setflags(write=False)
             self._cache[key] = snaps
         return self._cache[key]
+
+    def solve_many(self, mus):
+        """[solve(mu) for mu in mus], with the y-operators of all fresh
+        keys built in one pass; nothing prepared outlives the call."""
+        keys = [self._key(mu) for mu in mus]
+        try:
+            self._prepare(keys)
+            return [self.solve(key) for key in keys]
+        finally:
+            self._prepared.clear()

@@ -52,6 +52,10 @@ cli.run_case(cfg.validate(), log=lambda *a, **k: None)
 dofs = {name: [s.attrs["dofs"] for s in tracer.spans if s.name == name]
         for name in ("transverse.assemble_transverse",
                      "transverse.snapshot_solve")}
+solves = [s.parent for s in tracer.spans
+          if s.name == "transverse.snapshot_solve"]
+parents = [tracer.spans[i].name if i >= 0 else None for i in solves]
+print(json.dumps({"parents": parents, "solves": solves}))
 print(json.dumps(dofs))
 print(json.dumps(collections.Counter(s.name for s in tracer.spans)))
 """
@@ -83,3 +87,8 @@ def test_traced_study_counts_each_layer(tmp_path):
     for name, dofs in json.loads(lines[-2]).items():
         assert len(dofs) == counts[name] > 0, name
         assert all(d > 0 and d % 9 == 0 for d in dofs), (name, dofs)
+    # the benchmark counts a fresh solve as a transverse.solve span with a
+    # snapshot_solve child: each band solve runs inside its own solve() call
+    nesting = json.loads(lines[-3])
+    assert set(nesting["parents"]) == {"transverse.solve"}
+    assert len(set(nesting["solves"])) == len(nesting["solves"])

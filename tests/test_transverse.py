@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from skewlift.cases import skew_lifting
+from skewlift.cases import get_case, skew_lifting
 from skewlift.mesh import TensorGrid, build_uniform_partition
 from skewlift.problem import (GridField, LiftingFunction, ProblemData,
                               reference_operators)
@@ -23,6 +23,7 @@ from skewlift.transverse import (
     block_pairs,
     build_coupled_basis,
     snapshot_solve,
+    y_rows,
 )
 
 
@@ -305,7 +306,8 @@ def test_midpoint_rule_reproduces_full_fe_system(dense_from_band):
     rule = augment_quadrature(th, mu)
     assert np.allclose(rule.weights, th.h)
     assert cb.active.tolist() == list(range(1, th.n))
-    system = assemble_transverse(pd, lift, cb, rule, yh)
+    system = assemble_transverse(y_rows(pd, lift, rule.points, yh), cb, rule,
+                                 yh)
 
     gp = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
     yg = (yh.nodes[:-1, None] + gp[None, :] * yh.h).ravel()
@@ -369,7 +371,8 @@ def test_riesz_snapshot_problem_folds_minus_reconstruction(dense_from_band):
     mu = (0.25, 0.5, 1.55)
     cb = build_coupled_basis(th, mu)
     rule = augment_quadrature(th, mu)
-    system = assemble_transverse(snap_pd, snap_lift, cb, rule, yh)
+    system = assemble_transverse(
+        y_rows(snap_pd, snap_lift, rule.points, yh), cb, rule, yh)
     A, rhs = _coupled_oracle(snap_pd, LiftingFunction.zero(), cb, rule, yh,
                              "weak_lifting")
     assert np.max(np.abs(dense_from_band(system.matrix) - A)) \
@@ -464,7 +467,8 @@ def test_coupled_system_matches_blockwise_oracle(mode, dense_from_band):
     assert rule.qhat == 1
     ops = reference_operators(pd, lift, TensorGrid(th, yh), mode)
     snap_pd, snap_lift = ops.snapshot_problem
-    system = assemble_transverse(snap_pd, snap_lift, cb, rule, yh)
+    system = assemble_transverse(
+        y_rows(snap_pd, snap_lift, rule.points, yh), cb, rule, yh)
 
     n_a, n_i = cb.active.size, yh.n - 1
     bw = 2 * n_a - 1
@@ -546,8 +550,9 @@ def test_hat_tables_keep_the_assembly_bitwise():
             ref_val, ref_der = _scalar_tables(cb, rule.points)
             assert np.array_equal(val, ref_val) and np.array_equal(der, ref_der)
             scalar = _ScalarBasis(cb.base, cb.mu, cb.kept_nodes, cb.active)
-            got = assemble_transverse(pd, lift, cb, rule, yh)
-            ref = assemble_transverse(pd, lift, scalar, rule, yh)
+            rows = y_rows(pd, lift, rule.points, yh)
+            got = assemble_transverse(rows, cb, rule, yh)
+            ref = assemble_transverse(rows, scalar, rule, yh)
             assert np.array_equal(got.matrix, ref.matrix)
             assert np.array_equal(got.rhs, ref.rhs)
             checked += 1
@@ -592,7 +597,9 @@ def test_no_interior_hats_raises():
     assert cb.active.size == 0
     rule = augment_quadrature(th, (1.0,))
     with pytest.raises(ValueError):
-        assemble_transverse(_pd(), LiftingFunction.zero(), cb, rule, yh)
+        assemble_transverse(
+            y_rows(_pd(), LiftingFunction.zero(), rule.points, yh), cb, rule,
+            yh)
 
 
 def test_zero_lifting_terms_are_skipped(monkeypatch):
@@ -614,9 +621,11 @@ def test_zero_lifting_terms_are_skipped(monkeypatch):
     for mu in ((0.31, 1.47), (0.5, 0.77)):
         cb = build_coupled_basis(th, mu)
         rule = augment_quadrature(th, mu)
-        got = assemble_transverse(pd, shared, cb, rule, yh)
-        ref = assemble_transverse(pd, LiftingFunction(zero, zero, zero, zero),
-                                  cb, rule, yh)
+        got = assemble_transverse(y_rows(pd, shared, rule.points, yh), cb,
+                                  rule, yh)
+        ref = assemble_transverse(
+            y_rows(pd, LiftingFunction(zero, zero, zero, zero), rule.points,
+                   yh), cb, rule, yh)
         assert np.array_equal(got.matrix, ref.matrix)
         assert np.array_equal(got.rhs, ref.rhs)
 
@@ -637,8 +646,9 @@ def test_solver_snapshot_layout_and_cache():
     assert np.all(snaps[:, [0, -1]] == 0.0)
     assert np.all(np.isfinite(snaps))
     assert np.all(np.max(np.abs(snaps), axis=1) > 0.0)
-    system = assemble_transverse(_pd(), LiftingFunction.zero(), cb,
-                                 augment_quadrature(th, (0.25, 1.75)), yh)
+    rule = augment_quadrature(th, (0.25, 1.75))
+    system = assemble_transverse(
+        y_rows(_pd(), LiftingFunction.zero(), rule.points, yh), cb, rule, yh)
     assert np.array_equal(snaps, snapshot_solve(system))
     # the cached array is shared by every caller, so it cannot be written
     with pytest.raises(ValueError):
@@ -648,3 +658,62 @@ def test_solver_snapshot_layout_and_cache():
     assert solver.solve((1.75, 0.25)) is snaps
     with pytest.raises(QuadPointsInSameElement):
         solver.solve((0.6, 0.9))
+
+
+@pytest.mark.parametrize("case, mode", [
+    (1, "weak_lifting"), (1, "plain_gD"), (1, "delta_h"), (1, "riesz_recon"),
+    (2, "weak_lifting"), (3, "weak_lifting")])
+def test_solve_many_matches_batches_of_one(case, mode):
+    # one y_rows pass over a whole batch gives every parameter the bits of
+    # its own batch of one; cached and repeated keys return the cached array.
+    # Case 1 runs with advection, so every y-operator is nonzero.
+    cs = get_case(case, **({"b": (1.5, -0.5)} if case == 1 else {}))
+    th = build_uniform_partition(0.0, 2.0, 16)  # H = 0.125
+    yh = build_uniform_partition(*cs.problem.omega_y, 12)
+    problem = reference_operators(cs.problem, cs.lift, TensorGrid(th, yh),
+                                  mode).snapshot_problem
+    rng = np.random.default_rng(14)
+    mus = []
+    for qbar in (1, 2, 3):
+        while sum(len(mu) == qbar for mu in mus) < 4:
+            mu = tuple(rng.uniform(0.01, 1.99, size=qbar))
+            if np.unique(_elements(th, _snapped(th, mu))).size == qbar:
+                mus.append(mu)
+    mus += [(th.nodes[5],), (0.3, th.nodes[9]),  # on nodes
+            (0.6, 0.7),  # adjacent elements 4 and 5: n_a = 3
+            (1.3, 0.2, 0.9),  # unsorted
+            (0.2, 0.9, 1.3), mus[4][::-1], (0.6, 0.7)]  # duplicate keys
+    assert build_coupled_basis(th, (0.6, 0.7)).active.size == 3
+    solver = TransverseSolver(*problem, th, yh)
+    cached = [solver.solve(mus[1]), solver.solve(mus[7])]
+    got = solver.solve_many(mus)
+    assert got[1] is cached[0] and got[7] is cached[1]
+    assert got[-3] is got[-4] and got[-2] is got[4] and got[-1] is got[-5]
+    assert not solver._prepared
+    one = TransverseSolver(*problem, th, yh)
+    for mu, snaps in zip(mus, got):
+        assert snaps is solver.solve(mu)
+        assert np.array_equal(snaps, one.solve_many([mu])[0]), mu
+
+
+def test_solve_many_rejects_a_batch_whole():
+    # a same-element parameter fails the batch before anything is solved or
+    # prepared; the batch's valid parameters then solve as if never batched
+    th = build_uniform_partition(0.0, 2.0, 4)
+    yh = build_uniform_partition(0.0, 1.0, 6)
+    good = [(0.25, 1.75), (1.1,), (0.3, 1.3)]
+    solver = TransverseSolver(_pd(), LiftingFunction.zero(), th, yh)
+    with pytest.raises(QuadPointsInSameElement):
+        solver.solve_many([good[0], (0.6, 0.9), *good[1:]])
+    assert not solver._cache and not solver._prepared
+    got = solver.solve_many(good)
+    assert not solver._prepared
+    one = TransverseSolver(_pd(), LiftingFunction.zero(), th, yh)
+    for mu, snaps in zip(good, got):
+        assert np.array_equal(snaps, one.solve(mu))
+    # a failed solve inside a batch leaves no prepared rows either
+    zero = lambda x, y: np.zeros(np.broadcast(x, y).shape)
+    singular = TransverseSolver(_pd(k=zero), LiftingFunction.zero(), th, yh)
+    with pytest.raises(RuntimeError, match="singular"):
+        singular.solve_many(good)
+    assert not singular._cache and not singular._prepared
