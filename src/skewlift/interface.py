@@ -32,14 +32,12 @@ class InterfaceNotFoundError(RuntimeError):
 class InterfaceCurve:
     """Interface polyline(s): x stations with one or two y midlines.
 
-    ys_hi is None for single-extremum detections. profile optionally carries
-    the transverse shape s(t) read off the boundary data.
+    ys_hi is None for single-extremum detections.
     """
 
     xs: np.ndarray
     ys_lo: np.ndarray
     ys_hi: Optional[np.ndarray] = None
-    profile: Optional["Profile1D"] = None
 
     def midline(self):
         if self.ys_hi is None:
@@ -100,9 +98,10 @@ def locate_interface(data, coarse_x, fine_y, mode="both"):
 class Profile1D:
     """Transverse profile s(t) with optional analytic derivatives.
 
-    Missing derivatives fall back to central differences (step 1e-6), which
-    is enough for plotting but not for the exact-reproduction guarantees of
-    analytic profiles. domain declares the t-range on which s is defined.
+    Missing derivatives fall back to central differences (step 1e-6 for s',
+    1e-5 for s''), which is enough for plotting but not for the
+    exact-reproduction guarantees of analytic profiles. domain declares the
+    t-range on which s is defined.
     """
 
     value: Callable

@@ -30,12 +30,14 @@ the mode. One TensorOperators object is the handle of a grid:
 solve_reference(ops), reduced.assemble_reduced(ops, space),
 estimator.error_report(ops, ...) and training.adaptive_train_extension(ops,
 ...) read the problem, lifting, grid and mode from it.
-TensorOperators.solve is a grid's only sparse solver: one SuperLU
-factor per distinct interior matrix, minimum-degree ordered on A + A^T (the
-Q1 pattern is structurally symmetric). If b = 0 at every quadrature point
-and div_b is None, G is A, and the reference solve, estimator and indicator
-share one factor; otherwise solve_reference frees A's factor once it has
-solved, so a grid keeps one factor (G's) alive either way.
+The object is the interior system: the homogenized solution vanishes on the
+boundary, so every matrix and the right-hand side are restricted to the
+interior nodes once, at assembly, and no full-grid array is kept. It holds
+one sparse factor, G_int's, built on first use. The Riesz mass factor and,
+under advection, A_int's reference factor are local to the function that
+solves with them. If b = 0 at every quadrature point and div_b is None,
+G_int is A_int, and the reference solve, estimator and indicator share one
+factor.
 Matrices use the 2x2 Gauss rule on every cell. The right-hand side of
 weak_lifting, riesz_recon and plain_gD (F and every lifting term) uses 2x2
 Gauss on 4x4 sub-cells of the cells where the lifting's gradient is nonzero
@@ -280,14 +282,29 @@ def _lifting_vector(quads, pd, lift):
     return out
 
 
-class TensorOperators:
-    """Assembled operators of one (problem, lifting, grid, mode) combination.
+def _factor(mat):
+    """SuperLU factor, minimum-degree ordered on A + A^T (the Q1 pattern
+    is structurally symmetric)."""
+    return spla.splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
-    Holds the full-grid bilinear-form matrix A, the V-Gram matrix G
-    (symmetric part of A), the mass matrix M and the mode-consistent
-    right-hand side (G is A when b = 0 and div_b is None); the interior
-    restrictions and one LU factor per distinct interior matrix are cached
-    until released.
+
+def _lu_solve(lu, rhs, name):
+    """lu.solve(rhs); a non-finite result raises RuntimeError."""
+    x = lu.solve(rhs)
+    if not np.all(np.isfinite(x)):
+        raise RuntimeError(f"interior {name} solve produced non-finite "
+                           f"values (singular matrix?)")
+    return x
+
+
+class TensorOperators:
+    """Interior system of one (problem, lifting, grid, mode) combination.
+
+    The unknowns are the (nx-1)(ny-1) interior nodes in x-major order.
+    A_int is the bilinear form a, G_int the V-Gram matrix (the symmetric
+    part of a; A_int itself when b = 0 and div_b is None), M_int the mass
+    matrix and rhs_int the mode-consistent right-hand side. G_lu, G_int's
+    factor, is built on first use and is the only factor held.
     lift is the lifting handed in; riesz_field is the reconstructed nodal
     field under riesz_recon, else None. snapshot_problem is the mode's
     transverse snapshot problem as a (ProblemData, LiftingFunction) pair,
@@ -313,17 +330,21 @@ class TensorOperators:
         kv = quad.evaluate(pd.k)
         if kv.min() <= 0.0:
             raise ValueError(f"diffusivity not positive (min {kv.min():g})")
-        self.A = _assemble_matrix(quad, diff=pd.k, b1=pd.b1, b2=pd.b2)
-        self.G = self.A  # b = 0, div_b None: a is symmetric
+        interior = grid.interior_ids()
+
+        def assemble(**terms):
+            mat = _assemble_matrix(quad, **terms)
+            return mat[np.ix_(interior, interior)].tocsr()
+
+        self.A_int = assemble(diff=pd.k, b1=pd.b1, b2=pd.b2)
+        self.G_int = self.A_int  # b = 0, div_b None: a is symmetric
         if pd.div_b is not None:
             react = lambda x, y: -0.5 * pd.div_b(x, y)
-            self.G = _assemble_matrix(quad, diff=pd.k, react=react)
+            self.G_int = assemble(diff=pd.k, react=react)
         elif quad.evaluate(pd.b1).any() or quad.evaluate(pd.b2).any():
-            self.G = _assemble_matrix(quad, diff=pd.k)
-        self.M = _assemble_matrix(quad, react=lambda x, y: 1.0)
-        self.interior = grid.interior_ids()
+            self.G_int = assemble(diff=pd.k)
+        self.M_int = assemble(react=lambda x, y: 1.0)
         self.riesz_field = None
-        self._factors = {}
         self.lift = lift
 
         if mode == "delta_h":
@@ -332,8 +353,8 @@ class TensorOperators:
             # F + k Lap(h) is smooth (the band terms cancel pointwise), so
             # the 2x2 rule suffices
             folded = lambda x, y: pd.k(x, y) * lift.laplacian(x, y)
-            self.rhs_full = (_assemble_load([quad], pd.F)
-                             + _assemble_load([quad], folded))
+            self.rhs_int = (_assemble_load([quad], pd.F)
+                            + _assemble_load([quad], folded))[interior]
             self.snapshot_problem = (
                 replace(pd, F=lambda x, y: pd.F(x, y) + folded(x, y)),
                 LiftingFunction.zero())
@@ -341,16 +362,15 @@ class TensorOperators:
         # F jumps where the interface lifting's Laplacian does, so the band
         # of the lifting handed in (not the plain_gD blend) selects the rule
         rule = _rhs_rules(quad, lift)
-        load_f = _assemble_load(rule, pd.F)
+        load_f = _assemble_load(rule, pd.F)[interior]
         if mode == "riesz_recon":
+            # M's factor lives for this one solve only
             rec = np.zeros(grid.node_count)
-            rec[self.interior] = self.solve(
-                "M", _lifting_vector(rule, pd, lift)[self.interior])
-            # only this reconstruction solves with M: free its factor before
-            # the reference LU exists
-            self.release("M")
+            rec[interior] = _lu_solve(
+                _factor(self.M_int), _lifting_vector(rule, pd, lift)[interior],
+                "M")
             self.riesz_field = rec.reshape(grid.shape)
-            self.rhs_full = load_f - self.M @ rec
+            self.rhs_int = load_f - self.M_int @ rec[interior]
             field = GridField(grid, self.riesz_field)
             self.snapshot_problem = (
                 replace(pd, F=lambda x, y: pd.F(x, y) - field(x, y)),
@@ -358,47 +378,14 @@ class TensorOperators:
             return
         if mode == "plain_gD":
             lift = affine_boundary_blend(lift, pd.omega_x)
-        self.rhs_full = load_f - _lifting_vector(rule, pd, lift)
+        self.rhs_int = load_f - _lifting_vector(rule, pd, lift)[interior]
         self.snapshot_problem = (pd, lift)
 
-    # -- interior restrictions, factorizations and norms -------------------
-
-    def _restrict(self, mat):
-        return mat[np.ix_(self.interior, self.interior)].tocsr()
-
     @cached_property
-    def A_int(self):
-        return self._restrict(self.A)
-
-    @cached_property
-    def G_int(self):
-        return self.A_int if self.G is self.A else self._restrict(self.G)
-
-    @cached_property
-    def M_int(self):
-        return self._restrict(self.M)
-
-    @cached_property
-    def rhs_int(self):
-        return self.rhs_full[self.interior]
-
-    def solve(self, name, rhs):
-        """Solve X_int x = rhs (X = "A", "G" or "M") with X_int's cached
-        factor; a singular or non-finite solve raises RuntimeError."""
-        mat = getattr(self, name + "_int")
-        if id(mat) not in self._factors:
-            self._factors[id(mat)] = spla.splu(mat.tocsc(),
-                                               permc_spec="MMD_AT_PLUS_A")
-        x = self._factors[id(mat)].solve(rhs)
-        if not np.all(np.isfinite(x)):
-            raise RuntimeError(f"interior {name} solve produced non-finite "
-                               f"values (singular matrix?)")
-        return x
-
-    def release(self, name):
-        """Free X_int's cached factor (X = "A", "G" or "M"); a later solve
-        with X_int factors it again."""
-        self._factors.pop(id(getattr(self, name + "_int")), None)
+    def G_lu(self):
+        """G_int's factor, built on first use; also the reference solve's
+        factor when G_int is A_int."""
+        return _factor(self.G_int)
 
     def residual_norm(self, u_int):
         """V-dual norm sqrt(r . G_int^-1 r) of the residual r = rhs - A u.
@@ -407,7 +394,7 @@ class TensorOperators:
         row), which gives the k norms from one k-column Gram solve."""
         U = np.atleast_2d(u_int)
         R = np.ascontiguousarray(self.rhs_int - (self.A_int @ U.T).T)
-        Z = np.ascontiguousarray(self.solve("G", R.T).T)
+        Z = np.ascontiguousarray(_lu_solve(self.G_lu, R.T, "G").T)
         norms = np.array([math.sqrt(max(r @ z, 0.0)) for r, z in zip(R, Z)])
         return norms if np.ndim(u_int) == 2 else float(norms[0])
 
@@ -419,29 +406,33 @@ class TensorOperators:
 
 
 def reference_operators(pd, lift, grid, mode="weak_lifting"):
+    """TensorOperators(pd, lift, grid, mode).
+
+    A function, not the bare constructor, so that building a grid's
+    operators is one named call: the benchmark times it as the span
+    problem.reference_operators, and tests/test_api.py checks that a study
+    makes two such calls (the fine reference grid and the coarse indicator
+    grid).
+    """
     return TensorOperators(pd, lift, grid, mode)
 
 
 def solve_reference(ops):
     """Solve the interior reference system A_int x = rhs_int of ops.
 
-    Dirichlet rows/columns are eliminated (the homogenized solution vanishes
-    on the boundary), so the unknowns are the (nx-1)(ny-1) interior nodes in
-    x-major ordering. Returns the FullSolution on ops.grid in ops.mode.
-    When G is not A (advection), A's factor is freed after the solve: the
-    estimator and the indicator solve with G only.
+    Returns the FullSolution on ops.grid in ops.mode (zero on the boundary).
+    When G_int is A_int the solve uses ops.G_lu, which the estimator and the
+    indicator reuse; otherwise A_int's factor is local and freed on return.
     """
-    x = ops.solve("A", ops.rhs_int)
-    if ops.G is not ops.A:
-        # the estimator and the indicator solve with G only: free A's factor
-        ops.release("A")
+    lu = ops.G_lu if ops.G_int is ops.A_int else _factor(ops.A_int)
+    x = _lu_solve(lu, ops.rhs_int, "A")
     res = np.linalg.norm(ops.A_int @ x - ops.rhs_int)
     scale = max(np.linalg.norm(ops.rhs_int), 1.0)
     if res > 1e-10 * scale:
         raise RuntimeError(f"reference solve residual {res:.3e} exceeds tolerance")
     grid = ops.grid
     coeffs = np.zeros(grid.node_count)
-    coeffs[ops.interior] = x
+    coeffs[grid.interior_ids()] = x
     return FullSolution(grid, coeffs.reshape(grid.shape), ops.mode)
 
 

@@ -462,22 +462,19 @@ def adaptive_train_extension(ops, g0, m_max, i_max, n_xi, theta, sigma_thres,
 
     ops: the reference TensorOperators, whose grid gives the partitions th
     and yh and whose snapshot_problem gives the transverse snapshots; g0:
-    either an initial ParamCell list or an int n (regular n^qbar grid over
-    the training domain). The coarse N_H' x n_h indicator operators are
-    built once, from the problem, lifting and mode of ops. Each outer
-    iteration m = 1..m_max computes indicators with the (m-1)-mode POD space
-    of the current snapshots and runs i_max mark/refine/solve rounds; the
-    caller compresses the returned snapshots with pod(). Identical seeds
-    give identical training sets (the RNG is a counter-based Philox
-    generator and snapshot caching is keyed by exact parameter tuples).
+    the int n of the initial regular n^qbar cell grid over the training
+    domain. The coarse N_H' x n_h indicator operators are built once, from
+    the problem, lifting and mode of ops. Each outer iteration m = 1..m_max
+    computes indicators with the (m-1)-mode POD space of the current
+    snapshots and runs i_max mark/refine/solve rounds; the caller compresses
+    the returned snapshots with pod(). Identical seeds give identical
+    training sets (the RNG is a counter-based Philox generator and snapshot
+    caching is keyed by exact parameter tuples).
     """
     pd, th, yh = ops.pd, ops.grid.tx, ops.grid.ty
     solver = TransverseSolver(*ops.snapshot_problem, th, yh)
     rng = np.random.Generator(np.random.Philox(seed))
-    if isinstance(g0, int):
-        cells = initial_cells(pd.omega_x, qbar, g0, n_xi, rng, th)
-    else:
-        cells = list(g0)
+    cells = initial_cells(pd.omega_x, qbar, g0, n_xi, rng, th)
     thp = build_uniform_partition(pd.omega_x[0], pd.omega_x[1], coarse_nhp)
     coarse = XBlocks(reference_operators(pd, ops.lift, TensorGrid(thp, yh),
                                          ops.mode))

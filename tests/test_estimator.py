@@ -4,6 +4,7 @@ import csv
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from skewlift.estimator import (
     ErrorReport,
@@ -55,16 +56,21 @@ def _solve_pair(pd, m, nx=40, ny=20):
     return ops, ref, space, rsol
 
 
+def _held_factors(ops):
+    return [v for v in vars(ops).values() if isinstance(v, spla.SuperLU)]
+
+
 def test_advective_study_keeps_only_the_gram_factor():
     # after the reference solve only G is solved with, so A's factor is
     # freed: one factor (G's) is cached after the estimator, as at b = 0
     ops, ref, _, rsol = _solve_pair(_pd(b=(1.0, 0.5)), 3)
-    assert ops.G is not ops.A
+    assert ops.G_int is not ops.A_int
     error_report(ops, ref, rsol)
-    assert list(ops._factors) == [id(ops.G_int)]
+    assert _held_factors(ops) == [ops.G_lu]
     ops0, ref0, _, rsol0 = _solve_pair(_pd(), 3)
     error_report(ops0, ref0, rsol0)
-    assert list(ops0._factors) == [id(ops0.A_int)]  # G is A
+    assert ops0.G_int is ops0.A_int
+    assert _held_factors(ops0) == [ops0.G_lu]
 
 
 def test_estimator_equals_error_without_advection():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from skewlift import cli, problem
 from skewlift.cases import case1, get_case
@@ -33,14 +35,21 @@ def _sine(x, y):
     return np.sin(0.5 * np.pi * np.asarray(x)) * np.sin(np.pi * np.asarray(y))
 
 
+def _held_factors(ops):
+    """The sparse factors an operator object holds."""
+    return [v for v in vars(ops).values() if isinstance(v, spla.SuperLU)]
+
+
 def test_v_inner_energy_of_sine_interpolant():
+    # the sine vanishes on the boundary, so its energy is that of its
+    # interior values
     pd = _laplace_data()
     vals = []
     for nx, ny in ((32, 16), (64, 32)):
         grid = build_grid(pd.omega_x, pd.omega_y, nx, ny)
         X, Y = grid.node_coords()
-        u = _sine(X, Y).ravel()
-        G = reference_operators(pd, LiftingFunction.zero(), grid).G
+        u = _sine(X, Y).ravel()[grid.interior_ids()]
+        G = reference_operators(pd, LiftingFunction.zero(), grid).G_int
         vals.append(float(u @ (G @ u)))
     err = [abs(v - V_ENERGY_EXACT) for v in vals]
     assert vals[1] == pytest.approx(V_ENERGY_EXACT, rel=1e-2)
@@ -167,21 +176,21 @@ def test_gram_is_assembled_separately_with_advection():
     grid = build_grid((0.0, 2.0), (0.0, 1.0), 12, 8)
     cs = case1(b=(1.0, 0.5))
     ops = reference_operators(cs.problem, cs.lift, grid)
-    assert ops.G is not ops.A
     assert ops.G_int is not ops.A_int
     # G is the diffusion-only (b = 0) operator, which is then A itself
     still = reference_operators(case1().problem, cs.lift, grid)
-    assert still.G is still.A
+    assert still.G_int is still.A_int
     assert (ops.G_int != still.A_int).nnz == 0
-    # one factor per distinct matrix: a G solve does not reuse A's factor
+    # a G solve does not reuse A's factor: the reference solves with A_int,
+    # G_lu with G_int
     r = ops.rhs_int
-    x = ops.solve("A", r)
-    R = ops.solve("G", r)
+    x = solve_reference(ops).interior_vector()
+    R = ops.G_lu.solve(r)
     np.testing.assert_allclose(ops.A_int @ x, r, rtol=0,
                                atol=1e-10 * np.linalg.norm(r))
     np.testing.assert_allclose(ops.G_int @ R, r, rtol=0,
                                atol=1e-10 * np.linalg.norm(r))
-    assert len(ops._factors) == 2
+    assert _held_factors(ops) == [ops.G_lu]
 
 
 def test_plain_gd_blend_carries_boundary_traces():
@@ -238,9 +247,50 @@ def test_riesz_operators_hold_no_mass_factor():
     cs = case1()
     grid = build_grid(cs.problem.omega_x, cs.problem.omega_y, 16, 10)
     ops = reference_operators(cs.problem, cs.lift, grid, "riesz_recon")
-    assert ops._factors == {}
+    assert _held_factors(ops) == []
     solve_reference(ops)
-    assert len(ops._factors) == 1
+    assert _held_factors(ops) == [ops.G_lu]
+
+
+@pytest.mark.parametrize("mode,b", [(m, (0.0, 0.0)) for m in MODES]
+                         + [("weak_lifting", (1.5, -0.5))],
+                         ids=[*MODES, "weak_lifting-advective"])
+def test_operators_hold_the_interior_system_and_one_factor(mode, b,
+                                                           monkeypatch):
+    # the object keeps the interior restrictions only (riesz_field, the
+    # reconstructed nodal field, is riesz_recon's output), and its one
+    # factor is G_int's: the mass and advective reference factors are local
+    factored = []
+    splu = problem.spla.splu
+
+    def recording_splu(*args, **kwargs):
+        factored.append(splu(*args, **kwargs))
+        return factored[-1]
+
+    monkeypatch.setattr(problem.spla, "splu", recording_splu)
+    cs = case1(b=b)
+    grid = build_grid(cs.problem.omega_x, cs.problem.omega_y, 16, 10)
+    ops = reference_operators(cs.problem, cs.lift, grid, mode)
+    n = (grid.nx - 1) * (grid.ny - 1)
+    for name, value in vars(ops).items():
+        if sp.issparse(value):
+            assert value.shape == (n, n), name
+        elif isinstance(value, np.ndarray) and name != "riesz_field":
+            assert value.shape == (n,), name
+    assert _held_factors(ops) == []
+    assert len(factored) == (mode == "riesz_recon")
+
+    ref = solve_reference(ops)
+    ops.residual_norm(ref.interior_vector())
+    assert _held_factors(ops) == [ops.G_lu]
+    if b == (0.0, 0.0):
+        # the estimator reuses the reference solve's factor
+        assert ops.G_int is ops.A_int
+        assert factored[-1] is ops.G_lu
+        assert len(factored) == 1 + (mode == "riesz_recon")
+    else:
+        assert ops.G_int is not ops.A_int
+        assert factored[-1] is ops.G_lu and len(factored) == 2
 
 
 def test_nonpositive_diffusivity_is_rejected():

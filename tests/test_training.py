@@ -257,7 +257,7 @@ def _unbatched_delta(base, extra):
     sol = scipy.linalg.solve_banded((bw, bw), block_band(blocks).T[bw:], rhs)
     u = (sol.reshape(xb.n_x, w) @ np.hstack([phi, E]).T).ravel()
     r = xb.ops.rhs_int - xb.ops.A_int @ u
-    return math.sqrt(max(r @ xb.ops.solve("G", r), 0.0))
+    return math.sqrt(max(r @ xb.ops.G_lu.solve(r), 0.0))
 
 
 def _indicator_setup(mode, m):
@@ -277,7 +277,7 @@ def _indicator_setup(mode, m):
     snaps = [s for mu in mus for s in solver.solve(mu)]
     space = pod(snaps, yh, count=m) if m else empty_space(yh)
     ops = reference_operators(pd, lift, TensorGrid(thp, yh), mode)
-    assert ops.G is not ops.A
+    assert ops.G_int is not ops.A_int
     return BaseMoments(XBlocks(ops), space), cells, solver
 
 
