@@ -74,9 +74,6 @@ class TensorGrid:
     def shape(self):
         return (self.nx + 1, self.ny + 1)
 
-    def node_id(self, ix, iy):
-        return ix * (self.ny + 1) + iy
-
     def interior_ids(self):
         """Node ids of interior (non-Dirichlet) nodes, x-major order."""
         ix = np.arange(1, self.nx)
@@ -87,9 +84,3 @@ class TensorGrid:
         """Arrays X, Y of shape (nx+1, ny+1) with nodal coordinates."""
         return np.meshgrid(self.tx.nodes, self.ty.nodes, indexing="ij")
 
-
-def build_grid(omega_x, omega_y, nx, ny):
-    return TensorGrid(
-        build_uniform_partition(omega_x[0], omega_x[1], nx),
-        build_uniform_partition(omega_y[0], omega_y[1], ny),
-    )

@@ -35,9 +35,8 @@ boundary, so every matrix and the right-hand side are restricted to the
 interior nodes once, at assembly, and no full-grid array is kept. It holds
 one sparse factor, G_int's, built on first use. The Riesz mass factor and,
 under advection, A_int's reference factor are local to the function that
-solves with them. If b = 0 at every quadrature point and div_b is None,
-G_int is A_int, and the reference solve, estimator and indicator share one
-factor.
+solves with them. If b = 0 at every quadrature point, G_int is A_int, and
+the reference solve, estimator and indicator share one factor.
 Matrices use the 2x2 Gauss rule on every cell. The right-hand side of
 weak_lifting, riesz_recon and plain_gD (F and every lifting term) uses 2x2
 Gauss on 4x4 sub-cells of the cells where the lifting's gradient is nonzero
@@ -47,9 +46,9 @@ Laplacian, which jumps at the band edges, and on cut cells the plain 2x2 rule
 misses the cancellation of f(v) against a(h, v) by O(h^1.5). delta_h folds
 that cancellation into one smooth integrand and keeps the 2x2 rule.
 
-The V-inner product is the symmetric part of a: (u, v)_V = int k grad(u).grad(v)
-- 1/2 int div(b) u v, so the coercivity constant is 1 by construction (the
-skew advection part drops out of a(v, v)).
+The V-inner product is the symmetric part of a for a divergence-free b (every
+built-in case): (u, v)_V = int k grad(u).grad(v), so the coercivity constant
+is 1 by construction (the skew advection part drops out of a(v, v)).
 """
 
 import math
@@ -84,9 +83,9 @@ class ProblemData:
         Boundary data g_D; only its restriction to the boundary is used.
     omega_x, omega_y : (float, float)
         Domain extents.
-    div_b : callable(x, y), optional
-        Divergence of b, used by the -1/2 div(b) u v term of the V-inner
-        product. None means divergence-free (all built-in cases).
+
+    b must be divergence-free: the V-inner product is the diffusion part of
+    a alone.
     """
 
     k: Callable
@@ -96,7 +95,6 @@ class ProblemData:
     dirichlet: Callable
     omega_x: tuple
     omega_y: tuple
-    div_b: Optional[Callable] = None
 
 
 @dataclass(frozen=True)
@@ -110,8 +108,7 @@ class LiftingFunction:
 
     @classmethod
     def zero(cls):
-        """The zero lifting: one shared instance, so an assembler can skip
-        its terms by identity (lift is LiftingFunction.zero())."""
+        """The zero lifting (one shared instance): its terms are zero."""
         return _ZERO_LIFTING
 
 
@@ -127,11 +124,6 @@ class FullSolution:
     grid: TensorGrid
     coeffs: np.ndarray  # (nx+1, ny+1)
     mode: str
-
-    def total_field(self, lift):
-        """Nodal values of p~ = p + h."""
-        X, Y = self.grid.node_coords()
-        return self.coeffs + lift.value(X, Y)
 
     def interior_vector(self):
         return self.coeffs.ravel()[self.grid.interior_ids()]
@@ -301,9 +293,9 @@ class TensorOperators:
     """Interior system of one (problem, lifting, grid, mode) combination.
 
     The unknowns are the (nx-1)(ny-1) interior nodes in x-major order.
-    A_int is the bilinear form a, G_int the V-Gram matrix (the symmetric
-    part of a; A_int itself when b = 0 and div_b is None), M_int the mass
-    matrix and rhs_int the mode-consistent right-hand side. G_lu, G_int's
+    A_int is the bilinear form a, G_int the V-Gram matrix (the diffusion
+    part of a; A_int itself when b = 0 at every quadrature point), M_int the
+    mass matrix and rhs_int the mode-consistent right-hand side. G_lu, G_int's
     factor, is built on first use and is the only factor held.
     lift is the lifting handed in; riesz_field is the reconstructed nodal
     field under riesz_recon, else None. snapshot_problem is the mode's
@@ -336,13 +328,9 @@ class TensorOperators:
             mat = _assemble_matrix(quad, **terms)
             return mat[np.ix_(interior, interior)].tocsr()
 
-        self.A_int = assemble(diff=pd.k, b1=pd.b1, b2=pd.b2)
-        self.G_int = self.A_int  # b = 0, div_b None: a is symmetric
-        if pd.div_b is not None:
-            react = lambda x, y: -0.5 * pd.div_b(x, y)
-            self.G_int = assemble(diff=pd.k, react=react)
-        elif quad.evaluate(pd.b1).any() or quad.evaluate(pd.b2).any():
-            self.G_int = assemble(diff=pd.k)
+        self.G_int = self.A_int = assemble(diff=pd.k)  # b = 0: a is symmetric
+        if quad.evaluate(pd.b1).any() or quad.evaluate(pd.b2).any():
+            self.A_int = assemble(diff=pd.k, b1=pd.b1, b2=pd.b2)
         self.M_int = assemble(react=lambda x, y: 1.0)
         self.riesz_field = None
         self.lift = lift

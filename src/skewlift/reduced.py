@@ -117,16 +117,6 @@ class ReducedSolution:
         # (NH-1, m) @ (m, ny-1) -> x-major, y-minor flattening
         return (self.coeffs.T @ phi_int.T).ravel()
 
-    def nodal_array(self):
-        full = np.zeros(self.grid.shape)
-        full[1:-1, 1:-1] = self.interior_vector().reshape(
-            self.grid.nx - 1, self.grid.ny - 1)
-        return full
-
-    def total_field(self, lift):
-        X, Y = self.grid.node_coords()
-        return self.nodal_array() + lift.value(X, Y)
-
     def pbar(self, k):
         """k-th coefficient function (0-based), nodal on the x-partition."""
         out = np.zeros(self.grid.nx + 1)

@@ -268,7 +268,10 @@ def refine(cells, marked, n_xi, rng, th):
 # Indicators
 
 
-def _orthonormalize_stack(base_int, extras, M_int, drop_tol=1e-10):
+_DROP_TOL = 1e-10  # relative M-norm below which a column is dropped
+
+
+def _orthonormalize_stack(base_int, extras, M_int):
     """M-orthonormalize a stack of samples' columns against a base and
     within each sample.
 
@@ -277,7 +280,7 @@ def _orthonormalize_stack(base_int, extras, M_int, drop_tol=1e-10):
     j is handled for all S samples at once: projected out of the base in one
     block step (one sparse M product for the stack) and out of its sample's
     columns accepted before it, in two passes (twice is enough); it is kept
-    if its M-norm is still above drop_tol times its norm before projection.
+    if its M-norm is still above _DROP_TOL times its norm before projection.
     The dense products are stacked over samples (matmul over the leading
     axis, one kernel call per sample), not gemms across samples: a nearly
     dependent column amplifies rounding by its inverse norm ratio, and a
@@ -308,18 +311,10 @@ def _orthonormalize_stack(base_int, extras, M_int, drop_tol=1e-10):
             if j:
                 v = v - prev.transpose(0, 2, 1) @ (prev @ times_M(v))
         nrm = m_norms(v)
-        keep = nrm > drop_tol * nrm0
+        keep = nrm > _DROP_TOL * nrm0
         E[samples[keep], counts[keep]] = v[keep, :, 0] / nrm[keep, None]
         counts += keep
     return E, counts
-
-
-def _orthonormalize(base_int, extra_int, M_int, drop_tol=1e-10):
-    """Append extra columns to an M-orthonormal base, dropping near-dependent
-    vectors: _orthonormalize_stack on a stack of one sample."""
-    E, counts = _orthonormalize_stack(base_int, extra_int.T[None], M_int,
-                                      drop_tol)
-    return np.hstack([base_int, E[0, :counts[0]].T])
 
 
 # Samples per BaseMoments.deltas call in element_indicators: large enough to
@@ -362,7 +357,10 @@ class BaseMoments:
         single entry, so a Delta can move at round-off with the entries that
         share the call. When [Phi E] spans the whole interior transverse
         space, the Galerkin solution is the coarse FE solution and Delta is
-        exactly 0 (computing it would only return round-off).
+        exactly 0 (computing it would only return round-off). When it is
+        {0} (no base and every snapshot column dropped, e.g. an all-zero
+        source along the sample's x-lines), the state is zero and Delta is
+        the residual norm of the zero state.
         """
         xb, phi = self.xb, self.phi
         n_x, n_y, m = xb.n_x, xb.n_y, phi.shape[1]
@@ -396,6 +394,10 @@ class BaseMoments:
         for s, k in enumerate(counts):
             w = m + k
             if w >= n_y:
+                continue
+            if w == 0:  # the space is {0}, so the state is zero
+                U[len(solved)] = 0.0
+                solved.append(s)
                 continue
             cols = slice(s * k_max, s * k_max + k)
             blocks[:, :m, m:w] = phi_A_E[:, :, cols]

@@ -32,8 +32,8 @@ collects F against xi_k(x_l) and the lifting terms k h_y against v' and
 k h_x xi_k' + (b.grad h) xi_k against v. Every lifting mode reaches this
 module as one (ProblemData, LiftingFunction) pair,
 problem.TensorOperators.snapshot_problem: a mode that folds its lifting into
-the source (delta_h, riesz_recon) hands over the shared zero lifting
-(LiftingFunction.zero()), whose terms y_rows skips.
+the source (delta_h, riesz_recon) hands over the zero lifting
+(LiftingFunction.zero()), whose terms are assembled like any other's.
 
 Unknown order and cost: with n_a active hats and n_i = n_h - 1 interior
 y-nodes, unknown j * n_a + a is hat a at interior y-node j + 1 (y-node-major,
@@ -61,13 +61,11 @@ read-only by TransverseSolver.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
 
 from .mesh import GAUSS_NODES, Partition1D
-from .problem import LiftingFunction
 
 
 class QuadPointsInSameElement(ValueError):
@@ -260,22 +258,6 @@ def block_pairs(n):
             np.concatenate([j, j[1:], j[:-1]]))
 
 
-# 8 keys hold the training phase's widths (up to 2 Qbar transverse ones and
-# the indicator's m - 1 + 1 .. m - 1 + 2 Qbar at Qbar = 2), so the reduced
-# m-sweep's one key per m evicts them instead of piling up
-@lru_cache(maxsize=8)
-def _band_index(w, n):
-    """Flat positions in block_band's storage of the entries of the
-    (3 n - 2, w, w) blocks stacked in block_pairs(n) order."""
-    bw = 2 * w - 1
-    rows, cols = block_pairs(n)
-    r = rows[:, None, None] * w + np.arange(w)[:, None]
-    c = cols[:, None, None] * w + np.arange(w)
-    # c (3 bw + 1) + 2 bw + r - c, with one full-size array: temporaries of
-    # that size left between the cached indices fragment the heap
-    return r + (3 * bw * c + 2 * bw)
-
-
 def block_band(blocks):
     """LAPACK band storage of a block-tridiagonal matrix.
 
@@ -285,12 +267,24 @@ def block_band(blocks):
     per unknown, shape (n w, 3 bw + 1), with entry (r, c) at
     band[c, 2 bw + r - c]: band.T is the Fortran (3 bw + 1, n w) array that
     gbsv factors in place, its first bw rows left zero for the LU fill.
+    Each of the three block diagonals is written through one strided view
+    of the storage.
     """
     n_b, w, _ = blocks.shape
     n = (n_b + 2) // 3
     bw = 2 * w - 1
     band = np.zeros((n * w, 3 * bw + 1))
-    band.reshape(-1)[_band_index(w, n)] = blocks
+    item = band.itemsize
+    # entry [t, s] of the block at block row J, column K = J + d is
+    # band[K w + s, 2 bw - d w + t - s]: along a block diagonal the next
+    # block is w rows down, t steps one column, s one row and a column back
+    strides = (w * band.strides[0], item, band.strides[0] - item)
+    for d, group in ((0, blocks[:n]), (1, blocks[n:2 * n - 1]),
+                     (-1, blocks[2 * n - 1:])):
+        if group.shape[0]:
+            start = (max(d, 0) * w * (3 * bw + 1) + 2 * bw - d * w) * item
+            np.ndarray(group.shape, band.dtype, band.data, start,
+                       strides)[...] = group
     return band
 
 
@@ -335,20 +329,18 @@ class YRows:
     order) of K + D (int k u' v' + int b2 u' v), of int k u v and of
     int b1 u v; load holds the interior load int F v minus the k h_y,
     b1 h_x and b2 h_y lifting terms, and load_der the lifting-gradient load
-    int k h_x v, or None for LiftingFunction.zero(). Indexing takes a
-    subset of the points.
+    int k h_x v. Indexing takes a subset of the points.
     """
 
     kd: np.ndarray  # (n_points, 3 n_i - 2)
     mk: np.ndarray
     mb: np.ndarray
     load: np.ndarray  # (n_points, n_i)
-    load_der: np.ndarray | None
+    load_der: np.ndarray
 
     def __getitem__(self, points):
         return YRows(self.kd[points], self.mk[points], self.mb[points],
-                     self.load[points],
-                     None if self.load_der is None else self.load_der[points])
+                     self.load[points], self.load_der[points])
 
 
 def y_rows(pd, lift, points, yh):
@@ -356,25 +348,20 @@ def y_rows(pd, lift, points, yh):
     callback is evaluated once, at all points and y Gauss points together.
 
     Every operation is elementwise along the points, so a point's rows do
-    not depend on the other points evaluated with it. For
-    LiftingFunction.zero() the lifting terms are skipped, not assembled as
-    zeros.
+    not depend on the other points evaluated with it.
     """
     X, Y = (np.ascontiguousarray(c) for c in np.broadcast_arrays(
         np.asarray(points, dtype=float)[:, None, None], _y_gauss(yh)))
     shape = X.shape
-    lifted = lift is not LiftingFunction.zero()
     n_i = yh.n - 1
-    widths = [3 * n_i - 2] * 3 + [n_i] * (2 if lifted else 1)
+    widths = [3 * n_i - 2] * 3 + [n_i] * 2
     # the rows outlive the temporaries below, and a batch's solves allocate
     # the cached snapshots while they are held: one buffer taken before the
     # temporaries keeps the rows out of the space the temporaries free,
     # which would otherwise fragment the heap (~1.5 MB more peak RSS on the
     # benchmark's train-broad workload)
-    parts = np.split(np.empty((shape[0], sum(widths))),
-                     np.cumsum(widths)[:-1], axis=1)
-    kd, mk, mb, load = parts[:4]
-    load_der = parts[4] if lifted else None
+    kd, mk, mb, load, load_der = np.split(
+        np.empty((shape[0], sum(widths))), np.cumsum(widths)[:-1], axis=1)
 
     def at_points(f):
         return np.broadcast_to(np.asarray(f(X, Y), dtype=float), shape)
@@ -385,12 +372,10 @@ def y_rows(pd, lift, points, yh):
     mk[:] = _interior_stack(_p1_diagonals(yh, kv, "mass"))
     mb[:] = _interior_stack(_p1_diagonals(yh, b1v, "mass"))
     load[:] = _p1_load(yh, at_points(pd.F))
-    # the zero lifting (delta_h, riesz_recon) has no terms to subtract
-    if lifted:
-        hx, hy = at_points(lift.dx), at_points(lift.dy)
-        load -= _p1_load(yh, kv * hy, against_deriv=True)
-        load -= _p1_load(yh, b1v * hx + b2v * hy)
-        load_der[:] = _p1_load(yh, kv * hx)
+    hx, hy = at_points(lift.dx), at_points(lift.dy)
+    load -= _p1_load(yh, kv * hy, against_deriv=True)
+    load -= _p1_load(yh, b1v * hx + b2v * hy)
+    load_der[:] = _p1_load(yh, kv * hx)
     return YRows(kd, mk, mb, load, load_der)
 
 
@@ -444,15 +429,12 @@ def assemble_transverse(rows, cb, rule, yh):
         block += c_mb[l] * rows.mb[l][:, None, None]
         blocks += block
 
-    lifted = rows.load_der is not None
     w_val = wts[:, None] * Xi
-    if lifted:
-        w_der = wts[:, None] * dXi
+    w_der = wts[:, None] * dXi
     rhs = np.zeros((rows.load.shape[1], n_a))
     for l in range(pts.size):
         rhs += w_val[l] * rows.load[l][:, None]
-        if lifted:
-            rhs -= w_der[l] * rows.load_der[l][:, None]
+        rhs -= w_der[l] * rows.load_der[l][:, None]
 
     return TransverseSystem(block_band(blocks), rhs.ravel(), cb, yh)
 

@@ -3,6 +3,23 @@
 import numpy as np
 import pytest
 
+from skewlift.mesh import TensorGrid, build_uniform_partition
+from skewlift.training import _orthonormalize_stack
+
+
+def build_grid(omega_x, omega_y, nx, ny):
+    """Uniform nx x ny TensorGrid of omega_x x omega_y."""
+    return TensorGrid(build_uniform_partition(*omega_x, nx),
+                      build_uniform_partition(*omega_y, ny))
+
+
+def orthonormalize(base_int, extra_int, M_int):
+    """[base_int, E]: the columns of extra_int M-orthonormalized against the
+    M-orthonormal base_int and each other, near-dependent ones dropped, by
+    training._orthonormalize_stack on a stack of one sample."""
+    E, counts = _orthonormalize_stack(base_int, extra_int.T[None], M_int)
+    return np.hstack([base_int, E[0, :counts[0]].T])
+
 
 def _dense_from_band(band):
     """Dense matrix of a transverse.block_band storage, read entry by entry

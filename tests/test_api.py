@@ -1,5 +1,6 @@
-"""The benchmark's span targets resolve in the package, and a traced study
-calls each layer's entry point as often as the benchmark's metrics assume.
+"""The benchmark's span targets resolve in the package, a traced study
+calls each layer's entry point as often as the benchmark's metrics assume,
+and every public function and class of the package has a caller.
 
 perfbench/spans.py wraps package functions by (module, attribute); a rename
 that drops one, or a caller that goes around one, would only surface in a
@@ -7,13 +8,19 @@ traced benchmark run, so both are checked here, reading that file without
 changing anything under perfbench/.
 """
 
+import ast
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import pathlib
+import pkgutil
+import re
 import subprocess
 import sys
+
+import skewlift
 
 _ROOT = pathlib.Path(__file__).resolve().parents[1]
 _SPANS = _ROOT / "perfbench" / "spans.py"
@@ -92,3 +99,49 @@ def test_traced_study_counts_each_layer(tmp_path):
     nesting = json.loads(lines[-3])
     assert set(nesting["parents"]) == {"transverse.solve"}
     assert len(set(nesting["solves"])) == len(nesting["solves"])
+
+
+# public names that wait for a caller, each with the reason
+_UNCALLED = {
+    "skewlift.interface.build_lifting":
+        "the located-interface lifting; `skewlift run` does not use it yet",
+}
+
+
+def _referenced_names():
+    """Every identifier a caller can reach a package name by: names,
+    attributes, imported names and dotted string constants (the benchmark
+    names its span targets as strings) in src/, demos/, perfbench/ and the
+    acceptance claims. A def or class statement is not a reference."""
+    files = [*(_ROOT / "src").rglob("*.py"), *(_ROOT / "demos").rglob("*.py"),
+             *(_ROOT / "perfbench").rglob("*.py"),
+             _ROOT / "tests" / "test_acceptance.py"]
+    names = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rpartition(".")[2])
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and re.fullmatch(r"[\w.]+", node.value)):
+                names.update(node.value.split("."))
+    return names
+
+
+def test_every_public_function_and_class_has_a_caller():
+    referenced = _referenced_names()
+    uncalled = []
+    for info in pkgutil.iter_modules(skewlift.__path__, "skewlift."):
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            if (not name.startswith("_")
+                    and (inspect.isfunction(obj) or inspect.isclass(obj))
+                    and obj.__module__ == module.__name__
+                    and name not in referenced):
+                uncalled.append(f"{module.__name__}.{name}")
+    assert sorted(uncalled) == sorted(_UNCALLED), (
+        "public names without a caller in src/, demos/, perfbench/ or "
+        f"tests/test_acceptance.py: {uncalled}")

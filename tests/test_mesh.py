@@ -3,12 +3,8 @@
 import numpy as np
 import pytest
 
-from skewlift.mesh import (
-    Partition1D,
-    TensorGrid,
-    build_grid,
-    build_uniform_partition,
-)
+from conftest import build_grid
+from skewlift.mesh import Partition1D, build_uniform_partition
 
 
 def test_partition_basic_geometry():
@@ -44,10 +40,10 @@ def test_tensor_grid_node_numbering_is_x_major():
     grid = build_grid((0.0, 2.0), (0.0, 1.0), 4, 3)
     assert grid.shape == (5, 4)
     assert grid.node_count == 20
-    assert grid.node_id(0, 0) == 0
-    assert grid.node_id(0, 3) == 3
-    assert grid.node_id(1, 0) == 4
-    assert grid.node_id(2, 1) == 9
+    # node id ix * (ny + 1) + iy is the C-order position in grid.shape
+    X, Y = grid.node_coords()
+    assert (X.ravel()[9], Y.ravel()[9]) == (grid.tx.nodes[2], grid.ty.nodes[1])
+    assert (X.ravel()[3], Y.ravel()[3]) == (grid.tx.nodes[0], grid.ty.nodes[3])
 
 
 def test_interior_ids_order_and_count():
@@ -55,7 +51,7 @@ def test_interior_ids_order_and_count():
     ids = grid.interior_ids()
     assert ids.size == (grid.nx - 1) * (grid.ny - 1)
     # x-major: all interior y of ix=1 first
-    expected = [grid.node_id(ix, iy) for ix in (1, 2, 3) for iy in (1, 2)]
+    expected = [ix * (grid.ny + 1) + iy for ix in (1, 2, 3) for iy in (1, 2)]
     np.testing.assert_array_equal(ids, expected)
 
 

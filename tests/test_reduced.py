@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import orthonormalize
 from skewlift import reduced
 from skewlift.cases import case1, get_case
 from skewlift.mesh import TensorGrid, build_uniform_partition
@@ -16,7 +17,6 @@ from skewlift.problem import (
 from skewlift.reduced import ReducedSystem, assemble_reduced, solve_reduced
 from skewlift.training import (
     ReductionSpace,
-    _orthonormalize,
     empty_space,
     transverse_mass,
 )
@@ -29,7 +29,7 @@ def _full_space(yh):
     """M-orthonormal basis spanning every interior transverse dof."""
     n_i = yh.n - 1
     M_int = transverse_mass(yh)[1:-1, 1:-1]
-    cols = _orthonormalize(np.zeros((n_i, 0)), np.eye(n_i), M_int)
+    cols = orthonormalize(np.zeros((n_i, 0)), np.eye(n_i), M_int)
     modes = np.zeros((yh.n + 1, n_i))
     modes[1:-1, :] = cols
     return ReductionSpace(yh, modes, np.ones(n_i), np.zeros(n_i + 1))
@@ -75,7 +75,7 @@ def test_full_space_recovers_reference_in_every_mode():
         system = assemble_reduced(ops, space)
         rsol = solve_reduced(system)
         scale = np.max(np.abs(ref.coeffs))
-        diff = np.max(np.abs(rsol.nodal_array() - ref.coeffs))
+        diff = np.max(np.abs(rsol.interior_vector() - ref.interior_vector()))
         assert diff <= 1e-9 * scale, f"mode {mode}: {diff:.2e}"
 
 
@@ -173,18 +173,14 @@ def test_reduced_solution_reconstruction_layout():
         space)
     rsol = solve_reduced(system)
     assert rsol.m == 2
-    nodal = rsol.nodal_array()
-    assert nodal.shape == (th.n + 1, yh.n + 1)
+    nodal = rsol.interior_vector().reshape(th.n - 1, yh.n - 1)
     # independent reconstruction: sum_k pbar_k(x_i) phi_k(y_j)
     rng = np.random.default_rng(0)
     for _ in range(12):
-        i = int(rng.integers(0, th.n + 1))
-        jj = int(rng.integers(0, yh.n + 1))
+        i = int(rng.integers(1, th.n))
+        jj = int(rng.integers(1, yh.n))
         val = sum(rsol.pbar(k)[i] * space.modes[jj, k] for k in range(2))
-        assert nodal[i, jj] == pytest.approx(val, abs=1e-14)
-    total = rsol.total_field(case.lift)
-    X, Y = rsol.grid.node_coords()
-    assert np.allclose(total, nodal + case.lift.value(X, Y), atol=1e-14)
+        assert nodal[i - 1, jj - 1] == pytest.approx(val, abs=1e-14)
 
 
 def test_prolongation_and_empty_space_guards():
@@ -217,8 +213,8 @@ def _random_space(yh, m, seed=0):
     n_i = yh.n - 1
     rng = np.random.default_rng(seed)
     M_int = transverse_mass(yh)[1:-1, 1:-1]
-    cols = _orthonormalize(np.zeros((n_i, 0)), rng.normal(size=(n_i, m)),
-                           M_int)
+    cols = orthonormalize(np.zeros((n_i, 0)), rng.normal(size=(n_i, m)),
+                          M_int)
     modes = np.zeros((yh.n + 1, m))
     modes[1:-1, :] = cols
     return ReductionSpace(yh, modes, np.ones(m), np.zeros(m + 1))

@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
+from conftest import orthonormalize
 from skewlift import training
 from skewlift.cases import case1
 from skewlift.mesh import TensorGrid, build_uniform_partition
@@ -16,7 +17,6 @@ from skewlift.training import (
     BaseMoments,
     ParamCell,
     _draw_samples,
-    _orthonormalize,
     adaptive_train_extension,
     element_indicators,
     empty_space,
@@ -194,7 +194,7 @@ def test_orthonormalize_drops_dependent_columns():
     base = np.sin(np.pi * x)[:, None]
     base /= math.sqrt(base[:, 0] @ (M @ base[:, 0]))
     extra = np.column_stack([2.0 * base[:, 0], np.sin(2.0 * np.pi * x)])
-    out = _orthonormalize(base, extra, M)
+    out = orthonormalize(base, extra, M)
     assert out.shape[1] == 2  # base + one new direction, duplicate dropped
     assert np.allclose(out.T @ (M @ out), np.eye(2), atol=1e-12)
 
@@ -245,7 +245,7 @@ def _unbatched_delta(base, extra):
     fill rows), a one-column Gram solve."""
     xb, phi = base.xb, base.phi
     m = phi.shape[1]
-    E = _orthonormalize(phi, extra.T, base.M_y)[:, m:]
+    E = orthonormalize(phi, extra.T, base.M_y)[:, m:]
     w = m + E.shape[1]
     if w >= xb.n_y:
         return 0.0
@@ -300,7 +300,7 @@ def test_batched_indicators_equal_the_unbatched_maths(mode, m):
         deltas = []
         for mu in cell.samples:
             extra = _extra(solver, mu)
-            kept = _orthonormalize(base.phi, extra.T, base.M_y).shape[1] - m
+            kept = orthonormalize(base.phi, extra.T, base.M_y).shape[1] - m
             dropped += kept < extra.shape[0]
             deltas.append(_unbatched_delta(base, extra))
         expected.append(min(deltas))
@@ -324,7 +324,7 @@ def test_chunk_mixing_dropped_columns_matches_one_sample_calls():
     base, cells, solver = _indicator_setup("delta_h", m)
     extras = [_extra(solver, mu) for c in cells for mu in c.samples]
     extras = extras[:training._CHUNK]
-    kept = [_orthonormalize(base.phi, e.T, base.M_y).shape[1] - m
+    kept = [orthonormalize(base.phi, e.T, base.M_y).shape[1] - m
             for e in extras]
     lost = [k < e.shape[0] for k, e in zip(kept, extras)]
     assert any(lost) and not all(lost)
@@ -355,6 +355,19 @@ def test_indicators_vanish_when_the_space_is_full():
         assert np.all(eta == 0.0)
         marks.append(mark(cells, 0.5, sigma_thres=1e9))
     assert marks[0] == marks[1] == [0, 1]
+
+
+def test_indicator_of_a_sample_without_columns_is_the_zero_state():
+    # no base and all-zero snapshots (a source that vanishes along the
+    # sample's x-lines): the space is {0}, so Delta is the residual norm of
+    # the zero state; next to it, a sample that keeps its columns
+    base, cells, solver = _indicator_setup("weak_lifting", 0)
+    xb = base.xb
+    extra = _extra(solver, cells[0].samples[0])
+    got = base.deltas([np.zeros_like(extra), extra])
+    assert got[0] == xb.ops.residual_norm(np.zeros(xb.n_x * xb.n_y))
+    assert got[1] == pytest.approx(base.deltas([extra])[0], rel=1e-12)
+    assert got[1] < got[0]
 
 
 # ---------------------------------------------------------------------------
