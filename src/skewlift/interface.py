@@ -10,6 +10,11 @@ dropping in y produces a negative derivative spike).
 
 The located polyline w(x) is then swept along the transverse boundary profile
 to build a Dirichlet lifting h(x, y) = profile(y - w(x) + w(anchor)).
+
+The smooth (PCHIP) midline needs scipy.interpolate, which pulls in
+scipy.special and scipy.optimize; it is imported on the first smooth
+lifting, not with this module, so `skewlift run` and `skewlift detect`,
+which build no smooth lifting, do not load it.
 """
 
 import csv
@@ -17,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .mesh import Partition1D, build_uniform_partition
 from .problem import LiftingFunction
@@ -131,19 +135,29 @@ def build_lifting(curve, boundary_profile, omega_x, omega_y,
     transverse profile read off the Dirichlet trace at x = anchor_x. With
     smooth=True, w is replaced by a monotone cubic (PCHIP) interpolant, which
     has a piecewise second derivative, so a Laplacian callback is attached
-    when the profile supplies s''.
+    when the profile supplies s''. PCHIP comes from scipy.interpolate, which
+    is imported here on the first smooth call so that importing this module
+    stays light.
 
-    Raises ValueError when the profile's declared domain does not cover the
-    argument range swept by the translation.
+    Raises ValueError when the curve has fewer than two stations or its
+    stations are not finite and strictly increasing, and when the profile's
+    declared domain does not cover the argument range swept by the
+    translation.
     """
     xs = np.asarray(curve.xs, dtype=float)
     ws = np.asarray(curve.midline(), dtype=float)
     if xs.size < 2:
         raise ValueError("need at least two curve stations to build a lifting")
+    if not (np.all(np.isfinite(xs)) and np.all(np.diff(xs) > 0)):
+        raise ValueError(
+            "curve stations must be finite and strictly increasing"
+        )
     if anchor_x is None:
         anchor_x = omega_x[0]
 
     if smooth:
+        from scipy.interpolate import PchipInterpolator
+
         interp = PchipInterpolator(xs, ws, extrapolate=True)
         dinterp = interp.derivative()
         d2interp = interp.derivative(2)
@@ -220,14 +234,20 @@ def solve_boussinesq(wt, dt, t_end, bc):
         (I/dt - (K/2) D2 diag(w^n)) w^{n+1} = w^n / dt - N
 
     with Dirichlet values pinned at both ends. Returns (times, heights) with
-    heights of shape (nsteps+1, n+1).
+    heights of shape (nsteps+1, n+1). Raises ValueError unless t_end / dt is
+    a positive whole number of steps (to 1e-9 relative).
     """
     if dt <= 0 or t_end <= 0:
         raise ValueError("dt and t_end must be positive")
+    ratio = t_end / dt
+    nsteps = round(ratio)
+    if nsteps < 1 or abs(ratio - nsteps) > 1e-9 * nsteps:
+        raise ValueError(
+            f"t_end / dt = {ratio:.12g} is not a whole number of steps"
+        )
     part = wt.part
     n = part.n
     h2 = part.h**2
-    nsteps = int(round(t_end / dt))
     times = np.arange(nsteps + 1) * dt
     W = np.empty((nsteps + 1, n + 1))
     W[0] = wt.w

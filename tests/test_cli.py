@@ -2,6 +2,10 @@
 
 import csv
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -77,6 +81,31 @@ def test_run_case_smoke_in_every_mode(tmp_path, case, mode):
         assert all(math.isfinite(float(v)) for v in r.row())
     assert reports[-1].err_V_rel < reports[0].err_V_rel
     assert len(_read_rows(cfg.out)) == 3
+
+
+_SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+# a fresh interpreter, so modules other tests imported do not count
+_RUN_WITHOUT_INTERPOLATE = """
+import sys
+from skewlift import cli
+code = cli.main(["run", "--NH", "20", "--nh", "10", "--NHp", "4",
+                 "--m-max", "2", "--out", sys.argv[1]])
+print(code, "scipy.interpolate" in sys.modules)
+"""
+
+
+def test_run_does_not_load_scipy_interpolate(tmp_path):
+    # PCHIP is only needed by a smooth build_lifting, which run never calls
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(_SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run(
+        [sys.executable, "-c", _RUN_WITHOUT_INTERPOLATE,
+         str(tmp_path / "conv.csv")],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split()[-2:] == ["0", "False"], out.stdout
 
 
 def test_config_error_exit_code(tmp_path, capsys):

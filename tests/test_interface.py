@@ -113,6 +113,19 @@ def test_build_lifting_checks_profile_domain():
                       cosine_profile(), (0.0, 2.0), (0.0, 1.0))
 
 
+@pytest.mark.parametrize("smooth", [False, True])
+@pytest.mark.parametrize("xs", [[0.5, 0.5, 1.5], [1.5, 0.5],
+                                [0.5, np.nan, 1.5]])
+def test_build_lifting_rejects_bad_stations(xs, smooth):
+    # unchecked, the linear path turns duplicates into NaN slopes and
+    # misreads unsorted stations (searchsorted needs sorted input)
+    xs = np.array(xs)
+    curve = InterfaceCurve(xs, 0.85 - 0.4 * xs)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        build_lifting(curve, cosine_profile(), (0.0, 2.0), (0.0, 1.0),
+                      smooth=smooth)
+
+
 def test_boussinesq_reaches_closed_form_steady_state():
     part = build_uniform_partition(0.0, 1.0, 60)
     bc = (1.0, 0.7)
@@ -144,6 +157,16 @@ def test_boussinesq_input_validation():
     wt = WaterTable(part, np.ones(11), 1.0, 0.0)
     with pytest.raises(ValueError):
         solve_boussinesq(wt, dt=-0.1, t_end=1.0, bc=(1.0, 1.0))
+
+
+@pytest.mark.parametrize("dt, t_end", [(0.3, 1.0), (1.0, 0.4)])
+def test_boussinesq_rejects_partial_steps(dt, t_end):
+    # a rounded step count would stop at t = 0.9 for (0.3, 1.0) and take no
+    # step at all for (1.0, 0.4)
+    part = build_uniform_partition(0.0, 1.0, 10)
+    wt = WaterTable(part, np.ones(11), 1.0, 0.0)
+    with pytest.raises(ValueError, match="whole number of steps"):
+        solve_boussinesq(wt, dt=dt, t_end=t_end, bc=(1.0, 1.0))
 
 
 def test_steady_profile_rejects_drained_table():
