@@ -58,7 +58,8 @@ def main():
     print("single-sample coupling on the banded test case:")
     case = th_case_solver()
     for mu in ((0.9,), (1.0,)):
-        snaps = case.solve(mu)  # one row per active hat, in cb.active order
+        # one row per active hat, in cb.active order
+        snaps = case.solve_many([mu])[0]
         comps = build_coupled_basis(case.th, mu).active.tolist()
         kind = "coupled pair" if len(snaps) > 1 else "isolated hat"
         print(f"  mu = {mu}: {len(snaps)} snapshot component(s) "

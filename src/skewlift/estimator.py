@@ -8,8 +8,8 @@ continuity constant, from below; without advection the symmetric identity
 Delta_m = ||e_m||_V holds to round-off because the residual equation is then
 the error equation. Delta_m is TensorOperators.residual_norm, as is the
 training indicator; with b = 0 it reuses the reference solve's factor.
-error_report(ops, reference, rsol) takes the operators the reference was
-solved with.
+error_report(ops, reference, rsol) takes the operators the reference and
+the reduced solution were solved with, and checks that they were.
 """
 
 import csv
@@ -55,14 +55,9 @@ def error_report(ops, reference, rsol):
     lambda_m the m-th POD energy and pbar_norm the L2(Omega_1D) norm of the
     m-th coefficient function; the POD figures come from rsol.space.
     """
-    grid = ops.grid
-    if reference.grid.shape != grid.shape or rsol.grid.shape != grid.shape:
-        raise ValueError("reference and reduced solutions live on different "
-                         "grids")
-    if reference.mode != ops.mode or rsol.mode != ops.mode:
-        raise ValueError(
-            f"mode mismatch: operators {ops.mode!r}, reference "
-            f"{reference.mode!r}, reduced {rsol.mode!r}")
+    if reference.ops is not ops or rsol.ops is not ops:
+        raise ValueError("reference and reduced solutions were not solved "
+                         "with these operators")
     space = rsol.space
     p_ref = reference.interior_vector()
     p_red = rsol.interior_vector()
@@ -74,7 +69,7 @@ def error_report(ops, reference, rsol):
     m = rsol.m
     lam = float(space.eigenvalues[m - 1]) if m <= space.eigenvalues.size else 0.0
     pbar = rsol.pbar(m - 1)
-    tx = grid.tx
+    tx = ops.grid.tx
     # L2(Omega_1D) norm of the P1 coefficient function (Simpson on elements)
     vals = pbar
     mid = 0.5 * (vals[:-1] + vals[1:])

@@ -60,7 +60,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import GAUSS_NODES, TensorGrid
+from .mesh import GAUSS_NODES
 
 MODES = ("weak_lifting", "delta_h", "riesz_recon", "plain_gD")
 
@@ -119,14 +119,14 @@ _ZERO_LIFTING = LiftingFunction(value=_zero, dx=_zero, dy=_zero,
 
 @dataclass
 class FullSolution:
-    """Homogenized nodal solution p on the full grid (boundary entries 0)."""
+    """Homogenized nodal solution p on the full grid of ops, the operators
+    it was solved with (boundary entries 0)."""
 
-    grid: TensorGrid
+    ops: object
     coeffs: np.ndarray  # (nx+1, ny+1)
-    mode: str
 
     def interior_vector(self):
-        return self.coeffs.ravel()[self.grid.interior_ids()]
+        return self.coeffs.ravel()[self.ops.grid.interior_ids()]
 
 
 class GridField:
@@ -408,7 +408,7 @@ def reference_operators(pd, lift, grid, mode="weak_lifting"):
 def solve_reference(ops):
     """Solve the interior reference system A_int x = rhs_int of ops.
 
-    Returns the FullSolution on ops.grid in ops.mode (zero on the boundary).
+    Returns the FullSolution of ops on ops.grid (zero on the boundary).
     When G_int is A_int the solve uses ops.G_lu, which the estimator and the
     indicator reuse; otherwise A_int's factor is local and freed on return.
     """
@@ -421,7 +421,7 @@ def solve_reference(ops):
     grid = ops.grid
     coeffs = np.zeros(grid.node_count)
     coeffs[grid.interior_ids()] = x
-    return FullSolution(grid, coeffs.reshape(grid.shape), ops.mode)
+    return FullSolution(ops, coeffs.reshape(grid.shape))
 
 
 def affine_boundary_blend(lift, omega_x):

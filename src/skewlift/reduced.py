@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import TensorGrid
 from .transverse import band_solve, block_band, block_pairs
 
 
@@ -69,43 +68,42 @@ class ReducedSystem:
     """Block-tridiagonal reduced system, x-node major / mode minor.
 
     blocks: (3 (NH - 1) - 2, m, m) projected x-blocks Phi^T A_ij Phi in
-    XBlocks order; rhs: (NH - 1, m) projected right-hand side.
+    XBlocks order; rhs: (NH - 1, m) projected right-hand side; ops: the
+    operators projected.
     """
 
     blocks: np.ndarray
     rhs: np.ndarray
     space: object
-    grid: TensorGrid
-    mode: str
+    ops: object
 
     def truncate(self, m):
         """The system of the leading m modes: leading m x m sub-blocks."""
         return ReducedSystem(self.blocks[:, :m, :m], self.rhs[:, :m],
-                             self.space.truncate(m), self.grid, self.mode)
+                             self.space.truncate(m), self.ops)
 
 
 def assemble_reduced(ops, space):
     """Project the operators ops onto span{xi_i(x) phi_k(y)} of space.
 
     The modes live on the operators' transverse partition (space.part equals
-    ops.grid.ty); the reduced system inherits ops' grid and mode.
+    ops.grid.ty); the reduced system and its solution refer to ops.
     """
     if space.part != ops.grid.ty:
         raise ValueError("space.part is not the operators' y-partition")
     xb = XBlocks(ops)
     phi = space.modes[1:-1, :]
-    return ReducedSystem(phi.T @ xb.products(phi), xb.rhs @ phi, space,
-                         ops.grid, ops.mode)
+    return ReducedSystem(phi.T @ xb.products(phi), xb.rhs @ phi, space, ops)
 
 
 @dataclass
 class ReducedSolution:
-    """Coefficient functions pbar_k on the dominant partition."""
+    """Coefficient functions pbar_k on the dominant partition of ops, the
+    operators whose reduced system was solved."""
 
     space: object
     coeffs: np.ndarray  # (m, NH-1), interior x-nodes
-    grid: TensorGrid
-    mode: str
+    ops: object
 
     @property
     def m(self):
@@ -119,7 +117,7 @@ class ReducedSolution:
 
     def pbar(self, k):
         """k-th coefficient function (0-based), nodal on the x-partition."""
-        out = np.zeros(self.grid.nx + 1)
+        out = np.zeros(self.ops.grid.nx + 1)
         out[1:-1] = self.coeffs[k]
         return out
 
@@ -140,4 +138,4 @@ def solve_reduced(system):
     if res > 1e-9 * max(np.linalg.norm(rhs), 1.0):
         raise RuntimeError(f"reduced solve residual {res:.3e} too large")
     coeffs = sol.T
-    return ReducedSolution(system.space, coeffs, system.grid, system.mode)
+    return ReducedSolution(system.space, coeffs, system.ops)

@@ -32,9 +32,10 @@ change:
   view (reduced.XBlocks);
 * once per outer iteration: the block moments A_ij Phi, Phi^T A_ij Phi and
   Phi^T rhs_i of the base space Phi, the (m-1)-mode POD space (BaseMoments);
-* once per chunk of up to _CHUNK samples: the y-operators of the chunk's
-  fresh samples, built in one pass (TransverseSolver.solve_many; each fresh
-  sample's geometry, assembly contraction and band solve stay its own),
+* once per chunk of up to _CHUNK samples: one TransverseSolver.solve_many
+  call, which builds the y-operators of the chunk's fresh samples in one
+  pass (each fresh sample's geometry, assembly contraction and band solve
+  stay its own),
   then, in BaseMoments.deltas, the M-orthonormalization of all the chunk's
   <= 2 Qbar snapshot columns per sample against Phi (_orthonormalize_stack,
   one column slot at a time for every sample, on the sparse tridiagonal
@@ -215,20 +216,29 @@ def initial_cells(omega_x, qbar, n_per_dim, n_xi, rng, th):
     return cells
 
 
-def mark(cells, theta, sigma_thres, min_width=None):
+def _splittable(cell, th):
+    """Whether the children of cell can hold distinct-element samples: a
+    child of a cell w elements of th wide (w within 1e-10 relative of a
+    whole number is that number) meets ceil(w / 2) elements per axis, so a
+    child on the diagonal meets qbar of them iff w > 2 (qbar - 1); cells
+    narrower than 2 elements are not split either."""
+    w = (cell.hi - cell.lo) / th.h
+    w = np.where(np.abs(w - np.round(w)) <= 1e-10 * w, np.round(w), w)
+    return bool(np.all(w >= 2) and np.all(w > 2 * (cell.lo.size - 1)))
+
+
+def mark(cells, theta, sigma_thres, th=None):
     """Indices (positions) of cells to refine.
 
     The ceil(theta * N) cells of smallest eta (ties by cell id) are marked,
-    plus every cell with sigma > sigma_thres. Cells narrower than min_width
-    in any direction are never marked (their children could not hold valid
-    samples).
+    plus every cell with sigma > sigma_thres. Given the partition th the
+    samples are drawn on, a cell whose children could not hold valid
+    samples (_splittable) is never marked.
     """
     if not 0 < theta <= 1:
         raise ValueError(f"theta must be in (0, 1], got {theta}")
-    eligible = [
-        i for i, c in enumerate(cells)
-        if min_width is None or np.all(c.hi - c.lo >= min_width)
-    ]
+    eligible = [i for i, c in enumerate(cells)
+                if th is None or _splittable(c, th)]
     if not eligible:
         return []
     n_mark = math.ceil(theta * len(cells))
@@ -480,14 +490,13 @@ def adaptive_train_extension(ops, g0, m_max, i_max, n_xi, theta, sigma_thres,
     thp = build_uniform_partition(pd.omega_x[0], pd.omega_x[1], coarse_nhp)
     coarse = XBlocks(reference_operators(pd, ops.lift, TensorGrid(thp, yh),
                                          ops.mode))
-    min_width = 2.0 * th.h
     for m in range(1, m_max + 1):
         snaps = _all_snapshots(cells, solver)
         space = pod(snaps, yh, count=m - 1) if m > 1 else empty_space(yh)
         base = BaseMoments(coarse, space)
         element_indicators(base, cells, solver)
         for _ in range(i_max):
-            chosen = mark(cells, theta, sigma_thres, min_width=min_width)
+            chosen = mark(cells, theta, sigma_thres, th)
             if not chosen:
                 break
             cells = refine(cells, chosen, n_xi, rng, th)

@@ -45,14 +45,15 @@ only as LAPACK band storage (block_band) and solved by band_solve.
 
 Assembly is split by what it depends on. The y-operators of an x-point
 (YRows: the interior diagonals of K + D, Mk and Mb, the load and the
-lifting-gradient load) depend only on the point, so they are built once per
-batch of parameter vectors, for all their points in one y_rows pass that
-evaluates every callback once (TransverseSolver.solve_many). What is left
-per parameter vector is its geometry (build_coupled_basis,
-augment_quadrature), the contraction of its points' rows with its hat
-tables in O((qbar + qhat) n_a^2 n_h) time (assemble_transverse), and the
-banded LU in O(n bw^2) for n = n_a n_i unknowns (snapshot_solve); no dense
-or sparse n x n matrix is formed.
+lifting-gradient load) depend only on the point. TransverseSolver.solve_many,
+the one way to snapshots, builds the geometry (build_coupled_basis,
+augment_quadrature) of a batch's uncached parameter vectors and the rows of
+all their points in one y_rows pass that evaluates every callback once,
+kept only for the call. What is left per parameter vector is the
+contraction of its points' rows with its hat tables in
+O((qbar + qhat) n_a^2 n_h) time (assemble_transverse) and the banded LU in
+O(n bw^2) for n = n_a n_i unknowns (snapshot_solve); no dense or sparse
+n x n matrix is formed.
 
 A parameter vector's snapshots are the rows of one (n_a, n_h + 1) array:
 row a is the transverse solution P_a(y) of hat cb.active[a], nodal over
@@ -392,10 +393,9 @@ class TransverseSystem:
     matrix: np.ndarray
     rhs: np.ndarray
     cb: CoupledBasis
-    yh: Partition1D
 
 
-def assemble_transverse(rows, cb, rule, yh):
+def assemble_transverse(rows, cb, rule):
     """Assemble the coupled transverse system for one parameter vector.
 
     rows are the YRows of the snapshot problem at rule.points (y_rows; row l
@@ -436,42 +436,37 @@ def assemble_transverse(rows, cb, rule, yh):
         rhs += w_val[l] * rows.load[l][:, None]
         rhs -= w_der[l] * rows.load_der[l][:, None]
 
-    return TransverseSystem(block_band(blocks), rhs.ravel(), cb, yh)
+    return TransverseSystem(block_band(blocks), rhs.ravel(), cb)
 
 
 def snapshot_solve(system):
     """Solve the coupled system: the parameter's snapshots as the rows of
     one (n_a, n_h + 1) array, row a the component P_a(y) of hat
-    system.cb.active[a], nodal over yh with zero boundary entries.
+    system.cb.active[a], nodal over the y-partition with zero boundary
+    entries (n_h - 1 interior nodes: system.rhs.size // n_a).
 
     band_solve on the band storage system.matrix: O(n bw^2) time for
     n = n_a (n_h - 1) unknowns and bandwidth bw = 2 n_a - 1. A singular or
     non-finite solve raises RuntimeError.
     """
     cb = system.cb
+    n_a = cb.active.size
     sol = band_solve(system.matrix, system.rhs,
                      f"transverse system for mu={cb.mu}")
-    out = np.zeros((cb.active.size, system.yh.n + 1))
-    out[:, 1:-1] = sol.reshape(system.yh.n - 1, cb.active.size).T
+    out = np.zeros((n_a, system.rhs.size // n_a + 2))
+    out[:, 1:-1] = sol.reshape(-1, n_a).T
     return out
 
 
 class TransverseSolver:
     """Snapshot factory with caching, keyed by the sorted parameter tuple.
 
-    solve(mu) returns snapshot_solve's (n_a, n_h + 1) array for mu, one row
-    per active hat in cb.active order. Every call for the same parameters
-    returns the same cached array, so it is read-only. The row order
-    (sorted parameter tuple, then active hat) is what makes runs
-    deterministic.
-
-    solve_many(mus) is solve over a batch: it first builds the geometry
-    (build_coupled_basis, augment_quadrature) of every key not yet cached
-    and their y-operators in one y_rows pass over all their x-points, then
-    calls solve for each entry, which assembles (assemble_transverse) and
-    solves (snapshot_solve) each fresh key on its own. solve of a key that
-    no batch prepared prepares it as a batch of one; both give the same
-    bits, since y_rows is elementwise along the points.
+    solve_many(mus), the one entry point, gives each mu snapshot_solve's
+    (n_a, n_h + 1) array, one row per active hat in cb.active order. Every
+    request for the same parameters returns the same cached, read-only
+    array; the row order (sorted parameter tuple, then active hat) is what
+    makes runs deterministic. Between calls the solver holds nothing but
+    its cache.
     """
 
     def __init__(self, pd, lift, th, yh):
@@ -480,47 +475,38 @@ class TransverseSolver:
         self.th = th
         self.yh = yh
         self._cache = {}
-        self._prepared = {}  # key -> (cb, rule, rows), only inside a batch
 
-    @staticmethod
-    def _key(mu):
-        return tuple(np.sort(np.asarray(mu, dtype=float)))
-
-    def _prepare(self, keys):
-        """Geometry and YRows of the distinct keys not yet cached. Every
-        key's geometry is built before anything is stored, so a rejected
-        key (QuadPointsInSameElement) prepares none."""
-        fresh = [key for key in dict.fromkeys(keys) if key not in self._cache]
-        if not fresh:
-            return
-        geometry = [(build_coupled_basis(self.th, key),
-                     augment_quadrature(self.th, key)) for key in fresh]
-        rows = y_rows(self.pd, self.lift,
-                      np.concatenate([rule.points for _, rule in geometry]),
-                      self.yh)
-        lo = 0
-        for key, (cb, rule) in zip(fresh, geometry):
-            hi = lo + rule.points.size
-            self._prepared[key] = (cb, rule, rows[lo:hi])
-            lo = hi
-
-    def solve(self, mu):
-        key = self._key(mu)
-        if key not in self._cache:
-            if key not in self._prepared:
-                self._prepare([key])
-            cb, rule, rows = self._prepared.pop(key)
-            snaps = snapshot_solve(assemble_transverse(rows, cb, rule, self.yh))
+    def solve(self, key, prepared):
+        """The snapshots of the sorted key: assembled, solved and cached
+        from prepared = (cb, rule, rows) when given, else the cached array
+        (an uncached key without prepared is a KeyError)."""
+        if prepared is not None:
+            cb, rule, rows = prepared
+            snaps = snapshot_solve(assemble_transverse(rows, cb, rule))
             snaps.setflags(write=False)
             self._cache[key] = snaps
         return self._cache[key]
 
     def solve_many(self, mus):
-        """[solve(mu) for mu in mus], with the y-operators of all fresh
-        keys built in one pass; nothing prepared outlives the call."""
-        keys = [self._key(mu) for mu in mus]
-        try:
-            self._prepare(keys)
-            return [self.solve(key) for key in keys]
-        finally:
-            self._prepared.clear()
+        """The snapshots of every parameter vector in mus, in order.
+
+        The geometry of the distinct uncached keys is built first, so a
+        rejected key (QuadPointsInSameElement) fails the batch before
+        anything is solved; their YRows come from one y_rows pass, which
+        gives each key the bits of a batch of one, since y_rows is
+        elementwise along the points. solve runs once per requested key.
+        """
+        keys = [tuple(np.sort(np.asarray(mu, dtype=float))) for mu in mus]
+        fresh = [key for key in dict.fromkeys(keys) if key not in self._cache]
+        prepared = {}
+        if fresh:
+            geometry = [(build_coupled_basis(self.th, key),
+                         augment_quadrature(self.th, key)) for key in fresh]
+            points = np.concatenate([rule.points for _, rule in geometry])
+            rows = y_rows(self.pd, self.lift, points, self.yh)
+            lo = 0
+            for key, (cb, rule) in zip(fresh, geometry):
+                hi = lo + rule.points.size
+                prepared[key] = (cb, rule, rows[lo:hi])
+                lo = hi
+        return [self.solve(key, prepared.pop(key, None)) for key in keys]

@@ -52,8 +52,15 @@ import collections, json, sys
 sys.path.insert(0, sys.argv[1])
 import spans
 from skewlift import cli
+from skewlift.transverse import TransverseSolver
 tracer = spans.Tracer()
 spans.instrument(tracer)
+requested = []
+solve_many = TransverseSolver.solve_many
+def recording(self, mus):
+    requested.extend(tuple(sorted(mu)) for mu in mus)
+    return solve_many(self, mus)
+TransverseSolver.solve_many = recording
 cfg = cli.RunConfig(NH=16, nh=10, NHp=4, m_max=2, out=sys.argv[2])
 cli.run_case(cfg.validate(), log=lambda *a, **k: None)
 dofs = {name: [s.attrs["dofs"] for s in tracer.spans if s.name == name]
@@ -62,7 +69,9 @@ dofs = {name: [s.attrs["dofs"] for s in tracer.spans if s.name == name]
 solves = [s.parent for s in tracer.spans
           if s.name == "transverse.snapshot_solve"]
 parents = [tracer.spans[i].name if i >= 0 else None for i in solves]
-print(json.dumps({"parents": parents, "solves": solves}))
+print(json.dumps({"parents": parents, "solves": solves,
+                  "requested": len(requested),
+                  "distinct": len(set(requested))}))
 print(json.dumps(dofs))
 print(json.dumps(collections.Counter(s.name for s in tracer.spans)))
 """
@@ -99,6 +108,11 @@ def test_traced_study_counts_each_layer(tmp_path):
     nesting = json.loads(lines[-3])
     assert set(nesting["parents"]) == {"transverse.solve"}
     assert len(set(nesting["solves"])) == len(nesting["solves"])
+    # transverse.solve.calls is one span per parameter requested through
+    # solve_many, and transverse.solve.fresh one per distinct sorted key
+    assert counts["transverse.solve"] == nesting["requested"]
+    assert len(nesting["solves"]) == nesting["distinct"]
+    assert nesting["distinct"] < nesting["requested"]
 
 
 # public names that wait for a caller, each with the reason

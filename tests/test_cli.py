@@ -121,6 +121,36 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "seed must be nonnegative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["--NH", "32", "--nh", "10", "--NHp", "4", "--m-max", "6", "--theta",
+     "1.0", "--i-max", "3"],
+    ["--NH", "128", "--nh", "10", "--NHp", "8", "--m-max", "8", "--theta",
+     "1.0", "--i-max", "2", "--n-xi", "2"]], ids=["NH32", "NH128"])
+def test_refinement_keeps_cells_samplable(tmp_path, args):
+    # NH a power of two: bisecting a diagonal cell 2H wide would leave
+    # children one element wide, which cannot hold two distinct elements
+    out = tmp_path / "conv.csv"
+    assert main(["run", "--out", str(out)] + args) == 0
+    assert len(_read_rows(out)) == int(args[args.index("--m-max") + 1]) + 1
+
+
+def test_unsamplable_initial_cells_are_a_config_error(tmp_path, capsys,
+                                                      monkeypatch):
+    # 30 cells per axis on 20 elements: the diagonal cells are narrower
+    # than one element, so a pair sample cannot take two distinct elements;
+    # validation turns this away before the reference solve
+    monkeypatch.setattr(cli, "reference_operators", None)
+    out = tmp_path / "g0.csv"
+    assert main(["run", "--NH", "20", "--g0", "30", "--out", str(out)]) == 2
+    assert "need NH > (qbar - 1) g0" in capsys.readouterr().err
+    assert not out.exists()
+    # one point per sample fits any cell; NH = (qbar - 1) g0 does not
+    RunConfig(NH=20, g0=30, qbar=1).validate()
+    RunConfig(NH=21, g0=20).validate()
+    with pytest.raises(ConfigError):
+        RunConfig(NH=40, g0=20, qbar=3).validate()
+
+
 @pytest.mark.parametrize("command", ["run", "detect"])
 def test_missing_output_directory_is_a_config_error(tmp_path, capsys,
                                                     command):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from skewlift.cases import get_case
 from skewlift.estimator import (
     ErrorReport,
     error_report,
@@ -138,8 +139,28 @@ def test_error_report_rejects_mismatched_inputs():
     _, _, _, other = _solve_pair(pd, 2, nx=30, ny=14)
     with pytest.raises(ValueError):
         error_report(ops, ref, other)
-    import dataclasses
-
-    wrong_mode = dataclasses.replace(ref, mode="delta_h")
+    wrong_mode = solve_reference(
+        reference_operators(pd, ops.lift, ops.grid, "delta_h"))
     with pytest.raises(ValueError):
         error_report(ops, wrong_mode, rsol)
+
+
+def test_error_report_rejects_a_reference_of_another_problem():
+    # cases 1 and 3 share the domain, so their solutions have the same grid
+    # and mode; a reference solved for case 3 is not case 1's reference
+    th = build_uniform_partition(0.0, 2.0, 20)
+    yh = build_uniform_partition(0.0, 1.0, 10)
+    solved = []
+    for case in (1, 3):
+        cs = get_case(case)
+        ops = reference_operators(cs.problem, cs.lift, TensorGrid(th, yh),
+                                  "weak_lifting")
+        rsol = solve_reduced(assemble_reduced(ops, _sine_space(yh, 2)))
+        solved.append((ops, solve_reference(ops), rsol))
+    (ops1, ref1, rsol1), (_, ref3, rsol3) = solved
+    assert ref3.coeffs.shape == ref1.coeffs.shape
+    with pytest.raises(ValueError, match="not solved with these operators"):
+        error_report(ops1, ref3, rsol1)
+    with pytest.raises(ValueError, match="not solved with these operators"):
+        error_report(ops1, ref1, rsol3)
+    assert error_report(ops1, ref1, rsol1).err_V_rel < 1.0

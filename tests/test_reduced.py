@@ -198,7 +198,7 @@ def test_prolongation_and_empty_space_guards():
     # a singular reduced system is a numerical failure, not a LinAlgError
     system = assemble_reduced(ops, _full_space(yh))
     singular = ReducedSystem(np.zeros_like(system.blocks), system.rhs,
-                             system.space, system.grid, system.mode)
+                             system.space, system.ops)
     with pytest.raises(RuntimeError):
         solve_reduced(singular)
 

@@ -216,7 +216,8 @@ def test_element_indicators_match_explicit_projection(mode, m):
     solver = TransverseSolver(*fine.snapshot_problem, th, yh)
     rng = np.random.Generator(np.random.Philox(0))
     cells = initial_cells(pd.omega_x, 2, 2, 2, rng, th)
-    snaps = [s for c in cells for mu in c.samples for s in solver.solve(mu)]
+    snaps = [s for c in cells for mu in c.samples
+             for s in solver.solve_many([mu])[0]]
     space = pod(snaps, yh, count=m) if m else empty_space(yh)
     assert space.m == m
     ops = reference_operators(pd, lift, TensorGrid(thp, yh), mode)
@@ -227,7 +228,7 @@ def test_element_indicators_match_explicit_projection(mode, m):
     for cell, got in zip(cells, eta):
         deltas = []
         for mu in cell.samples:
-            E = solver.solve(mu)[:, 1:-1].T
+            E = solver.solve_many([mu])[0][:, 1:-1].T
             # the Galerkin space in any basis; delta_h snapshots of one
             # sample can be exactly dependent, so the basis is rank-revealing
             Q = scipy.linalg.orth(np.hstack([space.modes[1:-1], E]),
@@ -274,7 +275,7 @@ def _indicator_setup(mode, m):
     cells = initial_cells(pd.omega_x, 2, 4, 3, rng, th)
     mus = [mu for c in cells for mu in c.samples]
     assert len(mus) > training._CHUNK
-    snaps = [s for mu in mus for s in solver.solve(mu)]
+    snaps = [s for mu in mus for s in solver.solve_many([mu])[0]]
     space = pod(snaps, yh, count=m) if m else empty_space(yh)
     ops = reference_operators(pd, lift, TensorGrid(thp, yh), mode)
     assert ops.G_int is not ops.A_int
@@ -283,7 +284,7 @@ def _indicator_setup(mode, m):
 
 def _extra(solver, mu):
     """mu's snapshots without their boundary entries, one row each."""
-    return solver.solve(mu)[:, 1:-1]
+    return solver.solve_many([mu])[0][:, 1:-1]
 
 
 @pytest.mark.parametrize("mode", ["weak_lifting", "delta_h"])
@@ -346,7 +347,8 @@ def test_indicators_vanish_when_the_space_is_full():
         solver = TransverseSolver(pd, lift, th, yh)
         rng = np.random.Generator(np.random.Philox(0))
         cells = initial_cells(pd.omega_x, 2, 2, 2, rng, th)
-        snaps = [s for c in cells for mu in c.samples for s in solver.solve(mu)]
+        snaps = [s for c in cells for mu in c.samples
+                 for s in solver.solve_many([mu])[0]]
         space = pod(snaps, yh, count=8)
         assert space.m == 8
         ops = reference_operators(pd, lift, TensorGrid(thp, yh), "weak_lifting")
@@ -437,8 +439,18 @@ def test_mark_selects_smallest_eta_plus_stale_cells():
     cells = _toy_cells([0.5, 0.1, 0.9, 0.3], rhos=[0, 0, 3, 0])
     assert mark(cells, 0.25, sigma_thres=2.0) == [1, 2]
     # cells too narrow to hold distinct-element children are protected
+    th = build_uniform_partition(0.0, 2.0, 20)  # H = 0.1
     cells = _toy_cells([0.1, 0.5], widths=[0.05, 1.0])
-    assert mark(cells, 0.5, sigma_thres=1e9, min_width=0.2) == [1]
+    assert mark(cells, 0.5, sigma_thres=1e9, th=th) == [1]
+    # a pair cell 2H wide (or within round-off of it) has one-element
+    # children on the diagonal, which cannot hold two distinct elements
+    cells = _toy_cells([0.1, 0.5], widths=[0.2, 0.2 + 1e-12])
+    assert mark(cells, 1.0, sigma_thres=1e9, th=th) == []
+    assert mark(cells, 1.0, sigma_thres=1e9) == [0, 1]
+    # a single-point cell splits down to 2H, not below
+    singles = [ParamCell(i, np.array([0.0]), np.array([w]))
+               for i, w in enumerate((0.2, 0.19))]
+    assert mark(singles, 1.0, sigma_thres=1e9, th=th) == [0]
     with pytest.raises(ValueError):
         mark(cells, 0.0, sigma_thres=1.0)
 
@@ -497,7 +509,8 @@ def test_training_is_seed_reproducible():
     # snapshots come back as one array: every sample's rows (in active-hat
     # order), samples sorted by parameter
     solver = TransverseSolver(pd, lift, th, yh)
-    expected = np.vstack([solver.solve(mu) for mu in sorted(samples(run_a))])
+    expected = np.vstack([solver.solve_many([mu])[0]
+                          for mu in sorted(samples(run_a))])
     assert np.array_equal(run_a.snapshots, expected)
     # the marked/refined loop actually grew the set
     assert len(run_a.cells) > 4
@@ -548,5 +561,5 @@ def test_training_takes_lifting_and_mode_from_ops(monkeypatch):
     assert c_grid.tx.n == 4 and c_grid.ty is yh
     blend_solver = TransverseSolver(*ops.snapshot_problem, th, yh)
     mus = sorted(mu for cell in run.cells for mu in cell.samples)
-    assert np.array_equal(run.snapshots,
-                          np.vstack([blend_solver.solve(mu) for mu in mus]))
+    assert np.array_equal(run.snapshots, np.vstack(
+        [blend_solver.solve_many([mu])[0] for mu in mus]))

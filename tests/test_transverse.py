@@ -306,8 +306,7 @@ def test_midpoint_rule_reproduces_full_fe_system(dense_from_band):
     rule = augment_quadrature(th, mu)
     assert np.allclose(rule.weights, th.h)
     assert cb.active.tolist() == list(range(1, th.n))
-    system = assemble_transverse(y_rows(pd, lift, rule.points, yh), cb, rule,
-                                 yh)
+    system = assemble_transverse(y_rows(pd, lift, rule.points, yh), cb, rule)
 
     gp = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
     yg = (yh.nodes[:-1, None] + gp[None, :] * yh.h).ravel()
@@ -372,7 +371,7 @@ def test_riesz_snapshot_problem_folds_minus_reconstruction(dense_from_band):
     cb = build_coupled_basis(th, mu)
     rule = augment_quadrature(th, mu)
     system = assemble_transverse(
-        y_rows(snap_pd, snap_lift, rule.points, yh), cb, rule, yh)
+        y_rows(snap_pd, snap_lift, rule.points, yh), cb, rule)
     A, rhs = _coupled_oracle(snap_pd, LiftingFunction.zero(), cb, rule, yh,
                              "weak_lifting")
     assert np.max(np.abs(dense_from_band(system.matrix) - A)) \
@@ -468,7 +467,7 @@ def test_coupled_system_matches_blockwise_oracle(mode, dense_from_band):
     ops = reference_operators(pd, lift, TensorGrid(th, yh), mode)
     snap_pd, snap_lift = ops.snapshot_problem
     system = assemble_transverse(
-        y_rows(snap_pd, snap_lift, rule.points, yh), cb, rule, yh)
+        y_rows(snap_pd, snap_lift, rule.points, yh), cb, rule)
 
     n_a, n_i = cb.active.size, yh.n - 1
     bw = 2 * n_a - 1
@@ -491,7 +490,7 @@ def test_coupled_system_matches_blockwise_oracle(mode, dense_from_band):
     solver = TransverseSolver(dataclasses.replace(snap_pd, k=zero, b1=zero,
                                                   b2=zero), snap_lift, th, yh)
     with pytest.raises(RuntimeError) as info:
-        solver.solve(mu)
+        solver.solve_many([mu])
     assert not isinstance(info.value, np.linalg.LinAlgError)
 
 
@@ -551,8 +550,8 @@ def test_hat_tables_keep_the_assembly_bitwise():
             assert np.array_equal(val, ref_val) and np.array_equal(der, ref_der)
             scalar = _ScalarBasis(cb.base, cb.mu, cb.kept_nodes, cb.active)
             rows = y_rows(pd, lift, rule.points, yh)
-            got = assemble_transverse(rows, cb, rule, yh)
-            ref = assemble_transverse(rows, scalar, rule, yh)
+            got = assemble_transverse(rows, cb, rule)
+            ref = assemble_transverse(rows, scalar, rule)
             assert np.array_equal(got.matrix, ref.matrix)
             assert np.array_equal(got.rhs, ref.rhs)
             checked += 1
@@ -598,8 +597,7 @@ def test_no_interior_hats_raises():
     rule = augment_quadrature(th, (1.0,))
     with pytest.raises(ValueError):
         assemble_transverse(
-            y_rows(_pd(), LiftingFunction.zero(), rule.points, yh), cb, rule,
-            yh)
+            y_rows(_pd(), LiftingFunction.zero(), rule.points, yh), cb, rule)
 
 
 def test_zero_lifting_assembles_like_a_fresh_all_zero_lifting():
@@ -614,10 +612,10 @@ def test_zero_lifting_assembles_like_a_fresh_all_zero_lifting():
         cb = build_coupled_basis(th, mu)
         rule = augment_quadrature(th, mu)
         got = assemble_transverse(
-            y_rows(pd, LiftingFunction.zero(), rule.points, yh), cb, rule, yh)
+            y_rows(pd, LiftingFunction.zero(), rule.points, yh), cb, rule)
         ref = assemble_transverse(
             y_rows(pd, LiftingFunction(zero, zero, zero, zero), rule.points,
-                   yh), cb, rule, yh)
+                   yh), cb, rule)
         assert np.array_equal(got.matrix, ref.matrix)
         assert np.array_equal(got.rhs, ref.rhs)
 
@@ -626,11 +624,27 @@ def test_zero_lifting_assembles_like_a_fresh_all_zero_lifting():
 # Solver caching and snapshot layout
 
 
+# what a TransverseSolver holds: its problem and its cache, nothing per call
+_SOLVER_STATE = {"pd", "lift", "th", "yh", "_cache"}
+
+
+def _count_solves(monkeypatch):
+    """Record the parameters of every snapshot_solve the solver makes."""
+    solved = []
+
+    def counting(system):
+        solved.append(system.cb.mu)
+        return snapshot_solve(system)
+
+    monkeypatch.setattr("skewlift.transverse.snapshot_solve", counting)
+    return solved
+
+
 def test_solver_snapshot_layout_and_cache():
     th = build_uniform_partition(0.0, 2.0, 4)
     yh = build_uniform_partition(0.0, 1.0, 6)
     solver = TransverseSolver(_pd(), LiftingFunction.zero(), th, yh)
-    snaps = solver.solve((1.75, 0.25))  # unsorted input
+    snaps, = solver.solve_many([(1.75, 0.25)])  # unsorted input
     # one row per active hat, in cb.active order, nodal with boundary zeros
     cb = build_coupled_basis(th, (0.25, 1.75))
     assert cb.active.tolist() == [1, 3]
@@ -640,24 +654,26 @@ def test_solver_snapshot_layout_and_cache():
     assert np.all(np.max(np.abs(snaps), axis=1) > 0.0)
     rule = augment_quadrature(th, (0.25, 1.75))
     system = assemble_transverse(
-        y_rows(_pd(), LiftingFunction.zero(), rule.points, yh), cb, rule, yh)
+        y_rows(_pd(), LiftingFunction.zero(), rule.points, yh), cb, rule)
     assert np.array_equal(snaps, snapshot_solve(system))
     # the cached array is shared by every caller, so it cannot be written
     with pytest.raises(ValueError):
         snaps[0, 1] = 1.0
     # cache is keyed by the sorted tuple: same object comes back
-    assert solver.solve((0.25, 1.75)) is snaps
-    assert solver.solve((1.75, 0.25)) is snaps
+    assert solver.solve_many([(0.25, 1.75)])[0] is snaps
+    assert solver.solve_many([(1.75, 0.25)])[0] is snaps
     with pytest.raises(QuadPointsInSameElement):
-        solver.solve((0.6, 0.9))
+        solver.solve_many([(0.6, 0.9)])
+    assert set(vars(solver)) == _SOLVER_STATE
 
 
 @pytest.mark.parametrize("case, mode", [
     (1, "weak_lifting"), (1, "plain_gD"), (1, "delta_h"), (1, "riesz_recon"),
     (2, "weak_lifting"), (3, "weak_lifting")])
-def test_solve_many_matches_batches_of_one(case, mode):
+def test_solve_many_matches_batches_of_one(case, mode, monkeypatch):
     # one y_rows pass over a whole batch gives every parameter the bits of
-    # its own batch of one; cached and repeated keys return the cached array.
+    # its own batch of one; cached and repeated keys return the cached array
+    # and every distinct fresh key is solved once.
     # Case 1 runs with advection, so every y-operator is nonzero.
     cs = get_case(case, **({"b": (1.5, -0.5)} if case == 1 else {}))
     th = build_uniform_partition(0.0, 2.0, 16)  # H = 0.125
@@ -677,35 +693,42 @@ def test_solve_many_matches_batches_of_one(case, mode):
             (0.2, 0.9, 1.3), mus[4][::-1], (0.6, 0.7)]  # duplicate keys
     assert build_coupled_basis(th, (0.6, 0.7)).active.size == 3
     solver = TransverseSolver(*problem, th, yh)
-    cached = [solver.solve(mus[1]), solver.solve(mus[7])]
+    cached = solver.solve_many([mus[1], mus[7]])
+    solved = _count_solves(monkeypatch)
     got = solver.solve_many(mus)
+    keys = {tuple(sorted(mu)) for mu in mus}
+    assert sorted(solved) == sorted(keys - {tuple(sorted(mus[1])),
+                                            tuple(sorted(mus[7]))})
     assert got[1] is cached[0] and got[7] is cached[1]
     assert got[-3] is got[-4] and got[-2] is got[4] and got[-1] is got[-5]
-    assert not solver._prepared
+    assert set(vars(solver)) == _SOLVER_STATE
     one = TransverseSolver(*problem, th, yh)
     for mu, snaps in zip(mus, got):
-        assert snaps is solver.solve(mu)
+        assert snaps is solver.solve_many([mu])[0]
         assert np.array_equal(snaps, one.solve_many([mu])[0]), mu
 
 
-def test_solve_many_rejects_a_batch_whole():
+def test_solve_many_rejects_a_batch_whole(monkeypatch):
     # a same-element parameter fails the batch before anything is solved or
-    # prepared; the batch's valid parameters then solve as if never batched
+    # cached; the batch's valid parameters then solve as if never batched
     th = build_uniform_partition(0.0, 2.0, 4)
     yh = build_uniform_partition(0.0, 1.0, 6)
     good = [(0.25, 1.75), (1.1,), (0.3, 1.3)]
     solver = TransverseSolver(_pd(), LiftingFunction.zero(), th, yh)
+    solved = _count_solves(monkeypatch)
     with pytest.raises(QuadPointsInSameElement):
         solver.solve_many([good[0], (0.6, 0.9), *good[1:]])
-    assert not solver._cache and not solver._prepared
+    assert not solved and not solver._cache
+    assert set(vars(solver)) == _SOLVER_STATE
     got = solver.solve_many(good)
-    assert not solver._prepared
+    assert set(vars(solver)) == _SOLVER_STATE
     one = TransverseSolver(_pd(), LiftingFunction.zero(), th, yh)
     for mu, snaps in zip(good, got):
-        assert np.array_equal(snaps, one.solve(mu))
-    # a failed solve inside a batch leaves no prepared rows either
+        assert np.array_equal(snaps, one.solve_many([mu])[0])
+    # a failed solve inside a batch caches nothing
     zero = lambda x, y: np.zeros(np.broadcast(x, y).shape)
     singular = TransverseSolver(_pd(k=zero), LiftingFunction.zero(), th, yh)
     with pytest.raises(RuntimeError, match="singular"):
         singular.solve_many(good)
-    assert not singular._cache and not singular._prepared
+    assert not singular._cache
+    assert set(vars(singular)) == _SOLVER_STATE
