@@ -644,7 +644,7 @@ def test_solver_snapshot_layout_and_cache():
     th = build_uniform_partition(0.0, 2.0, 4)
     yh = build_uniform_partition(0.0, 1.0, 6)
     solver = TransverseSolver(_pd(), LiftingFunction.zero(), th, yh)
-    snaps, = solver.solve_many([(1.75, 0.25)])  # unsorted input
+    snaps = solver.solve_many([(1.75, 0.25)])[0]  # unsorted input
     # one row per active hat, in cb.active order, nodal with boundary zeros
     cb = build_coupled_basis(th, (0.25, 1.75))
     assert cb.active.tolist() == [1, 3]
