@@ -76,6 +76,13 @@ class RunConfig:
             if getattr(self, name) < 2:
                 raise ConfigError(f"{name} must be at least 2 (one interior "
                                   f"grid node)")
+        # POD modes vanish on the transverse boundary, so at most nh - 1 of
+        # them are independent
+        if self.m_max > self.nh - 1:
+            raise ConfigError(
+                f"m_max={self.m_max} exceeds nh - 1 = {self.nh - 1}, the "
+                f"number of independent transverse modes "
+                f"(need m_max <= nh - 1)")
         if self.case not in (1, 2, 3):
             raise ConfigError(f"case must be 1, 2 or 3 (got {self.case})")
         if self.mode not in MODE_MAP:

@@ -33,9 +33,10 @@ change:
 * once per outer iteration: the block moments A_ij Phi, Phi^T A_ij Phi and
   Phi^T rhs_i of the base space Phi, the (m-1)-mode POD space (BaseMoments);
 * once per chunk of up to _CHUNK samples: one TransverseSolver.solve_many
-  call, which builds the y-operators of the chunk's fresh samples in one
-  pass (each fresh sample's geometry, assembly contraction and band solve
-  stay its own),
+  call, which builds the geometry and the y-operators of the chunk's fresh
+  samples per chunk, and their hat tables and assembly contraction per
+  group of samples that share the active-hat and point counts; only the
+  band scatter and band solve stay each fresh sample's own,
   then, in BaseMoments.deltas, the M-orthonormalization of all the chunk's
   <= 2 Qbar snapshot columns per sample against Phi (_orthonormalize_stack,
   one column slot at a time for every sample, on the sparse tridiagonal

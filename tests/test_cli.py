@@ -151,6 +151,19 @@ def test_unsamplable_initial_cells_are_a_config_error(tmp_path, capsys,
         RunConfig(NH=40, g0=20, qbar=3).validate()
 
 
+def test_m_max_above_the_transverse_rank_is_a_config_error(tmp_path, capsys,
+                                                          monkeypatch):
+    # POD modes vanish on the transverse boundary, so at most nh - 1 are
+    # independent; validation turns a larger m_max away before any work,
+    # and m_max = nh - 1 runs
+    assert main(_run_args(tmp_path / "ok.csv", NH=20, nh=10, m_max=9)) == 0
+    monkeypatch.setattr(cli, "reference_operators", None)
+    out = tmp_path / "m.csv"
+    assert main(_run_args(out, NH=20, nh=10, m_max=10)) == 2
+    assert "need m_max <= nh - 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "detect"])
 def test_missing_output_directory_is_a_config_error(tmp_path, capsys,
                                                     command):
@@ -167,10 +180,12 @@ def test_missing_output_directory_is_a_config_error(tmp_path, capsys,
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys):
-    # nh = 6 leaves five interior transverse dofs, so eight POD modes can
-    # never materialize: the run must fail with the numerical exit code
+    # NH = 2 has one interior hat and cells that cannot be refined below
+    # one element: two cells of one sample each give two snapshots, so
+    # five POD modes never materialize and the rank guard fails the run
     out = tmp_path / "short.csv"
-    code = main(_run_args(out, NH=12, nh=6, m_max=8))
+    code = main(_run_args(out, NH=2, nh=6, NHp=2, qbar=1, g0=1, n_xi=1,
+                          m_max=5))
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
     assert not out.exists()

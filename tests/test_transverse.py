@@ -11,10 +11,12 @@ from skewlift.mesh import TensorGrid, build_uniform_partition
 from skewlift.problem import (GridField, LiftingFunction, ProblemData,
                               reference_operators)
 from skewlift.transverse import (
-    CoupledBasis,
     QuadPointsInSameElement,
     TransverseSolver,
+    TransverseSystem,
+    _batch_systems,
     _elements,
+    _geometry,
     _snapped,
     assemble_transverse,
     augment_quadrature,
@@ -40,6 +42,20 @@ def _pd(k=None, b1=None, b2=None, F=None, omega_x=(0.0, 2.0), omega_y=(0.0, 1.0)
     )
 
 
+def _tables(th, mu, x):
+    """Hat values and derivatives of mu's active hats at the points x, as
+    the batched assembly evaluates them: two (len(x), n_a) arrays."""
+    val, der = _geometry(th, [mu])[0].tables([x])
+    return val[0], der[0]
+
+
+def _system(pd, lift, th, yh, mu):
+    """The coupled system of mu as TransverseSolver.solve_many assembles
+    it, on a batch of one."""
+    ((blocks, rhs, cb, _),) = _batch_systems(pd, lift, th, yh, [mu])
+    return assemble_transverse(blocks, rhs, cb)
+
+
 # ---------------------------------------------------------------------------
 # Coupled basis: node deletion and long hats
 
@@ -53,7 +69,7 @@ def test_gap_deletion_and_long_hats():
     assert cb.active.tolist() == [1, 3]
     # the surviving hats stretch over the deleted range; columns are the
     # active hats 1 and 3
-    val, der = cb.tables([0.5, 1.0, 1.5, 0.7, 0.2])
+    val, der = _tables(th, (0.25, 1.75), [0.5, 1.0, 1.5, 0.7, 0.2])
     assert val[0].tolist() == [1.0, 0.0]
     assert val[1] == pytest.approx([0.5, 0.5])
     assert val[2].tolist() == [0.0, 1.0]
@@ -140,7 +156,7 @@ def _ref_sorted_mu(th, mu):
 def _ref_coupled_basis(th, mu):
     """Kept nodes and active hats, one parameter and one gap at a time: the
     active hats are the kept nodes bracketing each parameter in x, or the
-    kept node within 1e-12 max(1, |mu|) at or above it."""
+    kept node within 1e-12 max(1, |mu|) of it, on either side."""
     mu = _ref_sorted_mu(th, mu)
     keep = np.ones(th.n + 1, dtype=bool)
     for l in range(mu.size - 1):
@@ -153,11 +169,9 @@ def _ref_coupled_basis(th, mu):
     active = set()
     for m in mu.tolist():
         pos = int(np.searchsorted(kx, m))
-        if (pos < kx.size
-                and abs(float(kx[pos]) - m) <= 1e-12 * max(1.0, abs(m))):
-            cand = (kept[pos],)
-        else:
-            cand = (kept[pos - 1], kept[pos])
+        near = [p for p in (pos - 1, pos)
+                if abs(float(kx[p]) - m) <= 1e-12 * max(1.0, abs(m))]
+        cand = (kept[near[0]],) if near else (kept[pos - 1], kept[pos])
         for node in cand:
             if 0 < node < th.n:
                 active.add(int(node))
@@ -306,7 +320,7 @@ def test_midpoint_rule_reproduces_full_fe_system(dense_from_band):
     rule = augment_quadrature(th, mu)
     assert np.allclose(rule.weights, th.h)
     assert cb.active.tolist() == list(range(1, th.n))
-    system = assemble_transverse(y_rows(pd, lift, rule.points, yh), cb, rule)
+    system = _system(pd, lift, th, yh, mu)
 
     gp = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
     yg = (yh.nodes[:-1, None] + gp[None, :] * yh.h).ravel()
@@ -370,8 +384,7 @@ def test_riesz_snapshot_problem_folds_minus_reconstruction(dense_from_band):
     mu = (0.25, 0.5, 1.55)
     cb = build_coupled_basis(th, mu)
     rule = augment_quadrature(th, mu)
-    system = assemble_transverse(
-        y_rows(snap_pd, snap_lift, rule.points, yh), cb, rule)
+    system = _system(snap_pd, snap_lift, th, yh, mu)
     A, rhs = _coupled_oracle(snap_pd, LiftingFunction.zero(), cb, rule, yh,
                              "weak_lifting")
     assert np.max(np.abs(dense_from_band(system.matrix) - A)) \
@@ -433,7 +446,7 @@ def _coupled_oracle(pd, lift, cb, rule, yh, mode):
                  - _dense_load(yh, lambda y: float(pd.b1(x, y) * lift.dx(x, y)
                                                    + pd.b2(x, y) * lift.dy(x, y))))
             g_der = _dense_load(yh, lambda y: float(pd.k(x, y) * lift.dx(x, y)))
-        val, der = cb.tables([x])
+        val, der = _scalar_tables(cb, [x])
         for a_t in range(n_a):
             v_t, d_t = val[0, a_t], der[0, a_t]
             rhs[a_t::n_a] += al * (v_t * g - d_t * g_der)
@@ -466,8 +479,7 @@ def test_coupled_system_matches_blockwise_oracle(mode, dense_from_band):
     assert rule.qhat == 1
     ops = reference_operators(pd, lift, TensorGrid(th, yh), mode)
     snap_pd, snap_lift = ops.snapshot_problem
-    system = assemble_transverse(
-        y_rows(snap_pd, snap_lift, rule.points, yh), cb, rule)
+    system = _system(snap_pd, snap_lift, th, yh, mu)
 
     n_a, n_i = cb.active.size, yh.n - 1
     bw = 2 * n_a - 1
@@ -518,44 +530,147 @@ def _scalar_tables(cb, x):
     return val, der
 
 
-class _ScalarBasis(CoupledBasis):
-    def tables(self, x):
-        return _scalar_tables(self, x)
+def _scalar_system(pd, lift, cb, rule, yh):
+    """The coupled system of one parameter vector assembled one key at a
+    time: hats from _scalar_tables, and the blocks and right-hand side
+    accumulated point by point, l = 0, 1, ..., each point's block as
+    (K + D) + Mk + Mb terms in that order."""
+    rows = y_rows(pd, lift, rule.points, yh)
+    val, der = _scalar_tables(cb, rule.points)
+    n_a = cb.active.size
+    blocks = np.zeros((rows.kd.shape[1], n_a, n_a))  # [p, test, trial]
+    rhs = np.zeros((rows.load.shape[1], n_a))
+    for l, w in enumerate(rule.weights):
+        w_val, w_der = w * val[l], w * der[l]  # trial-hat factors
+        block = np.outer(val[l], w_val) * rows.kd[l][:, None, None]
+        block += np.outer(der[l], w_der) * rows.mk[l][:, None, None]
+        block += np.outer(val[l], w_der) * rows.mb[l][:, None, None]
+        blocks += block
+        rhs += w_val * rows.load[l][:, None]
+        rhs -= w_der * rows.load_der[l][:, None]
+    return TransverseSystem(block_band(blocks), rhs.ravel(), cb)
+
+
+def _groups_by_key(th, keys):
+    """The _Group and row of each key of one _geometry batch."""
+    where = {}
+    for group in _geometry(th, keys):
+        for g, i in enumerate(group.index.tolist()):
+            where[i] = (group, g)
+    return [where[i] for i in range(len(keys))]
+
+
+_COEFS = dict(
+    k=lambda x, y: 1.0 + 0.2 * x + 0.1 * y * y,
+    b1=lambda x, y: 1.0 + 0.5 * y,
+    b2=lambda x, y: -0.7 + 0.3 * x,
+    F=lambda x, y: np.sin(3.0 * x) + y * np.cos(x),
+)
 
 
 def test_hat_tables_keep_the_assembly_bitwise():
     """Over a sweep of parameter pairs (adjacent, gapped, on nodes, at the
-    ends), the array evaluation of the hats equals the one-at-a-time one
-    bit for bit, and so do the assembled matrix and right-hand side."""
+    ends) in one batch, the batched hat tables equal the one-at-a-time
+    ones bit for bit, and so do the assembled matrix and right-hand side
+    against a one-key-at-a-time assembly."""
     th = build_uniform_partition(0.0, 2.0, 10)  # H = 0.2
     yh = build_uniform_partition(0.0, 1.0, 6)
-    pd = _pd(
-        k=lambda x, y: 1.0 + 0.2 * x + 0.1 * y * y,
-        b1=lambda x, y: 1.0 + 0.5 * y,
-        b2=lambda x, y: -0.7 + 0.3 * x,
-        F=lambda x, y: np.sin(3.0 * x) + y * np.cos(x),
-    )
+    pd = _pd(**_COEFS)
     lift = skew_lifting()
     grid = np.concatenate([np.linspace(0.013, 1.987, 23), th.nodes[1:-1]])
-    checked = 0
+    keys = []
     for i, lo in enumerate(grid):
         for hi in grid[i + 1:]:
-            try:
-                cb = build_coupled_basis(th, (lo, hi))
-            except QuadPointsInSameElement:
-                continue
-            rule = augment_quadrature(th, (lo, hi))
-            val, der = cb.tables(rule.points)
-            ref_val, ref_der = _scalar_tables(cb, rule.points)
-            assert np.array_equal(val, ref_val) and np.array_equal(der, ref_der)
-            scalar = _ScalarBasis(cb.base, cb.mu, cb.kept_nodes, cb.active)
-            rows = y_rows(pd, lift, rule.points, yh)
-            got = assemble_transverse(rows, cb, rule)
-            ref = assemble_transverse(rows, scalar, rule)
-            assert np.array_equal(got.matrix, ref.matrix)
-            assert np.array_equal(got.rhs, ref.rhs)
-            checked += 1
-    assert checked > 400
+            r = _snapped(th, [lo, hi])
+            if _elements(th, r)[0] != _elements(th, r)[1]:
+                keys.append((lo, hi))
+    assert len(keys) > 400
+    for key, (group, g) in zip(keys, _groups_by_key(th, keys)):
+        cb, rule = group.basis(g), group.rule(g)
+        val, der = group.tables(group.points)
+        ref_val, ref_der = _scalar_tables(cb, rule.points)
+        assert np.array_equal(val[g], ref_val)
+        assert np.array_equal(der[g], ref_der)
+    for key, (blocks, rhs, cb, _) in zip(keys, _batch_systems(pd, lift, th,
+                                                              yh, keys)):
+        got = assemble_transverse(blocks, rhs, cb)
+        ref = _scalar_system(pd, lift, cb, augment_quadrature(th, key), yh)
+        assert np.array_equal(got.matrix, ref.matrix)
+        assert np.array_equal(got.rhs, ref.rhs)
+
+
+def _mixed_keys(th):
+    """Parameter vectors that put every kind of key into one batch, on a
+    16-element th: qbar 1, 2 and 3; n_a from 1 to 2 qbar; adjacent
+    elements, gaps of two elements (a midpoint, no deleted node) and wider
+    ones (a midpoint and deleted nodes); parameters in the last element,
+    on a node and within 1e-13 of one. Positions t are given on (0, 2)."""
+    node, near = th.nodes, 1e-13
+    x = lambda *t: tuple(th.a + v * (th.b - th.a) / 2.0 for v in t)
+    return [
+        (node[5],), x(0.3), (node[15] - near,), (node[3] + near,),
+        (x(0.05)[0], node[1]),  # elements 0 and 1, hat 1 only: n_a = 1
+        (node[4], node[9]), x(0.6, 0.7), x(0.3, 1.3), x(0.3, 0.55),
+        (node[4] - near, x(1.3)[0]), (x(0.3)[0], node[12] + near),
+        x(1.9, 0.1), x(0.3, 0.45, 0.6),
+        (node[2], node[6], node[10]),  # n_a 4, 3
+        x(0.3, 0.55, 1.7), x(0.1, 0.3, 1.95), x(0.3, 1.0, 1.7),
+        (x(0.3)[0], node[5] + near, x(1.3)[0] - near),
+        (x(0.05)[0], node[1], x(0.3)[0]),
+    ]
+
+
+@pytest.mark.parametrize("omega_x", [(0.0, 2.0), (-0.7, 1.9)])
+def test_mixed_batch_matches_batches_of_one_and_the_scalar_oracle(omega_x):
+    """One batch that mixes every group gives each key the bits of a batch
+    of one and of the scalar references: kept nodes, active hats, rule
+    points and weights, hat tables and snapshots. A same-element key
+    fails the whole batch before anything is solved or cached. On
+    (-0.7, 1.9), a + n H is not b, so the hats must take their breakpoints
+    from th.nodes."""
+    th = build_uniform_partition(*omega_x, 16)
+    yh = build_uniform_partition(0.0, 1.0, 7)
+    pd = _pd(omega_x=omega_x, **_COEFS)
+    lift = skew_lifting()
+    keys = _mixed_keys(th)
+    by_key = _groups_by_key(th, keys)
+    groups = {id(group) for group, _ in by_key}
+    assert len(groups) >= 8
+    seen = set()
+    for key, (group, g) in zip(keys, by_key):
+        cb, rule = group.basis(g), group.rule(g)
+        seen.add((len(key), cb.active.size))
+        one_cb = build_coupled_basis(th, key)
+        one_rule = augment_quadrature(th, key)
+        kept, active = _ref_coupled_basis(th, key)
+        pts, weights, qhat = _ref_quadrature(th, key)
+        for got in (cb.kept_nodes, one_cb.kept_nodes):
+            assert got.tolist() == kept.tolist(), key
+        for got in (cb.active, one_cb.active):
+            assert got.tolist() == active.tolist(), key
+        for got in (rule, one_rule):
+            assert got.points.tobytes() == pts.tobytes(), key
+            assert got.weights.tobytes() == weights.tobytes(), key
+            assert (got.qbar, got.qhat) == (len(key), qhat), key
+        val, der = group.tables(group.points)
+        ref_val, ref_der = _scalar_tables(cb, pts)
+        assert val[g].tobytes() == ref_val.tobytes(), key
+        assert der[g].tobytes() == ref_der.tobytes(), key
+    assert seen == {(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (2, 4),
+                    (3, 3), (3, 4), (3, 5), (3, 6)}
+
+    solver = TransverseSolver(pd, lift, th, yh)
+    with pytest.raises(QuadPointsInSameElement):
+        solver.solve_many(keys + [tuple(th.a + r * th.h
+                                        for r in (9.2, 3.1, 9.5))])
+    assert not solver._cache
+    got = solver.solve_many(keys)
+    for key, snaps in zip(keys, got):
+        one = TransverseSolver(pd, lift, th, yh).solve_many([key])[0]
+        ref = snapshot_solve(_scalar_system(
+            pd, lift, build_coupled_basis(th, key),
+            augment_quadrature(th, key), yh))
+        assert snaps.tobytes() == one.tobytes() == ref.tobytes(), key
 
 
 @pytest.mark.parametrize("w", [1, 2, 4])
@@ -594,10 +709,10 @@ def test_no_interior_hats_raises():
     yh = build_uniform_partition(0.0, 1.0, 4)
     cb = build_coupled_basis(th, (1.0,))
     assert cb.active.size == 0
-    rule = augment_quadrature(th, (1.0,))
+    solver = TransverseSolver(_pd(), LiftingFunction.zero(), th, yh)
     with pytest.raises(ValueError):
-        assemble_transverse(
-            y_rows(_pd(), LiftingFunction.zero(), rule.points, yh), cb, rule)
+        solver.solve_many([(1.0,)])
+    assert not solver._cache
 
 
 def test_zero_lifting_assembles_like_a_fresh_all_zero_lifting():
@@ -609,13 +724,8 @@ def test_zero_lifting_assembles_like_a_fresh_all_zero_lifting():
              b2=lambda x, y: -0.7 + 0.3 * x,
              F=lambda x, y: np.sin(3.0 * x) + y)
     for mu in ((0.31, 1.47), (0.5, 0.77)):
-        cb = build_coupled_basis(th, mu)
-        rule = augment_quadrature(th, mu)
-        got = assemble_transverse(
-            y_rows(pd, LiftingFunction.zero(), rule.points, yh), cb, rule)
-        ref = assemble_transverse(
-            y_rows(pd, LiftingFunction(zero, zero, zero, zero), rule.points,
-                   yh), cb, rule)
+        got = _system(pd, LiftingFunction.zero(), th, yh, mu)
+        ref = _system(pd, LiftingFunction(zero, zero, zero, zero), th, yh, mu)
         assert np.array_equal(got.matrix, ref.matrix)
         assert np.array_equal(got.rhs, ref.rhs)
 
@@ -652,9 +762,7 @@ def test_solver_snapshot_layout_and_cache():
     assert np.all(snaps[:, [0, -1]] == 0.0)
     assert np.all(np.isfinite(snaps))
     assert np.all(np.max(np.abs(snaps), axis=1) > 0.0)
-    rule = augment_quadrature(th, (0.25, 1.75))
-    system = assemble_transverse(
-        y_rows(_pd(), LiftingFunction.zero(), rule.points, yh), cb, rule)
+    system = _system(_pd(), LiftingFunction.zero(), th, yh, (0.25, 1.75))
     assert np.array_equal(snaps, snapshot_solve(system))
     # the cached array is shared by every caller, so it cannot be written
     with pytest.raises(ValueError):
