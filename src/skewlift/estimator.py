@@ -7,7 +7,12 @@ construction). It bounds the V-norm error from above and, scaled by the
 continuity constant, from below; without advection the symmetric identity
 Delta_m = ||e_m||_V holds to round-off because the residual equation is then
 the error equation. Delta_m is TensorOperators.residual_norm, as is the
-training indicator; with b = 0 it reuses the reference solve's factor.
+training indicator: one Gram solve by PCG on G_int, preconditioned by the
+exact inverse of the k = 1 Gram of the grid (fast diagonalisation), which
+the reference solve at b = 0 builds and this reuses. It takes one iteration
+for k = 1 and about sqrt(max k / min k) times more for a variable k; no
+sparse factor is involved (SuperLU remains only for the advective
+reference solve and the Riesz mass solve).
 error_report(ops, reference, rsol) takes the operators the reference and
 the reduced solution were solved with, and checks that they were.
 """

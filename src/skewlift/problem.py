@@ -33,10 +33,19 @@ estimator.error_report(ops, ...) and training.adaptive_train_extension(ops,
 The object is the interior system: the homogenized solution vanishes on the
 boundary, so every matrix and the right-hand side are restricted to the
 interior nodes once, at assembly, and no full-grid array is kept. It holds
-one sparse factor, G_int's, built on first use. The Riesz mass factor and,
-under advection, A_int's reference factor are local to the function that
-solves with them. If b = 0 at every quadrature point, G_int is A_int, and
-the reference solve, estimator and indicator share one factor.
+no sparse factor. Every V-Gram solve (TensorOperators.gram_solve: the
+estimator, the training indicator and, when b = 0 at every quadrature point
+so that G_int is A_int, the reference solve) is preconditioned CG on G_int.
+The preconditioner is the exact inverse of the k = 1 Gram Kx (x) My +
+Mx (x) Ky of the grid by fast diagonalisation (Lynch, Rice & Thomas 1964),
+built on first use: one generalized eigenproblem of size min(nx, ny) - 1
+and one stacked tridiagonal factorisation. For k = 1 (every built-in case) it is
+G_int up to round-off, and one PCG iteration leaves the solution as accurate
+as the sparse direct solve it replaces; for a variable k the count grows
+like sqrt(max k / min k), independent of the grid.
+SuperLU remains for the two matrices that are not the Gram matrix, each
+factored for one solve and freed on return: the Riesz mass M_int
+(riesz_recon) and, under advection, A_int in solve_reference.
 Matrices use the 2x2 Gauss rule on every cell. The right-hand side of
 weak_lifting, riesz_recon and plain_gD (F and every lifting term) uses 2x2
 Gauss on 4x4 sub-cells of the cells where the lifting's gradient is nonzero
@@ -59,10 +68,18 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+import scipy.linalg  # after scipy.sparse: ~10 ms faster to import
 
 from .mesh import GAUSS_NODES
+from .transverse import _p1_diagonals
 
 MODES = ("weak_lifting", "delta_h", "riesz_recon", "plain_gD")
+# PCG stops at sqrt(r . P^-1 r) <= tol sqrt(b . P^-1 b), the relative
+# V-norm error when P is close to G: about the round-off of a sparse direct
+# solve of the 800x400 Gram (V-norm error 2.4e-12), which one iteration
+# reaches at k = 1
+_PCG_TOL = 1e-11
+_PCG_MAXITER = 1000
 
 
 @dataclass(frozen=True)
@@ -289,14 +306,110 @@ def _lu_solve(lu, rhs, name):
     return x
 
 
+class _LaplaceGramInverse:
+    """Exact inverse of the k = 1 interior Q1 Gram Kx (x) My + Mx (x) Ky of
+    a grid, by fast diagonalisation (Lynch, Rice & Thomas, Numer. Math. 6,
+    1964) along the direction with fewer interior nodes, say y: with
+    Ky V = My V diag(lam) and V^T My V = I, the solve splits into the ny - 1
+    SPD tridiagonal systems (Kx + lam_j Mx) w_j = (R V)_j. They are factored
+    once, as one LAPACK pttrf on their stack (zero coupling between
+    consecutive systems), and applied by one pttrs between two products
+    with V, O(nx ny min(nx, ny)) per right-hand side. The 1D matrices are
+    transverse._p1_diagonals'.
+    """
+
+    def __init__(self, grid):
+        def interior(part, kind):
+            _, diag, upper = _p1_diagonals(part, np.ones((part.n, 2)), kind)
+            return diag[1:-1], upper[1:-1]
+
+        self.shape = (grid.nx - 1, grid.ny - 1)
+        self.along_x = grid.nx < grid.ny  # the eigen direction
+        eig, tri = (grid.tx, grid.ty) if self.along_x else (grid.ty, grid.tx)
+        ke, me = (np.diag(d) + np.diag(e, 1) + np.diag(e, -1) for d, e in
+                  (interior(eig, "stiff"), interior(eig, "mass")))
+        lam, self.V = scipy.linalg.eigh(ke, me)
+        (kt, et), (mt, ft) = interior(tri, "stiff"), interior(tri, "mass")
+        off = np.zeros((lam.size, kt.size))
+        off[:, :-1] = et + lam[:, None] * ft
+        self.d, self.e, info = scipy.linalg.lapack.dpttrf(
+            (kt + lam[:, None] * mt).ravel(), off.ravel()[:-1])
+        if info != 0:
+            raise RuntimeError(f"Gram preconditioner factorisation failed "
+                               f"(pttrf info {info})")
+
+    def __call__(self, R):
+        """The solutions of the k = 1 Gram for the rows of R, (c, n)."""
+        U = R.reshape(-1, *self.shape)
+        if not self.along_x:
+            U = U.transpose(0, 2, 1)  # eigen direction first
+        Y = np.matmul(self.V.T, U)
+        W, _ = scipy.linalg.lapack.dpttrs(self.d, self.e,
+                                          Y.reshape(len(R), -1).T,
+                                          overwrite_b=1)
+        U = np.matmul(self.V, W.T.reshape(Y.shape))
+        if not self.along_x:
+            U = U.transpose(0, 2, 1)
+        return U.reshape(len(R), -1)
+
+
+def _pcg(G, precond, B, name):
+    """Solve G x = b for each row b of B by preconditioned CG, each row with
+    its own step lengths, until sqrt(r . P^-1 r) <= _PCG_TOL sqrt(b . P^-1 b).
+
+    A row that has converged leaves the iteration. Reaching _PCG_MAXITER
+    iterations, a non-positive p . G p or a non-finite result raises
+    RuntimeError naming the system, the iteration count and the residual.
+    """
+    X = np.empty_like(B)
+    rows = np.arange(len(B))  # the rows of B still iterating
+    x, r = np.zeros_like(B), B.copy()
+    p = precond(r)
+    rz = rz0 = np.einsum("ij,ij->i", r, p)
+    it = 0
+    while True:
+        done = rz <= _PCG_TOL ** 2 * rz0
+        if done.any():
+            X[rows[done]] = x[done]
+            keep = ~done
+            rows, x, r, p, rz, rz0 = (v[keep]
+                                      for v in (rows, x, r, p, rz, rz0))
+        if not rows.size:
+            break
+        if it == _PCG_MAXITER:
+            raise RuntimeError(
+                f"{name}: PCG did not converge in {it} iterations (relative "
+                f"residual {math.sqrt(np.max(rz / rz0)):.3e} > {_PCG_TOL:g})")
+        q = (G @ p.T).T
+        pq = np.einsum("ij,ij->i", p, q)
+        if not np.all(pq > 0.0):
+            raise RuntimeError(
+                f"{name}: PCG found p.Gp = {np.min(pq):.3e} <= 0 in iteration "
+                f"{it + 1} (matrix not positive definite?)")
+        alpha = (rz / pq)[:, None]
+        x += alpha * p
+        r -= alpha * q
+        z = precond(r)
+        rz, rz_old = np.einsum("ij,ij->i", r, z), rz
+        p *= (rz / rz_old)[:, None]
+        p += z
+        it += 1
+    if not np.all(np.isfinite(X)):
+        raise RuntimeError(f"{name}: PCG produced non-finite values after "
+                           f"{it} iterations")
+    return X
+
+
 class TensorOperators:
     """Interior system of one (problem, lifting, grid, mode) combination.
 
     The unknowns are the (nx-1)(ny-1) interior nodes in x-major order.
     A_int is the bilinear form a, G_int the V-Gram matrix (the diffusion
     part of a; A_int itself when b = 0 at every quadrature point), M_int the
-    mass matrix and rhs_int the mode-consistent right-hand side. G_lu, G_int's
-    factor, is built on first use and is the only factor held.
+    mass matrix and rhs_int the mode-consistent right-hand side. gram_solve
+    solves with G_int by PCG, preconditioned by the k = 1 Gram inverse of
+    the grid (_LaplaceGramInverse, built on first use; each grid, the coarse
+    indicator grid too, has its own); no sparse factor is held.
     lift is the lifting handed in; riesz_field is the reconstructed nodal
     field under riesz_recon, else None. snapshot_problem is the mode's
     transverse snapshot problem as a (ProblemData, LiftingFunction) pair,
@@ -370,19 +483,34 @@ class TensorOperators:
         self.snapshot_problem = (pd, lift)
 
     @cached_property
-    def G_lu(self):
-        """G_int's factor, built on first use; also the reference solve's
-        factor when G_int is A_int."""
-        return _factor(self.G_int)
+    def _gram_preconditioner(self):
+        """The k = 1 Gram inverse of this grid, built on first use."""
+        return _LaplaceGramInverse(self.grid)
+
+    def gram_solve(self, rhs):
+        """G_int^-1 rhs by PCG with the k = 1 Gram inverse as preconditioner.
+
+        rhs is one interior vector or a (c, n) stack of c right-hand sides
+        (one per row), solved together with per-row step lengths. For k = 1
+        the preconditioner is G_int up to round-off and the solve takes one
+        iteration up to 800x400 (two once the round-off of a grid exceeds
+        _PCG_TOL); otherwise
+        at most about sqrt(max k / min k) ln(2 / _PCG_TOL) / 2 iterations,
+        the CG bound for a condition number of at most max k / min k.
+        A failure to converge raises RuntimeError (see _pcg)."""
+        B = np.atleast_2d(rhs)
+        X = _pcg(self.G_int, self._gram_preconditioner, B,
+                 "V-Gram system G_int")
+        return X if np.ndim(rhs) == 2 else X[0]
 
     def residual_norm(self, u_int):
         """V-dual norm sqrt(r . G_int^-1 r) of the residual r = rhs - A u.
 
         u_int is one interior state, or a (k, n) stack of k states (one per
-        row), which gives the k norms from one k-column Gram solve."""
+        row), which gives the k norms from one k-row Gram solve."""
         U = np.atleast_2d(u_int)
         R = np.ascontiguousarray(self.rhs_int - (self.A_int @ U.T).T)
-        Z = np.ascontiguousarray(_lu_solve(self.G_lu, R.T, "G").T)
+        Z = self.gram_solve(R)
         norms = np.array([math.sqrt(max(r @ z, 0.0)) for r, z in zip(R, Z)])
         return norms if np.ndim(u_int) == 2 else float(norms[0])
 
@@ -409,11 +537,15 @@ def solve_reference(ops):
     """Solve the interior reference system A_int x = rhs_int of ops.
 
     Returns the FullSolution of ops on ops.grid (zero on the boundary).
-    When G_int is A_int the solve uses ops.G_lu, which the estimator and the
-    indicator reuse; otherwise A_int's factor is local and freed on return.
+    When G_int is A_int (b = 0) the solve is ops.gram_solve, PCG with the
+    k = 1 Gram inverse, whose preconditioner the estimator and the indicator
+    reuse; otherwise A_int is factored by SuperLU, and the factor is freed
+    on return.
     """
-    lu = ops.G_lu if ops.G_int is ops.A_int else _factor(ops.A_int)
-    x = _lu_solve(lu, ops.rhs_int, "A")
+    if ops.G_int is ops.A_int:
+        x = ops.gram_solve(ops.rhs_int)
+    else:
+        x = _lu_solve(_factor(ops.A_int), ops.rhs_int, "A")
     res = np.linalg.norm(ops.A_int @ x - ops.rhs_int)
     scale = max(np.linalg.norm(ops.rhs_int), 1.0)
     if res > 1e-10 * scale:

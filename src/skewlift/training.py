@@ -45,7 +45,9 @@ change:
   products Phi^T A_ij E, E^T A_ij Phi and rhs_i E over all of them, every
   sample's k x k blocks E^T A_ij E in one batched product, and the V-dual
   norms of all its explicit coarse residuals (TensorOperators.residual_norm,
-  one multi-column Gram solve with a cached factor);
+  one multi-row Gram solve by PCG with the coarse grid's cached k = 1 Gram
+  inverse as preconditioner: one iteration for k = 1, about
+  sqrt(max k / min k) times more for a variable k; no sparse factor);
 * once per sample: its bordered w x w blocks [Phi E]^T A_ij [Phi E]
   (w = m - 1 + new columns), filled from slices of the chunk's products,
   their banded solve (transverse.block_band and band_solve, bandwidth

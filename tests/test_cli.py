@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from skewlift import cli
+from skewlift import cli, problem
 from skewlift.cli import (
     MODE_MAP,
     ConfigError,
@@ -188,6 +188,17 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
                           m_max=5))
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gram_solve_failure_exit_code(tmp_path, capsys, monkeypatch):
+    # a Gram solve that does not converge is a numerical failure; the
+    # reference solve is the first Gram solve of a b = 0 study
+    monkeypatch.setattr(problem, "_PCG_MAXITER", 0)
+    out = tmp_path / "gram.csv"
+    assert main(_run_args(out)) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "V-Gram system G_int" in err
     assert not out.exists()
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from skewlift import problem
 from skewlift.cases import get_case
 from skewlift.estimator import (
     ErrorReport,
@@ -62,16 +63,16 @@ def _held_factors(ops):
 
 
 def test_advective_study_keeps_only_the_gram_factor():
-    # after the reference solve only G is solved with, so A's factor is
-    # freed: one factor (G's) is cached after the estimator, as at b = 0
-    ops, ref, _, rsol = _solve_pair(_pd(b=(1.0, 0.5)), 3)
-    assert ops.G_int is not ops.A_int
-    error_report(ops, ref, rsol)
-    assert _held_factors(ops) == [ops.G_lu]
-    ops0, ref0, _, rsol0 = _solve_pair(_pd(), 3)
-    error_report(ops0, ref0, rsol0)
-    assert ops0.G_int is ops0.A_int
-    assert _held_factors(ops0) == [ops0.G_lu]
+    # the Gram solves run by PCG and A's factor is local to the reference
+    # solve, so after the estimator the operators hold no sparse factor,
+    # only the Gram preconditioner, with or without advection
+    for b in ((1.0, 0.5), (0.0, 0.0)):
+        ops, ref, _, rsol = _solve_pair(_pd(b=b), 3)
+        assert (ops.G_int is ops.A_int) == (b == (0.0, 0.0))
+        error_report(ops, ref, rsol)
+        assert _held_factors(ops) == []
+        assert isinstance(vars(ops)["_gram_preconditioner"],
+                          problem._LaplaceGramInverse)
 
 
 def test_estimator_equals_error_without_advection():

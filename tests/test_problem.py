@@ -1,5 +1,7 @@
 """Reference Q1 assembly: quadrature, modes, norms and convergence order."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -150,26 +152,30 @@ def test_gram_matrix_is_symmetric():
 
 
 def test_one_factorization_per_grid(tmp_path, monkeypatch):
-    # b = 0: G is A, so the reference solve and every error_report share the
-    # fine grid's factor and the indicator the coarse grid's; nothing solves
-    # through spsolve
+    # b = 0: G is A, so the reference solve, every error_report and the
+    # indicator all solve by PCG; the one factorisation of each grid is its
+    # Gram preconditioner's stacked pttrf (fine grid, then the coarse
+    # indicator grid), and nothing calls splu or spsolve
     factored = []
-    splu = problem.spla.splu
+    pttrf = problem.scipy.linalg.lapack.dpttrf
 
-    def counting_splu(mat, *args, **kwargs):
-        factored.append(mat.shape)
-        return splu(mat, *args, **kwargs)
+    def counting_pttrf(d, e, *args, **kwargs):
+        factored.append(d.size)
+        return pttrf(d, e, *args, **kwargs)
 
-    def no_spsolve(*args, **kwargs):
-        raise AssertionError("spsolve called")
+    def forbidden(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+        return call
 
-    monkeypatch.setattr(problem.spla, "splu", counting_splu)
-    monkeypatch.setattr(problem.spla, "spsolve", no_spsolve)
+    monkeypatch.setattr(problem.scipy.linalg.lapack, "dpttrf", counting_pttrf)
+    monkeypatch.setattr(problem.spla, "splu", forbidden("splu"))
+    monkeypatch.setattr(problem.spla, "spsolve", forbidden("spsolve"))
     cfg = cli.RunConfig(NH=16, nh=10, NHp=4, m_max=2, n_xi=2, theta=0.5,
                         out=str(tmp_path / "conv.csv"))
     reports = cli.run_case(cfg.validate(), log=lambda *a: None)
     assert len(reports) == 2
-    assert factored == [(15 * 9,) * 2, (3 * 9,) * 2]
+    assert factored == [15 * 9, 3 * 9]
 
 
 def test_gram_is_assembled_separately_with_advection():
@@ -181,16 +187,92 @@ def test_gram_is_assembled_separately_with_advection():
     still = reference_operators(case1().problem, cs.lift, grid)
     assert still.G_int is still.A_int
     assert (ops.G_int != still.A_int).nnz == 0
-    # a G solve does not reuse A's factor: the reference solves with A_int,
-    # G_lu with G_int
+    # the reference solves with A_int, gram_solve with G_int
     r = ops.rhs_int
     x = solve_reference(ops).interior_vector()
-    R = ops.G_lu.solve(r)
+    R = ops.gram_solve(r)
     np.testing.assert_allclose(ops.A_int @ x, r, rtol=0,
                                atol=1e-10 * np.linalg.norm(r))
     np.testing.assert_allclose(ops.G_int @ R, r, rtol=0,
                                atol=1e-10 * np.linalg.norm(r))
-    assert _held_factors(ops) == [ops.G_lu]
+    assert _held_factors(ops) == []
+
+
+def _counting_preconditioner(ops):
+    """Wrap ops' Gram preconditioner; returns the list of its row counts
+    per call (one call per PCG iteration, plus one for the start)."""
+    precond, calls = ops._gram_preconditioner, []
+
+    def counting(R):
+        calls.append(R.shape[0])
+        return precond(R)
+
+    ops.__dict__["_gram_preconditioner"] = counting
+    return calls
+
+
+@pytest.mark.parametrize("k,b", [
+    (lambda x, y: 1.0 + 0.2 * np.asarray(y), (0.0, 0.0)),
+    (lambda x, y: 1.0 + 0.3 * np.asarray(x) + 0.1 * np.asarray(y), (0.0, 0.0)),
+    (None, (1.5, -0.5)),
+], ids=["k=1+0.2y", "k=1+0.3x+0.1y", "advective"])
+def test_gram_solve_matches_spsolve(k, b):
+    # variable k: the k = 1 preconditioner is no longer exact, and PCG
+    # iterates to the same solution as a sparse direct solve
+    # (the preconditioner's eigen direction is y on 24 x 14, x on 8 x 20)
+    cs = case1(b=b)
+    pd = cs.problem if k is None else replace(cs.problem, k=k)
+    rng = np.random.default_rng(3)
+    for nx, ny in ((24, 14), (8, 20)):
+        ops = reference_operators(pd, cs.lift,
+                                  build_grid(pd.omega_x, pd.omega_y, nx, ny))
+        B = np.vstack([ops.rhs_int,
+                       rng.standard_normal((2, ops.rhs_int.size))])
+        X = ops.gram_solve(B)
+        G = ops.G_int.tocsc()
+        for x, rhs in zip(X, B):
+            want = spla.spsolve(G, rhs)
+            assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
+        # one right-hand side alone gets the solution of its row in the stack
+        one = ops.gram_solve(B[0])
+        assert np.linalg.norm(one - X[0]) <= 1e-10 * np.linalg.norm(X[0])
+
+
+def test_unit_diffusivity_converges_in_at_most_two_iterations():
+    # k = 1: the preconditioner is G_int up to round-off; the 16 x 10 grid
+    # takes its eigen direction in y, the 10 x 40 one in x
+    cs = case1()
+    for nx, ny in ((16, 10), (10, 40), (80, 40)):
+        grid = build_grid(cs.problem.omega_x, cs.problem.omega_y, nx, ny)
+        ops = reference_operators(cs.problem, cs.lift, grid)
+        calls = _counting_preconditioner(ops)
+        rng = np.random.default_rng(0)
+        ops.gram_solve(np.vstack([ops.rhs_int,
+                                  rng.standard_normal(ops.rhs_int.size)]))
+        assert 2 <= len(calls) <= 3, calls
+
+
+def test_gram_solve_iteration_cap_raises(monkeypatch):
+    cs = case1()
+    grid = build_grid(cs.problem.omega_x, cs.problem.omega_y, 16, 10)
+    ops = reference_operators(cs.problem, cs.lift, grid)
+    monkeypatch.setattr(problem, "_PCG_MAXITER", 0)
+    with pytest.raises(RuntimeError,
+                       match=r"V-Gram system G_int: PCG did not converge in 0 "
+                             r"iterations \(relative residual 1\.000e\+00"):
+        ops.gram_solve(ops.rhs_int)
+    # a zero right-hand side needs no iteration
+    assert not np.any(ops.gram_solve(np.zeros_like(ops.rhs_int)))
+
+
+def test_gram_solve_rejects_an_indefinite_matrix():
+    cs = case1()
+    grid = build_grid(cs.problem.omega_x, cs.problem.omega_y, 16, 10)
+    ops = reference_operators(cs.problem, cs.lift, grid)
+    ops.G_int = -ops.G_int
+    with pytest.raises(RuntimeError, match=r"V-Gram system G_int: PCG found "
+                                           r"p\.Gp = .* in iteration 1"):
+        ops.gram_solve(ops.rhs_int)
 
 
 def test_plain_gd_blend_carries_boundary_traces():
@@ -242,14 +324,14 @@ def test_snapshot_problem_of_each_mode():
 
 
 def test_riesz_operators_hold_no_mass_factor():
-    # only the reconstruction solves with M; its factor is freed before the
-    # reference solve adds the A factor
+    # only the reconstruction solves with M; its factor is freed, and the
+    # reference solve (b = 0: PCG on G_int) adds none
     cs = case1()
     grid = build_grid(cs.problem.omega_x, cs.problem.omega_y, 16, 10)
     ops = reference_operators(cs.problem, cs.lift, grid, "riesz_recon")
     assert _held_factors(ops) == []
     solve_reference(ops)
-    assert _held_factors(ops) == [ops.G_lu]
+    assert _held_factors(ops) == []
 
 
 @pytest.mark.parametrize("mode,b", [(m, (0.0, 0.0)) for m in MODES]
@@ -258,14 +340,15 @@ def test_riesz_operators_hold_no_mass_factor():
 def test_operators_hold_the_interior_system_and_one_factor(mode, b,
                                                            monkeypatch):
     # the object keeps the interior restrictions only (riesz_field, the
-    # reconstructed nodal field, is riesz_recon's output), and its one
-    # factor is G_int's: the mass and advective reference factors are local
+    # reconstructed nodal field, is riesz_recon's output) and no sparse
+    # factor: G_int is solved by PCG, and the mass (riesz_recon) and
+    # advective reference (b != 0) factors are local to their one solve
     factored = []
     splu = problem.spla.splu
 
-    def recording_splu(*args, **kwargs):
-        factored.append(splu(*args, **kwargs))
-        return factored[-1]
+    def recording_splu(mat, *args, **kwargs):
+        factored.append(mat)
+        return splu(mat, *args, **kwargs)
 
     monkeypatch.setattr(problem.spla, "splu", recording_splu)
     cs = case1(b=b)
@@ -278,19 +361,21 @@ def test_operators_hold_the_interior_system_and_one_factor(mode, b,
         elif isinstance(value, np.ndarray) and name != "riesz_field":
             assert value.shape == (n,), name
     assert _held_factors(ops) == []
-    assert len(factored) == (mode == "riesz_recon")
+    if mode == "riesz_recon":
+        assert len(factored) == 1 and (factored[0] != ops.M_int).nnz == 0
+    else:
+        assert factored == []
 
     ref = solve_reference(ops)
     ops.residual_norm(ref.interior_vector())
-    assert _held_factors(ops) == [ops.G_lu]
+    assert _held_factors(ops) == []
     if b == (0.0, 0.0):
-        # the estimator reuses the reference solve's factor
+        # the reference and the estimator both solve with G_int = A_int
         assert ops.G_int is ops.A_int
-        assert factored[-1] is ops.G_lu
-        assert len(factored) == 1 + (mode == "riesz_recon")
+        assert len(factored) == (mode == "riesz_recon")
     else:
         assert ops.G_int is not ops.A_int
-        assert factored[-1] is ops.G_lu and len(factored) == 2
+        assert len(factored) == 1 and (factored[0] != ops.A_int).nnz == 0
 
 
 def test_nonpositive_diffusivity_is_rejected():

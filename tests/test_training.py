@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
 from conftest import orthonormalize
 from skewlift import training
@@ -243,7 +244,7 @@ def test_element_indicators_match_explicit_projection(mode, m):
 def _unbatched_delta(base, extra):
     """Delta of one sample, one step at a time: the bordered blocks by
     np.block, scipy's solve_banded (on block_band's storage without its LU
-    fill rows), a one-column Gram solve."""
+    fill rows), a sparse direct Gram solve."""
     xb, phi = base.xb, base.phi
     m = phi.shape[1]
     E = orthonormalize(phi, extra.T, base.M_y)[:, m:]
@@ -258,7 +259,8 @@ def _unbatched_delta(base, extra):
     sol = scipy.linalg.solve_banded((bw, bw), block_band(blocks).T[bw:], rhs)
     u = (sol.reshape(xb.n_x, w) @ np.hstack([phi, E]).T).ravel()
     r = xb.ops.rhs_int - xb.ops.A_int @ u
-    return math.sqrt(max(r @ xb.ops.G_lu.solve(r), 0.0))
+    return math.sqrt(max(r @ scipy.sparse.linalg.spsolve(
+        xb.ops.G_int.tocsc(), r), 0.0))
 
 
 def _indicator_setup(mode, m):
