@@ -494,10 +494,10 @@ class TensorOperators:
         (one per row), solved together with per-row step lengths. For k = 1
         the preconditioner is G_int up to round-off and the solve takes one
         iteration up to 800x400 (two once the round-off of a grid exceeds
-        _PCG_TOL); otherwise
-        at most about sqrt(max k / min k) ln(2 / _PCG_TOL) / 2 iterations,
-        the CG bound for a condition number of at most max k / min k.
-        A failure to converge raises RuntimeError (see _pcg)."""
+        _PCG_TOL); otherwise at most about
+        sqrt(max k / min k) ln(2 / _PCG_TOL) / 2 iterations, the CG bound
+        for a condition number of at most max k / min k. A failure to
+        converge raises RuntimeError (see _pcg)."""
         B = np.atleast_2d(rhs)
         X = _pcg(self.G_int, self._gram_preconditioner, B,
                  "V-Gram system G_int")
