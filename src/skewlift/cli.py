@@ -94,13 +94,15 @@ class RunConfig:
             raise ConfigError("sigma-thres must be positive")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative (got {self.seed})")
-        # an initial cell is NH / g0 elements wide; the one on the diagonal
-        # meets qbar distinct elements only if that exceeds qbar - 1
-        if self.NH <= (self.qbar - 1) * self.g0:
+        # an initial cell is NH / g0 elements wide; the sampler redraws a
+        # sample on the diagonal cell until its qbar components land in
+        # distinct elements, which needs a whole element of room per
+        # component (1.005 elements for qbar = 2 failed 87 of 200 seeds)
+        if self.qbar > 1 and self.NH < self.qbar * self.g0:
             raise ConfigError(
                 f"g0={self.g0} initial cells per axis are too narrow for "
                 f"qbar={self.qbar} samples in distinct elements of NH="
-                f"{self.NH} (need NH > (qbar - 1) g0)")
+                f"{self.NH} (need NH >= qbar g0)")
         _check_out_dir(self.out)
         return self
 

@@ -67,8 +67,7 @@ def error_report(ops, reference, rsol):
     p_ref = reference.interior_vector()
     p_red = rsol.interior_vector()
     e = p_ref - p_red
-    ref_V = ops.v_norm(p_ref)
-    ref_L2 = ops.l2_norm(p_ref)
+    ref_V, ref_L2 = reference.norms
     err_V = ops.v_norm(e) / ref_V if ref_V > 0 else ops.v_norm(e)
     err_L2 = ops.l2_norm(e) / ref_L2 if ref_L2 > 0 else ops.l2_norm(e)
     m = rsol.m

@@ -46,7 +46,17 @@ like sqrt(max k / min k), independent of the grid.
 SuperLU remains for the two matrices that are not the Gram matrix, each
 factored for one solve and freed on return: the Riesz mass M_int
 (riesz_recon) and, under advection, A_int in solve_reference.
-Matrices use the 2x2 Gauss rule on every cell. The right-hand side of
+Matrices use the 2x2 Gauss rule on every cell, and every rule keeps its
+tensor structure: the points of a cell are n x-abscissae times n
+y-abscissae, and a callback receives them as two broadcasting arrays of
+shapes (cells, n, 1) and (cells, 1, n), so a factor of x or y alone is
+evaluated n, not n^2, times per cell. Each interior matrix is built
+directly as a 9-point stencil in CSR: the 4 x 4 cell matrices (one product
+of the coefficient values with a table of shape-function products per term)
+are added by 16 slice-adds into the 9 stencil offsets of the interior
+nodes, each row's four cells in cell-id order, and gathered into one CSR
+pattern that A_int, G_int and M_int share (sorted indices, no duplicates;
+(3 (nx - 1) - 2)(3 (ny - 1) - 2) entries). The right-hand side of
 weak_lifting, riesz_recon and plain_gD (F and every lifting term) uses 2x2
 Gauss on 4x4 sub-cells of the cells where the lifting's gradient is nonzero
 at a corner or Gauss point (the interface band; for plain_gD the band of the
@@ -86,9 +96,11 @@ _PCG_MAXITER = 1000
 class ProblemData:
     """Coefficients and data of the advection-diffusion problem.
 
-    All callbacks must be numpy-vectorized: they receive coordinate arrays of
-    a common shape and return an array broadcastable to it (scalar returns are
-    broadcast automatically).
+    All callbacks must be numpy-vectorized: they receive coordinate arrays
+    that broadcast against each other and return an array broadcastable to
+    their shape (scalar returns are broadcast automatically). The assembly
+    passes each rule's points as x of shape (cells, n, 1) and y of shape
+    (cells, 1, n); other callers pass arrays of one common shape.
 
     Parameters
     ----------
@@ -145,6 +157,13 @@ class FullSolution:
     def interior_vector(self):
         return self.coeffs.ravel()[self.ops.grid.interior_ids()]
 
+    @cached_property
+    def norms(self):
+        """(V-norm, L2-norm) of the interior vector under ops, computed on
+        first use: an m-sweep's error reports all divide by them."""
+        u = self.interior_vector()
+        return self.ops.v_norm(u), self.ops.l2_norm(u)
+
 
 class GridField:
     """Bilinear interpolant of nodal values on a TensorGrid (vectorized)."""
@@ -174,41 +193,47 @@ class GridField:
 
 
 _BAND_SUB = 4  # sub-cells per direction of the lifting-band rule
+# corner of the cell's local node t: (0,0), (1,0), (1,1), (0,1)
+_CORNERS = ((0, 0), (1, 0), (1, 1), (0, 1))
 
 
 def _shape_tables(sub=1):
-    """Q1 shape values/derivatives at the 2x2 Gauss points of each of the
-    sub x sub sub-cells of the unit square. Node order (0,0),(1,0),(1,1),(0,1);
-    qpoint order u-major. Returns (u, v, N, dNu, dNv), N etc. of shape (q, 4)."""
+    """1D points and Q1 shape values/derivatives at the 2x2 Gauss points of
+    each of the sub x sub sub-cells of the unit square. The points are the
+    tensor product of u1 with itself; node order as _CORNERS, qpoint order
+    u-major (q = iu * u1.size + iv). Returns (u1, N, dNu, dNv), N etc. of
+    shape (q, 4)."""
     u1 = ((np.arange(sub)[:, None] + GAUSS_NODES[None, :]) / sub).ravel()
     u = np.repeat(u1, u1.size)
     v = np.tile(u1, u1.size)
     N = np.stack([(1 - u) * (1 - v), u * (1 - v), u * v, (1 - u) * v], axis=1)
     dNu = np.stack([-(1 - v), (1 - v), v, -v], axis=1)
     dNv = np.stack([-(1 - u), -u, u, (1 - u)], axis=1)
-    return u, v, N, dNu, dNv
+    return u1, N, dNu, dNv
 
 
 class _Quadrature:
     """Tensor 2x2 Gauss points on sub x sub sub-cells of the selected cells
     (default: every cell, one sub-cell), plus cell->global node indexing.
 
-    Cell ids are x-major (id = cx * ny_cells + cy); the values of a callback
-    come back with shape (n_selected_cells, 4 * sub**2).
+    Cell ids are x-major (id = cx * ny_cells + cy). The points of a cell are
+    the tensor product of n = 2 * sub abscissae in x and n in y, kept as the
+    1D sets x of shape (cells, n, 1) and y of shape (cells, 1, n): a callback
+    receives these two broadcasting arrays, so a factor of x alone or y alone
+    is evaluated n, not n^2, times per cell. evaluate returns its values with
+    shape (n_selected_cells, n^2), u-major (q = iu * n + iv).
     """
 
     def __init__(self, grid, cells=None, sub=1):
         tx, ty = grid.tx, grid.ty
-        hx, hy = tx.h, ty.h
         cells = np.arange(tx.n * ty.n) if cells is None else np.asarray(cells)
-        u, v, N, dNu, dNv = _shape_tables(sub)
+        u1, self.N, dNu, dNv = _shape_tables(sub)
         cx, cy = np.divmod(cells, ty.n)
-        self.X = tx.nodes[cx][:, None] + u[None, :] * hx
-        self.Y = ty.nodes[cy][:, None] + v[None, :] * hy
-        self.w = hx * hy / (4.0 * sub * sub)
-        self.N = N
-        self.dNx = dNu / hx
-        self.dNy = dNv / hy
+        self.x = (tx.nodes[cx][:, None] + u1[None, :] * tx.h)[:, :, None]
+        self.y = (ty.nodes[cy][:, None] + u1[None, :] * ty.h)[:, None, :]
+        self.w = tx.h * ty.h / (4.0 * sub * sub)
+        self.dNx = dNu / tx.h
+        self.dNy = dNv / ty.h
         n_y = ty.n + 1
         base = cx * n_y + cy
         self.cell_nodes = np.stack(
@@ -216,8 +241,9 @@ class _Quadrature:
         self.grid = grid
 
     def evaluate(self, f):
-        vals = np.asarray(f(self.X, self.Y), dtype=float)
-        return np.broadcast_to(vals, self.X.shape)
+        vals = np.asarray(f(self.x, self.y), dtype=float)
+        shape = np.broadcast_shapes(self.x.shape, self.y.shape)
+        return np.broadcast_to(vals, shape).reshape(shape[0], -1)
 
 
 def _rhs_rules(quad, lift):
@@ -231,9 +257,9 @@ def _rhs_rules(quad, lift):
     leaves an O(h^1.5) band-shaped field in the homogenized solution.
     """
     grid = quad.grid
-    X, Y = grid.node_coords()
-    nonzero = lambda g: np.broadcast_to(np.asarray(g) != 0.0, X.shape)
-    at_nodes = (nonzero(lift.dx(X, Y)) | nonzero(lift.dy(X, Y))).ravel()
+    x, y = grid.tx.nodes[:, None], grid.ty.nodes[None, :]
+    nonzero = lambda g: np.broadcast_to(np.asarray(g) != 0.0, grid.shape)
+    at_nodes = (nonzero(lift.dx(x, y)) | nonzero(lift.dy(x, y))).ravel()
     at_gauss = (quad.evaluate(lift.dx) != 0.0) | (quad.evaluate(lift.dy) != 0.0)
     band = at_nodes[quad.cell_nodes].any(axis=1) | at_gauss.any(axis=1)
     rules = [_Quadrature(grid, np.nonzero(~band)[0]),
@@ -241,54 +267,108 @@ def _rhs_rules(quad, lift):
     return [q for q in rules if q.cell_nodes.size]
 
 
-def _assemble_matrix(quad, diff=None, b1=None, b2=None, react=None):
-    """Assemble int diff grad(u).grad(v) + (b1 u_x + b2 u_y) v + react u v
-    over all nodes of the grid (trial index s, test index t)."""
-    ncells = quad.cell_nodes.shape[0]
-    loc = np.zeros((ncells, 4, 4))
-    w = quad.w
-    if diff is not None:
-        c = quad.evaluate(diff) * w
-        loc += np.einsum("cq,qt,qs->cts", c, quad.dNx, quad.dNx)
-        loc += np.einsum("cq,qt,qs->cts", c, quad.dNy, quad.dNy)
-    if b1 is not None:
-        c = quad.evaluate(b1) * w
-        loc += np.einsum("cq,qt,qs->cts", c, quad.N, quad.dNx)
-    if b2 is not None:
-        c = quad.evaluate(b2) * w
-        loc += np.einsum("cq,qt,qs->cts", c, quad.N, quad.dNy)
-    if react is not None:
-        c = quad.evaluate(react) * w
-        loc += np.einsum("cq,qt,qs->cts", c, quad.N, quad.N)
-    rows = np.repeat(quad.cell_nodes, 4, axis=1).ravel()
-    cols = np.tile(quad.cell_nodes, (1, 4)).ravel()
-    n = quad.grid.node_count
-    return sp.coo_matrix((loc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+def _interior_pattern(grid):
+    """CSR pattern of the 9-point stencil on the interior nodes of grid.
+
+    Row i of interior node (ix, iy) holds the interior columns among
+    (ix + dx, iy + dy), dx, dy in (-1, 0, 1), in that x-major (ascending)
+    order. Returns (indptr, indices, take): take indexes a row's kept
+    entries in a (9, rows) stencil array, offset-major, flattened.
+    """
+    nx, ny = grid.nx - 1, grid.ny - 1  # interior nodes per direction
+    rows = nx * ny
+    idx = np.int32 if 9 * rows <= np.iinfo(np.int32).max else np.int64
+    near = lambda n: np.arange(n, dtype=idx)[:, None] + np.arange(-1, 2,
+                                                                  dtype=idx)
+    cx, cy = near(nx), near(ny)  # (n, 3) neighbour indices
+    inside = lambda i, n: (i >= 0) & (i < n)
+    keep = (inside(cx, nx)[:, None, :, None]
+            & inside(cy, ny)[None, :, None, :]).reshape(rows, 9)
+    cols = (cx[:, None, :, None] * ny + cy[None, :, None, :]).reshape(rows, 9)
+    take = np.arange(9, dtype=idx) * rows + np.arange(rows, dtype=idx)[:, None]
+    indptr = np.zeros(rows + 1, dtype=idx)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    return indptr, cols[keep], take[keep]
+
+
+def _stencil_matrix(loc, grid, pattern):
+    """Interior CSR matrix of the (16, cells) cell matrices loc of every
+    cell of grid (x-major cell ids; row 4 t + s couples test node t with
+    trial node s). The entries of one row are summed over its cells in cell
+    id order, by one slice-add per (t, s) into the 9 stencil offsets."""
+    nx, ny = grid.nx, grid.ny
+    L = loc.reshape(4, 4, nx, ny)
+    S = np.zeros((3, 3, nx - 1, ny - 1))
+    # a row node is corner t of cell (ix - at, iy - bt); t = 2, 1, 3, 0
+    # visits its four cells in id order
+    for t in (2, 1, 3, 0):
+        at, bt = _CORNERS[t]
+        for s, (a_s, b_s) in enumerate(_CORNERS):
+            S[a_s - at + 1, b_s - bt + 1] += L[t, s, 1 - at:nx - at,
+                                                1 - bt:ny - bt]
+    indptr, indices, take = pattern
+    n = indptr.size - 1
+    return sp.csr_matrix((S.reshape(-1)[take], indices, indptr), shape=(n, n))
+
+
+def _cell_matrices(quad, diff=None, b1=None, b2=None, react=None):
+    """(16, cells) cell matrices of int diff grad(u).grad(v)
+    + (b1 u_x + b2 u_y) v + react u v, from the coefficients' values at
+    quad's points (cells, q); row 4 t + s is test node t, trial node s.
+    Each term is one (16, q) @ (q, cells) product with its weighted table
+    of shape-function products at the points."""
+    w, N, dx, dy = quad.w, quad.N, quad.dNx, quad.dNy
+    table = lambda a, b: w * (a[:, :, None] * b[:, None, :]).reshape(-1, 16).T
+    terms = ((diff, table(dx, dx) + table(dy, dy)), (b1, table(N, dx)),
+             (b2, table(N, dy)), (react, table(N, N)))
+    return sum(tab @ values.T for values, tab in terms if values is not None)
+
+
+def _interior_matrices(quad, pd):
+    """(G_int, A_int, M_int) on the rule quad of every cell of a grid, with
+    one pattern shared by the three. k, b1 and b2 are evaluated once each;
+    G_int is A_int when b = 0 at every point (a is then symmetric)."""
+    grid = quad.grid
+    kv = quad.evaluate(pd.k)
+    if kv.min() <= 0.0:
+        raise ValueError(f"diffusivity not positive (min {kv.min():g})")
+    pattern = _interior_pattern(grid)
+    G = A = _stencil_matrix(_cell_matrices(quad, diff=kv), grid, pattern)
+    b1v, b2v = quad.evaluate(pd.b1), quad.evaluate(pd.b2)
+    if b1v.any() or b2v.any():
+        A = _stencil_matrix(_cell_matrices(quad, diff=kv, b1=b1v, b2=b2v),
+                            grid, pattern)
+    M = _stencil_matrix(_cell_matrices(quad, react=np.ones_like(kv)), grid,
+                        pattern)
+    return G, A, M
+
+
+def _load(quads, local):
+    """Nodal vector of the per-cell loads local(quad) (cells, 4) of every
+    rule, summed node by node in rule, then cell order."""
+    nodes = np.concatenate([q.cell_nodes.ravel() for q in quads])
+    loc = np.concatenate([local(q).ravel() for q in quads])
+    return np.bincount(nodes, loc, minlength=quads[0].grid.node_count)
 
 
 def _assemble_load(quads, f):
     """Load vector int f v of a callback f over the cells of every rule."""
-    out = np.zeros(quads[0].grid.node_count)
-    for quad in quads:
-        loc = quad.w * quad.evaluate(f) @ quad.N  # sum_q w f[q] N[q, t]
-        np.add.at(out, quad.cell_nodes.ravel(), loc.ravel())
-    return out
+    # sum_q w f[q] N[q, t]
+    return _load(quads, lambda quad: quad.w * quad.evaluate(f) @ quad.N)
 
 
 def _lifting_vector(quads, pd, lift):
     """Vector of a(h, v_t) for every nodal hat v_t."""
-    out = np.zeros(quads[0].grid.node_count)
-    for quad in quads:
+    def local(quad):
         kv = quad.evaluate(pd.k)
         hx = quad.evaluate(lift.dx)
         hy = quad.evaluate(lift.dy)
         b1v = quad.evaluate(pd.b1)
         b2v = quad.evaluate(pd.b2)
         # sum_q w (k h_x dN_t/dx + k h_y dN_t/dy + (b.grad h) N_t)
-        loc = quad.w * ((kv * hx) @ quad.dNx + (kv * hy) @ quad.dNy
-                        + (b1v * hx + b2v * hy) @ quad.N)
-        np.add.at(out, quad.cell_nodes.ravel(), loc.ravel())
-    return out
+        return quad.w * ((kv * hx) @ quad.dNx + (kv * hy) @ quad.dNy
+                         + (b1v * hx + b2v * hy) @ quad.N)
+    return _load(quads, local)
 
 
 def _factor(mat):
@@ -380,7 +460,9 @@ def _pcg(G, precond, B, name):
             raise RuntimeError(
                 f"{name}: PCG did not converge in {it} iterations (relative "
                 f"residual {math.sqrt(np.max(rz / rz0)):.3e} > {_PCG_TOL:g})")
-        q = (G @ p.T).T
+        # contiguous rows: einsum then sums each row as it would alone, so
+        # a row's iterates do not depend on the rows it is stacked with
+        q = np.ascontiguousarray((G @ p.T).T)
         pq = np.einsum("ij,ij->i", p, q)
         if not np.all(pq > 0.0):
             raise RuntimeError(
@@ -432,19 +514,8 @@ class TensorOperators:
         self.grid = grid
         self.mode = mode
         quad = _Quadrature(grid)
-        kv = quad.evaluate(pd.k)
-        if kv.min() <= 0.0:
-            raise ValueError(f"diffusivity not positive (min {kv.min():g})")
+        self.G_int, self.A_int, self.M_int = _interior_matrices(quad, pd)
         interior = grid.interior_ids()
-
-        def assemble(**terms):
-            mat = _assemble_matrix(quad, **terms)
-            return mat[np.ix_(interior, interior)].tocsr()
-
-        self.G_int = self.A_int = assemble(diff=pd.k)  # b = 0: a is symmetric
-        if quad.evaluate(pd.b1).any() or quad.evaluate(pd.b2).any():
-            self.A_int = assemble(diff=pd.k, b1=pd.b1, b2=pd.b2)
-        self.M_int = assemble(react=lambda x, y: 1.0)
         self.riesz_field = None
         self.lift = lift
 
@@ -491,7 +562,8 @@ class TensorOperators:
         """G_int^-1 rhs by PCG with the k = 1 Gram inverse as preconditioner.
 
         rhs is one interior vector or a (c, n) stack of c right-hand sides
-        (one per row), solved together with per-row step lengths. For k = 1
+        (one per row), solved together with per-row step lengths; a row's
+        solution is the one it gets alone, bit for bit. For k = 1
         the preconditioner is G_int up to round-off and the solve takes one
         iteration up to 800x400 (two once the round-off of a grid exceeds
         _PCG_TOL); otherwise at most about

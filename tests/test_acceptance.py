@@ -207,13 +207,16 @@ def test_criterion_03_delta_h_log_linear_decay(mini_delta_h):
             "so the departure from one rate comes from the trained basis, "
             "not from the reference" if s_r2 >= 0.9 else
             "so the reference itself decays at no single rate")
+        # the slice POD's last error is at the reference solve's round-off
+        # (~3.5e-12), so it is printed to two digits: a change of the
+        # reference solver moves its third digit, not the claim
         pytest.fail(
             f"slope={slope:.4f}, R2={r2:.4f} over m=1..{errs.size}: "
             f"err_V_rel(1)={errs[0]:.3e}, err_V_rel(2)={errs[1]:.3e}, "
             f"err_V_rel({errs.size})={errs[-1]:.3e} (R2={r2_2:.3f} over "
             f"m=2..{errs.size}). POD of the delta-h reference's own x-slices "
             f"gives err_V_rel(1)={slices[0]:.3e}, err_V_rel({errs.size})="
-            f"{slices[-1]:.3e}, slope={s_slope:.3f}, R2={s_r2:.3f}, {source}; "
+            f"{slices[-1]:.1e}, slope={s_slope:.3f}, R2={s_r2:.3f}, {source}; "
             f"nothing in this repository says what the first trained modes "
             f"must capture.")
 

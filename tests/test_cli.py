@@ -142,13 +142,19 @@ def test_unsamplable_initial_cells_are_a_config_error(tmp_path, capsys,
     monkeypatch.setattr(cli, "reference_operators", None)
     out = tmp_path / "g0.csv"
     assert main(["run", "--NH", "20", "--g0", "30", "--out", str(out)]) == 2
-    assert "need NH > (qbar - 1) g0" in capsys.readouterr().err
+    assert "need NH >= qbar g0" in capsys.readouterr().err
     assert not out.exists()
-    # one point per sample fits any cell; NH = (qbar - 1) g0 does not
+    # 1.005 elements per diagonal cell: the sampler's redraws fail for
+    # many seeds, after the reference solve
+    assert main(["run", "--NH", "201", "--g0", "200", "--out", str(out)]) == 2
+    assert "need NH >= qbar g0" in capsys.readouterr().err
+    # one point per sample fits any cell; otherwise each initial cell needs
+    # qbar whole elements
     RunConfig(NH=20, g0=30, qbar=1).validate()
-    RunConfig(NH=21, g0=20).validate()
-    with pytest.raises(ConfigError):
-        RunConfig(NH=40, g0=20, qbar=3).validate()
+    RunConfig(NH=40, g0=20).validate()
+    for bad in (dict(NH=39, g0=20), dict(NH=40, g0=20, qbar=3)):
+        with pytest.raises(ConfigError):
+            RunConfig(**bad).validate()
 
 
 def test_m_max_above_the_transverse_rank_is_a_config_error(tmp_path, capsys,

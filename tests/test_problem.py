@@ -9,7 +9,7 @@ import scipy.sparse.linalg as spla
 
 from conftest import build_grid
 from skewlift import cli, problem
-from skewlift.cases import case1, get_case
+from skewlift.cases import case1, case2, case3, get_case
 from skewlift.problem import (
     GridField,
     LiftingFunction,
@@ -18,6 +18,7 @@ from skewlift.problem import (
     reference_operators,
     solve_reference,
 )
+from skewlift.transverse import _p1_diagonals
 
 V_ENERGY_EXACT = 5.0 * np.pi**2 / 8.0  # int |grad(sin(pi x/2) sin(pi y))|^2
 
@@ -151,6 +152,132 @@ def test_gram_matrix_is_symmetric():
     assert asym <= 1e-13 * np.abs(G.toarray()).max()
 
 
+# grids with one interior column (nx = 2) or row (ny = 2), and non-square
+STENCIL_GRIDS = [(16, 10), (2, 7), (9, 2), (5, 13)]
+
+
+def _p1_interior(part, kind):
+    """Interior 1D P1 matrix of kind ("stiff" or "mass", coefficient 1)."""
+    lower, diag, upper = _p1_diagonals(part, np.ones((part.n, 2)), kind)
+    return sp.diags([lower[1:-1], diag[1:-1], upper[1:-1]], [-1, 0, 1],
+                    shape=(part.n - 1, part.n - 1))
+
+
+@pytest.mark.parametrize("nx,ny", STENCIL_GRIDS)
+def test_unit_diffusivity_operators_are_kronecker_sums(nx, ny):
+    # k = 1 on a tensor grid: the Q1 Gram is Kx (x) My + Mx (x) Ky and the
+    # mass Mx (x) My of the 1D P1 matrices (interior nodes x-major)
+    cs = case1()
+    grid = build_grid(cs.problem.omega_x, cs.problem.omega_y, nx, ny)
+    ops = reference_operators(cs.problem, cs.lift, grid)
+    (kx, mx), (ky, my) = ((_p1_interior(t, "stiff"), _p1_interior(t, "mass"))
+                          for t in (grid.tx, grid.ty))
+    for mat, want in ((ops.G_int, sp.kron(kx, my) + sp.kron(mx, ky)),
+                      (ops.M_int, sp.kron(mx, my))):
+        want = want.toarray()
+        assert np.abs(mat.toarray() - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def _cell_loop_matrix(pd, grid):
+    """Interior matrix of a (k grad u.grad v + (b.grad u) v) by a loop over
+    the cells and their 2x2 Gauss points; hat of corner (a, b) of a cell is
+    (a ? u : 1 - u) (b ? v : 1 - v) in local coordinates (u, v)."""
+    tx, ty = grid.tx, grid.ty
+    full = np.zeros((grid.node_count, grid.node_count))
+    corners = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    gauss = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
+    for cx in range(tx.n):
+        for cy in range(ty.n):
+            ids = [(cx + a) * (ty.n + 1) + cy + b for a, b in corners]
+            for u in gauss:
+                for v in gauss:
+                    x, y = tx.nodes[cx] + u * tx.h, ty.nodes[cy] + v * ty.h
+                    fu = [(u if a else 1 - u) for a, _ in corners]
+                    fv = [(v if b else 1 - v) for _, b in corners]
+                    val = [p * q for p, q in zip(fu, fv)]
+                    gx = [(1 if a else -1) * q / tx.h
+                          for (a, _), q in zip(corners, fv)]
+                    gy = [(1 if b else -1) * p / ty.h
+                          for (_, b), p in zip(corners, fu)]
+                    k, b1, b2 = (float(np.broadcast_to(f(x, y), ()))
+                                 for f in (pd.k, pd.b1, pd.b2))
+                    w = tx.h * ty.h / 4.0
+                    for t in range(4):
+                        for s in range(4):
+                            full[ids[t], ids[s]] += w * (
+                                k * (gx[t] * gx[s] + gy[t] * gy[s])
+                                + (b1 * gx[s] + b2 * gy[s]) * val[t])
+    interior = grid.interior_ids()
+    return full[np.ix_(interior, interior)]
+
+
+@pytest.mark.parametrize("nx,ny", STENCIL_GRIDS)
+def test_variable_coefficient_matrix_matches_a_cell_loop(nx, ny):
+    cs = case1(b=(100.0, 0.0))
+    pd = replace(cs.problem, k=lambda x, y: 1.0 + 0.3 * np.asarray(x)
+                 + 0.1 * np.asarray(y))
+    grid = build_grid(pd.omega_x, pd.omega_y, nx, ny)
+    ops = reference_operators(pd, cs.lift, grid)
+    want = _cell_loop_matrix(pd, grid)
+    got = ops.A_int.toarray()
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    # the Gram is the same loop without advection
+    want_g = _cell_loop_matrix(replace(pd, b1=pd.b2), grid)
+    assert (np.abs(ops.G_int.toarray() - want_g).max()
+            <= 1e-13 * np.abs(want_g).max())
+
+
+@pytest.mark.parametrize("nx,ny", STENCIL_GRIDS)
+def test_interior_matrices_share_one_canonical_nine_point_pattern(nx, ny):
+    cs = case1(b=(1.0, 0.5))
+    grid = build_grid(cs.problem.omega_x, cs.problem.omega_y, nx, ny)
+    ops = reference_operators(cs.problem, cs.lift, grid)
+    tri = lambda n: sp.diags([np.ones(n - 1), np.ones(n), np.ones(n - 1)],
+                             [-1, 0, 1], shape=(n, n))
+    want = sp.kron(tri(nx - 1), tri(ny - 1), format="csr")
+    assert want.nnz == (3 * (nx - 1) - 2) * (3 * (ny - 1) - 2)
+    for mat in (ops.A_int, ops.G_int, ops.M_int):
+        assert sp.isspmatrix_csr(mat)
+        # sorted indices, no duplicates; explicit zeros are kept
+        assert mat.has_canonical_format
+        np.testing.assert_array_equal(mat.indptr, want.indptr)
+        np.testing.assert_array_equal(mat.indices, want.indices)
+        assert np.shares_memory(mat.indices, ops.A_int.indices)
+        assert np.shares_memory(mat.indptr, ops.A_int.indptr)
+
+
+def _rule_points(quad):
+    """Coordinates of every point of quad listed one by one, (cells, q)."""
+    shape = np.broadcast_shapes(quad.x.shape, quad.y.shape)
+    return (np.ascontiguousarray(np.broadcast_to(c, shape)).reshape(
+        shape[0], -1) for c in (quad.x, quad.y))
+
+
+@pytest.mark.parametrize("case", [case1, lambda: case1(b=(100.0, 7.0)), case2,
+                                  case3], ids=["case1", "case1-adv", "case2",
+                                               "case3"])
+def test_tensor_evaluation_equals_pointwise_evaluation(case):
+    # a callback gets the rule's 1D point sets (cells, n, 1) and (cells, 1, n)
+    # and must return, bit for bit, its values on the full list of points
+    cs = case()
+    pd, lift = cs.problem, cs.lift
+    grid = build_grid(pd.omega_x, pd.omega_y, 12, 7)
+    full = problem._Quadrature(grid)
+    band = problem._Quadrature(grid, np.arange(0, 84, 5), problem._BAND_SUB)
+    callbacks = [pd.k, pd.b1, pd.b2, pd.F, pd.dirichlet, lift.value, lift.dx,
+                 lift.dy, lift.laplacian, lambda x, y: 2.5]
+    if cs.exact_total is not None:
+        callbacks += [cs.exact_total, cs.exact_homogenized]
+    for quad in (full, band):
+        X, Y = _rule_points(quad)
+        assert X.shape == (quad.cell_nodes.shape[0], quad.N.shape[0])
+        for f in callbacks:
+            want = np.broadcast_to(np.asarray(f(X, Y), dtype=float), X.shape)
+            got = quad.evaluate(f)
+            assert got.shape == X.shape
+            assert np.array_equal(got, want)
+
+
 def test_one_factorization_per_grid(tmp_path, monkeypatch):
     # b = 0: G is A, so the reference solve, every error_report and the
     # indicator all solve by PCG; the one factorisation of each grid is its
@@ -233,9 +360,10 @@ def test_gram_solve_matches_spsolve(k, b):
         for x, rhs in zip(X, B):
             want = spla.spsolve(G, rhs)
             assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
-        # one right-hand side alone gets the solution of its row in the stack
-        one = ops.gram_solve(B[0])
-        assert np.linalg.norm(one - X[0]) <= 1e-10 * np.linalg.norm(X[0])
+        # one right-hand side alone gets the solution of its row in the
+        # stack, bit for bit
+        assert np.array_equal(ops.gram_solve(B[0]), X[0])
+        assert np.array_equal(ops.gram_solve(B[1:]), X[1:])
 
 
 def test_unit_diffusivity_converges_in_at_most_two_iterations():
