@@ -259,6 +259,7 @@ def _rhs_rules(quad, lift):
     the lifting's Laplacian, which jumps at the band edges; the 2x2 rule on a
     cut cell does not reproduce the cancellation of f(v) against a(h, v) and
     leaves an O(h^1.5) band-shaped field in the homogenized solution.
+    Returns the blocks (_blocks) of the plain cells, then of the band.
     """
     grid = quad.grid
     x, y = grid.tx.nodes[:, None], grid.ty.nodes[None, :]
