@@ -51,22 +51,26 @@ tensor structure: the points of a cell are n x-abscissae times n
 y-abscissae, and a callback receives them as two broadcasting arrays of
 shapes (cells, n, 1) and (cells, 1, n), so a factor of x or y alone is
 evaluated n, not n^2, times per cell. Each interior matrix is built
-directly as a 9-point stencil in CSR: the 4 x 4 cell matrices (one product
+directly as a 9-point stencil in CSR, one slab of whole x-columns of cells
+(about 2^14 points) at a time: the slab's 4 x 4 cell matrices (one product
 of the coefficient values with a table of shape-function products per term)
 are added by 16 slice-adds into the 9 stencil offsets of the interior
-nodes, each row's four cells in cell-id order, and gathered into one CSR
-pattern that A_int, G_int and M_int share (sorted indices, no duplicates;
-(3 (nx - 1) - 2)(3 (ny - 1) - 2) entries). The right-hand side of
+nodes, each row's four cells in cell-id order, and the offsets are gathered
+into one CSR pattern that A_int, G_int and M_int share (sorted indices, no
+duplicates; (3 (nx - 1) - 2)(3 (ny - 1) - 2) entries). No coefficient or
+cell-matrix array of the whole grid is formed. The right-hand side of
 weak_lifting, riesz_recon and plain_gD (F and every lifting term) uses 2x2
 Gauss on 4x4 sub-cells of the cells where the lifting's gradient is nonzero
 at a corner or Gauss point (the interface band; for plain_gD the band of the
 lifting handed in), and the 2x2 rule elsewhere: F carries the lifting's
 Laplacian, which jumps at the band edges, and on cut cells the plain 2x2 rule
 misses the cancellation of f(v) against a(h, v) by O(h^1.5). delta_h folds
-that cancellation into one smooth integrand and keeps the 2x2 rule. Load
-vectors evaluate their integrand on blocks of 2^14 points (_blocks), so the
-temporaries stay in cache, and one bincount sums the cells' loads in cell
-order.
+that cancellation into one smooth integrand and keeps the 2x2 rule. The
+lifting term a(h, v) is integrated over the band alone, where the lifting's
+gradient has its support, except for plain_gD's blend, which is integrated
+over every cell. Load vectors and the band test evaluate their integrand on
+blocks of 2^14 points (_blocks), so the temporaries stay in cache, and one
+bincount sums the cells' loads in cell order.
 
 The V-inner product is the symmetric part of a for a divergence-free b (every
 built-in case): (u, v)_V = int k grad(u).grad(v), so the coercivity constant
@@ -250,25 +254,29 @@ class _Quadrature:
         return np.broadcast_to(vals, shape).reshape(shape[0], -1)
 
 
-def _rhs_rules(quad, lift):
-    """Quadrature of the lifting right-hand side on quad's grid.
+def _rhs_rules(grid, lift):
+    """Quadrature of the lifting right-hand side on grid, as two lists of
+    blocks (_blocks): the plain cells, then the interface band.
 
     Cells on which the lifting's gradient is nonzero at a corner or at a 2x2
     Gauss point (the interface band) get 2x2 Gauss on each of their
     _BAND_SUB x _BAND_SUB sub-cells, all other cells the 2x2 rule. F carries
     the lifting's Laplacian, which jumps at the band edges; the 2x2 rule on a
     cut cell does not reproduce the cancellation of f(v) against a(h, v) and
-    leaves an O(h^1.5) band-shaped field in the homogenized solution.
-    Returns the blocks (_blocks) of the plain cells, then of the band.
+    leaves an O(h^1.5) band-shaped field in the homogenized solution. The
+    Gauss-point test runs block by block. The lifting's gradient is exactly
+    0 at the points of a plain cell, so a(h, v) has its support in the band.
     """
-    grid = quad.grid
     x, y = grid.tx.nodes[:, None], grid.ty.nodes[None, :]
     nonzero = lambda g: np.broadcast_to(np.asarray(g) != 0.0, grid.shape)
     at_nodes = (nonzero(lift.dx(x, y)) | nonzero(lift.dy(x, y))).ravel()
-    at_gauss = (quad.evaluate(lift.dx) != 0.0) | (quad.evaluate(lift.dy) != 0.0)
-    band = at_nodes[quad.cell_nodes].any(axis=1) | at_gauss.any(axis=1)
-    return (_blocks(grid, np.nonzero(~band)[0])
-            + _blocks(grid, np.nonzero(band)[0], _BAND_SUB))
+    band = np.concatenate([
+        at_nodes[q.cell_nodes].any(axis=1)
+        | (q.evaluate(lift.dx) != 0.0).any(axis=1)
+        | (q.evaluate(lift.dy) != 0.0).any(axis=1)
+        for q in _blocks(grid, np.arange(grid.nx * grid.ny))])
+    return (_blocks(grid, np.nonzero(~band)[0]),
+            _blocks(grid, np.nonzero(band)[0], _BAND_SUB))
 
 
 def _blocks(grid, cells, sub=1):
@@ -305,21 +313,40 @@ def _interior_pattern(grid):
     return indptr, cols[keep], take[keep]
 
 
-def _stencil_matrix(loc, grid, pattern):
-    """Interior CSR matrix of the (16, cells) cell matrices loc of every
-    cell of grid (x-major cell ids; row 4 t + s couples test node t with
-    trial node s). The entries of one row are summed over its cells in cell
-    id order, by one slice-add per (t, s) into the 9 stencil offsets."""
+def _column_slabs(grid):
+    """Rules (_Quadrature) over slabs of whole x-columns of cells, about
+    _BLOCK_POINTS points each, in x order, with each slab's first column."""
+    ny = grid.ny
+    step = max(1, _BLOCK_POINTS // (4 * ny))
+    for lo in range(0, grid.nx, step):
+        hi = min(lo + step, grid.nx)
+        yield lo, _Quadrature(grid, np.arange(lo * ny, hi * ny))
+
+
+def _stencil_matrix(grid, pattern, cell_matrices):
+    """Interior CSR matrix of the cell matrices of every cell of grid.
+
+    cell_matrices(quad) returns the (16, cells) cell matrices of the cells
+    of the rule quad (row 4 t + s couples test node t with trial node s).
+    They are formed slab by slab (_column_slabs), and each slab is added by
+    one slice-add per (t, s) into the 9 stencil offsets of the interior
+    rows it reaches. A row's four cells lie in two neighbouring columns, so
+    the slabs in x order and t = 2, 1, 3, 0 within a slab sum them in cell
+    id order, as one slab of every cell would."""
     nx, ny = grid.nx, grid.ny
-    L = loc.reshape(4, 4, nx, ny)
     S = np.zeros((3, 3, nx - 1, ny - 1))
-    # a row node is corner t of cell (ix - at, iy - bt); t = 2, 1, 3, 0
-    # visits its four cells in id order
-    for t in (2, 1, 3, 0):
-        at, bt = _CORNERS[t]
-        for s, (a_s, b_s) in enumerate(_CORNERS):
-            S[a_s - at + 1, b_s - bt + 1] += L[t, s, 1 - at:nx - at,
-                                                1 - bt:ny - bt]
+    for lo, quad in _column_slabs(grid):
+        L = cell_matrices(quad).reshape(4, 4, -1, ny)
+        hi = lo + L.shape[2]
+        # a row node is corner t of cell (ix - at, iy - bt); t = 2, 1, 3, 0
+        # visits its four cells in id order
+        for t in (2, 1, 3, 0):
+            at, bt = _CORNERS[t]
+            # the slab's columns cx whose node cx + at is interior
+            c0, c1 = max(lo, 1 - at), min(hi, nx - at)
+            for s, (a_s, b_s) in enumerate(_CORNERS):
+                S[a_s - at + 1, b_s - bt + 1, c0 + at - 1:c1 + at - 1] += L[
+                    t, s, c0 - lo:c1 - lo, 1 - bt:ny - bt]
     indptr, indices, take = pattern
     n = indptr.size - 1
     return sp.csr_matrix((S.reshape(-1)[take], indices, indptr), shape=(n, n))
@@ -338,41 +365,50 @@ def _cell_matrices(quad, diff=None, b1=None, b2=None, react=None):
     return sum(tab @ values.T for values, tab in terms if values is not None)
 
 
-def _interior_matrices(quad, pd):
-    """(G_int, A_int, M_int) on the rule quad of every cell of a grid, with
-    one pattern shared by the three. k, b1 and b2 are evaluated once each;
-    G_int is A_int when b = 0 at every point (a is then symmetric)."""
-    grid = quad.grid
-    kv = quad.evaluate(pd.k)
-    if kv.min() <= 0.0:
-        raise ValueError(f"diffusivity not positive (min {kv.min():g})")
+def _interior_matrices(grid, pd):
+    """(G_int, A_int, M_int) of grid on the 2x2 rule of every cell, with one
+    pattern shared by the three, each one slab loop (_stencil_matrix) that
+    evaluates the coefficients slab by slab. G_int is A_int when b = 0 at
+    every point (a is then symmetric); b is checked slab by slab first."""
+    def diffusivity(quad):
+        kv = quad.evaluate(pd.k)
+        if kv.min() <= 0.0:
+            raise ValueError(f"diffusivity not positive (min {kv.min():g})")
+        return kv
+
     pattern = _interior_pattern(grid)
-    G = A = _stencil_matrix(_cell_matrices(quad, diff=kv), grid, pattern)
-    b1v, b2v = quad.evaluate(pd.b1), quad.evaluate(pd.b2)
-    if b1v.any() or b2v.any():
-        A = _stencil_matrix(_cell_matrices(quad, diff=kv, b1=b1v, b2=b2v),
-                            grid, pattern)
-    M = _stencil_matrix(_cell_matrices(quad, react=np.ones_like(kv)), grid,
-                        pattern)
+    G = A = _stencil_matrix(grid, pattern, lambda quad: _cell_matrices(
+        quad, diff=diffusivity(quad)))
+    if any(quad.evaluate(pd.b1).any() or quad.evaluate(pd.b2).any()
+           for _, quad in _column_slabs(grid)):
+        A = _stencil_matrix(grid, pattern, lambda quad: _cell_matrices(
+            quad, diff=quad.evaluate(pd.k), b1=quad.evaluate(pd.b1),
+            b2=quad.evaluate(pd.b2)))
+    M = _stencil_matrix(grid, pattern, lambda quad: _cell_matrices(
+        quad, react=np.ones((len(quad.cell_nodes), quad.N.shape[0]))))
     return G, A, M
 
 
-def _load(quads, local):
+def _load(grid, quads, local):
     """Nodal vector of the per-cell loads local(quad) (cells, 4) of every
-    rule, summed node by node in rule, then cell order."""
+    rule, summed node by node in rule, then cell order (zero without
+    rules)."""
+    if not quads:
+        return np.zeros(grid.node_count)
     nodes = np.concatenate([q.cell_nodes.ravel() for q in quads])
     loc = np.concatenate([local(q).ravel() for q in quads])
-    return np.bincount(nodes, loc, minlength=quads[0].grid.node_count)
+    return np.bincount(nodes, loc, minlength=grid.node_count)
 
 
-def _assemble_load(quads, f):
+def _assemble_load(grid, quads, f):
     """Load vector int f v of a callback f over the cells of every rule."""
     # sum_q w f[q] N[q, t]
-    return _load(quads, lambda quad: quad.w * quad.evaluate(f) @ quad.N)
+    return _load(grid, quads, lambda quad: quad.w * quad.evaluate(f) @ quad.N)
 
 
-def _lifting_vector(quads, pd, lift):
-    """Vector of a(h, v_t) for every nodal hat v_t."""
+def _lifting_vector(grid, quads, pd, lift):
+    """Vector of a(h, v_t) for every nodal hat v_t, over the cells of every
+    rule."""
     def local(quad):
         kv = quad.evaluate(pd.k)
         hx = quad.evaluate(lift.dx)
@@ -382,7 +418,7 @@ def _lifting_vector(quads, pd, lift):
         # sum_q w (k h_x dN_t/dx + k h_y dN_t/dy + (b.grad h) N_t)
         return quad.w * ((kv * hx) @ quad.dNx + (kv * hy) @ quad.dNy
                          + (b1v * hx + b2v * hy) @ quad.N)
-    return _load(quads, local)
+    return _load(grid, quads, local)
 
 
 def _factor(mat):
@@ -527,8 +563,7 @@ class TensorOperators:
         self.pd = pd
         self.grid = grid
         self.mode = mode
-        quad = _Quadrature(grid)
-        self.G_int, self.A_int, self.M_int = _interior_matrices(quad, pd)
+        self.G_int, self.A_int, self.M_int = _interior_matrices(grid, pd)
         interior = grid.interior_ids()
         self.riesz_field = None
         self.lift = lift
@@ -540,22 +575,22 @@ class TensorOperators:
             # the 2x2 rule suffices
             folded = lambda x, y: pd.k(x, y) * lift.laplacian(x, y)
             rule = _blocks(grid, np.arange(grid.nx * grid.ny))
-            self.rhs_int = (_assemble_load(rule, pd.F)
-                            + _assemble_load(rule, folded))[interior]
+            self.rhs_int = (_assemble_load(grid, rule, pd.F)
+                            + _assemble_load(grid, rule, folded))[interior]
             self.snapshot_problem = (
                 replace(pd, F=lambda x, y: pd.F(x, y) + folded(x, y)),
                 LiftingFunction.zero())
             return
         # F jumps where the interface lifting's Laplacian does, so the band
         # of the lifting handed in (not the plain_gD blend) selects the rule
-        rule = _rhs_rules(quad, lift)
-        load_f = _assemble_load(rule, pd.F)[interior]
+        plain, band = _rhs_rules(grid, lift)
+        load_f = _assemble_load(grid, plain + band, pd.F)[interior]
         if mode == "riesz_recon":
             # M's factor lives for this one solve only
             rec = np.zeros(grid.node_count)
             rec[interior] = _lu_solve(
-                _factor(self.M_int), _lifting_vector(rule, pd, lift)[interior],
-                "M")
+                _factor(self.M_int),
+                _lifting_vector(grid, band, pd, lift)[interior], "M")
             self.riesz_field = rec.reshape(grid.shape)
             self.rhs_int = load_f - self.M_int @ rec[interior]
             field = GridField(grid, self.riesz_field)
@@ -563,9 +598,13 @@ class TensorOperators:
                 replace(pd, F=lambda x, y: pd.F(x, y) - field(x, y)),
                 LiftingFunction.zero())
             return
+        support = band  # a(h, .) of the lifting handed in
         if mode == "plain_gD":
+            # the blend's gradient is nonzero off the band too
             lift = affine_boundary_blend(lift, pd.omega_x)
-        self.rhs_int = load_f - _lifting_vector(rule, pd, lift)[interior]
+            support = plain + band
+        self.rhs_int = (load_f
+                        - _lifting_vector(grid, support, pd, lift)[interior])
         self.snapshot_problem = (pd, lift)
 
     @cached_property

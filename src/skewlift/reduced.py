@@ -10,8 +10,12 @@ values, the reduced matrix has the m x m blocks Phi^T A_ij Phi (x-node
 major, mode minor) and the right-hand side Phi^T rhs_i. It is
 block-tridiagonal too; ReducedSystem keeps only its blocks, solved as a
 band matrix (transverse.block_band) of bandwidth 2m - 1.
+XBlocks.products forms the products A_ij Phi one slab of x-block rows at a
+time and contracts each with Phi^T as soon as it exists, so the reduced
+assembly never holds the (3 (NH - 1) - 2, n_h - 1, m) stack of A_ij Phi.
 The training indicator (training.BaseMoments) is the same projection on
-its coarse x-grid.
+its coarse x-grid; it goes through the same loop without the contraction,
+as it reuses A_ij Phi.
 
 Because fine and reduced quadratures coincide by construction, discrete
 Galerkin orthogonality holds exactly: modes spanning the full transverse
@@ -24,8 +28,14 @@ so m-sweeps cost one projection plus banded solves.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .transverse import band_solve, block_band, block_pairs
+
+
+# Block rows per slab of XBlocks.products: the slab's zero-padded X and
+# sparse product stay a few MB at 800 x 400 (m = 8: 3.4 MB)
+_SLAB_ROWS = 64
 
 
 class XBlocks:
@@ -44,22 +54,39 @@ class XBlocks:
         self.rhs = ops.rhs_int.reshape(self.n_x, self.n_y)
         self.rows, self.cols = block_pairs(self.n_x)
 
-    def products(self, X):
-        """A_ij X for every stored pair, shape (n_pairs, n_y, k).
+    def products(self, X, left=None):
+        """A_ij X for every stored pair, shape (n_pairs, n_y, k), or with
+        left (n_y, l) given its projection left^T A_ij X, (n_pairs, l, k).
 
-        X goes into the block columns j = c (mod 3) for c = 0, 1, 2; a block
-        row meets exactly one of each, so three sparse products give every
-        A_ij X without summing two blocks.
+        One loop over slabs of _SLAB_ROWS block rows: the slab's rows of A
+        (a CSR view with its block columns i - 1 .. i + 1 renumbered) take
+        X in the block columns j = c (mod 3) for c = 0, 1, 2; a block row
+        meets exactly one of each, so three sparse products give every
+        A_ij X of the slab without summing two blocks, each row summed as
+        in A @ X. With left, each product is contracted with left^T block
+        by block as soon as it exists (the same product per block as
+        left.T @ products(X)), so only slab-sized arrays are formed.
         """
-        k = X.shape[1]
-        out = np.empty((self.rows.size, self.n_y, k))
-        for c in range(3):
-            Xc = np.zeros((self.n_x, self.n_y, k))
-            Xc[c::3] = X
-            AX = (self.ops.A_int @ Xc.reshape(self.n_x * self.n_y, k)
-                  ).reshape(self.n_x, self.n_y, k)
-            hit = self.cols % 3 == c
-            out[hit] = AX[self.rows[hit]]
+        A, n_x, n_y, k = self.ops.A_int, self.n_x, self.n_y, X.shape[1]
+        out = np.empty((self.rows.size,
+                        n_y if left is None else left.shape[1], k))
+        for r0 in range(0, n_x, _SLAB_ROWS):
+            r1 = min(r0 + _SLAB_ROWS, n_x)
+            w0, w1 = max(r0 - 1, 0), min(r1 + 1, n_x)  # block columns met
+            p0, p1 = A.indptr[r0 * n_y], A.indptr[r1 * n_y]
+            slab = sp.csr_matrix(
+                (A.data[p0:p1], A.indices[p0:p1] - w0 * n_y,
+                 A.indptr[r0 * n_y:r1 * n_y + 1] - p0),
+                shape=((r1 - r0) * n_y, (w1 - w0) * n_y))
+            in_slab = (self.rows >= r0) & (self.rows < r1)
+            for c in range(3):
+                Xc = np.zeros((slab.shape[1], k))
+                Xc.reshape(w1 - w0, n_y, k)[(c - w0) % 3::3] = X
+                AX = (slab @ Xc).reshape(r1 - r0, n_y, k)
+                if left is not None:
+                    AX = left.T @ AX
+                hit = in_slab & (self.cols % 3 == c)
+                out[hit] = AX[self.rows[hit] - r0]
         return out
 
 
@@ -93,7 +120,7 @@ def assemble_reduced(ops, space):
         raise ValueError("space.part is not the operators' y-partition")
     xb = XBlocks(ops)
     phi = space.modes[1:-1, :]
-    return ReducedSystem(phi.T @ xb.products(phi), xb.rhs @ phi, space, ops)
+    return ReducedSystem(xb.products(phi, phi), xb.rhs @ phi, space, ops)
 
 
 @dataclass

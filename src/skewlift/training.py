@@ -41,7 +41,8 @@ change:
   <= 2 Qbar snapshot columns per sample against Phi (_orthonormalize_stack,
   one column slot at a time for every sample, on the sparse tridiagonal
   transverse mass), the products
-  A_ij E of all its new columns (three sparse products), the dense
+  A_ij E of all its new columns (reduced.XBlocks.products: three sparse
+  products per slab of x-block rows), the dense
   products Phi^T A_ij E, E^T A_ij Phi and rhs_i E over all of them, every
   sample's k x k blocks E^T A_ij E in one batched product, and the V-dual
   norms of all its explicit coarse residuals (TensorOperators.residual_norm,

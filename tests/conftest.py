@@ -13,6 +13,12 @@ def build_grid(omega_x, omega_y, nx, ny):
                       build_uniform_partition(*omega_y, ny))
 
 
+def same_bits(a, b):
+    """Whether two arrays have the same shape and the same bytes (a
+    bitwise comparison: -0.0 differs from 0.0)."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def orthonormalize(base_int, extra_int, M_int):
     """[base_int, E]: the columns of extra_int M-orthonormalized against the
     M-orthonormal base_int and each other, near-dependent ones dropped, by

@@ -1,5 +1,6 @@
 """Reference Q1 assembly: quadrature, modes, norms and convergence order."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from conftest import build_grid
+from conftest import build_grid, same_bits
 from skewlift import cli, problem
 from skewlift.cases import case1, case2, case3, get_case
 from skewlift.problem import (
@@ -247,6 +248,48 @@ def test_interior_matrices_share_one_canonical_nine_point_pattern(nx, ny):
         assert np.shares_memory(mat.indptr, ops.A_int.indptr)
 
 
+@pytest.mark.parametrize("nx,ny", STENCIL_GRIDS)
+def test_stencil_slabs_give_the_one_slab_matrices_bitwise(nx, ny, monkeypatch):
+    # a row's four cells lie in two neighbouring cell columns, which slab
+    # borders split: the slab loop must still sum them in cell-id order
+    cs = case1(b=(100.0, 0.0))
+    pd = replace(cs.problem, k=lambda x, y: 1.0 + 0.3 * np.asarray(x)
+                 + 0.1 * np.asarray(y))
+    grid = build_grid(pd.omega_x, pd.omega_y, nx, ny)
+    assert [lo for lo, _ in problem._column_slabs(grid)] == [0]
+    whole = problem._interior_matrices(grid, pd)
+    # at most 5 columns per slab: >= 3 slabs and a partial last one (two
+    # one-column slabs at nx = 2)
+    step = max(1, min(5, (nx - 1) // 2))
+    monkeypatch.setattr(problem, "_BLOCK_POINTS", 4 * ny * step)
+    assert ([lo for lo, _ in problem._column_slabs(grid)]
+            == list(range(0, nx, step)))
+    sliced = problem._interior_matrices(grid, pd)
+    assert whole[0] is not whole[1]  # b != 0: G and A are both assembled
+    for got, want in zip(sliced, whole):
+        assert same_bits(got.data, want.data)
+        assert same_bits(got.indices, want.indices)
+
+
+def test_operator_assembly_peak_memory():
+    # every coefficient and cell-matrix array lives for one slab of cells
+    # and the lifting term for the band's cells: the peak stays within 60
+    # interior vectors (about 24 stay live: two CSR matrices and the
+    # pattern; the whole-grid assembly peaked at 73)
+    cs = case1()
+    grid = build_grid(cs.problem.omega_x, cs.problem.omega_y, 200, 100)
+    reference_operators(cs.problem, cs.lift, grid)  # first-call allocations
+    tracemalloc.start()
+    try:
+        reference_operators(cs.problem, cs.lift, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    vectors = peak / (8.0 * (grid.nx - 1) * (grid.ny - 1))
+    assert vectors < 60.0, (f"operator assembly peaks at {vectors:.1f} "
+                            f"interior float64 vectors (limit 60)")
+
+
 def _rule_points(quad):
     """Coordinates of every point of quad listed one by one, (cells, q)."""
     shape = np.broadcast_shapes(quad.x.shape, quad.y.shape)
@@ -277,6 +320,24 @@ def test_tensor_evaluation_equals_pointwise_evaluation(case):
             got = quad.evaluate(f)
             assert got.shape == X.shape
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("case", [case1, lambda: case1(b=(100.0, 7.0)), case2,
+                                  case3], ids=["case1", "case1-adv", "case2",
+                                               "case3"])
+def test_lifting_term_vanishes_off_the_band(case):
+    # the lifting's gradient is exactly 0 at every point of a plain cell, so
+    # a(h, v) over the band alone is a(h, v) over every cell, bit for bit
+    cs = case()
+    pd, lift = cs.problem, cs.lift
+    grid = build_grid(pd.omega_x, pd.omega_y, 37, 11)
+    plain, band = problem._rhs_rules(grid, lift)
+    assert plain and band
+    every = problem._lifting_vector(grid, plain + band, pd, lift)
+    assert same_bits(problem._lifting_vector(grid, band, pd, lift), every)
+    # the zero lifting has no band and a zero lifting term
+    assert problem._rhs_rules(grid, LiftingFunction.zero())[1] == []
+    assert not problem._lifting_vector(grid, [], pd, lift).any()
 
 
 def test_one_factorization_per_grid(tmp_path, monkeypatch):

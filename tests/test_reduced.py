@@ -1,9 +1,11 @@
 """Reduced block systems, recovery limits, and lifting reconstructions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import orthonormalize
+from conftest import orthonormalize, same_bits
 from skewlift import reduced
 from skewlift.cases import case1, get_case
 from skewlift.mesh import TensorGrid, build_uniform_partition
@@ -247,6 +249,44 @@ def test_block_projection_matches_kron_oracle(dense_from_band):
     rsol = solve_reduced(system)
     assert np.max(np.abs(rsol.coeffs - expected)) \
         <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("slab_rows", [1, 3])
+def test_projected_products_are_the_contracted_products_bitwise(
+        slab_rows, monkeypatch):
+    # nonsymmetric A and left != X; 10 block rows in slabs of 1 or 3 (the
+    # last one partial) give the one-slab products bit for bit
+    cs, th, space, ops = _advective_setup()
+    X = space.modes[1:-1, :]
+    L = _random_space(space.part, 3, seed=1).modes[1:-1, :]
+    xb = reduced.XBlocks(ops)
+    assert xb.n_x <= reduced._SLAB_ROWS
+    whole = xb.products(X)
+    assert same_bits(xb.products(X, L), L.T @ whole)
+    monkeypatch.setattr(reduced, "_SLAB_ROWS", slab_rows)
+    assert same_bits(xb.products(X), whole)
+    assert same_bits(xb.products(X, L), L.T @ whole)
+
+
+def test_reduced_assembly_peak_memory():
+    # the projection holds slab-sized products only: its peak stays below
+    # 4.5 (n_x n_y m) stacks (the (n_pairs, n_y, m) stack of every A_ij Phi
+    # and its temporaries peaked at 6)
+    cs = case1()
+    th = build_uniform_partition(*cs.problem.omega_x, 200)
+    yh = build_uniform_partition(*cs.problem.omega_y, 100)
+    ops = reference_operators(cs.problem, cs.lift, TensorGrid(th, yh))
+    space = _random_space(yh, 8)
+    assemble_reduced(ops, space)  # first-call allocations
+    tracemalloc.start()
+    try:
+        assemble_reduced(ops, space)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    stacks = peak / (8.0 * (th.n - 1) * (yh.n - 1) * space.m)
+    assert stacks < 4.5, (f"reduced assembly peaks at {stacks:.2f} stacks "
+                          f"of (n_x, n_y, m) float64 (limit 4.5)")
 
 
 def test_truncated_system_is_the_system_of_the_truncated_space():
