@@ -34,7 +34,7 @@ from .transverse import band_solve, block_band, block_pairs
 
 
 # Block rows per slab of XBlocks.products: the slab's zero-padded X and
-# sparse product stay a few MB at 800 x 400 (m = 8: 3.4 MB)
+# sparse product stay a few MB at 800 x 400 (3.3 MB at m = 8)
 _SLAB_ROWS = 64
 
 
@@ -59,7 +59,7 @@ class XBlocks:
         left (n_y, l) given its projection left^T A_ij X, (n_pairs, l, k).
 
         One loop over slabs of _SLAB_ROWS block rows: the slab's rows of A
-        (a CSR view with its block columns i - 1 .. i + 1 renumbered) take
+        (a CSR matrix on A's data, its block columns renumbered) take
         X in the block columns j = c (mod 3) for c = 0, 1, 2; a block row
         meets exactly one of each, so three sparse products give every
         A_ij X of the slab without summing two blocks, each row summed as

@@ -261,7 +261,7 @@ def test_stencil_slabs_give_the_one_slab_matrices_bitwise(nx, ny, monkeypatch):
     # at most 5 columns per slab: >= 3 slabs and a partial last one (two
     # one-column slabs at nx = 2)
     step = max(1, min(5, (nx - 1) // 2))
-    monkeypatch.setattr(problem, "_BLOCK_POINTS", 4 * ny * step)
+    monkeypatch.setattr(problem, "_BLOCK_POINTS", ny * step)
     assert ([lo for lo, _ in problem._column_slabs(grid)]
             == list(range(0, nx, step)))
     sliced = problem._interior_matrices(grid, pd)
