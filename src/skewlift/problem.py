@@ -321,7 +321,10 @@ def _column_slabs(grid):
 
     A slab's (16, cells) cell matrices take 2 MB, against 41 MB for every
     cell of 800 x 400, and a grid of up to _BLOCK_POINTS cells (160 x 80) is
-    one slab."""
+    one slab: with slabs of 2^14 points, the C allocator returned the
+    training indicator's per-chunk temporaries to the system after every
+    chunk of a 160 x 80 study, and the page faults made it up to a third
+    slower."""
     ny = grid.ny
     step = max(1, _BLOCK_POINTS // ny)
     for lo in range(0, grid.nx, step):
