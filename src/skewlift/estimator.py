@@ -64,12 +64,14 @@ def error_report(ops, reference, rsol):
         raise ValueError("reference and reduced solutions were not solved "
                          "with these operators")
     space = rsol.space
-    p_ref = reference.interior_vector()
     p_red = rsol.interior_vector()
-    e = p_ref - p_red
+    e = reference.interior_vector()
+    e -= p_red
     ref_V, ref_L2 = reference.norms
     err_V = ops.v_norm(e) / ref_V if ref_V > 0 else ops.v_norm(e)
     err_L2 = ops.l2_norm(e) / ref_L2 if ref_L2 > 0 else ops.l2_norm(e)
+    del e  # freed before the Gram solve of delta_m
+    delta_m = ops.residual_norm(p_red)
     m = rsol.m
     lam = float(space.eigenvalues[m - 1]) if m <= space.eigenvalues.size else 0.0
     pbar = rsol.pbar(m - 1)
@@ -83,7 +85,7 @@ def error_report(ops, reference, rsol):
         m=m,
         err_V_rel=float(err_V),
         err_L2_rel=float(err_L2),
-        delta_m=ops.residual_norm(p_red),
+        delta_m=delta_m,
         e_pod=space.tail(m),
         lambda_m=lam,
         pbar_norm=pbar_norm,

@@ -54,11 +54,14 @@ evaluated n, not n^2, times per cell. Each interior matrix is built
 directly as a 9-point stencil in CSR, one slab of whole x-columns of cells
 (about 2^14 cells) at a time: the slab's 4 x 4 cell matrices (one product
 of the coefficient values with a table of shape-function products per term)
-are added by 16 slice-adds into the 9 stencil offsets of the interior
-nodes, each row's four cells in cell-id order, and the offsets are gathered
-into one CSR pattern that A_int, G_int and M_int share (sorted indices, no
-duplicates; (3 (nx - 1) - 2)(3 (ny - 1) - 2) entries). No coefficient or
-cell-matrix array of the whole grid is formed. The right-hand side of
+are added by 16 slice-adds into the 9 stencil offsets of the slab's node
+columns, each row's four cells in cell-id order. The rows a slab completes
+are gathered column by column straight into the CSR data, and the node
+column on the slab's border, whose rows have only the cells left of it,
+carries its partial sums into the next slab. A_int, G_int and M_int share
+one CSR pattern (sorted indices, no duplicates; (3 (nx - 1) - 2)
+(3 (ny - 1) - 2) entries). No coefficient, cell-matrix or offset array of
+the whole grid is formed. The right-hand side of
 weak_lifting, riesz_recon and plain_gD (F and every lifting term) uses 2x2
 Gauss on 4x4 sub-cells of the cells where the lifting's gradient is nonzero
 at a corner or Gauss point (the interface band; for plain_gD the band of the
@@ -68,9 +71,13 @@ misses the cancellation of f(v) against a(h, v) by O(h^1.5). delta_h folds
 that cancellation into one smooth integrand and keeps the 2x2 rule. The
 lifting term a(h, v) is integrated over the band alone, where the lifting's
 gradient has its support, except for plain_gD's blend, which is integrated
-over every cell. Load vectors and the band test evaluate their integrand on
-blocks of 2^14 points (_blocks), so the temporaries stay in cache, and one
-bincount sums the cells' loads in cell order.
+over every cell. A rule is its cell ids; loads and the band test build it
+block by block, 2^14 points at a time (_blocks), so the temporaries stay in
+cache, and each block's cell loads are added into the nodal vector as soon
+as they exist (np.add.at, in rule, then cell order), so no point or load
+array of a whole rule is formed. The Gram solves (PCG) and the estimator
+update their work vectors in place: a solve holds five stacks of its
+right-hand sides at most.
 
 The V-inner product is the symmetric part of a for a divergence-free b (every
 built-in case): (u, v)_V = int k grad(u).grad(v), so the coercivity constant
@@ -207,19 +214,27 @@ _BLOCK_POINTS = 1 << 14
 _CORNERS = ((0, 0), (1, 0), (1, 1), (0, 1))
 
 
-def _shape_tables(sub=1):
+def _shape_tables(sub):
     """1D points and Q1 shape values/derivatives at the 2x2 Gauss points of
     each of the sub x sub sub-cells of the unit square. The points are the
     tensor product of u1 with itself; node order as _CORNERS, qpoint order
     u-major (q = iu * u1.size + iv). Returns (u1, N, dNu, dNv), N etc. of
-    shape (q, 4)."""
+    shape (q, 4), read-only: _SHAPE_TABLES shares them with every rule."""
     u1 = ((np.arange(sub)[:, None] + GAUSS_NODES[None, :]) / sub).ravel()
     u = np.repeat(u1, u1.size)
     v = np.tile(u1, u1.size)
     N = np.stack([(1 - u) * (1 - v), u * (1 - v), u * v, (1 - u) * v], axis=1)
     dNu = np.stack([-(1 - v), (1 - v), v, -v], axis=1)
     dNv = np.stack([-(1 - u), -u, u, (1 - u)], axis=1)
-    return u1, N, dNu, dNv
+    tables = (u1, N, dNu, dNv)
+    for a in tables:
+        a.flags.writeable = False
+    return tables
+
+
+# the tables of the two rules, built once: a grid's rules are built block by
+# block and slab by slab, hundreds of them at 800 x 400
+_SHAPE_TABLES = {sub: _shape_tables(sub) for sub in (1, _BAND_SUB)}
 
 
 class _Quadrature:
@@ -237,18 +252,24 @@ class _Quadrature:
     def __init__(self, grid, cells=None, sub=1):
         tx, ty = grid.tx, grid.ty
         cells = np.arange(tx.n * ty.n) if cells is None else np.asarray(cells)
-        u1, self.N, dNu, dNv = _shape_tables(sub)
+        u1, self.N, dNu, dNv = _SHAPE_TABLES[sub]
+        self._cells = cells
         cx, cy = np.divmod(cells, ty.n)
         self.x = (tx.nodes[cx][:, None] + u1[None, :] * tx.h)[:, :, None]
         self.y = (ty.nodes[cy][:, None] + u1[None, :] * ty.h)[:, None, :]
         self.w = tx.h * ty.h / (4.0 * sub * sub)
         self.dNx = dNu / tx.h
         self.dNy = dNv / ty.h
-        n_y = ty.n + 1
-        base = cx * n_y + cy
-        self.cell_nodes = np.stack(
-            [base, base + n_y, base + n_y + 1, base + 1], axis=-1)
         self.grid = grid
+
+    @cached_property
+    def cell_nodes(self):
+        """(cells, 4) global node ids of each cell's local nodes (_CORNERS
+        order), formed on first use: the stencil slabs never use them."""
+        n_y = self.grid.ny + 1
+        cx, cy = np.divmod(self._cells, self.grid.ny)
+        base = cx * n_y + cy
+        return np.stack([base, base + n_y, base + n_y + 1, base + 1], axis=-1)
 
     def evaluate(self, f):
         vals = np.asarray(f(self.x, self.y), dtype=float)
@@ -257,8 +278,10 @@ class _Quadrature:
 
 
 def _rhs_rules(grid, lift):
-    """Quadrature of the lifting right-hand side on grid, as two lists of
-    blocks (_blocks): the plain cells, then the interface band.
+    """Quadrature of the lifting right-hand side on grid as two rules, the
+    plain cells, then the interface band, each a (cells, sub) pair of cell
+    ids and sub-cells per direction, which _load evaluates block by block
+    (_blocks).
 
     Cells on which the lifting's gradient is nonzero at a corner or at a 2x2
     Gauss point (the interface band) get 2x2 Gauss on each of their
@@ -277,27 +300,26 @@ def _rhs_rules(grid, lift):
         | (q.evaluate(lift.dx) != 0.0).any(axis=1)
         | (q.evaluate(lift.dy) != 0.0).any(axis=1)
         for q in _blocks(grid, np.arange(grid.nx * grid.ny))])
-    return (_blocks(grid, np.nonzero(~band)[0]),
-            _blocks(grid, np.nonzero(band)[0], _BAND_SUB))
+    return (np.nonzero(~band)[0], 1), (np.nonzero(band)[0], _BAND_SUB)
 
 
 def _blocks(grid, cells, sub=1):
-    """The rule of _Quadrature(grid, cells, sub) as a list of rules over
-    consecutive cells, _BLOCK_POINTS points each (the last fewer): a load
-    evaluates its integrand block by block, so the temporaries stay in
-    cache, and sums the blocks in cell order."""
+    """The rule of _Quadrature(grid, cells, sub) as rules over consecutive
+    cells, _BLOCK_POINTS points each (the last fewer), built one at a time:
+    a load evaluates its integrand block by block, so the temporaries stay
+    in cache and no point array of the whole rule exists."""
     step = _BLOCK_POINTS // (2 * sub) ** 2
-    return [_Quadrature(grid, cells[lo:lo + step], sub)
-            for lo in range(0, len(cells), step)]
+    for lo in range(0, len(cells), step):
+        yield _Quadrature(grid, cells[lo:lo + step], sub)
 
 
 def _interior_pattern(grid):
-    """CSR pattern of the 9-point stencil on the interior nodes of grid.
+    """CSR pattern (indptr, indices) of the 9-point stencil on the interior
+    nodes of grid.
 
     Row i of interior node (ix, iy) holds the interior columns among
     (ix + dx, iy + dy), dx, dy in (-1, 0, 1), in that x-major (ascending)
-    order. Returns (indptr, indices, take): take indexes a row's kept
-    entries in a (9, rows) stencil array, offset-major, flattened.
+    order.
     """
     nx, ny = grid.nx - 1, grid.ny - 1  # interior nodes per direction
     rows = nx * ny
@@ -305,14 +327,19 @@ def _interior_pattern(grid):
     near = lambda n: np.arange(n, dtype=idx)[:, None] + np.arange(-1, 2,
                                                                   dtype=idx)
     cx, cy = near(nx), near(ny)  # (n, 3) neighbour indices
-    inside = lambda i, n: (i >= 0) & (i < n)
-    keep = (inside(cx, nx)[:, None, :, None]
-            & inside(cy, ny)[None, :, None, :]).reshape(rows, 9)
+    keep = (_inside(nx)[:, None, :, None]
+            & _inside(ny)[None, :, None, :]).reshape(rows, 9)
     cols = (cx[:, None, :, None] * ny + cy[None, :, None, :]).reshape(rows, 9)
-    take = np.arange(9, dtype=idx) * rows + np.arange(rows, dtype=idx)[:, None]
     indptr = np.zeros(rows + 1, dtype=idx)
     np.cumsum(keep.sum(axis=1), out=indptr[1:])
-    return indptr, cols[keep], take[keep]
+    return indptr, cols[keep]
+
+
+def _inside(n):
+    """(n, 3): whether the neighbours i - 1, i, i + 1 of each of n interior
+    nodes i in one direction are interior."""
+    near = np.arange(n)[:, None] + np.arange(-1, 2)
+    return (near >= 0) & (near < n)
 
 
 def _column_slabs(grid):
@@ -338,27 +365,40 @@ def _stencil_matrix(grid, pattern, cell_matrices):
     cell_matrices(quad) returns the (16, cells) cell matrices of the cells
     of the rule quad (row 4 t + s couples test node t with trial node s).
     They are formed slab by slab (_column_slabs), and each slab is added by
-    one slice-add per (t, s) into the 9 stencil offsets of the interior
-    rows it reaches. A row's four cells lie in two neighbouring columns, so
-    the slabs in x order and t = 2, 1, 3, 0 within a slab sum them in cell
-    id order, as one slab of every cell would."""
+    one slice-add per (t, s) into the 9 stencil offsets of the node columns
+    it reaches. A row's four cells lie in two neighbouring columns, so the
+    slabs in x order and t = 2, 1, 3, 0 within a slab sum them in cell id
+    order, as one slab of every cell would. A slab completes the rows of
+    its node columns but the last, whose partial sums carry over to the
+    next slab; the completed rows are gathered into the CSR data at once,
+    so only one slab's offsets exist at a time."""
     nx, ny = grid.nx, grid.ny
-    S = np.zeros((3, 3, nx - 1, ny - 1))
+    indptr, indices = pattern
+    data = np.empty(indices.size)
+    kx, ky = _inside(nx - 1), _inside(ny - 1)
+    carry = 0.0  # offsets of node column lo from the slabs before
     for lo, quad in _column_slabs(grid):
         L = cell_matrices(quad).reshape(4, 4, -1, ny)
         hi = lo + L.shape[2]
+        # offsets of the interior rows of node columns lo .. hi
+        S = np.zeros((3, 3, hi - lo + 1, ny - 1))
+        S[:, :, 0] = carry
         # a row node is corner t of cell (ix - at, iy - bt); t = 2, 1, 3, 0
         # visits its four cells in id order
         for t in (2, 1, 3, 0):
             at, bt = _CORNERS[t]
-            # the slab's columns cx whose node cx + at is interior
-            c0, c1 = max(lo, 1 - at), min(hi, nx - at)
             for s, (a_s, b_s) in enumerate(_CORNERS):
-                S[a_s - at + 1, b_s - bt + 1, c0 + at - 1:c1 + at - 1] += L[
-                    t, s, c0 - lo:c1 - lo, 1 - bt:ny - bt]
-    indptr, indices, take = pattern
+                S[a_s - at + 1, b_s - bt + 1, at:at + hi - lo] += L[
+                    t, s, :, 1 - bt:ny - bt]
+        carry = S[:, :, -1].copy()
+        # the interior node columns max(lo, 1) .. hi - 1 are complete; each
+        # is gathered on its own, so no gathered copy of the slab exists
+        for c in range(max(lo, 1), hi):
+            p0, p1 = indptr[(c - 1) * (ny - 1)], indptr[c * (ny - 1)]
+            data[p0:p1] = S[:, :, c - lo].transpose(2, 0, 1)[
+                kx[c - 1, None, :, None] & ky[:, None, :]]
     n = indptr.size - 1
-    return sp.csr_matrix((S.reshape(-1)[take], indices, indptr), shape=(n, n))
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def _cell_matrices(quad, diff=None, b1=None, b2=None, react=None):
@@ -371,7 +411,11 @@ def _cell_matrices(quad, diff=None, b1=None, b2=None, react=None):
     table = lambda a, b: w * (a[:, :, None] * b[:, None, :]).reshape(-1, 16).T
     terms = ((diff, table(dx, dx) + table(dy, dy)), (b1, table(N, dx)),
              (b2, table(N, dy)), (react, table(N, N)))
-    return sum(tab @ values.T for values, tab in terms if values is not None)
+    mats = (tab @ values.T for values, tab in terms if values is not None)
+    out = next(mats)
+    for mat in mats:  # summed in place
+        out += mat
+    return out
 
 
 def _interior_matrices(grid, pd):
@@ -394,28 +438,29 @@ def _interior_matrices(grid, pd):
             quad, diff=quad.evaluate(pd.k), b1=quad.evaluate(pd.b1),
             b2=quad.evaluate(pd.b2)))
     M = _stencil_matrix(grid, pattern, lambda quad: _cell_matrices(
-        quad, react=np.ones((len(quad.cell_nodes), quad.N.shape[0]))))
+        quad, react=np.ones((len(quad.x), quad.N.shape[0]))))
     return G, A, M
 
 
-def _load(grid, quads, local):
+def _load(grid, rules, local):
     """Nodal vector of the per-cell loads local(quad) (cells, 4) of every
-    rule, summed node by node in rule, then cell order (zero without
-    rules)."""
-    if not quads:
-        return np.zeros(grid.node_count)
-    nodes = np.concatenate([q.cell_nodes.ravel() for q in quads])
-    loc = np.concatenate([local(q).ravel() for q in quads])
-    return np.bincount(nodes, loc, minlength=grid.node_count)
+    (cells, sub) rule, block by block (_blocks). Each block is added into
+    the vector as soon as it is evaluated, node by node in rule, then cell
+    order (zero without rules)."""
+    out = np.zeros(grid.node_count)
+    for cells, sub in rules:
+        for quad in _blocks(grid, cells, sub):
+            np.add.at(out, quad.cell_nodes.ravel(), local(quad).ravel())
+    return out
 
 
-def _assemble_load(grid, quads, f):
+def _assemble_load(grid, rules, f):
     """Load vector int f v of a callback f over the cells of every rule."""
     # sum_q w f[q] N[q, t]
-    return _load(grid, quads, lambda quad: quad.w * quad.evaluate(f) @ quad.N)
+    return _load(grid, rules, lambda quad: quad.w * quad.evaluate(f) @ quad.N)
 
 
-def _lifting_vector(grid, quads, pd, lift):
+def _lifting_vector(grid, rules, pd, lift):
     """Vector of a(h, v_t) for every nodal hat v_t, over the cells of every
     rule."""
     def local(quad):
@@ -427,7 +472,7 @@ def _lifting_vector(grid, quads, pd, lift):
         # sum_q w (k h_x dN_t/dx + k h_y dN_t/dy + (b.grad h) N_t)
         return quad.w * ((kv * hx) @ quad.dNx + (kv * hy) @ quad.dNy
                          + (b1v * hx + b2v * hy) @ quad.N)
-    return _load(grid, quads, local)
+    return _load(grid, rules, local)
 
 
 def _factor(mat):
@@ -478,7 +523,8 @@ class _LaplaceGramInverse:
                                f"(pttrf info {info})")
 
     def __call__(self, R):
-        """The solutions of the k = 1 Gram for the rows of R, (c, n)."""
+        """The solutions of the k = 1 Gram for the rows of R, (c, n), in a
+        new array; R is not changed."""
         U = R.reshape(-1, *self.shape)
         if not self.along_x:
             U = U.transpose(0, 2, 1)  # eigen direction first
@@ -487,9 +533,12 @@ class _LaplaceGramInverse:
                                           Y.reshape(len(R), -1).T,
                                           overwrite_b=1)
         U = np.matmul(self.V, W.T.reshape(Y.shape))
-        if not self.along_x:
-            U = U.transpose(0, 2, 1)
-        return U.reshape(len(R), -1)
+        if self.along_x:
+            return U.reshape(len(R), -1)
+        # Y's values are spent: its memory takes the x-major solutions
+        out = Y.reshape(len(R), -1)
+        out.reshape(U.shape[0], *self.shape)[...] = U.transpose(0, 2, 1)
+        return out
 
 
 def _pcg(G, precond, B, name):
@@ -499,20 +548,21 @@ def _pcg(G, precond, B, name):
     A row that has converged leaves the iteration. Reaching _PCG_MAXITER
     iterations, a non-positive p . G p or a non-finite result raises
     RuntimeError naming the system, the iteration count and the residual.
+    The work arrays are the iterates, the residuals and the directions of
+    the rows, each updated in place, plus G p or the preconditioner's two
+    arrays at a time: five stacks of B's size at most.
     """
-    X = np.empty_like(B)
+    X = np.zeros_like(B)  # the iterates; a converged row stays as it is
     rows = np.arange(len(B))  # the rows of B still iterating
-    x, r = np.zeros_like(B), B.copy()
+    r = B.copy()
     p = precond(r)
     rz = rz0 = np.einsum("ij,ij->i", r, p)
     it = 0
     while True:
         done = rz <= _PCG_TOL ** 2 * rz0
         if done.any():
-            X[rows[done]] = x[done]
             keep = ~done
-            rows, x, r, p, rz, rz0 = (v[keep]
-                                      for v in (rows, x, r, p, rz, rz0))
+            rows, r, p, rz, rz0 = (v[keep] for v in (rows, r, p, rz, rz0))
         if not rows.size:
             break
         if it == _PCG_MAXITER:
@@ -528,12 +578,20 @@ def _pcg(G, precond, B, name):
                 f"{name}: PCG found p.Gp = {np.min(pq):.3e} <= 0 in iteration "
                 f"{it + 1} (matrix not positive definite?)")
         alpha = (rz / pq)[:, None]
-        x += alpha * p
-        r -= alpha * q
+        # r -= alpha q and x += alpha p, each product formed in q's memory
+        q *= alpha
+        r -= q
+        np.multiply(alpha, p, out=q)
+        if rows.size == len(X):
+            X += q
+        else:
+            X[rows] += q
+        del q  # freed before the preconditioner allocates
         z = precond(r)
         rz, rz_old = np.einsum("ij,ij->i", r, z), rz
         p *= (rz / rz_old)[:, None]
         p += z
+        del z  # likewise freed before the next G p
         it += 1
     if not np.all(np.isfinite(X)):
         raise RuntimeError(f"{name}: PCG produced non-finite values after "
@@ -583,7 +641,7 @@ class TensorOperators:
             # F + k Lap(h) is smooth (the band terms cancel pointwise), so
             # the 2x2 rule suffices
             folded = lambda x, y: pd.k(x, y) * lift.laplacian(x, y)
-            rule = _blocks(grid, np.arange(grid.nx * grid.ny))
+            rule = [(np.arange(grid.nx * grid.ny), 1)]
             self.rhs_int = (_assemble_load(grid, rule, pd.F)
                             + _assemble_load(grid, rule, folded))[interior]
             self.snapshot_problem = (
@@ -593,13 +651,13 @@ class TensorOperators:
         # F jumps where the interface lifting's Laplacian does, so the band
         # of the lifting handed in (not the plain_gD blend) selects the rule
         plain, band = _rhs_rules(grid, lift)
-        load_f = _assemble_load(grid, plain + band, pd.F)[interior]
+        load_f = _assemble_load(grid, [plain, band], pd.F)[interior]
         if mode == "riesz_recon":
             # M's factor lives for this one solve only
             rec = np.zeros(grid.node_count)
             rec[interior] = _lu_solve(
                 _factor(self.M_int),
-                _lifting_vector(grid, band, pd, lift)[interior], "M")
+                _lifting_vector(grid, [band], pd, lift)[interior], "M")
             self.riesz_field = rec.reshape(grid.shape)
             self.rhs_int = load_f - self.M_int @ rec[interior]
             field = GridField(grid, self.riesz_field)
@@ -607,11 +665,11 @@ class TensorOperators:
                 replace(pd, F=lambda x, y: pd.F(x, y) - field(x, y)),
                 LiftingFunction.zero())
             return
-        support = band  # a(h, .) of the lifting handed in
+        support = [band]  # a(h, .) of the lifting handed in
         if mode == "plain_gD":
             # the blend's gradient is nonzero off the band too
             lift = affine_boundary_blend(lift, pd.omega_x)
-            support = plain + band
+            support = [plain, band]
         self.rhs_int = (load_f
                         - _lifting_vector(grid, support, pd, lift)[interior])
         self.snapshot_problem = (pd, lift)
@@ -643,8 +701,9 @@ class TensorOperators:
 
         u_int is one interior state, or a (k, n) stack of k states (one per
         row), which gives the k norms from one k-row Gram solve."""
-        U = np.atleast_2d(u_int)
-        R = np.ascontiguousarray(self.rhs_int - (self.A_int @ U.T).T)
+        R = self.A_int @ np.atleast_2d(u_int).T
+        np.subtract(self.rhs_int[:, None], R, out=R)
+        R = np.ascontiguousarray(R.T)  # a copy for k > 1 only
         Z = self.gram_solve(R)
         norms = np.array([math.sqrt(max(r @ z, 0.0)) for r, z in zip(R, Z)])
         return norms if np.ndim(u_int) == 2 else float(norms[0])

@@ -412,12 +412,14 @@ _gbsv = scipy.linalg.lapack.dgbsv
 _gtsv = scipy.linalg.lapack.dgtsv
 
 
-def band_solve(band, rhs, what):
+def band_solve(band, rhs, what, overwrite_band=False):
     """LAPACK banded LU solve, O(n bw^2) for n unknowns.
 
     band is the (n, 3 bw + 1) storage of block_band, rhs one right-hand
-    side of length n; neither is changed. Tridiagonal systems (bw = 1,
-    n > 1) go to gtsv, every other one to gbsv: the calls
+    side of length n; neither is changed, except that gbsv factors band in
+    place when overwrite_band is true (for a caller that owns a band it
+    solves once, which then needs no copy of it). Tridiagonal systems
+    (bw = 1, n > 1) go to gtsv, every other one to gbsv: the calls
     scipy.linalg.solve_banded makes after its input checks, without their
     per-call cost. A singular or non-finite solve raises RuntimeError
     naming the system (what).
@@ -427,7 +429,8 @@ def band_solve(band, rhs, what):
     if bw == 1 and n > 1:
         _, _, _, sol, info = _gtsv(band[:-1, 3], band[:, 2], band[1:, 1], rhs)
     else:
-        _, _, sol, info = _gbsv(bw, bw, band.T, rhs)
+        _, _, sol, info = _gbsv(bw, bw, band.T, rhs,
+                                overwrite_ab=overwrite_band)
     if info > 0:
         raise RuntimeError(f"{what} is singular")
     if info < 0:

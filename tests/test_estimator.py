@@ -1,6 +1,7 @@
 """Residual-based model-error estimator and report serialization."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,6 +74,25 @@ def test_advective_study_keeps_only_the_gram_factor():
         assert _held_factors(ops) == []
         assert isinstance(vars(ops)["_gram_preconditioner"],
                           problem._LaplaceGramInverse)
+
+
+def test_error_report_peak_memory():
+    # a report holds the reduced state and the error (freed before the Gram
+    # solve), then the residual and PCG's iterates, residuals and
+    # directions, updated in place, plus G p or the preconditioner's two
+    # arrays: 7 interior vectors above its inputs (measured 7.0; 12.0 when
+    # each step formed new arrays)
+    ops, ref, _, rsol = _solve_pair(_pd(), 3, nx=200, ny=100)
+    error_report(ops, ref, rsol)  # the reference norms, first-call arrays
+    tracemalloc.start()
+    try:
+        error_report(ops, ref, rsol)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    vectors = peak / (8.0 * ops.rhs_int.size)
+    assert vectors < 8.0, (f"error_report peaks at {vectors:.2f} interior "
+                           f"float64 vectors above its inputs (limit 8)")
 
 
 def test_estimator_equals_error_without_advection():

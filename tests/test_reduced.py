@@ -317,7 +317,8 @@ def test_inaccurate_reduced_solve_is_caught_by_the_residual(monkeypatch):
     solve_reduced(system)
     exact = reduced.band_solve
     monkeypatch.setattr(reduced, "band_solve",
-                        lambda *args: exact(*args) * (1.0 + 1e-6))
+                        lambda *args, **kwargs: exact(*args, **kwargs)
+                        * (1.0 + 1e-6))
     with pytest.raises(RuntimeError, match="reduced solve residual"):
         solve_reduced(system)
 

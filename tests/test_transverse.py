@@ -677,8 +677,9 @@ def test_mixed_batch_matches_batches_of_one_and_the_scalar_oracle(omega_x):
 def test_band_solve_matches_solve_banded(w, dense_from_band):
     """Tridiagonal systems go to gtsv, all others (one block row included)
     to gbsv: both bitwise equal to scipy's solve_banded on the same band
-    (block_band's storage without its LU fill rows, band.T[bw:]); a
-    singular band raises RuntimeError naming the system."""
+    (block_band's storage without its LU fill rows, band.T[bw:]), with
+    and without overwrite_band; a singular band raises RuntimeError naming
+    the system."""
     rng = np.random.default_rng(w)
     bw = 2 * w - 1
     for n in (7, 1):
@@ -698,6 +699,13 @@ def test_band_solve_matches_solve_banded(w, dense_from_band):
         # inputs untouched
         assert np.array_equal(band, block_band(blocks))
         assert np.array_equal(rhs, rhs0)
+        # an owned band gives the same solution; gbsv factors it in place
+        owned = band.copy()
+        assert np.array_equal(
+            band_solve(owned, rhs, "test system", overwrite_band=True),
+            expected)
+        if n > 1:  # a 1 x 1 band is its own factor
+            assert np.array_equal(owned, band) == (bw == 1)
         singular = band.copy()
         singular[n * w // 2] = 0.0  # a zero column
         with pytest.raises(RuntimeError, match="test system is singular"):
