@@ -374,7 +374,7 @@ def _stencil_matrix(grid, pattern, cell_matrices):
     so only one slab's offsets exist at a time."""
     nx, ny = grid.nx, grid.ny
     indptr, indices = pattern
-    data = np.empty(indices.size)
+    data = None  # allocated after the first slab's arrays, see below
     kx, ky = _inside(nx - 1), _inside(ny - 1)
     carry = 0.0  # offsets of node column lo from the slabs before
     for lo, quad in _column_slabs(grid):
@@ -391,6 +391,14 @@ def _stencil_matrix(grid, pattern, cell_matrices):
                 S[a_s - at + 1, b_s - bt + 1, at:at + hi - lo] += L[
                     t, s, :, 1 - bt:ny - bt]
         carry = S[:, :, -1].copy()
+        if data is None:
+            # after the slab's arrays, so it lies above them in the C heap:
+            # freed, they leave a hole that later temporaries reuse. Formed
+            # first, it left them on the heap's top, which free returns to
+            # the system, and the training indicator of a 160 x 80 study
+            # re-faulted its per-chunk temporaries (about 70k minor page
+            # faults per study against 6k)
+            data = np.empty(indices.size)
         # the interior node columns max(lo, 1) .. hi - 1 are complete; each
         # is gathered on its own, so no gathered copy of the slab exists
         for c in range(max(lo, 1), hi):

@@ -275,8 +275,7 @@ def test_stencil_slabs_give_the_one_slab_matrices_bitwise(nx, ny, monkeypatch):
         assert same_bits(got.indices, want.indices)
 
 
-@pytest.mark.parametrize("nx,ny,limit", [(200, 100, 53.0), (400, 200, 36.0)])
-def test_operator_assembly_peak_memory(nx, ny, limit):
+def test_operator_assembly_peak_memory():
     # every coefficient, cell-matrix and offset array lives for one slab of
     # cells (163 of the 200 columns, 81 of the 400), each completed row goes
     # straight into the CSR data, and a load lives for one block of its
@@ -286,17 +285,19 @@ def test_operator_assembly_peak_memory(nx, ny, limit):
     # offsets, gather index and load arrays peaked at 50.5 and 45.8, and the
     # whole-grid assembly before the slabs at 73 (200 x 100)
     cs = case1()
-    grid = build_grid(cs.problem.omega_x, cs.problem.omega_y, nx, ny)
-    reference_operators(cs.problem, cs.lift, grid)  # first-call allocations
-    tracemalloc.start()
-    try:
-        reference_operators(cs.problem, cs.lift, grid)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    vectors = peak / (8.0 * (grid.nx - 1) * (grid.ny - 1))
-    assert vectors < limit, (f"operator assembly peaks at {vectors:.1f} "
-                             f"interior float64 vectors (limit {limit:g})")
+    for nx, ny, limit in ((200, 100, 53.0), (400, 200, 36.0)):
+        grid = build_grid(cs.problem.omega_x, cs.problem.omega_y, nx, ny)
+        reference_operators(cs.problem, cs.lift, grid)  # first-call arrays
+        tracemalloc.start()
+        try:
+            reference_operators(cs.problem, cs.lift, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        vectors = peak / (8.0 * (grid.nx - 1) * (grid.ny - 1))
+        assert vectors < limit, (
+            f"operator assembly at {nx}x{ny} peaks at {vectors:.1f} "
+            f"interior float64 vectors (limit {limit:g})")
 
 
 def _rule_points(quad):
