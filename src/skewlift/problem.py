@@ -370,8 +370,9 @@ def _stencil_matrix(grid, pattern, cell_matrices):
     slabs in x order and t = 2, 1, 3, 0 within a slab sum them in cell id
     order, as one slab of every cell would. A slab completes the rows of
     its node columns but the last, whose partial sums carry over to the
-    next slab; the completed rows are gathered into the CSR data at once,
-    so only one slab's offsets exist at a time."""
+    next slab; the completed rows go into the CSR data column by column as
+    soon as the slab is added, so only one slab's offsets exist at a
+    time."""
     nx, ny = grid.nx, grid.ny
     indptr, indices = pattern
     data = None  # allocated after the first slab's arrays, see below

@@ -80,7 +80,7 @@ def test_error_report_peak_memory():
     # a report holds the reduced state and the error (freed before the Gram
     # solve), then the residual and PCG's iterates, residuals and
     # directions, updated in place, plus G p or the preconditioner's two
-    # arrays: 7 interior vectors above its inputs (measured 7.0; 12.0 when
+    # arrays: 7 interior vectors above its inputs (measured 7.0; 13.0 when
     # each step formed new arrays)
     ops, ref, _, rsol = _solve_pair(_pd(), 3, nx=200, ny=100)
     error_report(ops, ref, rsol)  # the reference norms, first-call arrays
