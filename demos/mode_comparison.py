@@ -8,11 +8,13 @@ indicator grid 10):
   lift    - weak lifting: the interface-carrying field h is subtracted
             through its bilinear form; the homogenized solution is mildly
             skewed only.
-  riesz   - like lift, but the load is the Riesz representative of a(h, .),
-            evaluated pointwise on the snapshot side.
-  delta-h - strong-form lifting via k*Lap(h); with b = (3, -2) this drops
-            the advective lifting term, so it converges to a slightly
-            different limit yet needs very few modes.
+  riesz   - lift's reference right-hand side (bit for bit), but the
+            snapshots' load is the Riesz representative of a(h, .),
+            evaluated pointwise.
+  delta-h - strong-form lifting via k*Lap(h) folded into the source; at
+            the demo's b = 0 its reference differs from lift's by
+            quadrature error only (with advection it would drop the
+            advective lifting term by design).
 
 Run:  python demos/mode_comparison.py      (a few seconds)
 """

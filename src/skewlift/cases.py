@@ -143,12 +143,6 @@ class CaseSpec:
     profile: Profile1D
     exact_total: Optional[Callable] = None  # closed-form p~ = p + interface
 
-    def exact_homogenized(self, x, y):
-        """p~ minus the lifting actually handed to the solver."""
-        if self.exact_total is None:
-            raise ValueError(f"{self.name} has no closed-form solution")
-        return self.exact_total(x, y) - self.lift.value(x, y)
-
 
 def case1(b=(0.0, 0.0)):
     """Skewed cosine interface plus a separable smooth part; closed form."""

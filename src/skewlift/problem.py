@@ -18,7 +18,8 @@ Four right-hand-side treatments of the lifting are supported:
   320x160).
 * ``riesz_recon``  -- replace the lifting functional by its L2 Riesz
   representative R, (R, v)_L2 = a(h, v), and subtract int R v; no second
-  derivatives of h required.
+  derivatives of h required; int R v = a(h, v) on V_h, so the right-hand
+  side is weak_lifting's, bit for bit (R enters the snapshots only).
 * ``plain_gD``     -- ignore the interface geometry: lift only the boundary
   data through an affine blend of the two vertical-side traces.
 
@@ -43,9 +44,9 @@ and one stacked tridiagonal factorisation. For k = 1 (every built-in case) it is
 G_int up to round-off, and one PCG iteration leaves the solution as accurate
 as the sparse direct solve it replaces; for a variable k the count grows
 like sqrt(max k / min k), independent of the grid.
-SuperLU remains for the two matrices that are not the Gram matrix, each
-factored for one solve and freed on return: the Riesz mass M_int
-(riesz_recon) and, under advection, A_int in solve_reference.
+SuperLU serves only the advective reference: under advection, A_int is
+factored in solve_reference for its one solve and freed on return, so a
+b = 0 study of any mode makes no sparse factor.
 Matrices use the 2x2 Gauss rule on every cell, and every rule keeps its
 tensor structure: the points of a cell are n x-abscissae times n
 y-abscissae, and a callback receives them as two broadcasting arrays of
@@ -169,7 +170,8 @@ class FullSolution:
     coeffs: np.ndarray  # (nx+1, ny+1)
 
     def interior_vector(self):
-        return self.coeffs.ravel()[self.ops.grid.interior_ids()]
+        """A copy (ravel() can be a view) of the x-major interior values."""
+        return self.coeffs[1:-1, 1:-1].flatten()
 
     @cached_property
     def norms(self):
@@ -484,19 +486,25 @@ def _lifting_vector(grid, rules, pd, lift):
     return _load(grid, rules, local)
 
 
-def _factor(mat):
-    """SuperLU factor, minimum-degree ordered on A + A^T (the Q1 pattern
-    is structurally symmetric)."""
-    return spla.splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A")
+def _p1_interior(part, kind):
+    """(diag, upper) of the interior block of the 1D P1 matrix of kind
+    ("stiff" or "mass", coefficient 1) on part (transverse._p1_diagonals)."""
+    _, diag, upper = _p1_diagonals(part, np.ones((part.n, 2)), kind)
+    return diag[1:-1], upper[1:-1]
 
 
-def _lu_solve(lu, rhs, name):
-    """lu.solve(rhs); a non-finite result raises RuntimeError."""
-    x = lu.solve(rhs)
-    if not np.all(np.isfinite(x)):
-        raise RuntimeError(f"interior {name} solve produced non-finite "
-                           f"values (singular matrix?)")
-    return x
+def _mass_solve(grid, rhs):
+    """(Mx (x) My)^-1 rhs for one x-major interior vector rhs, as the
+    (nx - 1, ny - 1) array of nodal values: one LAPACK ptsv on the interior
+    1D P1 mass per direction. M_int is Mx (x) My up to round-off."""
+    U = rhs.reshape(grid.nx - 1, grid.ny - 1)
+    for part in (grid.tx, grid.ty):  # solve along axis 0, then swap axes
+        d, e = _p1_interior(part, "mass")
+        *_, U, info = scipy.linalg.lapack.dptsv(d, e, U)
+        if info != 0:
+            raise RuntimeError(f"mass solve failed (ptsv info {info})")
+        U = U.T
+    return U
 
 
 class _LaplaceGramInverse:
@@ -512,17 +520,14 @@ class _LaplaceGramInverse:
     """
 
     def __init__(self, grid):
-        def interior(part, kind):
-            _, diag, upper = _p1_diagonals(part, np.ones((part.n, 2)), kind)
-            return diag[1:-1], upper[1:-1]
-
         self.shape = (grid.nx - 1, grid.ny - 1)
         self.along_x = grid.nx < grid.ny  # the eigen direction
         eig, tri = (grid.tx, grid.ty) if self.along_x else (grid.ty, grid.tx)
         ke, me = (np.diag(d) + np.diag(e, 1) + np.diag(e, -1) for d, e in
-                  (interior(eig, "stiff"), interior(eig, "mass")))
+                  (_p1_interior(eig, "stiff"), _p1_interior(eig, "mass")))
         lam, self.V = scipy.linalg.eigh(ke, me)
-        (kt, et), (mt, ft) = interior(tri, "stiff"), interior(tri, "mass")
+        (kt, et), (mt, ft) = (_p1_interior(tri, kind)
+                              for kind in ("stiff", "mass"))
         off = np.zeros((lam.size, kt.size))
         off[:, :-1] = et + lam[:, None] * ft
         self.d, self.e, info = scipy.linalg.lapack.dpttrf(
@@ -614,17 +619,19 @@ class TensorOperators:
     The unknowns are the (nx-1)(ny-1) interior nodes in x-major order.
     A_int is the bilinear form a, G_int the V-Gram matrix (the diffusion
     part of a; A_int itself when b = 0 at every quadrature point), M_int the
-    mass matrix and rhs_int the mode-consistent right-hand side. gram_solve
-    solves with G_int by PCG, preconditioned by the k = 1 Gram inverse of
-    the grid (_LaplaceGramInverse, built on first use; each grid, the coarse
-    indicator grid too, has its own); no sparse factor is held.
+    mass matrix and rhs_int the mode-consistent right-hand side (under
+    riesz_recon the weak one, bit for bit). gram_solve solves with G_int by
+    PCG, preconditioned by the k = 1 Gram inverse of the grid
+    (_LaplaceGramInverse, built on first use; each grid, the coarse
+    indicator grid too, has its own); the object makes no sparse factor.
     lift is the lifting handed in; riesz_field is the reconstructed nodal
-    field under riesz_recon, else None. snapshot_problem is the mode's
-    transverse snapshot problem as a (ProblemData, LiftingFunction) pair,
-    solved as source . xi psi - a(h, xi psi): (pd, lift) for weak_lifting,
-    (pd, affine boundary blend) for plain_gD, and pd with F + k Lap(h)
-    (delta_h) or F - R (riesz_recon, R the bilinear interpolant of
-    riesz_field) plus the zero lifting.
+    field (Mx (x) My)^-1 a(h, .) under riesz_recon (_mass_solve), else None.
+    snapshot_problem is the mode's transverse snapshot problem as a
+    (ProblemData, LiftingFunction) pair, solved as
+    source . xi psi - a(h, xi psi): (pd, lift) for weak_lifting, (pd, affine
+    boundary blend) for plain_gD, and pd with F + k Lap(h) (delta_h) or
+    F - R (riesz_recon, R the bilinear interpolant of riesz_field) plus the
+    zero lifting.
     """
 
     def __init__(self, pd, lift, grid, mode="weak_lifting"):
@@ -661,27 +668,22 @@ class TensorOperators:
         # of the lifting handed in (not the plain_gD blend) selects the rule
         plain, band = _rhs_rules(grid, lift)
         load_f = _assemble_load(grid, [plain, band], pd.F)[interior]
-        if mode == "riesz_recon":
-            # M's factor lives for this one solve only
-            rec = np.zeros(grid.node_count)
-            rec[interior] = _lu_solve(
-                _factor(self.M_int),
-                _lifting_vector(grid, [band], pd, lift)[interior], "M")
-            self.riesz_field = rec.reshape(grid.shape)
-            self.rhs_int = load_f - self.M_int @ rec[interior]
-            field = GridField(grid, self.riesz_field)
-            self.snapshot_problem = (
-                replace(pd, F=lambda x, y: pd.F(x, y) - field(x, y)),
-                LiftingFunction.zero())
-            return
         support = [band]  # a(h, .) of the lifting handed in
         if mode == "plain_gD":
             # the blend's gradient is nonzero off the band too
             lift = affine_boundary_blend(lift, pd.omega_x)
             support = [plain, band]
-        self.rhs_int = (load_f
-                        - _lifting_vector(grid, support, pd, lift)[interior])
+        lifting = _lifting_vector(grid, support, pd, lift)[interior]
+        self.rhs_int = load_f - lifting
         self.snapshot_problem = (pd, lift)
+        if mode == "riesz_recon":
+            # (R, v) = a(h, v) on V_h: f - M R is the weak rhs_int above
+            self.riesz_field = np.zeros(grid.shape)
+            self.riesz_field[1:-1, 1:-1] = _mass_solve(grid, lifting)
+            field = GridField(grid, self.riesz_field)
+            self.snapshot_problem = (
+                replace(pd, F=lambda x, y: pd.F(x, y) - field(x, y)),
+                LiftingFunction.zero())
 
     @cached_property
     def _gram_preconditioner(self):
@@ -742,13 +744,17 @@ def solve_reference(ops):
     Returns the FullSolution of ops on ops.grid (zero on the boundary).
     When G_int is A_int (b = 0) the solve is ops.gram_solve, PCG with the
     k = 1 Gram inverse, whose preconditioner the estimator and the indicator
-    reuse; otherwise A_int is factored by SuperLU, and the factor is freed
-    on return.
+    reuse; otherwise SuperLU factors A_int for this one solve (minimum degree
+    on A + A^T: the Q1 pattern is structurally symmetric). A non-finite
+    solution raises RuntimeError (a NaN residual passes the residual test).
     """
     if ops.G_int is ops.A_int:
         x = ops.gram_solve(ops.rhs_int)
     else:
-        x = _lu_solve(_factor(ops.A_int), ops.rhs_int, "A")
+        x = spla.splu(ops.A_int.tocsc(),
+                      permc_spec="MMD_AT_PLUS_A").solve(ops.rhs_int)
+        if not np.all(np.isfinite(x)):
+            raise RuntimeError("interior A solve produced non-finite values")
     res = np.linalg.norm(ops.A_int @ x - ops.rhs_int)
     scale = max(np.linalg.norm(ops.rhs_int), 1.0)
     if res > 1e-10 * scale:

@@ -110,10 +110,6 @@ class CoupledBasis:
     kept_nodes: np.ndarray
     active: np.ndarray
 
-    @property
-    def kept_x(self):
-        return self.base.nodes[self.kept_nodes]
-
 
 def _snapped(th, x):
     """Positions r = (x - a)/H of the points x in element units, each

@@ -1,6 +1,7 @@
 """The benchmark's span targets resolve in the package, a traced study
 calls each layer's entry point as often as the benchmark's metrics assume,
-and every public function and class of the package has a caller.
+and every public function and class of the package, and every public method
+and property of its classes, has a caller.
 
 perfbench/spans.py wraps package functions by (module, attribute); a rename
 that drops one, or a caller that goes around one, would only surface in a
@@ -9,6 +10,7 @@ changing anything under perfbench/.
 """
 
 import ast
+import functools
 import importlib
 import importlib.util
 import inspect
@@ -145,17 +147,36 @@ def _referenced_names():
     return names
 
 
+_MEMBER_KINDS = (property, functools.cached_property, classmethod,
+                 staticmethod)
+
+
+def _public_names(module):
+    """(dotted name, name) of each public function and class the module
+    defines and of the public methods and properties of those classes."""
+    for name, obj in vars(module).items():
+        if (name.startswith("_")
+                or not (inspect.isfunction(obj) or inspect.isclass(obj))
+                or obj.__module__ != module.__name__):
+            continue
+        yield f"{module.__name__}.{name}", name
+        if inspect.isclass(obj):
+            for member, value in vars(obj).items():
+                if (not member.startswith("_")
+                        and (inspect.isfunction(value)
+                             or isinstance(value, _MEMBER_KINDS))):
+                    yield f"{module.__name__}.{name}.{member}", member
+
+
 def test_every_public_function_and_class_has_a_caller():
+    # a method or property counts as called when its name is referenced:
+    # the check cannot tell which class an attribute access reaches
     referenced = _referenced_names()
     uncalled = []
     for info in pkgutil.iter_modules(skewlift.__path__, "skewlift."):
         module = importlib.import_module(info.name)
-        for name, obj in vars(module).items():
-            if (not name.startswith("_")
-                    and (inspect.isfunction(obj) or inspect.isclass(obj))
-                    and obj.__module__ == module.__name__
-                    and name not in referenced):
-                uncalled.append(f"{module.__name__}.{name}")
+        uncalled += [dotted for dotted, name in _public_names(module)
+                     if name not in referenced]
     assert sorted(uncalled) == sorted(_UNCALLED), (
         "public names without a caller in src/, demos/, perfbench/ or "
         f"tests/test_acceptance.py: {uncalled}")

@@ -134,7 +134,8 @@ def test_case1_homogenized_part_is_separable():
     x = rng.uniform(0.0, 2.0, 50)
     y = rng.uniform(0.0, 1.0, 50)
     np.testing.assert_allclose(
-        cs.exact_homogenized(x, y), smooth_part(x, y), atol=1e-14)
+        cs.exact_total(x, y) - cs.lift.value(x, y), smooth_part(x, y),
+        atol=1e-14)
 
 
 def test_case1_dirichlet_is_lifting_trace():
@@ -165,8 +166,7 @@ def test_box_source_values_and_edges():
 def test_case2_domain_and_flags():
     cs = get_case(2)
     assert cs.problem.omega_y == (0.0, 1.1)
-    with pytest.raises(ValueError):
-        cs.exact_homogenized(0.5, 0.5)
+    assert cs.exact_total is None  # no closed-form solution
 
 
 def test_get_case_rejects_unknown():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from conftest import same_bits
 from skewlift import problem
 from skewlift.cases import get_case
 from skewlift.estimator import (
@@ -96,10 +97,15 @@ def test_error_report_peak_memory():
 
 
 def test_estimator_equals_error_without_advection():
+    # nx = 2 has one interior x-column, whose interior values are contiguous
+    # in the reference's coefficients: error_report subtracts in place, so
+    # the reference must come out unchanged
     pd = _pd(b=(0.0, 0.0))
-    for m in (1, 2, 4):
-        ops, ref, space, rsol = _solve_pair(pd, m)
+    for nx, m in ((40, 1), (40, 2), (40, 4), (2, 2)):
+        ops, ref, space, rsol = _solve_pair(pd, m, nx=nx)
+        coeffs = ref.coeffs.copy()
         rep = error_report(ops, ref, rsol)
+        assert same_bits(ref.coeffs, coeffs)
         err_V = ops.v_norm(ref.interior_vector() - rsol.interior_vector())
         assert abs(rep.delta_m - err_V) <= 1e-8 * err_V
 

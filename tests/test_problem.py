@@ -88,15 +88,23 @@ def test_system_matrix_is_mode_independent():
 
 
 def test_riesz_rhs_equals_weak_rhs_on_matching_grid():
-    # (R, v) = a(h, v) holds exactly on V^h, so the two references coincide
+    # (R, v) = a(h, v) holds exactly on V^h, so the two right-hand sides
+    # are one, bit for bit, and the two references coincide
     cs = case1()
-    grid = build_grid(cs.problem.omega_x, cs.problem.omega_y, 48, 24)
-    weak = solve_reference(
-        reference_operators(cs.problem, cs.lift, grid, "weak_lifting"))
-    riesz = solve_reference(
-        reference_operators(cs.problem, cs.lift, grid, "riesz_recon"))
+    pd, lift = cs.problem, cs.lift
+    grid = build_grid(pd.omega_x, pd.omega_y, 48, 24)
+    weak_ops = reference_operators(pd, lift, grid, "weak_lifting")
+    riesz_ops = reference_operators(pd, lift, grid, "riesz_recon")
+    assert same_bits(riesz_ops.rhs_int, weak_ops.rhs_int)
+    weak, riesz = solve_reference(weak_ops), solve_reference(riesz_ops)
     scale = np.abs(weak.coeffs).max()
     assert np.abs(weak.coeffs - riesz.coeffs).max() <= 1e-10 * scale
+    # the Riesz field, a tensor mass solve, is M_int^-1 a(h, .)
+    _, band = problem._rhs_rules(grid, lift)
+    a_h = problem._lifting_vector(grid, [band], pd, lift)[
+        grid.interior_ids()]
+    got = riesz_ops.M_int @ riesz_ops.riesz_field[1:-1, 1:-1].ravel()
+    assert np.linalg.norm(got - a_h) <= 1e-12 * np.linalg.norm(a_h)
 
 
 def test_weak_and_delta_h_references_converge_together():
@@ -107,7 +115,7 @@ def test_weak_and_delta_h_references_converge_together():
     dh = solve_reference(
         reference_operators(cs.problem, cs.lift, grid, "delta_h"))
     X, Y = grid.node_coords()
-    exact = cs.exact_homogenized(X, Y)
+    exact = cs.exact_total(X, Y) - cs.lift.value(X, Y)
     nrm = ops.l2_norm(exact[1:-1, 1:-1].ravel())
     for sol in (weak, dh):
         err = ops.l2_norm((sol.coeffs - exact)[1:-1, 1:-1].ravel())
@@ -321,7 +329,8 @@ def test_tensor_evaluation_equals_pointwise_evaluation(case):
     callbacks = [pd.k, pd.b1, pd.b2, pd.F, pd.dirichlet, lift.value, lift.dx,
                  lift.dy, lift.laplacian, lambda x, y: 2.5]
     if cs.exact_total is not None:
-        callbacks += [cs.exact_total, cs.exact_homogenized]
+        callbacks += [cs.exact_total,
+                      lambda x, y: cs.exact_total(x, y) - cs.lift.value(x, y)]
     for quad in (full, band):
         X, Y = _rule_points(quad)
         assert X.shape == (quad.cell_nodes.shape[0], quad.N.shape[0])
@@ -350,11 +359,13 @@ def test_lifting_term_vanishes_off_the_band(case):
     assert not problem._lifting_vector(grid, [], pd, lift).any()
 
 
-def test_one_factorization_per_grid(tmp_path, monkeypatch):
+@pytest.mark.parametrize("mode", ["lift", "riesz"])
+def test_one_factorization_per_grid(mode, tmp_path, monkeypatch):
     # b = 0: G is A, so the reference solve, every error_report and the
     # indicator all solve by PCG; the one factorisation of each grid is its
     # Gram preconditioner's stacked pttrf (fine grid, then the coarse
-    # indicator grid), and nothing calls splu or spsolve
+    # indicator grid), and nothing calls splu or spsolve (the Riesz field
+    # is a tensor mass solve by ptsv)
     factored = []
     pttrf = problem.scipy.linalg.lapack.dpttrf
 
@@ -371,7 +382,7 @@ def test_one_factorization_per_grid(tmp_path, monkeypatch):
     monkeypatch.setattr(problem.spla, "splu", forbidden("splu"))
     monkeypatch.setattr(problem.spla, "spsolve", forbidden("spsolve"))
     cfg = cli.RunConfig(NH=16, nh=10, NHp=4, m_max=2, n_xi=2, theta=0.5,
-                        out=str(tmp_path / "conv.csv"))
+                        mode=mode, out=str(tmp_path / "conv.csv"))
     reports = cli.run_case(cfg.validate(), log=lambda *a: None)
     assert len(reports) == 2
     assert factored == [15 * 9, 3 * 9]
@@ -524,8 +535,8 @@ def test_snapshot_problem_of_each_mode():
 
 
 def test_riesz_operators_hold_no_mass_factor():
-    # only the reconstruction solves with M; its factor is freed, and the
-    # reference solve (b = 0: PCG on G_int) adds none
+    # the reconstruction is a tensor mass solve, and the reference solve
+    # (b = 0: PCG on G_int) adds no factor either
     cs = case1()
     grid = build_grid(cs.problem.omega_x, cs.problem.omega_y, 16, 10)
     ops = reference_operators(cs.problem, cs.lift, grid, "riesz_recon")
@@ -541,8 +552,9 @@ def test_operators_hold_the_interior_system_and_one_factor(mode, b,
                                                            monkeypatch):
     # the object keeps the interior restrictions only (riesz_field, the
     # reconstructed nodal field, is riesz_recon's output) and no sparse
-    # factor: G_int is solved by PCG, and the mass (riesz_recon) and
-    # advective reference (b != 0) factors are local to their one solve
+    # factor: G_int is solved by PCG, the Riesz field by a tensor mass
+    # solve, and the advective reference's (b != 0) factor is local to its
+    # one solve
     factored = []
     splu = problem.spla.splu
 
@@ -561,10 +573,7 @@ def test_operators_hold_the_interior_system_and_one_factor(mode, b,
         elif isinstance(value, np.ndarray) and name != "riesz_field":
             assert value.shape == (n,), name
     assert _held_factors(ops) == []
-    if mode == "riesz_recon":
-        assert len(factored) == 1 and (factored[0] != ops.M_int).nnz == 0
-    else:
-        assert factored == []
+    assert factored == []
 
     ref = solve_reference(ops)
     ops.residual_norm(ref.interior_vector())
@@ -572,7 +581,7 @@ def test_operators_hold_the_interior_system_and_one_factor(mode, b,
     if b == (0.0, 0.0):
         # the reference and the estimator both solve with G_int = A_int
         assert ops.G_int is ops.A_int
-        assert len(factored) == (mode == "riesz_recon")
+        assert factored == []
     else:
         assert ops.G_int is not ops.A_int
         assert len(factored) == 1 and (factored[0] != ops.A_int).nnz == 0

@@ -65,7 +65,7 @@ def test_gap_deletion_and_long_hats():
     cb = build_coupled_basis(th, (0.25, 1.75))
     # nodes strictly inside (ceil(0.25/H)H, floor(1.75/H)H) = (0.5, 1.5) go
     assert cb.kept_nodes.tolist() == [0, 1, 3, 4]
-    assert np.allclose(cb.kept_x, [0.0, 0.5, 1.5, 2.0])
+    assert np.allclose(th.nodes[cb.kept_nodes], [0.0, 0.5, 1.5, 2.0])
     assert cb.active.tolist() == [1, 3]
     # the surviving hats stretch over the deleted range; columns are the
     # active hats 1 and 3
@@ -510,7 +510,7 @@ def _scalar_tables(cb, x):
     """The modified hats of cb.active evaluated one (point, hat) at a time
     from the hat definition: 1 at the node, linear down to 0 at the
     neighbouring kept nodes, derivative right-continuous."""
-    kx = cb.kept_x
+    kx = cb.base.nodes[cb.kept_nodes]
     val = np.zeros((len(x), cb.active.size))
     der = np.zeros_like(val)
     for a, node in enumerate(cb.active):
