@@ -250,24 +250,27 @@ def case3():
     return CaseSpec("case3", pd, lift, cosine_profile(), exact_total)
 
 
-_CASES = {1: case1, 2: case2, 3: case3}
+CASES = {1: case1, 2: case2, 3: case3}
 
 
 def get_case(ident, **kwargs):
     try:
-        builder = _CASES[int(ident)]
+        builder = CASES[int(ident)]
     except (KeyError, ValueError):
-        raise KeyError(f"unknown case {ident!r}; choose from {sorted(_CASES)}")
+        raise KeyError(f"unknown case {ident!r}; choose from {sorted(CASES)}")
     return builder(**kwargs)
+
+
+DETECTION_DATA = {
+    "case1-f": case1().problem.F,
+    "case1-f-adv": case1(b=(100.0, 0.0)).problem.F,
+    "step": lambda x, y: np.where(np.asarray(y, dtype=float) < 0.5, 1.0, 0.0),
+}
 
 
 def detection_data(name):
     """Named 2D data functions for interface-detection runs."""
-    if name == "case1-f":
-        return case1().problem.F
-    if name == "case1-f-adv":
-        return case1(b=(100.0, 0.0)).problem.F
-    if name == "step":
-        return lambda x, y: np.where(np.asarray(y, dtype=float) < 0.5, 1.0, 0.0)
-    raise KeyError(
-        f"unknown data function {name!r}; choose case1-f, case1-f-adv or step")
+    if name not in DETECTION_DATA:
+        raise KeyError(f"unknown data function {name!r}; choose from "
+                       f"{list(DETECTION_DATA)}")
+    return DETECTION_DATA[name]

@@ -8,22 +8,24 @@ Two subcommands:
 * ``skewlift detect`` -- run interface detection on a named data function and
   write the located polyline CSV.
 
-Flags may also be supplied through a plain key=value config file (--config);
-a flag given on the command line wins. Exit codes: 0 success, 2 configuration
-error, 3 numerical failure; any other exception is a bug and propagates.
+Each flag is one field of RunConfig or DetectConfig, which declares its
+default, help text and any bound or allowed values; the flags, the keys of a
+key=value --config file (a flag wins) and validate's checks come from the
+fields. Exit codes: 0 success, 2 configuration error, 3 numerical failure;
+any other exception is a bug and propagates.
 """
 
 import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import cases
 from .estimator import error_report, reports_to_csv
-from .interface import InterfaceNotFoundError, locate_interface
+from .interface import DETECT_MODES, InterfaceNotFoundError, locate_interface
 from .mesh import TensorGrid, build_uniform_partition
 from .problem import reference_operators, solve_reference
 from .reduced import assemble_reduced, solve_reduced
@@ -42,40 +44,60 @@ MODE_MAP = {
 }
 
 
-def _check_out_dir(out):
-    """Reject an output directory that does not exist ("" is the cwd)."""
-    folder = os.path.dirname(out)
+def _knob(default, help, low=None, choices=None):
+    """A config field that declares its knob: the default, the --help text
+    and, where it has them, the smallest value or the allowed values."""
+    return field(default=default,
+                 metadata={"help": help, "low": low, "choices": choices})
+
+
+def _bound(f):
+    """The declared bound or choices of config field f as text, or ""."""
+    low, choices = f.metadata["low"], f.metadata["choices"]
+    if low is not None:
+        return f"at least {low}"
+    if choices is not None:
+        return "one of " + ", ".join(map(str, choices))
+    return ""
+
+
+def _check_knobs(cfg):
+    """Check every field of cfg against its declared bound or choices, and
+    reject an output directory that does not exist ("" is the cwd)."""
+    for f in fields(cfg):
+        value, low = getattr(cfg, f.name), f.metadata["low"]
+        choices = f.metadata["choices"]
+        if ((low is not None and value < low)
+                or (choices is not None and value not in choices)):
+            raise ConfigError(f"{f.name} must be {_bound(f)} (got {value!r})")
+    folder = os.path.dirname(cfg.out)
     if folder and not os.path.isdir(folder):
         raise ConfigError(f"output directory {folder!r} does not exist")
+    return cfg
 
 
 @dataclass
 class RunConfig:
     """Hyperparameters of one convergence study."""
 
-    case: int = 1
-    NH: int = 80
-    nh: int = 40
-    NHp: int = 10
-    qbar: int = 2
-    mode: str = "lift"
-    m_max: int = 8
-    i_max: int = 1
-    n_xi: int = 4
-    theta: float = 0.1
-    sigma_thres: float = 30.0
-    seed: int = 0
-    out: str = "convergence.csv"
-    g0: int = 2  # initial training grid: g0^qbar cells
+    case: int = _knob(1, "test case", choices=cases.CASES)
+    # NH, nh, NHp: a grid needs one interior node
+    NH: int = _knob(80, "reference elements along x", low=2)
+    nh: int = _knob(40, "elements along y", low=2)
+    NHp: int = _knob(10, "coarse indicator elements along x", low=2)
+    qbar: int = _knob(2, "quadrature points per parameter", low=1)
+    mode: str = _knob("lift", "lifting treatment", choices=MODE_MAP)
+    m_max: int = _knob(8, "largest reduced dimension (at most nh - 1)", low=1)
+    i_max: int = _knob(1, "mark/refine rounds per iteration", low=1)
+    n_xi: int = _knob(4, "samples per training cell", low=1)
+    theta: float = _knob(0.1, "marking fraction in (0, 1]")
+    sigma_thres: float = _knob(30.0, "age-indicator threshold (positive)")
+    seed: int = _knob(0, "training RNG seed", low=0)
+    out: str = _knob("convergence.csv", "output CSV path")
+    g0: int = _knob(2, "initial cells per parameter direction", low=1)
 
     def validate(self):
-        for name in ("qbar", "m_max", "i_max", "n_xi", "g0"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be a positive integer")
-        for name in ("NH", "nh", "NHp"):
-            if getattr(self, name) < 2:
-                raise ConfigError(f"{name} must be at least 2 (one interior "
-                                  f"grid node)")
+        _check_knobs(self)
         # POD modes vanish on the transverse boundary, so at most nh - 1 of
         # them are independent
         if self.m_max > self.nh - 1:
@@ -83,17 +105,10 @@ class RunConfig:
                 f"m_max={self.m_max} exceeds nh - 1 = {self.nh - 1}, the "
                 f"number of independent transverse modes "
                 f"(need m_max <= nh - 1)")
-        if self.case not in (1, 2, 3):
-            raise ConfigError(f"case must be 1, 2 or 3 (got {self.case})")
-        if self.mode not in MODE_MAP:
-            raise ConfigError(
-                f"mode must be one of {sorted(MODE_MAP)} (got {self.mode!r})")
         if not 0.0 < self.theta <= 1.0:
             raise ConfigError(f"theta must lie in (0, 1] (got {self.theta})")
         if self.sigma_thres <= 0.0:
             raise ConfigError("sigma-thres must be positive")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative (got {self.seed})")
         # an initial cell is NH / g0 elements wide; the sampler redraws a
         # sample on the diagonal cell until its qbar components land in
         # distinct elements, which needs a whole element of room per
@@ -103,7 +118,6 @@ class RunConfig:
                 f"g0={self.g0} initial cells per axis are too narrow for "
                 f"qbar={self.qbar} samples in distinct elements of NH="
                 f"{self.NH} (need NH >= qbar g0)")
-        _check_out_dir(self.out)
         return self
 
 
@@ -111,26 +125,17 @@ class RunConfig:
 class DetectConfig:
     """Configuration of one interface-detection run."""
 
-    data: str = "case1-f"
-    NHp: int = 20
-    nh: int = 100
-    mode: str = "min"
-    out: str = "interface.csv"
+    data: str = _knob("case1-f", "data function",
+                      choices=cases.DETECTION_DATA)
+    NHp: int = _knob(20, "coarse sampling elements along x", low=1)
+    # fewer than two y-differences per station have no spread
+    nh: int = _knob(100, "fine sampling elements along y", low=3)
+    mode: str = _knob("min", "derivative extremum to track",
+                      choices=DETECT_MODES)
+    out: str = _knob("interface.csv", "output CSV path")
 
     def validate(self):
-        if self.NHp < 1:
-            raise ConfigError("NHp must be a positive integer")
-        if self.nh < 3:
-            # fewer than two y-differences per station have no spread
-            raise ConfigError(f"nh must be at least 3 (got {self.nh})")
-        if self.mode not in ("max", "min", "both"):
-            raise ConfigError(f"mode must be max, min or both (got {self.mode!r})")
-        try:
-            cases.detection_data(self.data)
-        except KeyError as exc:
-            raise ConfigError(str(exc)) from exc
-        _check_out_dir(self.out)
-        return self
+        return _check_knobs(self)
 
 
 def run_case(cfg, log=print):
@@ -223,42 +228,25 @@ def read_config_file(path, cfg_cls):
     return values
 
 
-def _add_run_flags(p):
-    p.add_argument("--config", help="key=value config file (flags win)")
-    p.add_argument("--case", type=int, help="test case: 1, 2 or 3")
-    p.add_argument("--NH", type=int, help="reference elements along x")
-    p.add_argument("--nh", type=int, help="elements along y")
-    p.add_argument("--NHp", type=int, help="coarse indicator elements along x")
-    p.add_argument("--qbar", type=int, help="quadrature points per parameter")
-    p.add_argument("--mode", choices=sorted(MODE_MAP),
-                   help="lifting treatment: gD | lift | delta-h | riesz")
-    p.add_argument("--m-max", type=int, help="largest reduced dimension")
-    p.add_argument("--i-max", type=int, help="mark/refine rounds per iteration")
-    p.add_argument("--n-xi", type=int, help="samples per training cell")
-    p.add_argument("--theta", type=float, help="marking fraction in (0, 1]")
-    p.add_argument("--sigma-thres", type=float, help="age-indicator threshold")
-    p.add_argument("--seed", type=int, help="training RNG seed")
-    p.add_argument("--g0", type=int, help="initial cells per parameter direction")
-    p.add_argument("--out", help="output CSV path")
-
-
-def _add_detect_flags(p):
-    p.add_argument("--config", help="key=value config file (flags win)")
-    p.add_argument("--data", help="data function: case1-f | case1-f-adv | step")
-    p.add_argument("--NHp", type=int, help="coarse sampling elements along x")
-    p.add_argument("--nh", type=int, help="fine sampling elements along y")
-    p.add_argument("--mode", choices=("max", "min", "both"),
-                   help="derivative extremum to track")
-    p.add_argument("--out", help="output CSV path")
+_COMMANDS = {"run": (RunConfig, "convergence study"),
+             "detect": (DetectConfig, "interface detection")}
 
 
 def build_parser():
+    """The run and detect subcommands, one --flag per config field (the
+    field name with _ as -) plus --config."""
     parser = argparse.ArgumentParser(
         prog="skewlift",
         description="Interface-aware tensor model reduction studies")
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_run_flags(sub.add_parser("run", help="convergence study"))
-    _add_detect_flags(sub.add_parser("detect", help="interface detection"))
+    for command, (cfg_cls, summary) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        p.add_argument("--config", help="key=value config file (flags win)")
+        for f in fields(cfg_cls):
+            bound = _bound(f)
+            p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                           type=f.type, help=f.metadata["help"]
+                           + (f"; {bound}" if bound else ""))
     return parser
 
 
@@ -270,22 +258,17 @@ def _merge(cfg_cls, args):
         v = getattr(args, f.name, None)
         if v is not None:
             base[f.name] = v
-    try:
-        return cfg_cls(**base).validate()
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return cfg_cls(**base).validate()
 
 
 def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "run":
-            cfg = _merge(RunConfig, args)
-            runner = run_case
-        else:
-            cfg = _merge(DetectConfig, args)
-            runner = run_detect
+        cfg = _merge(_COMMANDS[args.command][0], args)
+        # by module-global name, so that a wrapper rebinding cli.run_case
+        # sees the call
+        runner = run_case if args.command == "run" else run_detect
     except ConfigError as exc:
         print(f"skewlift: config error: {exc}", file=sys.stderr)
         return 2

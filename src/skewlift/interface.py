@@ -27,6 +27,8 @@ from .mesh import Partition1D, build_uniform_partition
 from .problem import LiftingFunction
 from .transverse import band_solve, block_band, block_pairs
 
+DETECT_MODES = ("max", "min", "both")  # extrema locate_interface can track
+
 
 class InterfaceNotFoundError(RuntimeError):
     """Raised when the sampled data has no transverse extremum to track."""
@@ -76,7 +78,7 @@ def locate_interface(data, coarse_x, fine_y, mode="both"):
         derivative magnitude) and returns two lines ordered by y position,
         bracketing the band whichever sign its edges carry.
     """
-    if mode not in ("max", "min", "both"):
+    if mode not in DETECT_MODES:
         raise ValueError(f"unknown detection mode {mode!r}")
     xs = coarse_x.midpoints()
     ym = fine_y.midpoints()

@@ -92,7 +92,6 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 import scipy.linalg  # after scipy.sparse: ~10 ms faster to import
 
 from .mesh import GAUSS_NODES
@@ -744,13 +743,15 @@ def solve_reference(ops):
     Returns the FullSolution of ops on ops.grid (zero on the boundary).
     When G_int is A_int (b = 0) the solve is ops.gram_solve, PCG with the
     k = 1 Gram inverse, whose preconditioner the estimator and the indicator
-    reuse; otherwise SuperLU factors A_int for this one solve (minimum degree
-    on A + A^T: the Q1 pattern is structurally symmetric). A non-finite
-    solution raises RuntimeError (a NaN residual passes the residual test).
+    reuse; otherwise SuperLU, imported only here, factors A_int for this one
+    solve (minimum degree on A + A^T: the Q1 pattern is structurally
+    symmetric). A non-finite solution raises RuntimeError (a NaN residual
+    passes the residual test).
     """
     if ops.G_int is ops.A_int:
         x = ops.gram_solve(ops.rhs_int)
     else:
+        import scipy.sparse.linalg as spla
         x = spla.splu(ops.A_int.tocsc(),
                       permc_spec="MMD_AT_PLUS_A").solve(ops.rhs_int)
         if not np.all(np.isfinite(x)):

@@ -105,7 +105,6 @@ class CoupledBasis:
     at least one parameter point.
     """
 
-    base: Partition1D
     mu: tuple
     kept_nodes: np.ndarray
     active: np.ndarray
@@ -143,7 +142,7 @@ class _Group:
     weights: np.ndarray  # (G, P)
 
     def basis(self, g):
-        return CoupledBasis(self.th, tuple(self.mu[g]),
+        return CoupledBasis(tuple(self.mu[g]),
                             np.flatnonzero(self.keep[g]), self.active[g])
 
     def rule(self, g):

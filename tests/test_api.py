@@ -1,7 +1,7 @@
 """The benchmark's span targets resolve in the package, a traced study
 calls each layer's entry point as often as the benchmark's metrics assume,
-and every public function and class of the package, and every public method
-and property of its classes, has a caller.
+and every public function and class of the package, and every public method,
+property and dataclass field of its classes, has a caller.
 
 perfbench/spans.py wraps package functions by (module, attribute); a rename
 that drops one, or a caller that goes around one, would only surface in a
@@ -10,6 +10,7 @@ changing anything under perfbench/.
 """
 
 import ast
+import dataclasses
 import functools
 import importlib
 import importlib.util
@@ -121,30 +122,42 @@ def test_traced_study_counts_each_layer(tmp_path):
 _UNCALLED = {
     "skewlift.interface.build_lifting":
         "the located-interface lifting; `skewlift run` does not use it yet",
+    "skewlift.cases.CaseSpec.profile":
+        "the transverse profile a lifting from the detected interface will "
+        "sweep; `skewlift run` uses the case's closed-form lifting",
+    "skewlift.cases.CaseSpec.exact_total":
+        "the closed-form solution p~, the oracle the case tests compare the "
+        "case data and the reference solve against",
+    "skewlift.problem.ProblemData.dirichlet":
+        "the boundary data g_D every problem declares; the solver takes the "
+        "boundary values from the lifting's trace, and only tests read it",
 }
 
 
 def _referenced_names():
-    """Every identifier a caller can reach a package name by: names,
+    """Every identifier a caller can reach a package name by, in src/,
+    demos/, perfbench/ and the acceptance claims, as two sets: names,
     attributes, imported names and dotted string constants (the benchmark
-    names its span targets as strings) in src/, demos/, perfbench/ and the
-    acceptance claims. A def or class statement is not a reference."""
+    names its span targets as strings); and only the attributes and the
+    string constants, by which alone a method, property or field is reached
+    (a local variable may share a field's name). A def or class statement
+    is not a reference, nor a field's declaration."""
     files = [*(_ROOT / "src").rglob("*.py"), *(_ROOT / "demos").rglob("*.py"),
              *(_ROOT / "perfbench").rglob("*.py"),
              _ROOT / "tests" / "test_acceptance.py"]
-    names = set()
+    names, members = set(), set()
     for path in files:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
+                members.add(node.attr)
             elif isinstance(node, ast.alias):
                 names.add(node.name.rpartition(".")[2])
             elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
                   and re.fullmatch(r"[\w.]+", node.value)):
-                names.update(node.value.split("."))
-    return names
+                members.update(node.value.split("."))
+    return names | members, members
 
 
 _MEMBER_KINDS = (property, functools.cached_property, classmethod,
@@ -152,31 +165,36 @@ _MEMBER_KINDS = (property, functools.cached_property, classmethod,
 
 
 def _public_names(module):
-    """(dotted name, name) of each public function and class the module
-    defines and of the public methods and properties of those classes."""
+    """(dotted name, name, is member) of each public function and class the
+    module defines and of the public methods, properties and dataclass
+    fields of those classes."""
     for name, obj in vars(module).items():
         if (name.startswith("_")
                 or not (inspect.isfunction(obj) or inspect.isclass(obj))
                 or obj.__module__ != module.__name__):
             continue
-        yield f"{module.__name__}.{name}", name
+        yield f"{module.__name__}.{name}", name, False
         if inspect.isclass(obj):
-            for member, value in vars(obj).items():
-                if (not member.startswith("_")
-                        and (inspect.isfunction(value)
-                             or isinstance(value, _MEMBER_KINDS))):
-                    yield f"{module.__name__}.{name}.{member}", member
+            members = [member for member, value in vars(obj).items()
+                       if inspect.isfunction(value)
+                       or isinstance(value, _MEMBER_KINDS)]
+            if dataclasses.is_dataclass(obj):
+                members += [f.name for f in dataclasses.fields(obj)]
+            for member in members:
+                if not member.startswith("_"):
+                    yield f"{module.__name__}.{name}.{member}", member, True
 
 
 def test_every_public_function_and_class_has_a_caller():
-    # a method or property counts as called when its name is referenced:
-    # the check cannot tell which class an attribute access reaches
-    referenced = _referenced_names()
+    # a method, property or field counts as called when its name is
+    # referenced as an attribute: the check cannot tell which class an
+    # attribute access reaches
+    names, members = _referenced_names()
     uncalled = []
     for info in pkgutil.iter_modules(skewlift.__path__, "skewlift."):
         module = importlib.import_module(info.name)
-        uncalled += [dotted for dotted, name in _public_names(module)
-                     if name not in referenced]
+        uncalled += [dotted for dotted, name, member in _public_names(module)
+                     if name not in (members if member else names)]
     assert sorted(uncalled) == sorted(_UNCALLED), (
         "public names without a caller in src/, demos/, perfbench/ or "
         f"tests/test_acceptance.py: {uncalled}")

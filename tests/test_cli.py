@@ -1,6 +1,7 @@
 """Command-line driver: flags, config files, exit codes, determinism."""
 
 import csv
+import dataclasses
 import math
 import os
 import pathlib
@@ -13,6 +14,7 @@ from skewlift import cli, problem
 from skewlift.cli import (
     MODE_MAP,
     ConfigError,
+    DetectConfig,
     RunConfig,
     main,
     read_config_file,
@@ -91,12 +93,14 @@ import sys
 from skewlift import cli
 code = cli.main(["run", "--NH", "20", "--nh", "10", "--NHp", "4",
                  "--m-max", "2", "--out", sys.argv[1]])
-print(code, "scipy.interpolate" in sys.modules)
+print(code, "scipy.interpolate" in sys.modules,
+      "scipy.sparse.linalg" in sys.modules)
 """
 
 
 def test_run_does_not_load_scipy_interpolate(tmp_path):
-    # PCHIP is only needed by a smooth build_lifting, which run never calls
+    # PCHIP is only needed by a smooth build_lifting, which run never calls;
+    # SuperLU only by the advective reference solve, which a b = 0 run skips
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(_SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
@@ -105,7 +109,7 @@ def test_run_does_not_load_scipy_interpolate(tmp_path):
          str(tmp_path / "conv.csv")],
         env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split()[-2:] == ["0", "False"], out.stdout
+    assert out.stdout.split()[-3:] == ["0", "False", "False"], out.stdout
 
 
 def test_config_error_exit_code(tmp_path, capsys):
@@ -118,7 +122,7 @@ def test_config_error_exit_code(tmp_path, capsys):
     # np.random.Philox rejects a negative seed only after the reference
     # solve; validation turns it away before any work
     assert main(_run_args(tmp_path / "s.csv", seed=-1)) == 2
-    assert "seed must be nonnegative" in capsys.readouterr().err
+    assert "seed must be at least 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args", [
@@ -283,3 +287,81 @@ def test_mode_map_covers_all_modes():
     assert MODE_MAP[cfg.mode] == "riesz_recon"
     with pytest.raises(ConfigError):
         RunConfig(mode="weak_lifting").validate()  # internal names rejected
+
+
+# a valid value other than the default for every config field
+_KNOB_VALUES = {
+    "run": dict(case=2, NH=30, nh=12, NHp=4, qbar=1, mode="riesz", m_max=3,
+                i_max=2, n_xi=3, theta=0.5, sigma_thres=12.5, seed=7,
+                out="x.csv", g0=3),
+    "detect": dict(data="step", NHp=8, nh=30, mode="both", out="x.csv"),
+}
+_CONFIGS = {"run": RunConfig, "detect": DetectConfig}
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
+def _recorded(monkeypatch, command):
+    """Stub the command's runner; returns the list its configs go to."""
+    seen = []
+    runner = "run_case" if command == "run" else "run_detect"
+    monkeypatch.setattr(cli, runner, lambda cfg: seen.append(cfg))
+    return seen
+
+
+@pytest.mark.parametrize("command", ["run", "detect"])
+def test_every_field_is_a_flag_and_a_config_key(tmp_path, monkeypatch,
+                                                capsys, command):
+    # each field gives one knob: --name (name with _ as -) and a config key
+    # set the same typed value, and --help lists the flag
+    monkeypatch.chdir(tmp_path)
+    seen = _recorded(monkeypatch, command)
+    values = _KNOB_VALUES[command]
+    cfg_cls = _CONFIGS[command]
+    assert list(values) == [f.name for f in dataclasses.fields(cfg_cls)]
+    for f in dataclasses.fields(cfg_cls):
+        value = values[f.name]
+        (tmp_path / "knob.cfg").write_text(f"{f.name} = {value}\n")
+        assert main([command, _flag(f.name), str(value)]) == 0
+        assert main([command, "--config", "knob.cfg"]) == 0
+        from_flag, from_file = (getattr(c, f.name) for c in seen[-2:])
+        assert from_flag == from_file == value, f.name
+        assert type(from_flag) is type(from_file) is f.type, f.name
+        assert from_flag != f.default, f.name
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    listed = capsys.readouterr().out
+    for f in dataclasses.fields(cfg_cls):
+        assert _flag(f.name) + " " in listed, f.name
+
+
+def _outside(f):
+    """A value of field f's type outside its declared bound or choices."""
+    low, choices = f.metadata["low"], f.metadata["choices"]
+    if low is not None:
+        return low - 1
+    return max(choices) + 1 if f.type is int else "no-such-" + f.name
+
+
+@pytest.mark.parametrize("command", ["run", "detect"])
+def test_every_declared_bound_is_a_config_error(tmp_path, monkeypatch,
+                                                capsys, command):
+    # one check path: a value outside a field's bound or choices is exit
+    # code 2 and a config error, from a flag and from a config file alike
+    monkeypatch.chdir(tmp_path)
+    seen = _recorded(monkeypatch, command)
+    bounded = [f for f in dataclasses.fields(_CONFIGS[command])
+               if f.metadata["low"] is not None
+               or f.metadata["choices"] is not None]
+    assert len(bounded) >= 3
+    for f in bounded:
+        bad = _outside(f)
+        (tmp_path / "bad.cfg").write_text(f"{f.name} = {bad}\n")
+        for args in ([_flag(f.name), str(bad)], ["--config", "bad.cfg"]):
+            assert main([command] + args) == 2, (f.name, args)
+            err = capsys.readouterr().err
+            assert "config error" in err and f.name in err, (f.name, err)
+    assert seen == []

@@ -379,8 +379,8 @@ def test_one_factorization_per_grid(mode, tmp_path, monkeypatch):
         return call
 
     monkeypatch.setattr(problem.scipy.linalg.lapack, "dpttrf", counting_pttrf)
-    monkeypatch.setattr(problem.spla, "splu", forbidden("splu"))
-    monkeypatch.setattr(problem.spla, "spsolve", forbidden("spsolve"))
+    monkeypatch.setattr(spla, "splu", forbidden("splu"))
+    monkeypatch.setattr(spla, "spsolve", forbidden("spsolve"))
     cfg = cli.RunConfig(NH=16, nh=10, NHp=4, m_max=2, n_xi=2, theta=0.5,
                         mode=mode, out=str(tmp_path / "conv.csv"))
     reports = cli.run_case(cfg.validate(), log=lambda *a: None)
@@ -556,13 +556,13 @@ def test_operators_hold_the_interior_system_and_one_factor(mode, b,
     # solve, and the advective reference's (b != 0) factor is local to its
     # one solve
     factored = []
-    splu = problem.spla.splu
+    splu = spla.splu
 
     def recording_splu(mat, *args, **kwargs):
         factored.append(mat)
         return splu(mat, *args, **kwargs)
 
-    monkeypatch.setattr(problem.spla, "splu", recording_splu)
+    monkeypatch.setattr(spla, "splu", recording_splu)
     cs = case1(b=b)
     grid = build_grid(cs.problem.omega_x, cs.problem.omega_y, 16, 10)
     ops = reference_operators(cs.problem, cs.lift, grid, mode)

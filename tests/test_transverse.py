@@ -385,8 +385,8 @@ def test_riesz_snapshot_problem_folds_minus_reconstruction(dense_from_band):
     cb = build_coupled_basis(th, mu)
     rule = augment_quadrature(th, mu)
     system = _system(snap_pd, snap_lift, th, yh, mu)
-    A, rhs = _coupled_oracle(snap_pd, LiftingFunction.zero(), cb, rule, yh,
-                             "weak_lifting")
+    A, rhs = _coupled_oracle(snap_pd, LiftingFunction.zero(), th, cb, rule,
+                             yh, "weak_lifting")
     assert np.max(np.abs(dense_from_band(system.matrix) - A)) \
         <= 1e-14 * np.max(np.abs(A))
     assert np.max(np.abs(system.rhs - rhs)) <= 1e-14 * np.max(np.abs(rhs))
@@ -420,7 +420,7 @@ def _dense_load(part, c, against_deriv=False):
     return out[1:-1]
 
 
-def _coupled_oracle(pd, lift, cb, rule, yh, mode):
+def _coupled_oracle(pd, lift, th, cb, rule, yh, mode):
     """Coupled system block by block: for every x-point, test hat and trial
     hat, a dense y-matrix placed at rows j * n_a + a_t, columns
     j' * n_a + a_s. mode "delta_h" folds k Lap(h) into F and drops the
@@ -446,7 +446,7 @@ def _coupled_oracle(pd, lift, cb, rule, yh, mode):
                  - _dense_load(yh, lambda y: float(pd.b1(x, y) * lift.dx(x, y)
                                                    + pd.b2(x, y) * lift.dy(x, y))))
             g_der = _dense_load(yh, lambda y: float(pd.k(x, y) * lift.dx(x, y)))
-        val, der = _scalar_tables(cb, [x])
+        val, der = _scalar_tables(th, cb, [x])
         for a_t in range(n_a):
             v_t, d_t = val[0, a_t], der[0, a_t]
             rhs[a_t::n_a] += al * (v_t * g - d_t * g_der)
@@ -484,7 +484,7 @@ def test_coupled_system_matches_blockwise_oracle(mode, dense_from_band):
     n_a, n_i = cb.active.size, yh.n - 1
     bw = 2 * n_a - 1
     assert system.matrix.shape == (n_a * n_i, 3 * bw + 1)
-    A, rhs = _coupled_oracle(pd, lift, cb, rule, yh, mode)
+    A, rhs = _coupled_oracle(pd, lift, th, cb, rule, yh, mode)
     assert np.max(np.abs(dense_from_band(system.matrix) - A)) \
         <= 1e-14 * np.max(np.abs(A))
     assert np.max(np.abs(system.rhs - rhs)) <= 1e-14 * np.max(np.abs(rhs))
@@ -506,11 +506,11 @@ def test_coupled_system_matches_blockwise_oracle(mode, dense_from_band):
     assert not isinstance(info.value, np.linalg.LinAlgError)
 
 
-def _scalar_tables(cb, x):
-    """The modified hats of cb.active evaluated one (point, hat) at a time
-    from the hat definition: 1 at the node, linear down to 0 at the
+def _scalar_tables(th, cb, x):
+    """The modified hats of cb.active on th evaluated one (point, hat) at a
+    time from the hat definition: 1 at the node, linear down to 0 at the
     neighbouring kept nodes, derivative right-continuous."""
-    kx = cb.base.nodes[cb.kept_nodes]
+    kx = th.nodes[cb.kept_nodes]
     val = np.zeros((len(x), cb.active.size))
     der = np.zeros_like(val)
     for a, node in enumerate(cb.active):
@@ -530,13 +530,13 @@ def _scalar_tables(cb, x):
     return val, der
 
 
-def _scalar_system(pd, lift, cb, rule, yh):
+def _scalar_system(pd, lift, th, cb, rule, yh):
     """The coupled system of one parameter vector assembled one key at a
     time: hats from _scalar_tables, and the blocks and right-hand side
     accumulated point by point, l = 0, 1, ..., each point's block as
     (K + D) + Mk + Mb terms in that order."""
     rows = y_rows(pd, lift, rule.points, yh)
-    val, der = _scalar_tables(cb, rule.points)
+    val, der = _scalar_tables(th, cb, rule.points)
     n_a = cb.active.size
     blocks = np.zeros((rows.kd.shape[1], n_a, n_a))  # [p, test, trial]
     rhs = np.zeros((rows.load.shape[1], n_a))
@@ -588,13 +588,14 @@ def test_hat_tables_keep_the_assembly_bitwise():
     for key, (group, g) in zip(keys, _groups_by_key(th, keys)):
         cb, rule = group.basis(g), group.rule(g)
         val, der = group.tables(group.points)
-        ref_val, ref_der = _scalar_tables(cb, rule.points)
+        ref_val, ref_der = _scalar_tables(th, cb, rule.points)
         assert np.array_equal(val[g], ref_val)
         assert np.array_equal(der[g], ref_der)
     for key, (blocks, rhs, cb, _) in zip(keys, _batch_systems(pd, lift, th,
                                                               yh, keys)):
         got = assemble_transverse(blocks, rhs, cb)
-        ref = _scalar_system(pd, lift, cb, augment_quadrature(th, key), yh)
+        ref = _scalar_system(pd, lift, th, cb, augment_quadrature(th, key),
+                             yh)
         assert np.array_equal(got.matrix, ref.matrix)
         assert np.array_equal(got.rhs, ref.rhs)
 
@@ -653,7 +654,7 @@ def test_mixed_batch_matches_batches_of_one_and_the_scalar_oracle(omega_x):
             assert got.weights.tobytes() == weights.tobytes(), key
             assert (got.qbar, got.qhat) == (len(key), qhat), key
         val, der = group.tables(group.points)
-        ref_val, ref_der = _scalar_tables(cb, pts)
+        ref_val, ref_der = _scalar_tables(th, cb, pts)
         assert val[g].tobytes() == ref_val.tobytes(), key
         assert der[g].tobytes() == ref_der.tobytes(), key
     assert seen == {(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (2, 4),
@@ -668,7 +669,7 @@ def test_mixed_batch_matches_batches_of_one_and_the_scalar_oracle(omega_x):
     for key, snaps in zip(keys, got):
         one = TransverseSolver(pd, lift, th, yh).solve_many([key])[0]
         ref = snapshot_solve(_scalar_system(
-            pd, lift, build_coupled_basis(th, key),
+            pd, lift, th, build_coupled_basis(th, key),
             augment_quadrature(th, key), yh))
         assert snaps.tobytes() == one.tobytes() == ref.tobytes(), key
 
