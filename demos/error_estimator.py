@@ -30,7 +30,6 @@ def make_problem(b1, b2):
         b1=lambda x, y: b1 + 0.0 * x,
         b2=lambda x, y: b2 + 0.0 * x,
         F=lambda x, y: np.exp(0.4 * x) * (1.0 + np.sin(np.pi * y)),
-        dirichlet=lambda x, y: 0.0 * x,
         omega_x=(0.0, 2.0),
         omega_y=(0.0, 1.0),
     )

@@ -11,7 +11,13 @@ GAUSS_NODES.setflags(write=False)
 
 @dataclass(frozen=True)
 class Partition1D:
-    """Uniform partition of [a, b] into n elements (n+1 nodes)."""
+    """Uniform partition of [a, b] into n elements (n+1 nodes).
+
+    position is the one place where a point's place on the partition is
+    decided: every element, node and handover derived from a point (the
+    bilinear interpolant, the transverse geometry, the training samples)
+    reads it, so a point within round-off of a node lies on that node for
+    each of them."""
 
     a: float
     b: float
@@ -35,11 +41,19 @@ class Partition1D:
     def length(self):
         return self.b - self.a
 
+    def position(self, x):
+        """Positions r = (x - a)/h of the points x in element units, each
+        snapped to the nearest integer when within 1e-10 max(1, |r|)."""
+        r = (np.asarray(x, dtype=float) - self.a) / self.h
+        node = np.round(r)
+        return np.where(np.abs(r - node) <= 1e-10 * np.maximum(1.0, np.abs(r)),
+                        node, r)
+
     def element_of(self, x):
-        """Index of the element containing x (right-continuous; last element
-        is closed). Works on scalars and arrays."""
-        idx = np.floor((np.asarray(x) - self.a) / self.h).astype(int)
-        return np.clip(idx, 0, self.n - 1)
+        """Index of the element containing x by its position: a point on an
+        interior node belongs to the element on its right, and the last
+        element is closed. Works on scalars and arrays."""
+        return np.clip(np.floor(self.position(x)).astype(int), 0, self.n - 1)
 
     def midpoints(self):
         return 0.5 * (self.nodes[:-1] + self.nodes[1:])
@@ -53,7 +67,8 @@ def build_uniform_partition(a, b, n):
 @dataclass(frozen=True)
 class TensorGrid:
     """Tensor product of two 1D partitions; Q1 nodal layout is x-major
-    (node id = ix * (ny + 1) + iy)."""
+    (node id = ix * (ny + 1) + iy). A nodal array has shape `shape`, and its
+    interior (the non-Dirichlet unknowns, x-major) is [1:-1, 1:-1]."""
 
     tx: Partition1D
     ty: Partition1D
@@ -73,12 +88,6 @@ class TensorGrid:
     @property
     def shape(self):
         return (self.nx + 1, self.ny + 1)
-
-    def interior_ids(self):
-        """Node ids of interior (non-Dirichlet) nodes, x-major order."""
-        ix = np.arange(1, self.nx)
-        iy = np.arange(1, self.ny)
-        return (ix[:, None] * (self.ny + 1) + iy[None, :]).ravel()
 
     def node_coords(self):
         """Arrays X, Y of shape (nx+1, ny+1) with nodal coordinates."""

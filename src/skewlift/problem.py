@@ -122,20 +122,19 @@ class ProblemData:
         Diffusivity (must be positive on the domain) and advective field.
     F : callable(x, y)
         Volume source of the full problem.
-    dirichlet : callable(x, y)
-        Boundary data g_D; only its restriction to the boundary is used.
     omega_x, omega_y : (float, float)
         Domain extents.
 
-    b must be divergence-free: the V-inner product is the diffusion part of
-    a alone.
+    The Dirichlet data is no field here: it is the trace on the boundary of
+    the lifting h (LiftingFunction) handed in with the problem, which the
+    interface lifting is chosen to carry. b must be divergence-free: the
+    V-inner product is the diffusion part of a alone.
     """
 
     k: Callable
     b1: Callable
     b2: Callable
     F: Callable
-    dirichlet: Callable
     omega_x: tuple
     omega_y: tuple
 
@@ -646,7 +645,7 @@ class TensorOperators:
         self.grid = grid
         self.mode = mode
         self.G_int, self.A_int, self.M_int = _interior_matrices(grid, pd)
-        interior = grid.interior_ids()
+        interior = lambda v: v.reshape(grid.shape)[1:-1, 1:-1].ravel()
         self.riesz_field = None
         self.lift = lift
 
@@ -657,8 +656,8 @@ class TensorOperators:
             # the 2x2 rule suffices
             folded = lambda x, y: pd.k(x, y) * lift.laplacian(x, y)
             rule = [(np.arange(grid.nx * grid.ny), 1)]
-            self.rhs_int = (_assemble_load(grid, rule, pd.F)
-                            + _assemble_load(grid, rule, folded))[interior]
+            self.rhs_int = interior(_assemble_load(grid, rule, pd.F)
+                                    + _assemble_load(grid, rule, folded))
             self.snapshot_problem = (
                 replace(pd, F=lambda x, y: pd.F(x, y) + folded(x, y)),
                 LiftingFunction.zero())
@@ -666,13 +665,13 @@ class TensorOperators:
         # F jumps where the interface lifting's Laplacian does, so the band
         # of the lifting handed in (not the plain_gD blend) selects the rule
         plain, band = _rhs_rules(grid, lift)
-        load_f = _assemble_load(grid, [plain, band], pd.F)[interior]
+        load_f = interior(_assemble_load(grid, [plain, band], pd.F))
         support = [band]  # a(h, .) of the lifting handed in
         if mode == "plain_gD":
             # the blend's gradient is nonzero off the band too
             lift = affine_boundary_blend(lift, pd.omega_x)
             support = [plain, band]
-        lifting = _lifting_vector(grid, support, pd, lift)[interior]
+        lifting = interior(_lifting_vector(grid, support, pd, lift))
         self.rhs_int = load_f - lifting
         self.snapshot_problem = (pd, lift)
         if mode == "riesz_recon":
@@ -761,9 +760,9 @@ def solve_reference(ops):
     if res > 1e-10 * scale:
         raise RuntimeError(f"reference solve residual {res:.3e} exceeds tolerance")
     grid = ops.grid
-    coeffs = np.zeros(grid.node_count)
-    coeffs[grid.interior_ids()] = x
-    return FullSolution(ops, coeffs.reshape(grid.shape))
+    coeffs = np.zeros(grid.shape)
+    coeffs[1:-1, 1:-1] = x.reshape(grid.nx - 1, grid.ny - 1)
+    return FullSolution(ops, coeffs)
 
 
 def affine_boundary_blend(lift, omega_x):

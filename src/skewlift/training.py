@@ -68,8 +68,8 @@ import scipy.sparse
 from .mesh import Partition1D, TensorGrid, build_uniform_partition
 from .problem import reference_operators
 from .reduced import XBlocks
-from .transverse import (TransverseSolver, _elements, _p1_diagonals,
-                         _snapped, band_solve, block_band)
+from .transverse import (TransverseSolver, _p1_diagonals, band_solve,
+                         block_band)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +196,7 @@ def _draw_samples(rng, lo, hi, n_xi, th):
     for _ in range(n_xi):
         for _attempt in range(200):
             mu = tuple(np.sort(rng.uniform(lo, hi)))
-            if np.unique(_elements(th, _snapped(th, mu))).size == len(mu):
+            if np.unique(th.element_of(mu)).size == len(mu):
                 out.append(mu)
                 break
         else:
@@ -429,14 +429,14 @@ class BaseMoments:
 
 
 def element_indicators(base, cells, solver):
-    """Per-cell (eta, sigma) on the coarse dominant-direction grid.
+    """Per-cell eta on the coarse dominant-direction grid (each also
+    stored as cell.eta).
 
     base: BaseMoments of the current space. For every sample mu of a cell
     the reduced problem is solved on the N_H' x n_h grid with the space
     augmented by mu's snapshots and the model estimator Delta is evaluated
     there, _CHUNK samples per TransverseSolver.solve_many and
-    BaseMoments.deltas call; eta is the minimum
-    over the cell's samples. sigma = diam * rho.
+    BaseMoments.deltas call; eta is the minimum over the cell's samples.
     """
     owner = np.repeat(np.arange(len(cells)), [len(c.samples) for c in cells])
     mus = [mu for cell in cells for mu in cell.samples]
@@ -447,11 +447,9 @@ def element_indicators(base, cells, solver):
         delta[lo:lo + len(extras)] = base.deltas(extras)
     eta = np.full(len(cells), math.inf)
     np.minimum.at(eta, owner, delta)
-    sigma = np.empty(len(cells))
     for ci, cell in enumerate(cells):
         cell.eta = float(eta[ci])
-        sigma[ci] = cell.sigma
-    return eta, sigma
+    return eta
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,12 @@ to |Omega_1D|, so the rule is exact for constants; placing one point per
 element midpoint reproduces the midpoint-quadrature FE system exactly.
 
 Where a point sits is decided once, by its snapped position
-r = (x - a)/H (_snapped: within 1e-10 relative of an integer, r is that
-integer). The elements, the deleted nodes, the active hats (the interior
-nodes floor(r) and ceil(r) of each parameter's element), the inserted
-midpoints and the handover bounds all derive from r, so a parameter within
-round-off of a node lies on that node for each of them.
+r = (x - a)/H (Partition1D.position: within 1e-10 relative of an integer,
+r is that integer). The elements (Partition1D.element_of), the deleted
+nodes, the active hats (the interior nodes floor(r) and ceil(r) of each
+parameter's element), the inserted midpoints and the handover bounds all
+derive from r, so a parameter within round-off of a node lies on that node
+for each of them.
 
 Per quadrature point x_l the trial combination sum_i xi_i(x_l) P_i enters the
 diffusion-in-y and b2-advection rows while the derivative-weighted combination
@@ -108,23 +109,6 @@ class CoupledBasis:
     mu: tuple
     kept_nodes: np.ndarray
     active: np.ndarray
-
-
-def _snapped(th, x):
-    """Positions r = (x - a)/H of the points x in element units, each
-    snapped to the nearest integer when within 1e-10 max(1, |r|): the one
-    place where a point's position on th is decided, so a point within
-    round-off of a node lies on it for every decision taken from r."""
-    r = (np.asarray(x, dtype=float) - th.a) / th.h
-    node = np.round(r)
-    return np.where(np.abs(r - node) <= 1e-10 * np.maximum(1.0, np.abs(r)),
-                    node, r)
-
-
-def _elements(th, r):
-    """Element of th holding each snapped position r: a point on a node
-    belongs to the element on its right."""
-    return np.clip(np.floor(r).astype(int), 0, th.n - 1)
 
 
 @dataclass(frozen=True)
@@ -213,7 +197,7 @@ class _Group:
 def _weights(th, pts, mu):
     """Tiling weights of the augmented points pts (G, P) of the sorted
     parameters mu (G, qbar), see module docstring."""
-    rp = _snapped(th, pts)
+    rp = th.position(pts)
     lo, hi = np.floor(rp), np.ceil(rp)
     # handover between consecutive points: their midpoint within one
     # element, else the midpoint of the empty node range between them
@@ -257,8 +241,8 @@ def _geometry(th, keys):
         if np.any(mu[:, 0] <= th.a) or np.any(mu[:, -1] >= th.b):
             raise ValueError(
                 f"parameters must lie strictly inside ({th.a}, {th.b})")
-        r = _snapped(th, mu)
-        els = _elements(th, r)
+        r = th.position(mu)
+        els = th.element_of(mu)
         same = np.diff(els, axis=1) == 0
         if np.any(same):
             s, l = np.argwhere(same)[0]

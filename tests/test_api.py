@@ -128,9 +128,6 @@ _UNCALLED = {
     "skewlift.cases.CaseSpec.exact_total":
         "the closed-form solution p~, the oracle the case tests compare the "
         "case data and the reference solve against",
-    "skewlift.problem.ProblemData.dirichlet":
-        "the boundary data g_D every problem declares; the solver takes the "
-        "boundary values from the lifting's trace, and only tests read it",
 }
 
 

@@ -138,14 +138,21 @@ def test_case1_homogenized_part_is_separable():
         atol=1e-14)
 
 
-def test_case1_dirichlet_is_lifting_trace():
-    cs = case1()
-    y = np.linspace(0.0, 1.0, 11)
-    np.testing.assert_allclose(
-        cs.problem.dirichlet(0.0, y), cs.lift.value(0.0, y), atol=0)
-    x = np.linspace(0.0, 2.0, 11)
-    np.testing.assert_allclose(
-        cs.problem.dirichlet(x, 1.0), cs.lift.value(x, 1.0), atol=0)
+@pytest.mark.parametrize("case", [case1, case3])
+def test_exact_solution_is_lifting_trace_on_boundary(case):
+    # the solver takes the boundary data from the lifting it is handed, so
+    # the closed-form solution must equal case.lift on the boundary; case 3's
+    # bend stays off x = 0, 2 and keeps its band clear of y = 0, 1
+    cs = case()
+    (x0, x1), (y0, y1) = cs.problem.omega_x, cs.problem.omega_y
+    t = np.linspace(0.0, 1.0, 401)
+    x = np.concatenate([x0 + (x1 - x0) * t, x0 + (x1 - x0) * t,
+                        np.full(t.size, x0), np.full(t.size, x1)])
+    y = np.concatenate([np.full(t.size, y0), np.full(t.size, y1),
+                        y0 + (y1 - y0) * t, y0 + (y1 - y0) * t])
+    h = cs.lift.value(x, y)
+    assert np.any((h > 0.1) & (h < 1.0))  # the sides cross the band
+    np.testing.assert_array_equal(cs.exact_total(x, y), h)
 
 
 def test_box_source_values_and_edges():

@@ -32,7 +32,6 @@ def _pd(b=(0.0, 0.0), scale=1.0):
         b1=lambda x, y: b[0] + 0.0 * x,
         b2=lambda x, y: b[1] + 0.0 * x,
         F=lambda x, y: scale * np.exp(0.4 * x) * (1.0 + np.sin(np.pi * y)),
-        dirichlet=lambda x, y: 0.0 * x,
         omega_x=(0.0, 2.0),
         omega_y=(0.0, 1.0),
     )

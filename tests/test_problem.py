@@ -30,7 +30,6 @@ def _laplace_data(F=None):
         k=lambda x, y: np.ones(np.broadcast(x, y).shape),
         b1=zero, b2=zero,
         F=F if F is not None else zero,
-        dirichlet=zero,
         omega_x=(0.0, 2.0), omega_y=(0.0, 1.0),
     )
 
@@ -52,7 +51,7 @@ def test_v_inner_energy_of_sine_interpolant():
     for nx, ny in ((32, 16), (64, 32)):
         grid = build_grid(pd.omega_x, pd.omega_y, nx, ny)
         X, Y = grid.node_coords()
-        u = _sine(X, Y).ravel()[grid.interior_ids()]
+        u = _sine(X, Y)[1:-1, 1:-1].ravel()
         G = reference_operators(pd, LiftingFunction.zero(), grid).G_int
         vals.append(float(u @ (G @ u)))
     err = [abs(v - V_ENERGY_EXACT) for v in vals]
@@ -101,8 +100,8 @@ def test_riesz_rhs_equals_weak_rhs_on_matching_grid():
     assert np.abs(weak.coeffs - riesz.coeffs).max() <= 1e-10 * scale
     # the Riesz field, a tensor mass solve, is M_int^-1 a(h, .)
     _, band = problem._rhs_rules(grid, lift)
-    a_h = problem._lifting_vector(grid, [band], pd, lift)[
-        grid.interior_ids()]
+    a_h = problem._lifting_vector(grid, [band], pd, lift).reshape(
+        grid.shape)[1:-1, 1:-1].ravel()
     got = riesz_ops.M_int @ riesz_ops.riesz_field[1:-1, 1:-1].ravel()
     assert np.linalg.norm(got - a_h) <= 1e-12 * np.linalg.norm(a_h)
 
@@ -216,8 +215,8 @@ def _cell_loop_matrix(pd, grid):
                             full[ids[t], ids[s]] += w * (
                                 k * (gx[t] * gx[s] + gy[t] * gy[s])
                                 + (b1 * gx[s] + b2 * gy[s]) * val[t])
-    interior = grid.interior_ids()
-    return full[np.ix_(interior, interior)]
+    n = (tx.n - 1) * (ty.n - 1)
+    return full.reshape(grid.shape * 2)[1:-1, 1:-1, 1:-1, 1:-1].reshape(n, n)
 
 
 @pytest.mark.parametrize("nx,ny", STENCIL_GRIDS)
@@ -326,8 +325,8 @@ def test_tensor_evaluation_equals_pointwise_evaluation(case):
     grid = build_grid(pd.omega_x, pd.omega_y, 12, 7)
     full = problem._Quadrature(grid)
     band = problem._Quadrature(grid, np.arange(0, 84, 5), problem._BAND_SUB)
-    callbacks = [pd.k, pd.b1, pd.b2, pd.F, pd.dirichlet, lift.value, lift.dx,
-                 lift.dy, lift.laplacian, lambda x, y: 2.5]
+    callbacks = [pd.k, pd.b1, pd.b2, pd.F, lift.value, lift.dx, lift.dy,
+                 lift.laplacian, lambda x, y: 2.5]
     if cs.exact_total is not None:
         callbacks += [cs.exact_total,
                       lambda x, y: cs.exact_total(x, y) - cs.lift.value(x, y)]
@@ -591,7 +590,7 @@ def test_nonpositive_diffusivity_is_rejected():
     pd = _laplace_data()
     bad = ProblemData(
         k=lambda x, y: np.asarray(x) - 1.0,  # negative for x < 1
-        b1=pd.b1, b2=pd.b2, F=pd.F, dirichlet=pd.dirichlet,
+        b1=pd.b1, b2=pd.b2, F=pd.F,
         omega_x=pd.omega_x, omega_y=pd.omega_y,
     )
     grid = build_grid(pd.omega_x, pd.omega_y, 8, 4)

@@ -95,7 +95,6 @@ def test_single_mode_system_is_the_expected_tridiagonal(dense_from_band):
         b1=lambda x, y: 0.0 * x,
         b2=lambda x, y: 0.0 * x,
         F=lambda x, y: fx(x) * gy(y),
-        dirichlet=lambda x, y: 0.0 * x,
         omega_x=(0.0, 2.0),
         omega_y=(0.0, 1.0),
     )
@@ -144,7 +143,6 @@ def test_discrete_sine_modes_decouple_the_blocks(dense_from_band):
         b1=lambda x, y: 0.0 * x,
         b2=lambda x, y: 0.0 * x,
         F=lambda x, y: np.ones(np.broadcast(x, y).shape),
-        dirichlet=lambda x, y: 0.0 * x,
         omega_x=(0.0, 2.0),
         omega_y=(0.0, 1.0),
     )
@@ -342,7 +340,6 @@ def _plain_pd(**kw):
         b1=lambda x, y: 0.0 * x,
         b2=lambda x, y: 0.0 * x,
         F=lambda x, y: np.ones(np.broadcast(x, y).shape),
-        dirichlet=lambda x, y: 0.0 * x,
         omega_x=(0.0, 2.0),
         omega_y=(0.0, 1.0),
     )
@@ -382,7 +379,6 @@ def test_delta_h_and_riesz_agree_on_a_smooth_lifting():
     )
     pd = _plain_pd(
         F=lambda x, y: np.exp(0.5 * x) * (1.0 + y),
-        dirichlet=lambda x, y: prof(y + 0.4 * x),
     )
     grid = TensorGrid(build_uniform_partition(0.0, 2.0, 64),
                       build_uniform_partition(0.0, 1.0, 32))

@@ -222,8 +222,7 @@ def test_element_indicators_match_explicit_projection(mode, m):
     space = pod(snaps, yh, count=m) if m else empty_space(yh)
     assert space.m == m
     ops = reference_operators(pd, lift, TensorGrid(thp, yh), mode)
-    eta, _ = element_indicators(BaseMoments(XBlocks(ops), space), cells,
-                                solver)
+    eta = element_indicators(BaseMoments(XBlocks(ops), space), cells, solver)
 
     A, G, rhs = ops.A_int.toarray(), ops.G_int.toarray(), ops.rhs_int
     for cell, got in zip(cells, eta):
@@ -295,7 +294,7 @@ def test_batched_indicators_equal_the_unbatched_maths(mode, m):
     # a chunk's products round differently from one sample's, so the
     # batched Delta matches the per-sample oracle to round-off, not bitwise
     base, cells, solver = _indicator_setup(mode, m)
-    eta, _ = element_indicators(base, cells, solver)
+    eta = element_indicators(base, cells, solver)
 
     dropped = 0
     expected = []
@@ -354,8 +353,8 @@ def test_indicators_vanish_when_the_space_is_full():
         space = pod(snaps, yh, count=8)
         assert space.m == 8
         ops = reference_operators(pd, lift, TensorGrid(thp, yh), "weak_lifting")
-        eta, _ = element_indicators(BaseMoments(XBlocks(ops), space), cells,
-                                    solver)
+        eta = element_indicators(BaseMoments(XBlocks(ops), space), cells,
+                                 solver)
         assert np.all(eta == 0.0)
         marks.append(mark(cells, 0.5, sigma_thres=1e9))
     assert marks[0] == marks[1] == [0, 1]
@@ -483,7 +482,6 @@ def _smooth_setup():
         b1=lambda x, y: 0.0 * x,
         b2=lambda x, y: 0.0 * x,
         F=lambda x, y: np.sin(np.pi * x / 2.0) * (1.0 + y),
-        dirichlet=lambda x, y: 0.0 * x,
         omega_x=(0.0, 2.0),
         omega_y=(0.0, 1.0),
     )

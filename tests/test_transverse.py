@@ -15,9 +15,7 @@ from skewlift.transverse import (
     TransverseSolver,
     TransverseSystem,
     _batch_systems,
-    _elements,
     _geometry,
-    _snapped,
     assemble_transverse,
     augment_quadrature,
     band_solve,
@@ -36,7 +34,6 @@ def _pd(k=None, b1=None, b2=None, F=None, omega_x=(0.0, 2.0), omega_y=(0.0, 1.0)
         b1=b1 or zero,
         b2=b2 or zero,
         F=F or (lambda x, y: np.ones(np.broadcast(x, y).shape)),
-        dirichlet=zero,
         omega_x=omega_x,
         omega_y=omega_y,
     )
@@ -106,7 +103,7 @@ def test_parameters_within_round_off_of_a_node():
         cb = build_coupled_basis(th, (x,))
         assert cb.active.tolist() == [2]
         assert cb.kept_nodes.tolist() == [0, 1, 2, 3, 4]
-        assert _elements(th, _snapped(th, [x])).tolist() == [2]
+        assert th.element_of([x]).tolist() == [2]
         # the quadrature point owns the whole domain, as one on the node
         rule = augment_quadrature(th, (x,))
         assert rule.points.tolist() == [x] and rule.weights.tolist() == [2.0]
@@ -581,8 +578,8 @@ def test_hat_tables_keep_the_assembly_bitwise():
     keys = []
     for i, lo in enumerate(grid):
         for hi in grid[i + 1:]:
-            r = _snapped(th, [lo, hi])
-            if _elements(th, r)[0] != _elements(th, r)[1]:
+            els = th.element_of([lo, hi])
+            if els[0] != els[1]:
                 keys.append((lo, hi))
     assert len(keys) > 400
     for key, (group, g) in zip(keys, _groups_by_key(th, keys)):
@@ -802,7 +799,7 @@ def test_solve_many_matches_batches_of_one(case, mode, monkeypatch):
     for qbar in (1, 2, 3):
         while sum(len(mu) == qbar for mu in mus) < 4:
             mu = tuple(rng.uniform(0.01, 1.99, size=qbar))
-            if np.unique(_elements(th, _snapped(th, mu))).size == qbar:
+            if np.unique(th.element_of(mu)).size == qbar:
                 mus.append(mu)
     mus += [(th.nodes[5],), (0.3, th.nodes[9]),  # on nodes
             (0.6, 0.7),  # adjacent elements 4 and 5: n_a = 3
