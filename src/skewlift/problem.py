@@ -48,37 +48,39 @@ SuperLU serves only the advective reference: under advection, A_int is
 factored in solve_reference for its one solve and freed on return, so a
 b = 0 study of any mode makes no sparse factor.
 Matrices use the 2x2 Gauss rule on every cell, and every rule keeps its
-tensor structure: the points of a cell are n x-abscissae times n
-y-abscissae, and a callback receives them as two broadcasting arrays of
-shapes (cells, n, 1) and (cells, 1, n), so a factor of x or y alone is
-evaluated n, not n^2, times per cell. Each interior matrix is built
-directly as a 9-point stencil in CSR, one slab of whole x-columns of cells
-(about 2^14 cells) at a time: the slab's 4 x 4 cell matrices (one product
-of the coefficient values with a table of shape-function products per term)
-are added by 16 slice-adds into the 9 stencil offsets of the slab's node
-columns, each row's four cells in cell-id order. The rows a slab completes
-are gathered column by column straight into the CSR data, and the node
-column on the slab's border, whose rows have only the cells left of it,
-carries its partial sums into the next slab. A_int, G_int and M_int share
-one CSR pattern (sorted indices, no duplicates; (3 (nx - 1) - 2)
-(3 (ny - 1) - 2) entries). No coefficient, cell-matrix or offset array of
-the whole grid is formed. The right-hand side of
-weak_lifting, riesz_recon and plain_gD (F and every lifting term) uses 2x2
-Gauss on 4x4 sub-cells of the cells where the lifting's gradient is nonzero
-at a corner or Gauss point (the interface band; for plain_gD the band of the
-lifting handed in), and the 2x2 rule elsewhere: F carries the lifting's
-Laplacian, which jumps at the band edges, and on cut cells the plain 2x2 rule
-misses the cancellation of f(v) against a(h, v) by O(h^1.5). delta_h folds
-that cancellation into one smooth integrand and keeps the 2x2 rule. The
-lifting term a(h, v) is integrated over the band alone, where the lifting's
-gradient has its support, except for plain_gD's blend, which is integrated
-over every cell. A rule is its cell ids; loads and the band test build it
-block by block, 2^14 points at a time (_blocks), so the temporaries stay in
-cache, and each block's cell loads are added into the nodal vector as soon
-as they exist (np.add.at, in rule, then cell order), so no point or load
-array of a whole rule is formed. The Gram solves (PCG) and the estimator
-update their work vectors in place: a solve holds five stacks of its
-right-hand sides at most.
+tensor structure: the points of a cell are n x-abscissae times n y-abscissae,
+and a callback receives them as two broadcasting arrays of shapes
+(cells, n, 1) and (cells, 1, n), so a factor of x or y alone is evaluated n,
+not n^2, times per cell. Each interior matrix is built directly as its
+9-point stencil, one slab of whole x-columns of cells (about 2^14 cells) at a
+time: the slab's 4 x 4 cell matrices (one product of the coefficient values
+with a table of shape-function products per term) are added by 16 slice-adds
+into the 9 stencil offsets of the slab's node columns, each row's four cells
+in cell-id order. The rows a slab completes are copied straight into the
+matrix's diagonals, and the node column on the slab's border, whose rows have
+only the cells left of it, carries its partial sums into the next slab.
+A_int, G_int and M_int are scipy DIA arrays of the stencil's nine diagonals,
+at offsets dx (ny - 1) + dy in ascending order: one (9, n) data array each,
+couplings to boundary nodes stored as zeros (ny = 2 keeps dy = 0 only; ny = 3
+merges the two pairs of diagonals that coincide). Their products sum each row
+in ascending column order, as CSR's do, and their x-blocks A_ij are slices of
+the diagonals (reduced.XBlocks). No coefficient, cell-matrix or offset array
+of the whole grid is formed. The right-hand side of weak_lifting, riesz_recon
+and plain_gD (F and every lifting term) uses 2x2 Gauss on 4x4 sub-cells of
+the cells where the lifting's gradient is nonzero at a corner or Gauss point
+(the interface band; for plain_gD the band of the lifting handed in), and the
+2x2 rule elsewhere: F carries the lifting's Laplacian, which jumps at the
+band edges, and on cut cells the plain 2x2 rule misses the cancellation of
+f(v) against a(h, v) by O(h^1.5). delta_h folds that cancellation into one
+smooth integrand and keeps the 2x2 rule. The lifting term a(h, v) is
+integrated over the band alone, where the lifting's gradient has its support,
+except for plain_gD's blend, which is integrated over every cell. A rule is
+its cell ids; loads and the band test build it block by block, 2^14 points at
+a time (_blocks), so the temporaries stay in cache, and each block's cell
+loads are added into the nodal vector as soon as they exist (np.add.at, in
+rule, then cell order), so no point or load array of a whole rule is formed.
+The Gram solves (PCG) and the estimator update their work vectors in place: a
+solve holds five stacks of its right-hand sides at most.
 
 The V-inner product is the symmetric part of a for a divergence-free b (every
 built-in case): (u, v)_V = int k grad(u).grad(v), so the coercivity constant
@@ -313,35 +315,6 @@ def _blocks(grid, cells, sub=1):
         yield _Quadrature(grid, cells[lo:lo + step], sub)
 
 
-def _interior_pattern(grid):
-    """CSR pattern (indptr, indices) of the 9-point stencil on the interior
-    nodes of grid.
-
-    Row i of interior node (ix, iy) holds the interior columns among
-    (ix + dx, iy + dy), dx, dy in (-1, 0, 1), in that x-major (ascending)
-    order.
-    """
-    nx, ny = grid.nx - 1, grid.ny - 1  # interior nodes per direction
-    rows = nx * ny
-    idx = np.int32 if 9 * rows <= np.iinfo(np.int32).max else np.int64
-    near = lambda n: np.arange(n, dtype=idx)[:, None] + np.arange(-1, 2,
-                                                                  dtype=idx)
-    cx, cy = near(nx), near(ny)  # (n, 3) neighbour indices
-    keep = (_inside(nx)[:, None, :, None]
-            & _inside(ny)[None, :, None, :]).reshape(rows, 9)
-    cols = (cx[:, None, :, None] * ny + cy[None, :, None, :]).reshape(rows, 9)
-    indptr = np.zeros(rows + 1, dtype=idx)
-    np.cumsum(keep.sum(axis=1), out=indptr[1:])
-    return indptr, cols[keep]
-
-
-def _inside(n):
-    """(n, 3): whether the neighbours i - 1, i, i + 1 of each of n interior
-    nodes i in one direction are interior."""
-    near = np.arange(n)[:, None] + np.arange(-1, 2)
-    return (near >= 0) & (near < n)
-
-
 def _column_slabs(grid):
     """Rules (_Quadrature) over slabs of whole x-columns of cells, about
     _BLOCK_POINTS cells each, in x order, with each slab's first column.
@@ -359,8 +332,9 @@ def _column_slabs(grid):
         yield lo, _Quadrature(grid, np.arange(lo * ny, hi * ny))
 
 
-def _stencil_matrix(grid, pattern, cell_matrices):
-    """Interior CSR matrix of the cell matrices of every cell of grid.
+def _stencil_matrix(grid, cell_matrices):
+    """Interior matrix of the cell matrices of every cell of grid, as a
+    scipy DIA array of its nine diagonals.
 
     cell_matrices(quad) returns the (16, cells) cell matrices of the cells
     of the rule quad (row 4 t + s couples test node t with trial node s).
@@ -370,19 +344,23 @@ def _stencil_matrix(grid, pattern, cell_matrices):
     slabs in x order and t = 2, 1, 3, 0 within a slab sum them in cell id
     order, as one slab of every cell would. A slab completes the rows of
     its node columns but the last, whose partial sums carry over to the
-    next slab; the completed rows go into the CSR data column by column as
-    soon as the slab is added, so only one slab's offsets exist at a
-    time."""
+    next slab; the completed rows go into the diagonals (one slice copy per
+    offset) as soon as the slab is added, so only one slab's offsets exist
+    at a time.
+
+    The coupling of interior node (ix, iy), row ix n_y + iy (n_y = ny - 1),
+    to (ix + dx, iy + dy) lies on the diagonal of offset dx n_y + dy. The
+    (3, 3, nx - 1, n_y) data [dx + 1, dy + 1] is column-aligned, as DIA
+    stores it, and a coupling to a boundary node is stored as a zero."""
     nx, ny = grid.nx, grid.ny
-    indptr, indices = pattern
-    data = None  # allocated after the first slab's arrays, see below
-    kx, ky = _inside(nx - 1), _inside(ny - 1)
+    n_x, n_y = nx - 1, ny - 1
+    D = np.zeros((3, 3, n_x, n_y))
     carry = 0.0  # offsets of node column lo from the slabs before
     for lo, quad in _column_slabs(grid):
         L = cell_matrices(quad).reshape(4, 4, -1, ny)
         hi = lo + L.shape[2]
         # offsets of the interior rows of node columns lo .. hi
-        S = np.zeros((3, 3, hi - lo + 1, ny - 1))
+        S = np.zeros((3, 3, hi - lo + 1, n_y))
         S[:, :, 0] = carry
         # a row node is corner t of cell (ix - at, iy - bt); t = 2, 1, 3, 0
         # visits its four cells in id order
@@ -392,22 +370,25 @@ def _stencil_matrix(grid, pattern, cell_matrices):
                 S[a_s - at + 1, b_s - bt + 1, at:at + hi - lo] += L[
                     t, s, :, 1 - bt:ny - bt]
         carry = S[:, :, -1].copy()
-        if data is None:
-            # after the slab's arrays, so it lies above them in the C heap:
-            # freed, they leave a hole that later temporaries reuse. Formed
-            # first, it left them on the heap's top, which free returns to
-            # the system, and the training indicator of a 160 x 80 study
-            # re-faulted its per-chunk temporaries (about 70k minor page
-            # faults per study against 6k)
-            data = np.empty(indices.size)
-        # the interior node columns max(lo, 1) .. hi - 1 are complete; each
-        # is gathered on its own, so no gathered copy of the slab exists
-        for c in range(max(lo, 1), hi):
-            p0, p1 = indptr[(c - 1) * (ny - 1)], indptr[c * (ny - 1)]
-            data[p0:p1] = S[:, :, c - lo].transpose(2, 0, 1)[
-                kx[c - 1, None, :, None] & ky[:, None, :]]
-    n = indptr.size - 1
-    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+        # the rows of node columns max(lo, 1) .. hi - 1, interior block rows
+        # r0 .. r1 - 1, are complete: row (jx - dx, jy - dy) goes to column
+        # (jx, jy)
+        r0, r1 = max(lo, 1) - 1, hi - 1
+        for dx in (-1, 0, 1):
+            j0, j1 = max(r0 + dx, 0), min(r1 + dx, n_x)
+            for dy in (-1, 0, 1) if j0 < j1 else ():
+                D[dx + 1, dy + 1, j0:j1, max(dy, 0):n_y + min(dy, 0)] = S[
+                    dx + 1, dy + 1, j0 - dx + 1 - lo:j1 - dx + 1 - lo,
+                    max(-dy, 0):n_y - max(dy, 0)]
+    e = min(n_y - 1, 1)  # ny = 2: every y-coupling reaches the boundary
+    offsets, slot = np.unique((np.arange(-1, 2)[:, None] * n_y
+                               + np.arange(-e, e + 1)).ravel(),
+                              return_inverse=True)
+    data = D[:, 1 - e:2 + e].reshape(slot.size, -1)  # a view for e = 1
+    if offsets.size < slot.size:  # ny = 3: (dx, 1) and (dx + 1, -1) coincide
+        data = np.stack([data[slot == k].sum(axis=0)
+                         for k in range(offsets.size)])
+    return sp.dia_array((data, offsets), shape=(n_x * n_y,) * 2)
 
 
 def _cell_matrices(quad, diff=None, b1=None, b2=None, react=None):
@@ -428,25 +409,24 @@ def _cell_matrices(quad, diff=None, b1=None, b2=None, react=None):
 
 
 def _interior_matrices(grid, pd):
-    """(G_int, A_int, M_int) of grid on the 2x2 rule of every cell, with one
-    pattern shared by the three, each one slab loop (_stencil_matrix) that
-    evaluates the coefficients slab by slab. G_int is A_int when b = 0 at
-    every point (a is then symmetric); b is checked slab by slab first."""
+    """(G_int, A_int, M_int) of grid on the 2x2 rule of every cell, each
+    one slab loop (_stencil_matrix) that evaluates the coefficients slab by
+    slab. G_int is A_int when b = 0 at every point (a is then symmetric); b
+    is checked slab by slab first."""
     def diffusivity(quad):
         kv = quad.evaluate(pd.k)
         if kv.min() <= 0.0:
             raise ValueError(f"diffusivity not positive (min {kv.min():g})")
         return kv
 
-    pattern = _interior_pattern(grid)
-    G = A = _stencil_matrix(grid, pattern, lambda quad: _cell_matrices(
+    G = A = _stencil_matrix(grid, lambda quad: _cell_matrices(
         quad, diff=diffusivity(quad)))
     if any(quad.evaluate(pd.b1).any() or quad.evaluate(pd.b2).any()
            for _, quad in _column_slabs(grid)):
-        A = _stencil_matrix(grid, pattern, lambda quad: _cell_matrices(
+        A = _stencil_matrix(grid, lambda quad: _cell_matrices(
             quad, diff=quad.evaluate(pd.k), b1=quad.evaluate(pd.b1),
             b2=quad.evaluate(pd.b2)))
-    M = _stencil_matrix(grid, pattern, lambda quad: _cell_matrices(
+    M = _stencil_matrix(grid, lambda quad: _cell_matrices(
         quad, react=np.ones((len(quad.x), quad.N.shape[0]))))
     return G, A, M
 

@@ -10,12 +10,14 @@ values, the reduced matrix has the m x m blocks Phi^T A_ij Phi (x-node
 major, mode minor) and the right-hand side Phi^T rhs_i. It is
 block-tridiagonal too; ReducedSystem keeps only its blocks, solved as a
 band matrix (transverse.block_band) of bandwidth 2m - 1.
-XBlocks.products forms the products A_ij Phi one slab of x-block rows at a
-time and contracts each with Phi^T as soon as it exists, so the reduced
-assembly never holds the (3 (NH - 1) - 2, n_h - 1, m) stack of A_ij Phi.
-The training indicator (training.BaseMoments) is the same projection on
-its coarse x-grid; it goes through the same loop without the contraction,
-as it reuses A_ij Phi.
+The blocks are read in place: A_int is stored as its nine diagonals (a
+scipy DIA array, see problem.py), and A_ij is three of them sliced at block
+column j. XBlocks.products forms the products A_ij Phi from those slices one
+slab of x-block rows at a time and contracts each with Phi^T as soon as it
+exists, so the reduced assembly never holds the (3 (NH - 1) - 2, n_h - 1, m)
+stack of A_ij Phi. The training indicator (training.BaseMoments) is the same
+projection on its coarse x-grid; it goes through the same loop without the
+contraction, as it reuses A_ij Phi, and writes into a work array it owns.
 
 Because fine and reduced quadratures coincide by construction, discrete
 Galerkin orthogonality holds exactly: modes spanning the full transverse
@@ -28,13 +30,12 @@ so m-sweeps cost one projection plus banded solves.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .transverse import band_solve, block_band, block_pairs
 
 
-# Block rows per slab of XBlocks.products: the slab's zero-padded X and
-# sparse product stay a few MB at 800 x 400 (3.3 MB at m = 8)
+# Block rows per slab of XBlocks.products: the slab's products and their
+# work array stay a few MB at 800 x 400 (1.6 MB each at m = 8)
 _SLAB_ROWS = 64
 
 
@@ -44,7 +45,8 @@ class XBlocks:
     The nonzero blocks A_ij of the interior A, |i - j| <= 1, are the pairs
     (rows[p], cols[p]) = transverse.block_pairs(n_x), the block order of
     transverse.block_band. rhs holds the interior right-hand side as
-    (n_x, n_y) x-block rows.
+    (n_x, n_y) x-block rows; diagonals[dx n_y + dy][j] is block column j of
+    the coupling (dx, dy) = (j - i, dy), a view of A's DIA data.
     """
 
     def __init__(self, ops):
@@ -53,40 +55,49 @@ class XBlocks:
         self.n_y = ops.grid.ny - 1
         self.rhs = ops.rhs_int.reshape(self.n_x, self.n_y)
         self.rows, self.cols = block_pairs(self.n_x)
+        A = ops.A_int
+        self.diagonals = dict(zip(A.offsets.tolist(),
+                                  A.data.reshape(-1, self.n_x, self.n_y)))
 
-    def products(self, X, left=None):
+    def products(self, X, left=None, out=None):
         """A_ij X for every stored pair, shape (n_pairs, n_y, k), or with
-        left (n_y, l) given its projection left^T A_ij X, (n_pairs, l, k).
+        left (n_y, l) given its projection left^T A_ij X, (n_pairs, l, k);
+        written into out if given.
 
-        One loop over slabs of _SLAB_ROWS block rows: the slab's rows of A
-        (a CSR matrix on A's data, its block columns renumbered) take
-        X in the block columns j = c (mod 3) for c = 0, 1, 2; a block row
-        meets exactly one of each, so three sparse products give every
-        A_ij X of the slab without summing two blocks, each row summed as
-        in A @ X. With left, each product is contracted with left^T block
-        by block as soon as it exists (the same product per block as
-        left.T @ products(X)), so only slab-sized arrays are formed.
+        One loop over slabs of _SLAB_ROWS block rows and, in each, over the
+        block offsets dx = j - i, whose pairs are consecutive: A_ij X is X
+        times block column j of the diagonals dy = -1, 0, 1, each shifted by
+        dy and added in that order to zeros, every row summed as in the CSR
+        product A @ X. With left, each slab's products are contracted with
+        left^T at once (per block the product of left.T @ products(X)), so
+        only slab-sized arrays are formed.
         """
-        A, n_x, n_y, k = self.ops.A_int, self.n_x, self.n_y, X.shape[1]
-        out = np.empty((self.rows.size,
-                        n_y if left is None else left.shape[1], k))
+        n_x, n_y, k = self.n_x, self.n_y, X.shape[1]
+        if out is None:
+            out = np.empty((self.rows.size,
+                            n_y if left is None else left.shape[1], k))
+        dys = (-1, 0, 1) if n_y > 1 else (0,)  # ny = 2 keeps dy = 0 only
+        tmp = np.empty((min(n_x, _SLAB_ROWS), n_y, k))
+        AX = None if left is None else np.empty_like(tmp)
         for r0 in range(0, n_x, _SLAB_ROWS):
-            r1 = min(r0 + _SLAB_ROWS, n_x)
-            w0, w1 = max(r0 - 1, 0), min(r1 + 1, n_x)  # block columns met
-            p0, p1 = A.indptr[r0 * n_y], A.indptr[r1 * n_y]
-            slab = sp.csr_matrix(
-                (A.data[p0:p1], A.indices[p0:p1] - w0 * n_y,
-                 A.indptr[r0 * n_y:r1 * n_y + 1] - p0),
-                shape=((r1 - r0) * n_y, (w1 - w0) * n_y))
-            in_slab = (self.rows >= r0) & (self.rows < r1)
-            for c in range(3):
-                Xc = np.zeros((slab.shape[1], k))
-                Xc.reshape(w1 - w0, n_y, k)[(c - w0) % 3::3] = X
-                AX = (slab @ Xc).reshape(r1 - r0, n_y, k)
+            in_slab = (self.rows >= r0) & (self.rows < r0 + _SLAB_ROWS)
+            for dx in (-1, 0, 1):
+                p = np.flatnonzero(in_slab & (self.cols - self.rows == dx))
+                if not p.size:
+                    continue
+                p0, p1, j0 = p[0], p[-1] + 1, self.cols[p[0]]
+                ax = out[p0:p1] if left is None else AX[:p.size]
+                ax[...] = 0.0
+                for dy in dys:
+                    src = slice(max(dy, 0), n_y + min(dy, 0))  # X rows
+                    dst = slice(max(-dy, 0), n_y - max(dy, 0))
+                    diag = self.diagonals[dx * n_y + dy][j0:j0 + p.size]
+                    # a broadcast multiply, 2-3x faster as einsum
+                    np.einsum("py,yk->pyk", diag[:, src], X[src],
+                              out=tmp[:p.size, dst])
+                    ax[:, dst] += tmp[:p.size, dst]
                 if left is not None:
-                    AX = left.T @ AX
-                hit = in_slab & (self.cols % 3 == c)
-                out[hit] = AX[self.rows[hit] - r0]
+                    out[p0:p1] = left.T @ ax
         return out
 
 

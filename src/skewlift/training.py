@@ -41,8 +41,8 @@ change:
   <= 2 Qbar snapshot columns per sample against Phi (_orthonormalize_stack,
   one column slot at a time for every sample, on the sparse tridiagonal
   transverse mass), the products
-  A_ij E of all its new columns (reduced.XBlocks.products: three sparse
-  products per slab of x-block rows), the dense
+  A_ij E of all its new columns (reduced.XBlocks.products, on slices of
+  the diagonals, into the work array BaseMoments owns), the dense
   products Phi^T A_ij E, E^T A_ij Phi and rhs_i E over all of them, every
   sample's k x k blocks E^T A_ij E in one batched product, and the V-dual
   norms of all its explicit coarse residuals (TensorOperators.residual_norm,
@@ -332,7 +332,7 @@ def _orthonormalize_stack(base_int, extras, M_int):
 
 
 # Samples per BaseMoments.deltas call in element_indicators: large enough to
-# share the orthonormalization, the sparse and dense products and the Gram
+# share the orthonormalization, the block and dense products and the Gram
 # solve, small enough that the chunk's (3 N_H' - 5) x (n_h - 1) x
 # (2 Qbar x chunk) products stay a few MB.
 _CHUNK = 32
@@ -342,7 +342,10 @@ class BaseMoments:
     """Block moments of one base space Phi (interior rows of the POD modes)
     on the x-blocks of the coarse operators: A_ij Phi, Phi^T A_ij Phi and
     Phi^T rhs_i, with the sparse interior transverse mass M_y. Built once per
-    outer iteration."""
+    outer iteration; it owns the work array that every deltas call fills
+    with its products A_ij E, allocated by the first call and again only
+    when a chunk needs more room, so the chunks of an outer iteration
+    allocate no stack of products."""
 
     def __init__(self, xb, space):
         self.xb = xb
@@ -351,6 +354,7 @@ class BaseMoments:
         self.A_phi = xb.products(phi)
         self.phi_A_phi = phi.T @ self.A_phi
         self.phi_rhs = xb.rhs @ phi
+        self._work = np.empty(0)
 
     def deltas(self, extras):
         """Model estimator Delta on the coarse grid for each entry of extras,
@@ -362,7 +366,7 @@ class BaseMoments:
         mode-minor; a banded solve of the bordered block-tridiagonal system
         [Phi E]^T A_ij [Phi E]) and the V-dual norm of its explicit residual.
         Per call, over all entries at once: the M-orthonormalization
-        (_orthonormalize_stack), the sparse products A_ij E, the dense
+        (_orthonormalize_stack), the products A_ij E, the dense
         products Phi^T A_ij E, E^T A_ij Phi and rhs_i E, each entry's k x k
         blocks E^T A_ij E (one batched product) and one Gram solve over all
         residuals. Per entry remain the bordered blocks, filled from slices
@@ -386,7 +390,11 @@ class BaseMoments:
         E, counts = _orthonormalize_stack(phi, stack, self.M_y)
         # entry s's columns are s * k_max + c of every chunk-wide product
         E_cat = E.reshape(n_s * k_max, n_y).T
-        A_E = xb.products(E_cat)
+        size = xb.rows.size * n_y * n_s * k_max
+        if self._work.size < size:  # the first chunk, or a larger one
+            self._work = np.empty(size)
+        A_E = xb.products(E_cat, out=self._work[:size].reshape(
+            xb.rows.size, n_y, -1))
         phi_A_E = phi.T @ A_E
         E_A_phi = E_cat.T @ self.A_phi
         rhs_E = xb.rhs @ E_cat

@@ -7,6 +7,10 @@ from skewlift.mesh import TensorGrid, build_uniform_partition
 from skewlift.training import _orthonormalize_stack
 
 
+# grids with one interior column (nx = 2) or row (ny = 2), and non-square
+STENCIL_GRIDS = [(16, 10), (2, 7), (9, 2), (5, 13)]
+
+
 def build_grid(omega_x, omega_y, nx, ny):
     """Uniform nx x ny TensorGrid of omega_x x omega_y."""
     return TensorGrid(build_uniform_partition(*omega_x, nx),

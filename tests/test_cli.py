@@ -19,7 +19,9 @@ from skewlift.cli import (
     main,
     read_config_file,
 )
-from skewlift.problem import MODES
+from skewlift.cases import case1
+from skewlift.mesh import TensorGrid, build_uniform_partition
+from skewlift.problem import MODES, reference_operators, solve_reference
 
 
 def _read_rows(path):
@@ -49,6 +51,23 @@ def test_run_writes_convergence_csv(tmp_path, capsys):
     assert errs[-1] < errs[0]
     log = capsys.readouterr().out
     assert "reference solved" in log and "wrote" in log
+
+
+def test_one_interior_y_node_study(tmp_path):
+    # nh = 2: one interior node per x-line, so every operator keeps only its
+    # dy = 0 diagonals and the one mode spans the transverse space; at b = 0
+    # the estimator is the V-norm error (here both are round-off)
+    out = tmp_path / "nh2.csv"
+    assert main(_run_args(out, nh=2, m_max=1)) == 0
+    rows = _read_rows(out)
+    assert [r[0] for r in rows[1:]] == ["1"]
+    err_V_rel, delta_m = float(rows[1][1]), float(rows[1][3])
+    cs = case1()
+    grid = TensorGrid(build_uniform_partition(*cs.problem.omega_x, 24),
+                      build_uniform_partition(*cs.problem.omega_y, 2))
+    ref = solve_reference(reference_operators(cs.problem, cs.lift, grid))
+    assert err_V_rel < 1e-9  # the reference, to round-off
+    assert abs(delta_m - err_V_rel * ref.norms[0]) <= 1e-9
 
 
 def test_identical_seeds_are_byte_identical(tmp_path):

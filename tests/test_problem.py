@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from conftest import build_grid, same_bits
+from conftest import STENCIL_GRIDS, build_grid, same_bits
 from skewlift import cli, problem
 from skewlift.cases import case1, case2, case3, get_case
 from skewlift.problem import (
@@ -160,10 +160,6 @@ def test_gram_matrix_is_symmetric():
     assert asym <= 1e-13 * np.abs(G.toarray()).max()
 
 
-# grids with one interior column (nx = 2) or row (ny = 2), and non-square
-STENCIL_GRIDS = [(16, 10), (2, 7), (9, 2), (5, 13)]
-
-
 def _p1_interior(part, kind):
     """Interior 1D P1 matrix of kind ("stiff" or "mass", coefficient 1)."""
     lower, diag, upper = _p1_diagonals(part, np.ones((part.n, 2)), kind)
@@ -236,23 +232,28 @@ def test_variable_coefficient_matrix_matches_a_cell_loop(nx, ny):
             <= 1e-13 * np.abs(want_g).max())
 
 
-@pytest.mark.parametrize("nx,ny", STENCIL_GRIDS)
+@pytest.mark.parametrize("nx,ny", STENCIL_GRIDS + [(4, 3)])
 def test_interior_matrices_share_one_canonical_nine_point_pattern(nx, ny):
+    # each matrix is the nine diagonals dx (ny - 1) + dy of the stencil in
+    # ascending order; ny = 2 has no interior y-coupling (dy = 0 only) and
+    # at ny = 3 the diagonals (dx, 1) and (dx + 1, -1) coincide
     cs = case1(b=(1.0, 0.5))
     grid = build_grid(cs.problem.omega_x, cs.problem.omega_y, nx, ny)
     ops = reference_operators(cs.problem, cs.lift, grid)
+    n_y, n = ny - 1, (nx - 1) * (ny - 1)
+    dy = np.arange(-1, 2) if n_y > 1 else np.zeros(1, dtype=int)
+    offsets = np.unique(np.arange(-1, 2)[:, None] * n_y + dy)
     tri = lambda n: sp.diags([np.ones(n - 1), np.ones(n), np.ones(n - 1)],
                              [-1, 0, 1], shape=(n, n))
-    want = sp.kron(tri(nx - 1), tri(ny - 1), format="csr")
-    assert want.nnz == (3 * (nx - 1) - 2) * (3 * (ny - 1) - 2)
+    outside = sp.kron(tri(nx - 1), tri(ny - 1)).toarray() == 0
     for mat in (ops.A_int, ops.G_int, ops.M_int):
-        assert sp.isspmatrix_csr(mat)
-        # sorted indices, no duplicates; explicit zeros are kept
-        assert mat.has_canonical_format
-        np.testing.assert_array_equal(mat.indptr, want.indptr)
-        np.testing.assert_array_equal(mat.indices, want.indices)
-        assert np.shares_memory(mat.indices, ops.A_int.indices)
-        assert np.shares_memory(mat.indptr, ops.A_int.indptr)
+        assert mat.format == "dia"
+        np.testing.assert_array_equal(mat.offsets, offsets)
+        assert mat.data.shape == (offsets.size, n)
+        # couplings to boundary nodes are stored as zeros
+        assert not mat.toarray()[outside].any()
+    # the zeros drop out on conversion: SuperLU gets the Q1 pattern
+    assert ops.A_int.tocsc().nnz == (3 * (nx - 1) - 2) * (3 * (ny - 1) - 2)
 
 
 @pytest.mark.parametrize("nx,ny", STENCIL_GRIDS + [(4, 3), (3, 9), (11, 6)])
@@ -279,20 +280,21 @@ def test_stencil_slabs_give_the_one_slab_matrices_bitwise(nx, ny, monkeypatch):
     assert whole[0] is not whole[1]  # b != 0: G and A are both assembled
     for got, want in zip(sliced, whole):
         assert same_bits(got.data, want.data)
-        assert same_bits(got.indices, want.indices)
+        assert same_bits(got.offsets, want.offsets)
 
 
 def test_operator_assembly_peak_memory():
     # every coefficient, cell-matrix and offset array lives for one slab of
     # cells (163 of the 200 columns, 81 of the 400), each completed row goes
-    # straight into the CSR data, and a load lives for one block of its
-    # rule: the peak is the live operators (about 24 interior vectors: two
-    # CSR matrices and the pattern) and one slab's arrays. Measured 49.9 and
-    # 33.1 interior vectors; the limits leave about 6 % and 9 %. Whole-grid
-    # offsets, gather index and load arrays peaked at 50.5 and 45.8, and the
+    # straight into the diagonals, and a load lives for one block of its
+    # rule: the peak is the live operators (about 18 interior vectors: the
+    # nine diagonals of two matrices) and one slab's arrays. Measured 45.1
+    # and 28.3 interior vectors; the limits leave about 6 % and 8 %. Two CSR
+    # matrices and their shared pattern peaked at 49.9 and 33.1, whole-grid
+    # offsets, gather index and load arrays at 50.5 and 45.8, and the
     # whole-grid assembly before the slabs at 73 (200 x 100)
     cs = case1()
-    for nx, ny, limit in ((200, 100, 53.0), (400, 200, 36.0)):
+    for nx, ny, limit in ((200, 100, 48.0), (400, 200, 30.5)):
         grid = build_grid(cs.problem.omega_x, cs.problem.omega_y, nx, ny)
         reference_operators(cs.problem, cs.lift, grid)  # first-call arrays
         tracemalloc.start()

@@ -1,11 +1,12 @@
 """Reduced block systems, recovery limits, and lifting reconstructions."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import orthonormalize, same_bits
+from conftest import STENCIL_GRIDS, build_grid, orthonormalize, same_bits
 from skewlift import reduced
 from skewlift.cases import case1, get_case
 from skewlift.mesh import TensorGrid, build_uniform_partition
@@ -264,6 +265,30 @@ def test_projected_products_are_the_contracted_products_bitwise(
     monkeypatch.setattr(reduced, "_SLAB_ROWS", slab_rows)
     assert same_bits(xb.products(X), whole)
     assert same_bits(xb.products(X, L), L.T @ whole)
+
+
+@pytest.mark.parametrize("nx,ny", STENCIL_GRIDS + [(4, 3)])
+def test_products_are_sparse_products_of_one_block_column_bitwise(nx, ny):
+    # A_ij X is row block i of the CSR product of A with X in block column j
+    # and zeros elsewhere, bit for bit: the diagonals' three shifted
+    # products sum each row as that product does. Nonsymmetric A, variable
+    # k, a zero column and negative zeros in X (a sign of zero would show)
+    cs = case1(b=(100.0, 7.0))
+    pd = replace(cs.problem, k=lambda x, y: 1.0 + 0.3 * np.asarray(x)
+                 + 0.1 * np.asarray(y))
+    xb = reduced.XBlocks(reference_operators(
+        pd, cs.lift, build_grid(pd.omega_x, pd.omega_y, nx, ny)))
+    A = xb.ops.A_int.tocsr()
+    A.sort_indices()
+    X = np.random.default_rng(3).standard_normal((xb.n_y, 5))
+    X[:, 1] = 0.0
+    X[::2, 3] = -0.0
+    got = xb.products(X)
+    for p, (i, j) in enumerate(zip(xb.rows, xb.cols)):
+        Xj = np.zeros((xb.n_x, xb.n_y, 5))
+        Xj[j] = X
+        want = (A @ Xj.reshape(-1, 5)).reshape(Xj.shape)[i]
+        assert same_bits(got[p], want), (i, j)
 
 
 def test_reduced_assembly_peak_memory():

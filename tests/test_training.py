@@ -1,6 +1,7 @@
 """POD compression and the adaptive training-set loop."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -317,6 +318,38 @@ def test_batched_deltas_are_reproducible():
     extras = [_extra(solver, mu) for mu in cells[0].samples + cells[1].samples]
     first = base.deltas(extras)
     assert np.array_equal(base.deltas(extras), first)
+
+
+def test_indicator_products_fill_the_work_array_of_the_base():
+    # a chunk's products A_ij E go into the work array BaseMoments owns, so
+    # a second call with the same chunk size allocates no stack of them. On
+    # the indicator grid of the 160 x 80 studies (a 2 MB stack): numpy's
+    # ufunc buffers, 64 KB each, would dominate the stack of a tiny grid
+    cs = case1()
+    pd = cs.problem
+    th = build_uniform_partition(*pd.omega_x, 160)
+    yh = build_uniform_partition(*pd.omega_y, 80)
+    solver = TransverseSolver(pd, cs.lift, th, yh)
+    rng = np.random.Generator(np.random.Philox(0))
+    mus = [mu for c in initial_cells(pd.omega_x, 2, 4, 2, rng, th)
+           for mu in c.samples][:training._CHUNK]
+    snaps = solver.solve_many(mus)
+    coarse = reference_operators(pd, cs.lift, TensorGrid(
+        build_uniform_partition(*pd.omega_x, 10), yh))
+    base = BaseMoments(XBlocks(coarse), pod(np.vstack(snaps), yh, count=5))
+    extras = [s[:, 1:-1] for s in snaps]
+    first = base.deltas(extras)
+    tracemalloc.start()
+    try:
+        again = base.deltas(extras)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(again, first)
+    columns = len(extras) * max(e.shape[0] for e in extras)
+    stack = 8.0 * base.xb.rows.size * base.xb.n_y * columns
+    assert peak < stack, (f"a deltas call peaks at {peak / stack:.2f} "
+                          f"(n_pairs, n_y, columns) stacks (limit 1)")
 
 
 def test_chunk_mixing_dropped_columns_matches_one_sample_calls():
