@@ -39,8 +39,8 @@ def sine_space(yh, m):
     j = np.arange(1, yh.n)
     cols = np.column_stack(
         [np.sin(k * np.pi * j / yh.n) for k in range(1, m + 1)])
-    M_int = transverse_mass(yh)[1:-1, 1:-1]
-    cols = cols / np.sqrt(np.einsum("ij,ij->j", cols, M_int @ cols))
+    M_y = transverse_mass(yh)[1:-1, 1:-1]
+    cols = cols / np.sqrt(np.einsum("ij,ij->j", cols, M_y @ cols))
     modes = np.zeros((yh.n + 1, m))
     modes[1:-1, :] = cols
     return ReductionSpace(yh, modes, np.ones(m), np.zeros(m + 1))

@@ -59,17 +59,20 @@ into the 9 stencil offsets of the slab's node columns, each row's four cells
 in cell-id order. The rows a slab completes are copied straight into the
 matrix's diagonals, and the node column on the slab's border, whose rows have
 only the cells left of it, carries its partial sums into the next slab.
-A_int, G_int and M_int are scipy DIA arrays of the stencil's nine diagonals,
+A_int and G_int are scipy DIA arrays of the stencil's nine diagonals,
 at offsets dx (ny - 1) + dy in ascending order: one (9, n) data array each,
 couplings to boundary nodes stored as zeros (ny = 2 keeps dy = 0 only; ny = 3
 merges the two pairs of diagonals that coincide). Their products sum each row
 in ascending column order, as CSR's do, and their x-blocks A_ij are slices of
 the diagonals (reduced.XBlocks). No coefficient, cell-matrix or offset array
-of the whole grid is formed. The right-hand side of weak_lifting, riesz_recon
-and plain_gD (F and every lifting term) uses 2x2 Gauss on 4x4 sub-cells of
-the cells where the lifting's gradient is nonzero at a corner or Gauss point
-(the interface band; for plain_gD the band of the lifting handed in), and the
-2x2 rule elsewhere: F carries the lifting's Laplacian, which jumps at the
+of the whole grid is formed. The Q1 mass matrix is not assembled: on the
+tensor grid it is Mx (x) My, the Kronecker product of the two interior 1D P1
+masses, and the L2 norm (TensorOperators.l2_norm) and the Riesz field's mass
+solve (_mass_solve) apply it from their tridiagonals. The right-hand side of
+weak_lifting, riesz_recon and plain_gD (F and every lifting term) uses 2x2
+Gauss on 4x4 sub-cells of the cells where the lifting's gradient is nonzero
+at a corner or Gauss point (the interface band; for plain_gD the band of the
+lifting handed in), and the 2x2 rule elsewhere: F carries the lifting's Laplacian, which jumps at the
 band edges, and on cut cells the plain 2x2 rule misses the cancellation of
 f(v) against a(h, v) by O(h^1.5). delta_h folds that cancellation into one
 smooth integrand and keeps the 2x2 rule. The lifting term a(h, v) is
@@ -391,16 +394,16 @@ def _stencil_matrix(grid, cell_matrices):
     return sp.dia_array((data, offsets), shape=(n_x * n_y,) * 2)
 
 
-def _cell_matrices(quad, diff=None, b1=None, b2=None, react=None):
+def _cell_matrices(quad, diff, b1=None, b2=None):
     """(16, cells) cell matrices of int diff grad(u).grad(v)
-    + (b1 u_x + b2 u_y) v + react u v, from the coefficients' values at
-    quad's points (cells, q); row 4 t + s is test node t, trial node s.
+    + (b1 u_x + b2 u_y) v, from the coefficients' values at quad's points
+    (cells, q); row 4 t + s is test node t, trial node s.
     Each term is one (16, q) @ (q, cells) product with its weighted table
     of shape-function products at the points."""
     w, N, dx, dy = quad.w, quad.N, quad.dNx, quad.dNy
     table = lambda a, b: w * (a[:, :, None] * b[:, None, :]).reshape(-1, 16).T
     terms = ((diff, table(dx, dx) + table(dy, dy)), (b1, table(N, dx)),
-             (b2, table(N, dy)), (react, table(N, N)))
+             (b2, table(N, dy)))
     mats = (tab @ values.T for values, tab in terms if values is not None)
     out = next(mats)
     for mat in mats:  # summed in place
@@ -409,10 +412,10 @@ def _cell_matrices(quad, diff=None, b1=None, b2=None, react=None):
 
 
 def _interior_matrices(grid, pd):
-    """(G_int, A_int, M_int) of grid on the 2x2 rule of every cell, each
-    one slab loop (_stencil_matrix) that evaluates the coefficients slab by
-    slab. G_int is A_int when b = 0 at every point (a is then symmetric); b
-    is checked slab by slab first."""
+    """(G_int, A_int) of grid on the 2x2 rule of every cell, each one slab
+    loop (_stencil_matrix) that evaluates the coefficients slab by slab.
+    G_int is A_int when b = 0 at every point (a is then symmetric); b is
+    checked slab by slab first. The mass is not assembled (l2_norm)."""
     def diffusivity(quad):
         kv = quad.evaluate(pd.k)
         if kv.min() <= 0.0:
@@ -420,15 +423,13 @@ def _interior_matrices(grid, pd):
         return kv
 
     G = A = _stencil_matrix(grid, lambda quad: _cell_matrices(
-        quad, diff=diffusivity(quad)))
+        quad, diffusivity(quad)))
     if any(quad.evaluate(pd.b1).any() or quad.evaluate(pd.b2).any()
            for _, quad in _column_slabs(grid)):
         A = _stencil_matrix(grid, lambda quad: _cell_matrices(
-            quad, diff=quad.evaluate(pd.k), b1=quad.evaluate(pd.b1),
+            quad, quad.evaluate(pd.k), b1=quad.evaluate(pd.b1),
             b2=quad.evaluate(pd.b2)))
-    M = _stencil_matrix(grid, lambda quad: _cell_matrices(
-        quad, react=np.ones((len(quad.x), quad.N.shape[0]))))
-    return G, A, M
+    return G, A
 
 
 def _load(grid, rules, local):
@@ -474,7 +475,7 @@ def _p1_interior(part, kind):
 def _mass_solve(grid, rhs):
     """(Mx (x) My)^-1 rhs for one x-major interior vector rhs, as the
     (nx - 1, ny - 1) array of nodal values: one LAPACK ptsv on the interior
-    1D P1 mass per direction. M_int is Mx (x) My up to round-off."""
+    1D P1 mass per direction: the Q1 mass of the tensor grid is Mx (x) My."""
     U = rhs.reshape(grid.nx - 1, grid.ny - 1)
     for part in (grid.tx, grid.ty):  # solve along axis 0, then swap axes
         d, e = _p1_interior(part, "mass")
@@ -596,9 +597,10 @@ class TensorOperators:
 
     The unknowns are the (nx-1)(ny-1) interior nodes in x-major order.
     A_int is the bilinear form a, G_int the V-Gram matrix (the diffusion
-    part of a; A_int itself when b = 0 at every quadrature point), M_int the
-    mass matrix and rhs_int the mode-consistent right-hand side (under
-    riesz_recon the weak one, bit for bit). gram_solve solves with G_int by
+    part of a; A_int itself when b = 0 at every quadrature point) and rhs_int
+    the mode-consistent right-hand side (under riesz_recon the weak one, bit
+    for bit). The mass matrix Mx (x) My is not assembled: l2_norm applies it
+    from the interior 1D P1 mass tridiagonals. gram_solve solves with G_int by
     PCG, preconditioned by the k = 1 Gram inverse of the grid
     (_LaplaceGramInverse, built on first use; each grid, the coarse
     indicator grid too, has its own); the object makes no sparse factor.
@@ -624,7 +626,7 @@ class TensorOperators:
         self.pd = pd
         self.grid = grid
         self.mode = mode
-        self.G_int, self.A_int, self.M_int = _interior_matrices(grid, pd)
+        self.G_int, self.A_int = _interior_matrices(grid, pd)
         interior = lambda v: v.reshape(grid.shape)[1:-1, 1:-1].ravel()
         self.riesz_field = None
         self.lift = lift
@@ -701,7 +703,24 @@ class TensorOperators:
         return float(np.sqrt(max(u_int @ (self.G_int @ u_int), 0.0)))
 
     def l2_norm(self, u_int):
-        return float(np.sqrt(max(u_int @ (self.M_int @ u_int), 0.0)))
+        """sqrt(u . (Mx (x) My) u) of one interior vector, from the interior
+        1D P1 mass tridiagonals (dx, ex) and (dy, ey): with U_i the rows of
+        the (nx - 1, ny - 1) nodal array, the square is
+        sum_i dx_i U_i . My U_i + 2 ex_i U_i . My U_i+1. Each U_i . My U_k is
+        three weighted row-wise dot products of shifted slices (einsum), so
+        no interior-sized array is formed."""
+        grid = self.grid
+        (dx, ex), (dy, ey) = (_p1_interior(part, "mass")
+                              for part in (grid.tx, grid.ty))
+        U = u_int.reshape(grid.nx - 1, grid.ny - 1)
+
+        def rows_my(a, b):  # a_i . My b_i for each row i
+            dot = lambda p, q, w: np.einsum("ij,ij,j->i", p, q, w)
+            return (dot(a, b, dy) + dot(a[:, :-1], b[:, 1:], ey)
+                    + dot(a[:, 1:], b[:, :-1], ey))
+
+        s = dx @ rows_my(U, U) + 2.0 * (ex @ rows_my(U[:-1], U[1:]))
+        return float(np.sqrt(max(s, 0.0)))
 
 
 def reference_operators(pd, lift, grid, mode="weak_lifting"):

@@ -285,9 +285,9 @@ def refine(cells, marked, n_xi, rng, th):
 _DROP_TOL = 1e-10  # relative M-norm below which a column is dropped
 
 
-def _orthonormalize_stack(base_int, extras, M_int):
+def _orthonormalize_stack(base_int, extras, M_y):
     """M-orthonormalize a stack of samples' columns against a base and
-    within each sample.
+    within each sample, M = M_y the sparse interior transverse mass.
 
     base_int: (n, m) M-orthonormal base; extras: (S, k, n), sample s's
     columns as the rows of extras[s] (zero columns are dropped). Column slot
@@ -310,7 +310,7 @@ def _orthonormalize_stack(base_int, extras, M_int):
     # contiguous (S, n, 1) stacks: matmul picks its kernel by the strides,
     # and one layout gives every stack size the same per-sample kernel
     def times_M(v):
-        return np.ascontiguousarray((M_int @ v[:, :, 0].T).T)[:, :, None]
+        return np.ascontiguousarray((M_y @ v[:, :, 0].T).T)[:, :, None]
 
     def m_norms(v):
         return np.sqrt(np.maximum((v.transpose(0, 2, 1) @ times_M(v))[:, 0, 0],

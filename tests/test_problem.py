@@ -98,11 +98,12 @@ def test_riesz_rhs_equals_weak_rhs_on_matching_grid():
     weak, riesz = solve_reference(weak_ops), solve_reference(riesz_ops)
     scale = np.abs(weak.coeffs).max()
     assert np.abs(weak.coeffs - riesz.coeffs).max() <= 1e-10 * scale
-    # the Riesz field, a tensor mass solve, is M_int^-1 a(h, .)
+    # the Riesz field, a tensor mass solve, is (Mx (x) My)^-1 a(h, .)
     _, band = problem._rhs_rules(grid, lift)
     a_h = problem._lifting_vector(grid, [band], pd, lift).reshape(
         grid.shape)[1:-1, 1:-1].ravel()
-    got = riesz_ops.M_int @ riesz_ops.riesz_field[1:-1, 1:-1].ravel()
+    mass = sp.kron(_p1_interior(grid.tx, "mass"), _p1_interior(grid.ty, "mass"))
+    got = mass @ riesz_ops.riesz_field[1:-1, 1:-1].ravel()
     assert np.linalg.norm(got - a_h) <= 1e-12 * np.linalg.norm(a_h)
 
 
@@ -170,16 +171,22 @@ def _p1_interior(part, kind):
 @pytest.mark.parametrize("nx,ny", STENCIL_GRIDS)
 def test_unit_diffusivity_operators_are_kronecker_sums(nx, ny):
     # k = 1 on a tensor grid: the Q1 Gram is Kx (x) My + Mx (x) Ky and the
-    # mass Mx (x) My of the 1D P1 matrices (interior nodes x-major)
+    # L2 norm is that of the mass Mx (x) My of the 1D P1 matrices (interior
+    # nodes x-major; one interior y-node at ny = 2, one x-node at nx = 2)
     cs = case1()
     grid = build_grid(cs.problem.omega_x, cs.problem.omega_y, nx, ny)
     ops = reference_operators(cs.problem, cs.lift, grid)
     (kx, mx), (ky, my) = ((_p1_interior(t, "stiff"), _p1_interior(t, "mass"))
                           for t in (grid.tx, grid.ty))
-    for mat, want in ((ops.G_int, sp.kron(kx, my) + sp.kron(mx, ky)),
-                      (ops.M_int, sp.kron(mx, my))):
-        want = want.toarray()
-        assert np.abs(mat.toarray() - want).max() <= 1e-14 * np.abs(want).max()
+    want = (sp.kron(kx, my) + sp.kron(mx, ky)).toarray()
+    assert (np.abs(ops.G_int.toarray() - want).max()
+            <= 1e-14 * np.abs(want).max())
+    mass = sp.kron(mx, my)
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        u = rng.standard_normal(mass.shape[0])
+        want = np.sqrt(u @ (mass @ u))
+        assert ops.l2_norm(u) == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def _cell_loop_matrix(pd, grid):
@@ -246,7 +253,7 @@ def test_interior_matrices_share_one_canonical_nine_point_pattern(nx, ny):
     tri = lambda n: sp.diags([np.ones(n - 1), np.ones(n), np.ones(n - 1)],
                              [-1, 0, 1], shape=(n, n))
     outside = sp.kron(tri(nx - 1), tri(ny - 1)).toarray() == 0
-    for mat in (ops.A_int, ops.G_int, ops.M_int):
+    for mat in (ops.A_int, ops.G_int):
         assert mat.format == "dia"
         np.testing.assert_array_equal(mat.offsets, offsets)
         assert mat.data.shape == (offsets.size, n)
@@ -287,14 +294,16 @@ def test_operator_assembly_peak_memory():
     # every coefficient, cell-matrix and offset array lives for one slab of
     # cells (163 of the 200 columns, 81 of the 400), each completed row goes
     # straight into the diagonals, and a load lives for one block of its
-    # rule: the peak is the live operators (about 18 interior vectors: the
-    # nine diagonals of two matrices) and one slab's arrays. Measured 45.1
-    # and 28.3 interior vectors; the limits leave about 6 % and 8 %. Two CSR
-    # matrices and their shared pattern peaked at 49.9 and 33.1, whole-grid
-    # offsets, gather index and load arrays at 50.5 and 45.8, and the
-    # whole-grid assembly before the slabs at 73 (200 x 100)
+    # rule: the peak is the live operators (about 9 interior vectors: the
+    # nine diagonals of one matrix, G_int = A_int at b = 0; the mass is not
+    # assembled) and one slab's arrays. Measured 36.1 and 19.2 interior
+    # vectors; the limits leave about 7 % and 8 %. With the assembled mass
+    # (nine more diagonals) the peak was 45.1 and 28.3, two CSR matrices and
+    # their shared pattern peaked at 49.9 and 33.1, whole-grid offsets,
+    # gather index and load arrays at 50.5 and 45.8, and the whole-grid
+    # assembly before the slabs at 73 (200 x 100)
     cs = case1()
-    for nx, ny, limit in ((200, 100, 48.0), (400, 200, 30.5)):
+    for nx, ny, limit in ((200, 100, 38.5), (400, 200, 20.8)):
         grid = build_grid(cs.problem.omega_x, cs.problem.omega_y, nx, ny)
         reference_operators(cs.problem, cs.lift, grid)  # first-call arrays
         tracemalloc.start()
@@ -568,6 +577,11 @@ def test_operators_hold_the_interior_system_and_one_factor(mode, b,
     grid = build_grid(cs.problem.omega_x, cs.problem.omega_y, 16, 10)
     ops = reference_operators(cs.problem, cs.lift, grid, mode)
     n = (grid.nx - 1) * (grid.ny - 1)
+    # the system and the Gram are the only matrices: no mass matrix (l2_norm
+    # applies Mx (x) My from its 1D factors)
+    assert sorted(name for name, value in vars(ops).items()
+                  if sp.issparse(value)) == ["A_int", "G_int"]
+    assert (ops.G_int is ops.A_int) == (b == (0.0, 0.0))
     for name, value in vars(ops).items():
         if sp.issparse(value):
             assert value.shape == (n, n), name
@@ -581,10 +595,8 @@ def test_operators_hold_the_interior_system_and_one_factor(mode, b,
     assert _held_factors(ops) == []
     if b == (0.0, 0.0):
         # the reference and the estimator both solve with G_int = A_int
-        assert ops.G_int is ops.A_int
         assert factored == []
     else:
-        assert ops.G_int is not ops.A_int
         assert len(factored) == 1 and (factored[0] != ops.A_int).nnz == 0
 
 
