@@ -13,11 +13,13 @@ Run:  python demos/detect_interface.py
 import numpy as np
 
 from skewlift.cases import detection_data
-from skewlift.interface import detection_partitions, locate_interface
+from skewlift.interface import locate_interface
+from skewlift.mesh import build_uniform_partition
 
 
 def main():
-    coarse, fine = detection_partitions((0.0, 2.0), (0.0, 1.0), 20, 100)
+    coarse = build_uniform_partition(0.0, 2.0, 20)
+    fine = build_uniform_partition(0.0, 1.0, 100)
     print(f"coarse x-grid: {coarse.n} elements, fine y-grid: {fine.n} "
           f"elements (candidate midpoints every {fine.h:.3f})")
 

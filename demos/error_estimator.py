@@ -17,11 +17,12 @@ from skewlift.mesh import TensorGrid, build_uniform_partition
 from skewlift.problem import (
     LiftingFunction,
     ProblemData,
+    p1_interior,
     reference_operators,
     solve_reference,
 )
 from skewlift.reduced import assemble_reduced, solve_reduced
-from skewlift.training import ReductionSpace, transverse_mass
+from skewlift.training import ReductionSpace
 
 
 def make_problem(b1, b2):
@@ -39,8 +40,8 @@ def sine_space(yh, m):
     j = np.arange(1, yh.n)
     cols = np.column_stack(
         [np.sin(k * np.pi * j / yh.n) for k in range(1, m + 1)])
-    M_y = transverse_mass(yh)[1:-1, 1:-1]
-    cols = cols / np.sqrt(np.einsum("ij,ij->j", cols, M_y @ cols))
+    d, e = p1_interior(yh, "mass")  # the interior transverse mass
+    cols = cols / np.sqrt(d @ cols**2 + 2.0 * e @ (cols[:-1] * cols[1:]))
     modes = np.zeros((yh.n + 1, m))
     modes[1:-1, :] = cols
     return ReductionSpace(yh, modes, np.ones(m), np.zeros(m + 1))

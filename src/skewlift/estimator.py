@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .problem import p1_interior
+
 
 @dataclass
 class ErrorReport:
@@ -59,7 +61,9 @@ def error_report(ops, reference, rsol):
     Relative errors are taken against the reference's norms; delta_m is the
     residual-based estimator, e_pod the POD truncation tail at this m,
     lambda_m the m-th POD energy and pbar_norm the L2(Omega_1D) norm of the
-    m-th coefficient function; the POD figures come from rsol.space.
+    m-th coefficient function (exact: the interior x-mass quadratic form of
+    its nodal values, problem.p1_interior); the POD figures come from
+    rsol.space.
     """
     if reference.ops is not ops or rsol.ops is not ops:
         raise ValueError("reference and reduced solutions were not solved "
@@ -75,13 +79,9 @@ def error_report(ops, reference, rsol):
     delta_m = ops.residual_norm(p_red)
     m = rsol.m
     lam = float(space.eigenvalues[m - 1]) if m <= space.eigenvalues.size else 0.0
-    pbar = rsol.pbar(m - 1)
-    tx = ops.grid.tx
-    # L2(Omega_1D) norm of the P1 coefficient function (Simpson on elements)
-    vals = pbar
-    mid = 0.5 * (vals[:-1] + vals[1:])
-    pbar_norm = float(np.sqrt(tx.h * np.sum(
-        (vals[:-1] ** 2 + 4 * mid ** 2 + vals[1:] ** 2) / 6.0)))
+    c = rsol.coeffs[m - 1]  # P1, zero at both ends of Omega_1D
+    d, off = p1_interior(ops.grid.tx, "mass")
+    pbar_norm = float(np.sqrt(c @ (d * c) + 2.0 * (off @ (c[:-1] * c[1:]))))
     return ErrorReport(
         m=m,
         err_V_rel=float(err_V),

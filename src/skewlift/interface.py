@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .mesh import Partition1D, build_uniform_partition
+from .mesh import Partition1D
 from .problem import LiftingFunction
 from .transverse import band_solve, block_band, block_pairs
 
@@ -102,30 +102,14 @@ def locate_interface(data, coarse_x, fine_y, mode="both"):
 
 @dataclass(frozen=True)
 class Profile1D:
-    """Transverse profile s(t) with optional analytic derivatives.
-
-    Missing derivatives fall back to central differences (step 1e-6 for s',
-    1e-5 for s''), which is enough for plotting but not for the
-    exact-reproduction guarantees of analytic profiles. domain declares the
-    t-range on which s is defined.
-    """
+    """Transverse profile s(t) with its analytic derivative s' and, when
+    known, s'' (build_lifting attaches a Laplacian only then). domain
+    declares the t-range on which s is defined."""
 
     value: Callable
-    deriv: Optional[Callable] = None
+    deriv: Callable
     second_deriv: Optional[Callable] = None
     domain: tuple = (-np.inf, np.inf)
-
-    def d1(self, t):
-        if self.deriv is not None:
-            return self.deriv(t)
-        e = 1e-6
-        return (self.value(t + e) - self.value(t - e)) / (2 * e)
-
-    def d2(self, t):
-        if self.second_deriv is not None:
-            return self.second_deriv(t)
-        e = 1e-5
-        return (self.value(t + e) - 2 * self.value(t) + self.value(t - e)) / e**2
 
 
 def build_lifting(curve, boundary_profile, omega_x, omega_y,
@@ -199,15 +183,15 @@ def build_lifting(curve, boundary_profile, omega_x, omega_y,
         return np.asarray(y) - w_of(x) + w_anchor
 
     value = lambda x, y: s.value(arg(x, y))
-    dy = lambda x, y: s.d1(arg(x, y))
-    dx = lambda x, y: -dw_of(x) * s.d1(arg(x, y))
+    dy = lambda x, y: s.deriv(arg(x, y))
+    dx = lambda x, y: -dw_of(x) * s.deriv(arg(x, y))
 
     laplacian = None
     if smooth and s.second_deriv is not None:
         def laplacian(x, y):
             t = arg(x, y)
             dw = dw_of(x)
-            return s.d2(t) * (1.0 + dw**2) - s.d1(t) * d2w_of(x)
+            return s.second_deriv(t) * (1.0 + dw**2) - s.deriv(t) * d2w_of(x)
 
     return LiftingFunction(value=value, dx=dx, dy=dy, laplacian=laplacian)
 
@@ -282,10 +266,3 @@ def boussinesq_steady_profile(part, K, N, bc):
         raise ValueError("steady-state water table would be imaginary")
     return np.sqrt(q)
 
-
-def detection_partitions(omega_x, omega_y, n_coarse, n_fine):
-    """Convenience pair of partitions for locate_interface."""
-    return (
-        build_uniform_partition(omega_x[0], omega_x[1], n_coarse),
-        build_uniform_partition(omega_y[0], omega_y[1], n_fine),
-    )

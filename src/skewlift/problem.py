@@ -465,9 +465,11 @@ def _lifting_vector(grid, rules, pd, lift):
     return _load(grid, rules, local)
 
 
-def _p1_interior(part, kind):
+def p1_interior(part, kind):
     """(diag, upper) of the interior block of the 1D P1 matrix of kind
-    ("stiff" or "mass", coefficient 1) on part (transverse._p1_diagonals)."""
+    ("stiff" or "mass", coefficient 1) on part (transverse._p1_diagonals):
+    n - 1 and n - 2 entries; the matrix is symmetric, so upper is also its
+    lower diagonal."""
     _, diag, upper = _p1_diagonals(part, np.ones((part.n, 2)), kind)
     return diag[1:-1], upper[1:-1]
 
@@ -478,7 +480,7 @@ def _mass_solve(grid, rhs):
     1D P1 mass per direction: the Q1 mass of the tensor grid is Mx (x) My."""
     U = rhs.reshape(grid.nx - 1, grid.ny - 1)
     for part in (grid.tx, grid.ty):  # solve along axis 0, then swap axes
-        d, e = _p1_interior(part, "mass")
+        d, e = p1_interior(part, "mass")
         *_, U, info = scipy.linalg.lapack.dptsv(d, e, U)
         if info != 0:
             raise RuntimeError(f"mass solve failed (ptsv info {info})")
@@ -503,9 +505,9 @@ class _LaplaceGramInverse:
         self.along_x = grid.nx < grid.ny  # the eigen direction
         eig, tri = (grid.tx, grid.ty) if self.along_x else (grid.ty, grid.tx)
         ke, me = (np.diag(d) + np.diag(e, 1) + np.diag(e, -1) for d, e in
-                  (_p1_interior(eig, "stiff"), _p1_interior(eig, "mass")))
+                  (p1_interior(eig, "stiff"), p1_interior(eig, "mass")))
         lam, self.V = scipy.linalg.eigh(ke, me)
-        (kt, et), (mt, ft) = (_p1_interior(tri, kind)
+        (kt, et), (mt, ft) = (p1_interior(tri, kind)
                               for kind in ("stiff", "mass"))
         off = np.zeros((lam.size, kt.size))
         off[:, :-1] = et + lam[:, None] * ft
@@ -710,7 +712,7 @@ class TensorOperators:
         three weighted row-wise dot products of shifted slices (einsum), so
         no interior-sized array is formed."""
         grid = self.grid
-        (dx, ex), (dy, ey) = (_p1_interior(part, "mass")
+        (dx, ex), (dy, ey) = (p1_interior(part, "mass")
                               for part in (grid.tx, grid.ty))
         U = u_int.reshape(grid.nx - 1, grid.ny - 1)
 

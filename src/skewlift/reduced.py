@@ -153,12 +153,6 @@ class ReducedSolution:
         # (NH-1, m) @ (m, ny-1) -> x-major, y-minor flattening
         return (self.coeffs.T @ phi_int.T).ravel()
 
-    def pbar(self, k):
-        """k-th coefficient function (0-based), nodal on the x-partition."""
-        out = np.zeros(self.ops.grid.nx + 1)
-        out[1:-1] = self.coeffs[k]
-        return out
-
 
 def solve_reduced(system):
     """Banded LU solve of system.blocks; a residual (one block matvec over

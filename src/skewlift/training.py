@@ -39,8 +39,8 @@ change:
   band scatter and band solve stay each fresh sample's own,
   then, in BaseMoments.deltas, the M-orthonormalization of all the chunk's
   <= 2 Qbar snapshot columns per sample against Phi (_orthonormalize_stack,
-  one column slot at a time for every sample, on the sparse tridiagonal
-  transverse mass), the products
+  one column slot at a time for every sample, on the (diag, off) pair of
+  the interior transverse mass), the products
   A_ij E of all its new columns (reduced.XBlocks.products, on slices of
   the diagonals, into the work array BaseMoments owns), the dense
   products Phi^T A_ij E, E^T A_ij Phi and rhs_i E over all of them, every
@@ -63,10 +63,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 from .mesh import Partition1D, TensorGrid, build_uniform_partition
-from .problem import reference_operators
+from .problem import p1_interior, reference_operators
 from .reduced import XBlocks
 from .transverse import (TransverseSolver, _p1_diagonals, band_solve,
                          block_band)
@@ -112,39 +111,34 @@ def empty_space(part):
                           np.ones(1))
 
 
-def transverse_mass(part):
-    """P1 mass matrix of part over all n_h + 1 nodes: tridiagonal, returned
-    as a scipy.sparse CSR array ([1:-1, 1:-1] is the interior block)."""
-    lower, diag, upper = _p1_diagonals(part, np.ones((part.n, 2)), "mass")
-    return scipy.sparse.diags_array([lower, diag, upper], offsets=[-1, 0, 1],
-                                    format="csr")
-
-
 def pod(snapshots, part, count=None):
     """POD in the L2(omega_hat) inner product by a thin SVD.
 
     snapshots: the rows of one (n_s, n_h + 1) array, or a sequence of n_s
     nodal arrays, over part (boundary entries allowed); S is the
-    (n_h + 1) x n_s matrix of their columns. With M = L L^T the dense
-    Cholesky factorization of the full transverse mass (transverse_mass,
-    densified), the thin SVD L^T S = U diag(s) W^T gives the energies
-    lambda = s^2 and the M-orthonormal modes L^{-T} U without squaring S
-    into its Gram matrix, so energies far below eps * lambda_1 stay
-    resolved; singular values below max(shape) * eps * s_1 count as
-    numerically zero. Returns a ReductionSpace with modes ordered by
-    descending energy; the number of modes is count (if given), else every
-    numerically meaningful mode. Mode signs are fixed (largest-magnitude
-    entry positive) so equal snapshot sets give identical spaces regardless
-    of input ordering.
+    (n_h + 1) x n_s matrix of their columns. With M = R^T R the banded
+    Cholesky factorization of the full tridiagonal transverse mass (R upper
+    bidiagonal), the thin SVD R S = U diag(s) W^T gives the energies
+    lambda = s^2 and the M-orthonormal modes R^{-1} U (one banded solve)
+    without squaring S into its Gram matrix, so energies far below
+    eps * lambda_1 stay resolved; singular values below
+    max(shape) * eps * s_1 count as numerically zero. No (n_h + 1)^2 array
+    is formed. Returns a ReductionSpace with modes ordered by descending
+    energy; the number of modes is count (if given), else every numerically
+    meaningful mode. Mode signs are fixed (largest-magnitude entry positive)
+    so equal snapshot sets give identical spaces regardless of input
+    ordering.
     """
     S = np.asarray(snapshots, dtype=float)
     if S.size == 0:
         raise ValueError("empty snapshot set")
     if S.ndim != 2 or S.shape[1] != part.n + 1:
         raise ValueError("snapshot length does not match the partition")
-    S = np.ascontiguousarray(S.T)
-    L = np.linalg.cholesky(transverse_mass(part).toarray())
-    B = L.T @ S
+    S = S.T
+    _, diag, upper = _p1_diagonals(part, np.ones((part.n, 2)), "mass")
+    R = scipy.linalg.cholesky_banded(np.vstack([np.append(0.0, upper), diag]))
+    B = R[1, :, None] * S
+    B[:-1] += R[0, 1:, None] * S[1:]
     U, sv, _ = np.linalg.svd(B, full_matrices=False)
     lam = sv ** 2
     total = lam.sum()
@@ -155,7 +149,7 @@ def pod(snapshots, part, count=None):
     m_avail = int(np.count_nonzero(sv > max(B.shape) * np.finfo(float).eps
                                    * sv[0]))
     m = m_avail if count is None else min(int(count), m_avail)
-    modes = scipy.linalg.solve_triangular(L.T, U[:, :m], lower=False)
+    modes = scipy.linalg.solve_banded((0, 1), R, U[:, :m])
     flip = modes[np.abs(modes).argmax(axis=0), np.arange(m)] < 0
     modes[:, flip] *= -1.0
     return ReductionSpace(part, modes, lam[:m].copy(), pod_tail)
@@ -231,18 +225,17 @@ def _splittable(cell, th):
     return bool(np.all(w >= 2) and np.all(w > 2 * (cell.lo.size - 1)))
 
 
-def mark(cells, theta, sigma_thres, th=None):
+def mark(cells, theta, sigma_thres, th):
     """Indices (positions) of cells to refine.
 
     The ceil(theta * N) cells of smallest eta (ties by cell id) are marked,
-    plus every cell with sigma > sigma_thres. Given the partition th the
-    samples are drawn on, a cell whose children could not hold valid
-    samples (_splittable) is never marked.
+    plus every cell with sigma > sigma_thres. A cell whose children could
+    not hold valid samples on the partition th the samples are drawn on
+    (_splittable) is never marked.
     """
     if not 0 < theta <= 1:
         raise ValueError(f"theta must be in (0, 1], got {theta}")
-    eligible = [i for i, c in enumerate(cells)
-                if th is None or _splittable(c, th)]
+    eligible = [i for i, c in enumerate(cells) if _splittable(c, th)]
     if not eligible:
         return []
     n_mark = math.ceil(theta * len(cells))
@@ -285,16 +278,39 @@ def refine(cells, marked, n_xi, rng, th):
 _DROP_TOL = 1e-10  # relative M-norm below which a column is dropped
 
 
+def _stack_mass(M_y, n_s):
+    """(diag, off) of I_{n_s} (x) M, M given as its (diag, off) pair M_y:
+    the tridiagonal of a flattened stack of n_s rows, with zero coupling
+    between consecutive rows. One product with it covers the stack in three
+    contiguous operations (half the time of slicing the 2-D stack at
+    32 x 79)."""
+    d, e = M_y
+    return np.tile(d, n_s), np.tile(np.append(e, 0.0), n_s)[:-1]
+
+
+def _tridiag_times(M, x):
+    """M x for the symmetric tridiagonal M given as its (diag, off) pair,
+    in a new array: three slice operations on contiguous memory, which
+    round as a CSR product of M does."""
+    d, e = M
+    out = d * x
+    out[1:] += e * x[:-1]
+    out[:-1] += e * x[1:]
+    return out
+
+
 def _orthonormalize_stack(base_int, extras, M_y):
     """M-orthonormalize a stack of samples' columns against a base and
-    within each sample, M = M_y the sparse interior transverse mass.
+    within each sample, M the interior transverse mass, given as its
+    (diag, off) pair M_y (problem.p1_interior).
 
     base_int: (n, m) M-orthonormal base; extras: (S, k, n), sample s's
     columns as the rows of extras[s] (zero columns are dropped). Column slot
     j is handled for all S samples at once: projected out of the base in one
-    block step (one sparse M product for the stack) and out of its sample's
-    columns accepted before it, in two passes (twice is enough); it is kept
-    if its M-norm is still above _DROP_TOL times its norm before projection.
+    block step (one _tridiag_times product for the stack) and out of its
+    sample's columns accepted before it, in two passes (twice is enough); it
+    is kept if its M-norm is still above _DROP_TOL times its norm before
+    projection.
     The dense products are stacked over samples (matmul over the leading
     axis, one kernel call per sample), not gemms across samples: a nearly
     dependent column amplifies rounding by its inverse norm ratio, and a
@@ -306,11 +322,12 @@ def _orthonormalize_stack(base_int, extras, M_y):
     E = np.zeros(extras.shape)
     counts = np.zeros(n_s, dtype=int)
     samples = np.arange(n_s)
+    M_stack = _stack_mass(M_y, n_s)
 
     # contiguous (S, n, 1) stacks: matmul picks its kernel by the strides,
     # and one layout gives every stack size the same per-sample kernel
     def times_M(v):
-        return np.ascontiguousarray((M_y @ v[:, :, 0].T).T)[:, :, None]
+        return _tridiag_times(M_stack, v.ravel()).reshape(v.shape)
 
     def m_norms(v):
         return np.sqrt(np.maximum((v.transpose(0, 2, 1) @ times_M(v))[:, 0, 0],
@@ -341,16 +358,17 @@ _CHUNK = 32
 class BaseMoments:
     """Block moments of one base space Phi (interior rows of the POD modes)
     on the x-blocks of the coarse operators: A_ij Phi, Phi^T A_ij Phi and
-    Phi^T rhs_i, with the sparse interior transverse mass M_y. Built once per
-    outer iteration; it owns the work array that every deltas call fills
-    with its products A_ij E, allocated by the first call and again only
-    when a chunk needs more room, so the chunks of an outer iteration
-    allocate no stack of products."""
+    Phi^T rhs_i, with the interior transverse mass as its (diag, off) pair
+    M_y (problem.p1_interior). Built once per outer iteration; it owns the
+    work array that every deltas call fills with its products A_ij E,
+    allocated by the first call and again only when a chunk needs more
+    room, so the chunks of an outer iteration allocate no stack of
+    products."""
 
     def __init__(self, xb, space):
         self.xb = xb
         self.phi = phi = space.modes[1:-1, :]
-        self.M_y = transverse_mass(xb.ops.grid.ty)[1:-1, 1:-1]
+        self.M_y = p1_interior(xb.ops.grid.ty, "mass")
         self.A_phi = xb.products(phi)
         self.phi_A_phi = phi.T @ self.A_phi
         self.phi_rhs = xb.rhs @ phi

@@ -24,10 +24,11 @@ def same_bits(a, b):
 
 
 def orthonormalize(base_int, extra_int, M_y):
-    """[base_int, E]: the columns of extra_int M_y-orthonormalized against
-    the M_y-orthonormal base_int and each other (M_y the interior transverse
-    mass), near-dependent ones dropped, by training._orthonormalize_stack on
-    a stack of one sample."""
+    """[base_int, E]: the columns of extra_int M-orthonormalized against
+    the M-orthonormal base_int and each other (M the interior transverse
+    mass, M_y its (diag, off) pair from problem.p1_interior), near-dependent
+    ones dropped, by training._orthonormalize_stack on a stack of one
+    sample."""
     E, counts = _orthonormalize_stack(base_int, extra_int.T[None], M_y)
     return np.hstack([base_int, E[0, :counts[0]].T])
 

@@ -29,15 +29,12 @@ from skewlift.problem import (
     MODES,
     LiftingFunction,
     ProblemData,
+    p1_interior,
     reference_operators,
     solve_reference,
 )
 from skewlift.reduced import assemble_reduced, solve_reduced
-from skewlift.training import (
-    ReductionSpace,
-    pod,
-    transverse_mass,
-)
+from skewlift.training import ReductionSpace, pod
 
 _SILENT = lambda *a, **k: None
 
@@ -268,8 +265,8 @@ def test_criterion_05_estimator_identity_and_bound():
         j = np.arange(1, yh.n)
         cols = np.column_stack(
             [np.sin(k * np.pi * j / yh.n) for k in range(1, m + 1)])
-        M_int = transverse_mass(yh)[1:-1, 1:-1]
-        cols = cols / np.sqrt(np.einsum("ij,ij->j", cols, M_int @ cols))
+        d, e = p1_interior(yh, "mass")
+        cols = cols / np.sqrt(d @ cols**2 + 2.0 * e @ (cols[:-1] * cols[1:]))
         modes = np.zeros((yh.n + 1, m))
         modes[1:-1, :] = cols
         return ReductionSpace(yh, modes, np.ones(m), np.zeros(m + 1))
@@ -352,8 +349,8 @@ def test_criterion_07_full_space_recovery():
     yh = build_uniform_partition(0.0, 1.0, 8)
     grid = TensorGrid(th, yh)
     n_i = yh.n - 1
-    M_int = transverse_mass(yh)[1:-1, 1:-1]
-    cols = orthonormalize(np.zeros((n_i, 0)), np.eye(n_i), M_int)
+    cols = orthonormalize(np.zeros((n_i, 0)), np.eye(n_i),
+                          p1_interior(yh, "mass"))
     modes = np.zeros((yh.n + 1, n_i))
     modes[1:-1, :] = cols
     space = ReductionSpace(yh, modes, np.ones(n_i), np.zeros(n_i + 1))

@@ -197,5 +197,5 @@ def test_detection_data_registry():
 def test_cosine_profile_uses_analytic_derivatives():
     prof = cosine_profile()
     t = 0.85
-    assert prof.d1(t) == pytest.approx(_sp(t))
-    assert prof.d2(t) == pytest.approx(_spp(t))
+    assert prof.deriv(t) == pytest.approx(_sp(t))
+    assert prof.second_deriv(t) == pytest.approx(_spp(t))

@@ -19,11 +19,12 @@ from skewlift.mesh import TensorGrid, build_uniform_partition
 from skewlift.problem import (
     LiftingFunction,
     ProblemData,
+    p1_interior,
     reference_operators,
     solve_reference,
 )
 from skewlift.reduced import assemble_reduced, solve_reduced
-from skewlift.training import ReductionSpace, transverse_mass
+from skewlift.training import ReductionSpace
 
 
 def _pd(b=(0.0, 0.0), scale=1.0):
@@ -40,8 +41,8 @@ def _pd(b=(0.0, 0.0), scale=1.0):
 def _sine_space(yh, m):
     j = np.arange(1, yh.n)
     cols = np.column_stack([np.sin(k * np.pi * j / yh.n) for k in range(1, m + 1)])
-    M_int = transverse_mass(yh)[1:-1, 1:-1]
-    cols = cols / np.sqrt(np.einsum("ij,ij->j", cols, M_int @ cols))
+    d, e = p1_interior(yh, "mass")
+    cols = cols / np.sqrt(d @ cols**2 + 2.0 * e @ (cols[:-1] * cols[1:]))
     modes = np.zeros((yh.n + 1, m))
     modes[1:-1, :] = cols
     return ReductionSpace(yh, modes, np.ones(m), np.zeros(m + 1))
@@ -147,7 +148,13 @@ def test_report_fields_and_csv_roundtrip(tmp_path):
     assert rep.m == 2
     assert rep.e_pod == space.tail(2)
     assert rep.lambda_m == space.eigenvalues[1]
-    assert rep.pbar_norm > 0.0
+    # pbar_norm against Simpson's rule on the elements, exact for the
+    # square of a P1 function that vanishes at both ends
+    vals = np.concatenate([[0.0], rsol.coeffs[1], [0.0]])
+    mid = 0.5 * (vals[:-1] + vals[1:])
+    simpson = np.sqrt(ops.grid.tx.h * np.sum(
+        (vals[:-1] ** 2 + 4 * mid ** 2 + vals[1:] ** 2) / 6.0))
+    assert rep.pbar_norm == pytest.approx(simpson, rel=1e-14, abs=0.0)
     path = tmp_path / "reports.csv"
     reports_to_csv([rep], path)
     with open(path, newline="") as fh:

@@ -13,7 +13,6 @@ from skewlift.interface import (
     WaterTable,
     boussinesq_steady_profile,
     build_lifting,
-    detection_partitions,
     locate_interface,
     solve_boussinesq,
 )
@@ -22,7 +21,8 @@ from skewlift.mesh import build_uniform_partition
 
 def test_locate_banded_source_within_band_width():
     # the steep band of the case-1 source sits on y = 0.85 - 0.4 x
-    coarse, fine = detection_partitions((0.0, 2.0), (0.0, 1.0), 20, 100)
+    coarse = build_uniform_partition(0.0, 2.0, 20)
+    fine = build_uniform_partition(0.0, 1.0, 100)
     curve = locate_interface(detection_data("case1-f"), coarse, fine,
                              mode="min")
     expected = 0.85 - 0.4 * curve.xs
@@ -30,13 +30,15 @@ def test_locate_banded_source_within_band_width():
 
 
 def test_locate_step_data():
-    coarse, fine = detection_partitions((0.0, 2.0), (0.0, 1.0), 8, 50)
+    coarse = build_uniform_partition(0.0, 2.0, 8)
+    fine = build_uniform_partition(0.0, 1.0, 50)
     curve = locate_interface(detection_data("step"), coarse, fine, mode="min")
     assert np.abs(curve.ys_lo - 0.5).max() <= fine.h
 
 
 def test_locate_both_returns_ordered_lines():
-    coarse, fine = detection_partitions((0.0, 2.0), (0.0, 1.0), 10, 80)
+    coarse = build_uniform_partition(0.0, 2.0, 10)
+    fine = build_uniform_partition(0.0, 1.0, 80)
     curve = locate_interface(detection_data("case1-f"), coarse, fine,
                              mode="both")
     assert curve.ys_hi is not None
@@ -44,7 +46,8 @@ def test_locate_both_returns_ordered_lines():
 
 
 def test_locate_rejects_flat_data():
-    coarse, fine = detection_partitions((0.0, 2.0), (0.0, 1.0), 5, 20)
+    coarse = build_uniform_partition(0.0, 2.0, 5)
+    fine = build_uniform_partition(0.0, 1.0, 20)
     with pytest.raises(InterfaceNotFoundError):
         locate_interface(lambda x, y: np.ones(np.broadcast(x, y).shape),
                          coarse, fine)
@@ -105,7 +108,8 @@ def test_build_lifting_smooth_midline_laplacian():
 def test_build_lifting_checks_profile_domain():
     xs = np.linspace(0.05, 1.95, 5)
     curve = InterfaceCurve(xs, 0.85 - 0.4 * xs)
-    narrow = Profile1D(value=lambda t: np.tanh(t), domain=(0.0, 1.0))
+    narrow = Profile1D(value=lambda t: np.tanh(t),
+                       deriv=lambda t: 1 / np.cosh(t) ** 2, domain=(0.0, 1.0))
     with pytest.raises(ValueError):
         build_lifting(curve, narrow, (0.0, 2.0), (0.0, 1.0))
     with pytest.raises(ValueError):

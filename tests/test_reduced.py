@@ -14,15 +14,12 @@ from skewlift.problem import (
     MODES,
     LiftingFunction,
     ProblemData,
+    p1_interior,
     reference_operators,
     solve_reference,
 )
 from skewlift.reduced import ReducedSystem, assemble_reduced, solve_reduced
-from skewlift.training import (
-    ReductionSpace,
-    empty_space,
-    transverse_mass,
-)
+from skewlift.training import ReductionSpace, empty_space
 from skewlift.transverse import block_band
 
 _GP = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
@@ -31,18 +28,18 @@ _GP = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 def _full_space(yh):
     """M-orthonormal basis spanning every interior transverse dof."""
     n_i = yh.n - 1
-    M_int = transverse_mass(yh)[1:-1, 1:-1]
-    cols = orthonormalize(np.zeros((n_i, 0)), np.eye(n_i), M_int)
+    cols = orthonormalize(np.zeros((n_i, 0)), np.eye(n_i),
+                          p1_interior(yh, "mass"))
     modes = np.zeros((yh.n + 1, n_i))
     modes[1:-1, :] = cols
     return ReductionSpace(yh, modes, np.ones(n_i), np.zeros(n_i + 1))
 
 
 def _space_from_columns(yh, cols_int):
-    M_int = transverse_mass(yh)[1:-1, 1:-1]
+    d, e = p1_interior(yh, "mass")
     out = []
     for c in cols_int.T:
-        out.append(c / np.sqrt(c @ (M_int @ c)))
+        out.append(c / np.sqrt(c @ (d * c) + 2.0 * (e @ (c[:-1] * c[1:]))))
     modes = np.zeros((yh.n + 1, len(out)))
     modes[1:-1, :] = np.column_stack(out)
     m = len(out)
@@ -180,7 +177,7 @@ def test_reduced_solution_reconstruction_layout():
     for _ in range(12):
         i = int(rng.integers(1, th.n))
         jj = int(rng.integers(1, yh.n))
-        val = sum(rsol.pbar(k)[i] * space.modes[jj, k] for k in range(2))
+        val = sum(rsol.coeffs[k, i - 1] * space.modes[jj, k] for k in range(2))
         assert nodal[i - 1, jj - 1] == pytest.approx(val, abs=1e-14)
 
 
@@ -213,9 +210,8 @@ def _random_space(yh, m, seed=0):
     behind)."""
     n_i = yh.n - 1
     rng = np.random.default_rng(seed)
-    M_int = transverse_mass(yh)[1:-1, 1:-1]
     cols = orthonormalize(np.zeros((n_i, 0)), rng.normal(size=(n_i, m)),
-                          M_int)
+                          p1_interior(yh, "mass"))
     modes = np.zeros((yh.n + 1, m))
     modes[1:-1, :] = cols
     return ReductionSpace(yh, modes, np.ones(m), np.zeros(m + 1))

@@ -9,11 +9,12 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from conftest import orthonormalize
+from conftest import orthonormalize, same_bits
 from skewlift import training
 from skewlift.cases import case1
 from skewlift.mesh import TensorGrid, build_uniform_partition
-from skewlift.problem import LiftingFunction, ProblemData, reference_operators
+from skewlift.problem import (LiftingFunction, ProblemData, p1_interior,
+                              reference_operators)
 from skewlift.reduced import XBlocks
 from skewlift.training import (
     BaseMoments,
@@ -26,7 +27,6 @@ from skewlift.training import (
     mark,
     pod,
     refine,
-    transverse_mass,
 )
 from skewlift.transverse import (TransverseSolver, _p1_diagonals, block_band,
                                  build_coupled_basis)
@@ -127,7 +127,7 @@ def test_pod_modes_are_mass_orthonormal():
     part = build_uniform_partition(0.0, 1.0, 40)
     S = _random_snapshots(rng, part, 14)
     space = pod([S[:, j] for j in range(14)], part)
-    M = transverse_mass(part)
+    M = _exact_mass(part)
     gram = space.modes.T @ (M @ space.modes)
     assert np.allclose(gram, np.eye(space.m), atol=1e-10)
     # sign convention: the largest-magnitude entry of each mode is positive
@@ -169,6 +169,25 @@ def test_pod_takes_the_rows_of_one_array():
     assert np.array_equal(rows.pod_tail, listed.pod_tail)
 
 
+def test_pod_forms_no_dense_mass():
+    # pod factors the tridiagonal mass banded: at n_h = 400 with 60
+    # snapshots a call peaks below one (n_h + 1)^2 float64 array (measured
+    # 0.82 MB against 1.29 MB; 2.57 MB with a dense mass and factor)
+    part = build_uniform_partition(0.0, 1.0, 400)
+    S = _random_snapshots(np.random.default_rng(31), part, 60).T
+    pod(S, part)  # first call: scipy's LAPACK lookups
+    tracemalloc.start()
+    try:
+        space = pod(S, part)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert space.m == 60
+    dense = 8.0 * (part.n + 1) ** 2
+    assert peak < dense, (f"pod peaks at {peak / dense:.2f} dense "
+                          f"(n_h + 1)^2 arrays (limit 1)")
+
+
 def test_pod_input_validation():
     part = build_uniform_partition(0.0, 1.0, 10)
     with pytest.raises(ValueError):
@@ -179,24 +198,33 @@ def test_pod_input_validation():
         pod([np.zeros(11), np.zeros(11)], part)
 
 
-def test_transverse_mass_is_the_sparse_tridiagonal_mass():
+def test_p1_mass_diagonals_are_the_mass_and_its_csr_product():
+    # the full-node diagonals pod factors and the interior pair the
+    # indicator and the estimator read are the closed-form mass; the slice
+    # product on a stack of rows rounds as the CSR product of M per row
     part = build_uniform_partition(0.3, 1.7, 13)
     lower, diag, upper = _p1_diagonals(part, np.ones((part.n, 2)), "mass")
     dense = np.diag(diag) + np.diag(upper, 1) + np.diag(lower, -1)
-    M = transverse_mass(part)
-    assert scipy.sparse.issparse(M) and M.nnz == 3 * part.n + 1
-    assert np.array_equal(M.toarray(), dense)
     np.testing.assert_allclose(dense, _exact_mass(part), rtol=1e-14)
+    d, e = p1_interior(part, "mass")
+    assert same_bits(d, diag[1:-1]) and same_bits(e, upper[1:-1])
+    assert same_bits(e, lower[1:-1])
+    csr = scipy.sparse.diags_array([e, d, e], offsets=[-1, 0, 1],
+                                   format="csr")
+    X = np.random.default_rng(13).standard_normal((7, d.size))
+    got = training._tridiag_times(training._stack_mass((d, e), 7), X.ravel())
+    assert same_bits(got.reshape(X.shape),
+                     np.ascontiguousarray((csr @ X.T).T))
 
 
 def test_orthonormalize_drops_dependent_columns():
     part = build_uniform_partition(0.0, 1.0, 12)
-    M = transverse_mass(part)[1:-1, 1:-1]
+    M = _exact_mass(part)[1:-1, 1:-1]
     x = part.nodes[1:-1]
     base = np.sin(np.pi * x)[:, None]
     base /= math.sqrt(base[:, 0] @ (M @ base[:, 0]))
     extra = np.column_stack([2.0 * base[:, 0], np.sin(2.0 * np.pi * x)])
-    out = orthonormalize(base, extra, M)
+    out = orthonormalize(base, extra, p1_interior(part, "mass"))
     assert out.shape[1] == 2  # base + one new direction, duplicate dropped
     assert np.allclose(out.T @ (M @ out), np.eye(2), atol=1e-12)
 
@@ -389,7 +417,7 @@ def test_indicators_vanish_when_the_space_is_full():
         eta = element_indicators(BaseMoments(XBlocks(ops), space), cells,
                                  solver)
         assert np.all(eta == 0.0)
-        marks.append(mark(cells, 0.5, sigma_thres=1e9))
+        marks.append(mark(cells, 0.5, sigma_thres=1e9, th=th))
     assert marks[0] == marks[1] == [0, 1]
 
 
@@ -467,11 +495,13 @@ def _toy_cells(etas, widths=None, rhos=None):
 
 
 def test_mark_selects_smallest_eta_plus_stale_cells():
+    fine = build_uniform_partition(0.0, 2.0, 200)  # every toy cell splits
     cells = _toy_cells([0.5, 0.1, 0.9, 0.3])
-    assert mark(cells, 0.34, sigma_thres=1e9) == [1, 3]  # ceil(.34*4) = 2
+    # ceil(.34*4) = 2
+    assert mark(cells, 0.34, sigma_thres=1e9, th=fine) == [1, 3]
     # sigma = diam * rho: an old cell joins regardless of its eta
     cells = _toy_cells([0.5, 0.1, 0.9, 0.3], rhos=[0, 0, 3, 0])
-    assert mark(cells, 0.25, sigma_thres=2.0) == [1, 2]
+    assert mark(cells, 0.25, sigma_thres=2.0, th=fine) == [1, 2]
     # cells too narrow to hold distinct-element children are protected
     th = build_uniform_partition(0.0, 2.0, 20)  # H = 0.1
     cells = _toy_cells([0.1, 0.5], widths=[0.05, 1.0])
@@ -480,13 +510,13 @@ def test_mark_selects_smallest_eta_plus_stale_cells():
     # children on the diagonal, which cannot hold two distinct elements
     cells = _toy_cells([0.1, 0.5], widths=[0.2, 0.2 + 1e-12])
     assert mark(cells, 1.0, sigma_thres=1e9, th=th) == []
-    assert mark(cells, 1.0, sigma_thres=1e9) == [0, 1]
+    assert mark(cells, 1.0, sigma_thres=1e9, th=fine) == [0, 1]
     # a single-point cell splits down to 2H, not below
     singles = [ParamCell(i, np.array([0.0]), np.array([w]))
                for i, w in enumerate((0.2, 0.19))]
     assert mark(singles, 1.0, sigma_thres=1e9, th=th) == [0]
     with pytest.raises(ValueError):
-        mark(cells, 0.0, sigma_thres=1.0)
+        mark(cells, 0.0, sigma_thres=1.0, th=fine)
 
 
 def test_refine_bisects_marked_cells():
