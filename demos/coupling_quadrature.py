@@ -23,7 +23,8 @@ Run:  python demos/coupling_quadrature.py
 import numpy as np
 
 from skewlift.cases import case1
-from skewlift.mesh import build_uniform_partition
+from skewlift.mesh import TensorGrid, build_uniform_partition
+from skewlift.problem import reference_operators
 from skewlift.transverse import (
     TransverseSolver,
     augment_quadrature,
@@ -75,7 +76,8 @@ def th_case_solver():
     case = case1()
     th = build_uniform_partition(0.0, 2.0, 10)
     yh = build_uniform_partition(0.0, 1.0, 20)
-    return TransverseSolver(case.problem, case.lift, th, yh)
+    ops = reference_operators(case.problem, case.lift, TensorGrid(th, yh))
+    return TransverseSolver(case.problem, ops.snapshot_source(), th, yh)
 
 
 if __name__ == "__main__":

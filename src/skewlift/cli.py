@@ -40,7 +40,6 @@ MODE_MAP = {
     "gD": "plain_gD",
     "lift": "weak_lifting",
     "delta-h": "delta_h",
-    "riesz": "riesz_recon",
 }
 
 

@@ -12,8 +12,7 @@ exact inverse of the k = 1 Gram of the grid (fast diagonalisation), which
 the reference solve at b = 0 builds and this reuses. It takes one iteration
 for k = 1 and about sqrt(max k / min k) times more for a variable k; no
 sparse factor is involved (SuperLU serves only the advective reference
-solve; the riesz_recon reference is the weak one, and its Riesz field is a
-tensor mass solve).
+solve).
 error_report(ops, reference, rsol) takes the operators the reference and
 the reduced solution were solved with, and checks that they were.
 """

@@ -6,7 +6,7 @@ Weak form on V = H^1_0(Omega):
 
 where h is a Dirichlet lifting carrying the boundary data (and, when it comes
 from an interface band, the sharp transition). The full field is p~ = p + h.
-Four right-hand-side treatments of the lifting are supported:
+Three right-hand-side treatments of the lifting are supported:
 
 * ``weak_lifting`` -- subtract a(h, .) assembled from the partial derivatives
   of h (no second derivatives needed).
@@ -16,18 +16,15 @@ Four right-hand-side treatments of the lifting are supported:
   O(h^1.5) for the sharp cosine band of the built-in cases (the case-1
   references differ by 7.7e-4 relative in the V-norm at 160x80, 2.7e-4 at
   320x160).
-* ``riesz_recon``  -- replace the lifting functional by its L2 Riesz
-  representative R, (R, v)_L2 = a(h, v), and subtract int R v; no second
-  derivatives of h required; int R v = a(h, v) on V_h, so the right-hand
-  side is weak_lifting's, bit for bit (R enters the snapshots only).
 * ``plain_gD``     -- ignore the interface geometry: lift only the boundary
   data through an affine blend of the two vertical-side traces.
 
 The system matrix is identical in all modes; only the right-hand side differs.
 The mode is decided once, here: TensorOperators builds the mode's reference
-right-hand side and fixes its transverse snapshot problem
-(ops.snapshot_problem, see TensorOperators), so no other layer branches on
-the mode. One TensorOperators object is the handle of a grid:
+right-hand side, and every mode's transverse snapshots take their source from
+it (TensorOperators.snapshot_source, the right-hand side's L2
+representative), so no other layer branches on the mode or sees the lifting.
+One TensorOperators object is the handle of a grid:
 solve_reference(ops), reduced.assemble_reduced(ops, space),
 estimator.error_report(ops, ...) and training.adaptive_train_extension(ops,
 ...) read the problem, lifting, grid and mode from it.
@@ -67,9 +64,9 @@ in ascending column order, as CSR's do, and their x-blocks A_ij are slices of
 the diagonals (reduced.XBlocks). No coefficient, cell-matrix or offset array
 of the whole grid is formed. The Q1 mass matrix is not assembled: on the
 tensor grid it is Mx (x) My, the Kronecker product of the two interior 1D P1
-masses, and the L2 norm (TensorOperators.l2_norm) and the Riesz field's mass
-solve (_mass_solve) apply it from their tridiagonals. The right-hand side of
-weak_lifting, riesz_recon and plain_gD (F and every lifting term) uses 2x2
+masses, and the L2 norm (TensorOperators.l2_norm) and the snapshot source's
+mass solve (_mass_solve) apply it from their tridiagonals. The right-hand
+side of weak_lifting and plain_gD (F and every lifting term) uses 2x2
 Gauss on 4x4 sub-cells of the cells where the lifting's gradient is nonzero
 at a corner or Gauss point (the interface band; for plain_gD the band of the
 lifting handed in), and the 2x2 rule elsewhere: F carries the lifting's Laplacian, which jumps at the
@@ -91,7 +88,7 @@ is 1 by construction (the skew advection part drops out of a(v, v)).
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -102,7 +99,7 @@ import scipy.linalg  # after scipy.sparse: ~10 ms faster to import
 from .mesh import GAUSS_NODES
 from .transverse import _p1_diagonals
 
-MODES = ("weak_lifting", "delta_h", "riesz_recon", "plain_gD")
+MODES = ("weak_lifting", "delta_h", "plain_gD")
 # PCG stops at sqrt(r . P^-1 r) <= tol sqrt(b . P^-1 b), the relative
 # V-norm error when P is close to G: about the round-off of a sparse direct
 # solve of the 800x400 Gram (V-norm error 2.4e-12), which one iteration
@@ -477,13 +474,18 @@ def p1_interior(part, kind):
 def _mass_solve(grid, rhs):
     """(Mx (x) My)^-1 rhs for one x-major interior vector rhs, as the
     (nx - 1, ny - 1) array of nodal values: one LAPACK ptsv on the interior
-    1D P1 mass per direction: the Q1 mass of the tensor grid is Mx (x) My."""
+    1D P1 mass per direction: the Q1 mass of the tensor grid is Mx (x) My.
+    A direction with one interior node is a scalar divide (ptsv rejects its
+    empty off-diagonal)."""
     U = rhs.reshape(grid.nx - 1, grid.ny - 1)
     for part in (grid.tx, grid.ty):  # solve along axis 0, then swap axes
         d, e = p1_interior(part, "mass")
-        *_, U, info = scipy.linalg.lapack.dptsv(d, e, U)
-        if info != 0:
-            raise RuntimeError(f"mass solve failed (ptsv info {info})")
+        if d.size == 1:
+            U = U / d[0]
+        else:
+            *_, U, info = scipy.linalg.lapack.dptsv(d, e, U)
+            if info != 0:
+                raise RuntimeError(f"mass solve failed (ptsv info {info})")
         U = U.T
     return U
 
@@ -600,20 +602,14 @@ class TensorOperators:
     The unknowns are the (nx-1)(ny-1) interior nodes in x-major order.
     A_int is the bilinear form a, G_int the V-Gram matrix (the diffusion
     part of a; A_int itself when b = 0 at every quadrature point) and rhs_int
-    the mode-consistent right-hand side (under riesz_recon the weak one, bit
-    for bit). The mass matrix Mx (x) My is not assembled: l2_norm applies it
-    from the interior 1D P1 mass tridiagonals. gram_solve solves with G_int by
-    PCG, preconditioned by the k = 1 Gram inverse of the grid
-    (_LaplaceGramInverse, built on first use; each grid, the coarse
-    indicator grid too, has its own); the object makes no sparse factor.
-    lift is the lifting handed in; riesz_field is the reconstructed nodal
-    field (Mx (x) My)^-1 a(h, .) under riesz_recon (_mass_solve), else None.
-    snapshot_problem is the mode's transverse snapshot problem as a
-    (ProblemData, LiftingFunction) pair, solved as
-    source . xi psi - a(h, xi psi): (pd, lift) for weak_lifting, (pd, affine
-    boundary blend) for plain_gD, and pd with F + k Lap(h) (delta_h) or
-    F - R (riesz_recon, R the bilinear interpolant of riesz_field) plus the
-    zero lifting.
+    the mode-consistent right-hand side. The mass matrix Mx (x) My is not
+    assembled: l2_norm applies it from the interior 1D P1 mass tridiagonals.
+    gram_solve solves with G_int by PCG, preconditioned by the k = 1 Gram
+    inverse of the grid (_LaplaceGramInverse, built on first use; each grid,
+    the coarse indicator grid too, has its own); the object makes no sparse
+    factor. lift is the lifting handed in (the coarse indicator grid builds
+    its operators from it). snapshot_source gives the one transverse
+    snapshot source of every mode.
     """
 
     def __init__(self, pd, lift, grid, mode="weak_lifting"):
@@ -630,7 +626,6 @@ class TensorOperators:
         self.mode = mode
         self.G_int, self.A_int = _interior_matrices(grid, pd)
         interior = lambda v: v.reshape(grid.shape)[1:-1, 1:-1].ravel()
-        self.riesz_field = None
         self.lift = lift
 
         if mode == "delta_h":
@@ -642,9 +637,6 @@ class TensorOperators:
             rule = [(np.arange(grid.nx * grid.ny), 1)]
             self.rhs_int = interior(_assemble_load(grid, rule, pd.F)
                                     + _assemble_load(grid, rule, folded))
-            self.snapshot_problem = (
-                replace(pd, F=lambda x, y: pd.F(x, y) + folded(x, y)),
-                LiftingFunction.zero())
             return
         # F jumps where the interface lifting's Laplacian does, so the band
         # of the lifting handed in (not the plain_gD blend) selects the rule
@@ -655,17 +647,20 @@ class TensorOperators:
             # the blend's gradient is nonzero off the band too
             lift = affine_boundary_blend(lift, pd.omega_x)
             support = [plain, band]
-        lifting = interior(_lifting_vector(grid, support, pd, lift))
-        self.rhs_int = load_f - lifting
-        self.snapshot_problem = (pd, lift)
-        if mode == "riesz_recon":
-            # (R, v) = a(h, v) on V_h: f - M R is the weak rhs_int above
-            self.riesz_field = np.zeros(grid.shape)
-            self.riesz_field[1:-1, 1:-1] = _mass_solve(grid, lifting)
-            field = GridField(grid, self.riesz_field)
-            self.snapshot_problem = (
-                replace(pd, F=lambda x, y: pd.F(x, y) - field(x, y)),
-                LiftingFunction.zero())
+        self.rhs_int = load_f - interior(_lifting_vector(grid, support, pd,
+                                                         lift))
+
+    def snapshot_source(self):
+        """The transverse snapshot source of the mode: the L2 representative
+        f~ = (Mx (x) My)^-1 rhs_int (_mass_solve), zero on the boundary, as a
+        GridField, built anew on each call. Every snapshot test function
+        xi psi (a long x-hat times a y-hat) lies in V_h, so
+        (f~, xi psi) = f(xi psi) - a(h, xi psi) of the reference right-hand
+        side: the lifting's band has cancelled in f~ before the snapshot's
+        x point rule samples it."""
+        values = np.zeros(self.grid.shape)
+        values[1:-1, 1:-1] = _mass_solve(self.grid, self.rhs_int)
+        return GridField(self.grid, values)
 
     @cached_property
     def _gram_preconditioner(self):
@@ -743,13 +738,17 @@ def solve_reference(ops):
     Returns the FullSolution of ops on ops.grid (zero on the boundary).
     When G_int is A_int (b = 0) the solve is ops.gram_solve, PCG with the
     k = 1 Gram inverse, whose preconditioner the estimator and the indicator
-    reuse; otherwise SuperLU, imported only here, factors A_int for this one
-    solve (minimum degree on A + A^T: the Q1 pattern is structurally
-    symmetric). A non-finite solution raises RuntimeError (a NaN residual
+    reuse, plus one residual correction x += G_int^-1 (rhs - A x): the
+    b = 0 identity Delta_m = ||e_m||_V holds only as well as the reference
+    is solved (800x400, case 1: V-error 4.0e-12 of ||x||_V before the
+    correction, 1.8e-14 after). Otherwise SuperLU, imported only here,
+    factors A_int for this one solve (minimum degree on A + A^T: the Q1
+    pattern is structurally symmetric). A non-finite solution raises RuntimeError (a NaN residual
     passes the residual test).
     """
     if ops.G_int is ops.A_int:
         x = ops.gram_solve(ops.rhs_int)
+        x += ops.gram_solve(ops.rhs_int - ops.A_int @ x)
     else:
         import scipy.sparse.linalg as spla
         x = spla.splu(ops.A_int.tocsc(),

@@ -5,15 +5,15 @@ interval. It is covered by hyper-rectangular cells, each carrying n_xi
 uniform samples; transverse snapshots are solved per sample and compressed by
 POD in the L2(omega_hat) inner product (thin SVD of the mass-weighted
 snapshot matrix). A sample's snapshots are the rows of the one array
-TransverseSolver.solve returns, and the training set is one
+TransverseSolver.solve_many returns, and the training set is one
 (n_s, n_h + 1) array: every sample's rows, stacked in sorted-parameter
 order.
 
 Training takes the reference TensorOperators of the study: its grid gives
-the partitions, its snapshot_problem the transverse snapshot problem of the
-lifting mode (one cached TransverseSolver per run), and its problem, lifting
-and mode the coarse indicator operators, so the snapshots and the indicator
-cannot disagree on the mode.
+the partitions, its snapshot_source the source of the transverse snapshots
+(built once, for one cached TransverseSolver per run), and its problem,
+lifting and mode the coarse indicator operators, so the snapshots and the
+indicator cannot disagree on the mode.
 
 Cell indicators: for a sample mu the coarse-grid model estimator Delta is
 evaluated with the current modes *augmented by mu's own snapshots*, so
@@ -501,7 +501,7 @@ def adaptive_train_extension(ops, g0, m_max, i_max, n_xi, theta, sigma_thres,
     """Adaptively grown training set plus its snapshots.
 
     ops: the reference TensorOperators, whose grid gives the partitions th
-    and yh and whose snapshot_problem gives the transverse snapshots; g0:
+    and yh and whose snapshot_source the transverse snapshots' source; g0:
     the int n of the initial regular n^qbar cell grid over the training
     domain. The coarse N_H' x n_h indicator operators are built once, from
     the problem, lifting and mode of ops. Each outer iteration m = 1..m_max
@@ -512,7 +512,7 @@ def adaptive_train_extension(ops, g0, m_max, i_max, n_xi, theta, sigma_thres,
     caching is keyed by exact parameter tuples).
     """
     pd, th, yh = ops.pd, ops.grid.tx, ops.grid.ty
-    solver = TransverseSolver(*ops.snapshot_problem, th, yh)
+    solver = TransverseSolver(pd, ops.snapshot_source(), th, yh)
     rng = np.random.Generator(np.random.Philox(seed))
     cells = initial_cells(pd.omega_x, qbar, g0, n_xi, rng, th)
     thp = build_uniform_partition(pd.omega_x[0], pd.omega_x[1], coarse_nhp)

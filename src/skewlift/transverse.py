@@ -29,12 +29,9 @@ for each of them.
 Per quadrature point x_l the trial combination sum_i xi_i(x_l) P_i enters the
 diffusion-in-y and b2-advection rows while the derivative-weighted combination
 sum_i xi_i'(x_l) P_i enters the diffusion-in-x/b1 row; the right-hand side
-collects F against xi_k(x_l) and the lifting terms k h_y against v' and
-k h_x xi_k' + (b.grad h) xi_k against v. Every lifting mode reaches this
-module as one (ProblemData, LiftingFunction) pair,
-problem.TensorOperators.snapshot_problem: a mode that folds its lifting into
-the source (delta_h, riesz_recon) hands over the zero lifting
-(LiftingFunction.zero()), whose terms are assembled like any other's.
+collects the source against xi_k(x_l). The source is one callable (x, y),
+problem.TensorOperators.snapshot_source for a study; this module reads k, b1
+and b2 of the ProblemData and never its F.
 
 Unknown order and cost: with n_a active hats and n_i = n_h - 1 interior
 y-nodes, unknown j * n_a + a is hat a at interior y-node j + 1 (y-node-major,
@@ -52,8 +49,8 @@ together (_batch_systems):
   (_geometry: snapped positions, deleted nodes, active hats with their kept
   neighbours, augmented points and weights), and the y-operators of all
   their points in one y_rows pass that evaluates every callback once
-  (YRows: the interior diagonals of K + D, Mk and Mb, the load and the
-  lifting-gradient load, which depend only on the point);
+  (YRows: the interior diagonals of K + D, Mk and Mb and the load, which
+  depend only on the point);
 * per group of keys sharing qbar, n_a and the point count: the hat tables
   and the contraction of the points' rows with them into the n_a x n_a
   blocks and the right-hand side of each key, O((qbar + qhat) n_a^2 n_h)
@@ -185,13 +182,10 @@ class _Group:
             blocks += block
 
         w_val = self.weights[..., None] * val
-        w_der = self.weights[..., None] * der
         load = rows.load.reshape(G, P, 1, -1)
-        load_der = rows.load_der.reshape(G, P, 1, -1)
         rhs[...] = 0.0
         for l in range(P):
             rhs += w_val[:, l, :, None] * load[:, l]
-            rhs -= w_der[:, l, :, None] * load_der[:, l]
 
 
 def _weights(th, pts, mu):
@@ -328,13 +322,11 @@ def _p1_diagonals(part, cvals, kind):
     return local(1, 0), diag, local(0, 1)
 
 
-def _p1_load(part, cvals, against_deriv=False):
-    """Load vector int c v (or int c v') at the interior nodes."""
-    tab = _der(part.h) if against_deriv else _VAL
-
+def _p1_load(part, cvals):
+    """Load vector int c v at the interior nodes."""
     def local(t):
-        return part.h / 2.0 * (cvals[..., 0] * tab[0, t]
-                               + cvals[..., 1] * tab[1, t])
+        return part.h / 2.0 * (cvals[..., 0] * _VAL[0, t]
+                               + cvals[..., 1] * _VAL[1, t])
 
     return local(0)[..., 1:] + local(1)[..., :-1]
 
@@ -429,24 +421,22 @@ class YRows:
 
     kd, mk and mb hold the interior diagonals (_interior_stack, block_pairs
     order) of K + D (int k u' v' + int b2 u' v), of int k u v and of
-    int b1 u v; load holds the interior load int F v minus the k h_y,
-    b1 h_x and b2 h_y lifting terms, and load_der the lifting-gradient load
-    int k h_x v. Indexing takes a subset of the points.
+    int b1 u v; load holds the interior load int f v of the source f.
+    Indexing takes a subset of the points.
     """
 
     kd: np.ndarray  # (n_points, 3 n_i - 2)
     mk: np.ndarray
     mb: np.ndarray
     load: np.ndarray  # (n_points, n_i)
-    load_der: np.ndarray
 
     def __getitem__(self, points):
         return YRows(self.kd[points], self.mk[points], self.mb[points],
-                     self.load[points], self.load_der[points])
+                     self.load[points])
 
 
-def y_rows(pd, lift, points, yh):
-    """YRows of the snapshot problem (pd, lift) at the x-points: every
+def y_rows(pd, source, points, yh):
+    """YRows of the coefficients of pd and the source at the x-points: every
     callback is evaluated once, at all points and y Gauss points together.
 
     Every operation is elementwise along the points, so a point's rows do
@@ -456,11 +446,11 @@ def y_rows(pd, lift, points, yh):
         np.asarray(points, dtype=float)[:, None, None], _y_gauss(yh)))
     shape = X.shape
     n_i = yh.n - 1
-    widths = [3 * n_i - 2] * 3 + [n_i] * 2
+    widths = [3 * n_i - 2] * 3 + [n_i]
     # the rows outlive the temporaries below: one buffer taken before the
     # temporaries keeps the rows out of the space the temporaries free,
     # which would otherwise fragment the heap
-    kd, mk, mb, load, load_der = np.split(
+    kd, mk, mb, load = np.split(
         np.empty((shape[0], sum(widths))), np.cumsum(widths)[:-1], axis=1)
 
     def at_points(f):
@@ -471,12 +461,8 @@ def y_rows(pd, lift, points, yh):
            _interior_stack(_p1_diagonals(yh, b2v, "grad")), out=kd)
     mk[:] = _interior_stack(_p1_diagonals(yh, kv, "mass"))
     mb[:] = _interior_stack(_p1_diagonals(yh, b1v, "mass"))
-    load[:] = _p1_load(yh, at_points(pd.F))
-    hx, hy = at_points(lift.dx), at_points(lift.dy)
-    load -= _p1_load(yh, kv * hy, against_deriv=True)
-    load -= _p1_load(yh, b1v * hx + b2v * hy)
-    load_der[:] = _p1_load(yh, kv * hx)
-    return YRows(kd, mk, mb, load, load_der)
+    load[:] = _p1_load(yh, at_points(source))
+    return YRows(kd, mk, mb, load)
 
 
 @dataclass
@@ -500,14 +486,13 @@ def assemble_transverse(blocks, rhs, cb):
     (_Group.contract): the blocks are scattered into band storage
     (block_band) in O(n_a^2 n_h) time.
 
-    The right-hand side is F . xi psi - a(h, xi psi), with the k h_y, k h_x
-    and b.grad(h) terms of the lifting h folded in by y_rows. Unknowns are
+    The right-hand side is the source against xi psi (y_rows). Unknowns are
     y-node-major, active-hat minor (see TransverseSystem).
     """
     return TransverseSystem(block_band(blocks), rhs.ravel(), cb)
 
 
-def _batch_systems(pd, lift, th, yh, keys):
+def _batch_systems(pd, source, th, yh, keys):
     """(blocks, rhs, cb, snaps) of every parameter vector in keys, in
     order: the arguments of its assemble_transverse and the (n_a, n_h + 1)
     rows that will hold its snapshots.
@@ -531,8 +516,8 @@ def _batch_systems(pd, lift, th, yh, keys):
                (g.index.size, g.active.shape[1], n_i)) for g in groups]
     snaps = np.zeros((sum(g.active.size for g in groups), yh.n + 1))
     buf = np.empty(sum(math.prod(b) + math.prod(r) for b, r in shapes))
-    rows = y_rows(pd, lift, np.concatenate([g.points.ravel() for g in groups]),
-                  yh)
+    rows = y_rows(pd, source,
+                  np.concatenate([g.points.ravel() for g in groups]), yh)
     out = [None] * len(keys)
     at = lo = row = 0
     for g, (b_shape, r_shape) in zip(groups, shapes):
@@ -579,15 +564,19 @@ class TransverseSolver:
     makes runs deterministic. Between calls the solver holds nothing but
     its cache.
 
+    pd gives the coefficients k, b1 and b2 and source the right-hand side
+    f(x, y) of the snapshot problem (problem.TensorOperators.snapshot_source
+    in a study).
+
     A batch's fresh keys share their geometry, y_rows pass and snapshot
     array (per batch) and their hat tables and contraction (per group of
     keys with the same qbar, n_a and point count); per key, solve scatters
     the blocks to band storage and runs snapshot_solve.
     """
 
-    def __init__(self, pd, lift, th, yh):
+    def __init__(self, pd, source, th, yh):
         self.pd = pd
-        self.lift = lift
+        self.source = source
         self.th = th
         self.yh = yh
         self._cache = {}
@@ -622,5 +611,5 @@ class TransverseSolver:
         prepared = {}
         if fresh:
             prepared = dict(zip(fresh, _batch_systems(
-                self.pd, self.lift, self.th, self.yh, fresh)))
+                self.pd, self.source, self.th, self.yh, fresh)))
         return [self.solve(key, prepared.pop(key, None)) for key in keys]

@@ -87,8 +87,7 @@ def test_case3_delta_h_smoke(tmp_path):
     assert len(_read_rows(out)) == 3
 
 
-# case 1 keeps the bare mode as its id; case 2's delta-h snapshots vanish
-# along x-lines that miss its boxes, so a sample can add no column
+# case 1 keeps the bare mode as its id
 @pytest.mark.parametrize("case, mode", [
     pytest.param(case, mode, id=mode if case == 1 else f"case{case}-{mode}")
     for case in (1, 2, 3) for mode in sorted(MODE_MAP)])
@@ -300,17 +299,20 @@ def test_detect_config_errors(tmp_path, capsys):
     assert "nh must be at least 3" in capsys.readouterr().err
 
 
-def test_mode_map_covers_all_modes():
+def test_mode_map_covers_all_modes(capsys):
     assert set(MODE_MAP.values()) == set(MODES)
-    cfg = RunConfig(mode="riesz").validate()
-    assert MODE_MAP[cfg.mode] == "riesz_recon"
+    cfg = RunConfig(mode="delta-h").validate()
+    assert MODE_MAP[cfg.mode] == "delta_h"
+    # riesz was lift under a second name and is gone
+    assert main(["run", "--mode", "riesz"]) == 2
+    assert "mode must be one of gD, lift, delta-h" in capsys.readouterr().err
     with pytest.raises(ConfigError):
         RunConfig(mode="weak_lifting").validate()  # internal names rejected
 
 
 # a valid value other than the default for every config field
 _KNOB_VALUES = {
-    "run": dict(case=2, NH=30, nh=12, NHp=4, qbar=1, mode="riesz", m_max=3,
+    "run": dict(case=2, NH=30, nh=12, NHp=4, qbar=1, mode="delta-h", m_max=3,
                 i_max=2, n_xi=3, theta=0.5, sigma_thres=12.5, seed=7,
                 out="x.csv", g0=3),
     "detect": dict(data="step", NHp=8, nh=30, mode="both", out="x.csv"),

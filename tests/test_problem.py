@@ -16,6 +16,7 @@ from skewlift.problem import (
     LiftingFunction,
     MODES,
     ProblemData,
+    affine_boundary_blend,
     reference_operators,
     solve_reference,
 )
@@ -84,27 +85,6 @@ def test_system_matrix_is_mode_independent():
     ref = mats[0].toarray()
     for other in mats[1:]:
         np.testing.assert_array_equal(other.toarray(), ref)
-
-
-def test_riesz_rhs_equals_weak_rhs_on_matching_grid():
-    # (R, v) = a(h, v) holds exactly on V^h, so the two right-hand sides
-    # are one, bit for bit, and the two references coincide
-    cs = case1()
-    pd, lift = cs.problem, cs.lift
-    grid = build_grid(pd.omega_x, pd.omega_y, 48, 24)
-    weak_ops = reference_operators(pd, lift, grid, "weak_lifting")
-    riesz_ops = reference_operators(pd, lift, grid, "riesz_recon")
-    assert same_bits(riesz_ops.rhs_int, weak_ops.rhs_int)
-    weak, riesz = solve_reference(weak_ops), solve_reference(riesz_ops)
-    scale = np.abs(weak.coeffs).max()
-    assert np.abs(weak.coeffs - riesz.coeffs).max() <= 1e-10 * scale
-    # the Riesz field, a tensor mass solve, is (Mx (x) My)^-1 a(h, .)
-    _, band = problem._rhs_rules(grid, lift)
-    a_h = problem._lifting_vector(grid, [band], pd, lift).reshape(
-        grid.shape)[1:-1, 1:-1].ravel()
-    mass = sp.kron(_p1_interior(grid.tx, "mass"), _p1_interior(grid.ty, "mass"))
-    got = mass @ riesz_ops.riesz_field[1:-1, 1:-1].ravel()
-    assert np.linalg.norm(got - a_h) <= 1e-12 * np.linalg.norm(a_h)
 
 
 def test_weak_and_delta_h_references_converge_together():
@@ -369,13 +349,13 @@ def test_lifting_term_vanishes_off_the_band(case):
     assert not problem._lifting_vector(grid, [], pd, lift).any()
 
 
-@pytest.mark.parametrize("mode", ["lift", "riesz"])
+@pytest.mark.parametrize("mode", ["lift", "delta-h"])
 def test_one_factorization_per_grid(mode, tmp_path, monkeypatch):
     # b = 0: G is A, so the reference solve, every error_report and the
     # indicator all solve by PCG; the one factorisation of each grid is its
     # Gram preconditioner's stacked pttrf (fine grid, then the coarse
-    # indicator grid), and nothing calls splu or spsolve (the Riesz field
-    # is a tensor mass solve by ptsv)
+    # indicator grid), and nothing calls splu or spsolve (the snapshot
+    # source is a tensor mass solve by ptsv)
     factored = []
     pttrf = problem.scipy.linalg.lapack.dpttrf
 
@@ -503,8 +483,7 @@ def test_plain_gd_blend_carries_boundary_traces():
         build_grid(cs.problem.omega_x, cs.problem.omega_y, 16, 10),
         "plain_gD")
     assert ops.lift is cs.lift  # the lifting handed in, kept for the coarse grid
-    snap_pd, blend = ops.snapshot_problem
-    assert snap_pd is cs.problem
+    blend = affine_boundary_blend(cs.lift, cs.problem.omega_x)
     y = np.linspace(0.0, 1.0, 21)
     np.testing.assert_allclose(blend.value(0.0, y), cs.lift.value(0.0, y),
                                atol=1e-14)
@@ -518,41 +497,57 @@ def test_plain_gd_blend_carries_boundary_traces():
         dx=lambda x, y: np.zeros(np.broadcast(x, y).shape),
         dy=lambda x, y: np.pi * np.cos(np.pi * np.asarray(y)) * np.ones(np.broadcast(x, y).shape),
     )
-    from skewlift.problem import affine_boundary_blend
     blend2 = affine_boundary_blend(flat, (0.0, 2.0))
     x = np.linspace(0.0, 2.0, 9)[:, None]
     np.testing.assert_allclose(blend2.value(x, y[None, :]),
                                flat.value(x, y[None, :]), atol=1e-14)
 
 
-def test_snapshot_problem_of_each_mode():
-    # weak_lifting hands its own pair on; delta_h folds k Lap(h) into the
-    # source, bit for bit the reference's integrand, and hands on the zero
-    # lifting (riesz_recon: tests/test_transverse.py)
+@pytest.mark.parametrize("nx,ny", [(2, 7), (9, 2), (2, 2), (9, 7)])
+def test_mass_solve_matches_the_dense_tensor_mass(nx, ny):
+    # a direction with one interior node (nx or ny = 2) is a scalar divide
+    grid = build_grid((0.0, 2.0), (0.0, 1.0), nx, ny)
+    mass = sp.kron(_p1_interior(grid.tx, "mass"),
+                   _p1_interior(grid.ty, "mass")).toarray()
+    rhs = np.random.default_rng(nx + ny).standard_normal(mass.shape[0])
+    got = problem._mass_solve(grid, rhs)
+    assert got.shape == (nx - 1, ny - 1)
+    np.testing.assert_allclose(got.ravel(), np.linalg.solve(mass, rhs),
+                               rtol=1e-13, atol=0)
+
+
+def test_snapshot_source_of_each_mode():
+    # every mode's snapshot source is the L2 representative of its own
+    # reference right-hand side: a bilinear field, zero on the boundary,
+    # whose interior values Mx (x) My maps to rhs_int to round-off
     cs = case1()
     pd, lift = cs.problem, cs.lift
     grid = build_grid(pd.omega_x, pd.omega_y, 16, 10)
-    weak = reference_operators(pd, lift, grid, "weak_lifting")
-    assert weak.snapshot_problem[0] is pd and weak.snapshot_problem[1] is lift
-    ops = reference_operators(pd, lift, grid, "delta_h")
-    snap_pd, snap_lift = ops.snapshot_problem
-    rng = np.random.default_rng(1)
-    x, y = rng.uniform(0.0, 2.0, 50), rng.uniform(0.0, 1.0, 50)
-    assert np.array_equal(snap_pd.F(x, y),
-                          pd.F(x, y) + pd.k(x, y) * lift.laplacian(x, y))
-    for part in (snap_lift.value, snap_lift.dx, snap_lift.dy):
-        assert not np.any(part(x, y))
+    mass = sp.kron(_p1_interior(grid.tx, "mass"), _p1_interior(grid.ty, "mass"))
+    X, Y = grid.node_coords()
+    for mode in MODES:
+        ops = reference_operators(pd, lift, grid, mode)
+        source = ops.snapshot_source()
+        assert isinstance(source, GridField) and source.grid is grid
+        values = source.values
+        assert not values[[0, -1]].any() and not values[:, [0, -1]].any()
+        np.testing.assert_allclose(source(X, Y), values, rtol=0,
+                                   atol=1e-14 * np.abs(values).max())
+        got = mass @ values[1:-1, 1:-1].ravel()
+        assert (np.linalg.norm(got - ops.rhs_int)
+                <= 1e-13 * np.linalg.norm(ops.rhs_int)), mode
 
 
-def test_riesz_operators_hold_no_mass_factor():
-    # the reconstruction is a tensor mass solve, and the reference solve
-    # (b = 0: PCG on G_int) adds no factor either
+def test_reference_is_solved_to_round_off_at_production_size():
+    # b = 0: solve_reference adds one residual correction to its PCG
+    # solve, after which a further correction moves the 800 x 400
+    # reference by at most 1e-13 of its V-norm
     cs = case1()
-    grid = build_grid(cs.problem.omega_x, cs.problem.omega_y, 16, 10)
-    ops = reference_operators(cs.problem, cs.lift, grid, "riesz_recon")
-    assert _held_factors(ops) == []
-    solve_reference(ops)
-    assert _held_factors(ops) == []
+    grid = build_grid(cs.problem.omega_x, cs.problem.omega_y, 800, 400)
+    ops = reference_operators(cs.problem, cs.lift, grid)
+    x = solve_reference(ops).interior_vector()
+    step = ops.gram_solve(ops.rhs_int - ops.A_int @ x)
+    assert ops.v_norm(step) <= 1e-13 * ops.v_norm(x)
 
 
 @pytest.mark.parametrize("mode,b", [(m, (0.0, 0.0)) for m in MODES]
@@ -560,11 +555,10 @@ def test_riesz_operators_hold_no_mass_factor():
                          ids=[*MODES, "weak_lifting-advective"])
 def test_operators_hold_the_interior_system_and_one_factor(mode, b,
                                                            monkeypatch):
-    # the object keeps the interior restrictions only (riesz_field, the
-    # reconstructed nodal field, is riesz_recon's output) and no sparse
-    # factor: G_int is solved by PCG, the Riesz field by a tensor mass
-    # solve, and the advective reference's (b != 0) factor is local to its
-    # one solve
+    # the object keeps the interior restrictions only and no sparse
+    # factor: G_int is solved by PCG, the snapshot source by a tensor mass
+    # solve that the object does not keep, and the advective reference's
+    # (b != 0) factor is local to its one solve
     factored = []
     splu = spla.splu
 
@@ -585,13 +579,16 @@ def test_operators_hold_the_interior_system_and_one_factor(mode, b,
     for name, value in vars(ops).items():
         if sp.issparse(value):
             assert value.shape == (n, n), name
-        elif isinstance(value, np.ndarray) and name != "riesz_field":
+        elif isinstance(value, np.ndarray):
             assert value.shape == (n,), name
     assert _held_factors(ops) == []
     assert factored == []
 
     ref = solve_reference(ops)
     ops.residual_norm(ref.interior_vector())
+    held = dict(vars(ops))
+    ops.snapshot_source()
+    assert vars(ops) == held
     assert _held_factors(ops) == []
     if b == (0.0, 0.0):
         # the reference and the estimator both solve with G_int = A_int

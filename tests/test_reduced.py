@@ -343,7 +343,7 @@ def test_inaccurate_reduced_solve_is_caught_by_the_residual(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Riesz reconstruction of the lifting source
+# The snapshot source and the strong-form lifting source
 
 
 def _smooth_sine_lift():
@@ -368,25 +368,28 @@ def _plain_pd(**kw):
     return ProblemData(**base)
 
 
-def test_riesz_reconstruction_approximates_minus_k_laplacian():
-    """For h = sin(pi y), k = 1, b = 0 the reconstruction must approach
-    pi^2 sin(pi y); compared away from the vertical edges where the zero
-    Dirichlet frame of the projection leaves a local layer."""
+def test_lift_source_approximates_the_strong_form_source():
+    """For h = sin(pi y), F = 0, k = 1, b = 0 the weak lifting's snapshot
+    source, the L2 representative of f - a(h, .), must approach delta_h's
+    F + k Lap(h) = -pi^2 sin(pi y); compared away from the vertical edges
+    where the zero Dirichlet frame of the projection leaves a local
+    layer."""
     grid = TensorGrid(build_uniform_partition(0.0, 2.0, 100),
                       build_uniform_partition(0.0, 1.0, 100))
-    rec = reference_operators(_plain_pd(), _smooth_sine_lift(), grid,
-                              "riesz_recon").riesz_field
+    zero = lambda x, y: 0.0 * x
+    source = reference_operators(_plain_pd(F=zero), _smooth_sine_lift(), grid,
+                                 "weak_lifting").snapshot_source().values
     X, Y = grid.node_coords()
-    target = np.pi ** 2 * np.sin(np.pi * Y)
+    target = -np.pi ** 2 * np.sin(np.pi * Y)
     inner = (X >= 0.2) & (X <= 1.8)
-    err = np.max(np.abs(rec[inner] - target[inner]))
+    err = np.max(np.abs(source[inner] - target[inner]))
     assert err <= 0.02 * np.max(np.abs(target))
 
 
-def test_delta_h_and_riesz_agree_on_a_smooth_lifting():
+def test_delta_h_and_weak_agree_on_a_smooth_lifting():
     """A C-infinity skewed ramp with b = 0: folding k*Lap(h) into the source
-    (strong form) and subtracting the Riesz reconstruction (projected form)
-    then differ by quadrature error only. (With advection the two modes
+    (strong form) and subtracting a(h, .) (weak form) then differ by
+    quadrature error only. (With advection the two modes
     differ by the b.grad(h) term that delta_h drops by construction.)"""
     s0, amp, span = 0.55, 0.45, 1.8
     prof = lambda t: s0 + amp * np.cos(np.pi * t / span)
@@ -404,9 +407,9 @@ def test_delta_h_and_riesz_agree_on_a_smooth_lifting():
     grid = TensorGrid(build_uniform_partition(0.0, 2.0, 64),
                       build_uniform_partition(0.0, 1.0, 32))
     sols = {}
-    for mode in ("delta_h", "riesz_recon"):
+    for mode in ("delta_h", "weak_lifting"):
         ops = reference_operators(pd, lift, grid, mode)
         sols[mode] = solve_reference(ops)
     a = sols["delta_h"].interior_vector()
-    b = sols["riesz_recon"].interior_vector()
+    b = sols["weak_lifting"].interior_vector()
     assert np.linalg.norm(a - b) <= 0.1 * np.linalg.norm(b)

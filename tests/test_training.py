@@ -243,7 +243,7 @@ def test_element_indicators_match_explicit_projection(mode, m):
     yh = build_uniform_partition(*pd.omega_y, 12)
     thp = build_uniform_partition(*pd.omega_x, 5)
     fine = reference_operators(pd, lift, TensorGrid(th, yh), mode)
-    solver = TransverseSolver(*fine.snapshot_problem, th, yh)
+    solver = TransverseSolver(pd, fine.snapshot_source(), th, yh)
     rng = np.random.Generator(np.random.Philox(0))
     cells = initial_cells(pd.omega_x, 2, 2, 2, rng, th)
     snaps = [s for c in cells for mu in c.samples
@@ -300,7 +300,7 @@ def _indicator_setup(mode, m):
     yh = build_uniform_partition(*pd.omega_y, 12)
     thp = build_uniform_partition(*pd.omega_x, 5)
     fine = reference_operators(pd, lift, TensorGrid(th, yh), mode)
-    solver = TransverseSolver(*fine.snapshot_problem, th, yh)
+    solver = TransverseSolver(pd, fine.snapshot_source(), th, yh)
     rng = np.random.Generator(np.random.Philox(1))
     cells = initial_cells(pd.omega_x, 2, 4, 3, rng, th)
     mus = [mu for c in cells for mu in c.samples]
@@ -357,7 +357,8 @@ def test_indicator_products_fill_the_work_array_of_the_base():
     pd = cs.problem
     th = build_uniform_partition(*pd.omega_x, 160)
     yh = build_uniform_partition(*pd.omega_y, 80)
-    solver = TransverseSolver(pd, cs.lift, th, yh)
+    solver = TransverseSolver(pd, reference_operators(
+        pd, cs.lift, TensorGrid(th, yh)).snapshot_source(), th, yh)
     rng = np.random.Generator(np.random.Philox(0))
     mus = [mu for c in initial_cells(pd.omega_x, 2, 4, 2, rng, th)
            for mu in c.samples][:training._CHUNK]
@@ -405,8 +406,9 @@ def test_indicators_vanish_when_the_space_is_full():
     yh = build_uniform_partition(*pd.omega_y, 12)
     thp = build_uniform_partition(*pd.omega_x, 5)
     marks = []
+    source = reference_operators(pd, lift, TensorGrid(th, yh)).snapshot_source()
     for _ in range(2):
-        solver = TransverseSolver(pd, lift, th, yh)
+        solver = TransverseSolver(pd, source, th, yh)
         rng = np.random.Generator(np.random.Philox(0))
         cells = initial_cells(pd.omega_x, 2, 2, 2, rng, th)
         snaps = [s for c in cells for mu in c.samples
@@ -558,8 +560,9 @@ def test_training_is_seed_reproducible():
     kw = dict(m_max=3, i_max=1, n_xi=2, theta=0.5, sigma_thres=30.0,
               coarse_nhp=4, qbar=2)
 
+    ops = reference_operators(pd, lift, TensorGrid(th, yh))
+
     def run(seed):
-        ops = reference_operators(pd, lift, TensorGrid(th, yh))
         return adaptive_train_extension(ops, 2, seed=seed, **kw)
 
     def samples(result):
@@ -571,7 +574,7 @@ def test_training_is_seed_reproducible():
     assert np.array_equal(run_a.snapshots, run_b.snapshots)
     # snapshots come back as one array: every sample's rows (in active-hat
     # order), samples sorted by parameter
-    solver = TransverseSolver(pd, lift, th, yh)
+    solver = TransverseSolver(pd, ops.snapshot_source(), th, yh)
     expected = np.vstack([solver.solve_many([mu])[0]
                           for mu in sorted(samples(run_a))])
     assert np.array_equal(run_a.snapshots, expected)
@@ -602,9 +605,10 @@ def test_training_builds_coarse_operators_once(monkeypatch):
 
 
 def test_training_takes_lifting_and_mode_from_ops(monkeypatch):
-    # plain_gD: the snapshots solve the boundary-blend problem, and the
-    # coarse operators get the lifting the fine ones were handed (they blend
-    # it themselves), in the fine operators' mode
+    # plain_gD: the snapshots take the source of the boundary-blend
+    # right-hand side, and the coarse operators get the lifting the fine
+    # ones were handed (they blend it themselves), in the fine operators'
+    # mode
     cs = case1()
     pd, lift = cs.problem, cs.lift
     calls = []
@@ -622,7 +626,7 @@ def test_training_takes_lifting_and_mode_from_ops(monkeypatch):
     [(c_pd, c_lift, c_grid, c_mode)] = calls
     assert c_pd is pd and c_lift is lift and c_mode == "plain_gD"
     assert c_grid.tx.n == 4 and c_grid.ty is yh
-    blend_solver = TransverseSolver(*ops.snapshot_problem, th, yh)
+    blend_solver = TransverseSolver(pd, ops.snapshot_source(), th, yh)
     mus = sorted(mu for cell in run.cells for mu in cell.samples)
     assert np.array_equal(run.snapshots, np.vstack(
         [blend_solver.solve_many([mu])[0] for mu in mus]))

@@ -8,8 +8,7 @@ import scipy.linalg
 
 from skewlift.cases import get_case, skew_lifting
 from skewlift.mesh import TensorGrid, build_uniform_partition
-from skewlift.problem import (GridField, LiftingFunction, ProblemData,
-                              reference_operators)
+from skewlift.problem import ProblemData, reference_operators
 from skewlift.transverse import (
     QuadPointsInSameElement,
     TransverseSolver,
@@ -46,10 +45,10 @@ def _tables(th, mu, x):
     return val[0], der[0]
 
 
-def _system(pd, lift, th, yh, mu):
+def _system(pd, source, th, yh, mu):
     """The coupled system of mu as TransverseSolver.solve_many assembles
     it, on a batch of one."""
-    ((blocks, rhs, cb, _),) = _batch_systems(pd, lift, th, yh, [mu])
+    ((blocks, rhs, cb, _),) = _batch_systems(pd, source, th, yh, [mu])
     return assemble_transverse(blocks, rhs, cb)
 
 
@@ -311,13 +310,12 @@ def test_midpoint_rule_reproduces_full_fe_system(dense_from_band):
         b2=lambda x, y: -1.5 + 0.0 * x,
         F=lambda x, y: (x + 1.0) * (y * y + 0.5),
     )
-    lift = LiftingFunction.zero()
     mu = tuple(th.midpoints())
     cb = build_coupled_basis(th, mu)
     rule = augment_quadrature(th, mu)
     assert np.allclose(rule.weights, th.h)
     assert cb.active.tolist() == list(range(1, th.n))
-    system = _system(pd, lift, th, yh, mu)
+    system = _system(pd, pd.F, th, yh, mu)
 
     gp = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
     yg = (yh.nodes[:-1, None] + gp[None, :] * yh.h).ravel()
@@ -360,35 +358,6 @@ def test_midpoint_rule_reproduces_full_fe_system(dense_from_band):
     assert np.max(np.abs(system.rhs - rhs)) <= 1e-13 * np.max(np.abs(rhs))
 
 
-def test_riesz_snapshot_problem_folds_minus_reconstruction(dense_from_band):
-    """riesz_recon hands the snapshots F - R (R the bilinear interpolant of
-    the reconstructed field) and the zero lifting; its coupled system is the
-    blockwise oracle's for that source."""
-    th = build_uniform_partition(0.0, 2.0, 10)
-    yh = build_uniform_partition(0.0, 1.0, 9)
-    pd = _pd(F=lambda x, y: np.sin(x) + y)
-    lift = skew_lifting()
-    ops = reference_operators(pd, lift, TensorGrid(th, yh), "riesz_recon")
-    snap_pd, snap_lift = ops.snapshot_problem
-    assert dataclasses.replace(snap_pd, F=pd.F) == pd
-    rng = np.random.default_rng(0)
-    x, y = rng.uniform(0.0, 2.0, 40), rng.uniform(0.0, 1.0, 40)
-    rec = GridField(ops.grid, ops.riesz_field)
-    assert np.array_equal(snap_pd.F(x, y), pd.F(x, y) - rec(x, y))
-    for part in (snap_lift.value, snap_lift.dx, snap_lift.dy):
-        assert not np.any(part(x, y))
-
-    mu = (0.25, 0.5, 1.55)
-    cb = build_coupled_basis(th, mu)
-    rule = augment_quadrature(th, mu)
-    system = _system(snap_pd, snap_lift, th, yh, mu)
-    A, rhs = _coupled_oracle(snap_pd, LiftingFunction.zero(), th, cb, rule,
-                             yh, "weak_lifting")
-    assert np.max(np.abs(dense_from_band(system.matrix) - A)) \
-        <= 1e-14 * np.max(np.abs(A))
-    assert np.max(np.abs(system.rhs - rhs)) <= 1e-14 * np.max(np.abs(rhs))
-
-
 def _dense_p1(part, c, kind):
     """Interior rows/columns of a 1D P1 matrix, one element and Gauss point
     at a time; kind: "stiff" (c u' v'), "grad" (c u' v) or "mass" (c u v)."""
@@ -406,22 +375,20 @@ def _dense_p1(part, c, kind):
     return out[1:-1, 1:-1]
 
 
-def _dense_load(part, c, against_deriv=False):
+def _dense_load(part, c):
     n, h = part.n, part.h
     out = np.zeros(n + 1)
     for e in range(n):
         for g in (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)):
-            tab = (-1.0 / h, 1.0 / h) if against_deriv else (1.0 - g, g)
-            for r in range(2):
-                out[e + r] += h / 2.0 * c(part.nodes[e] + g * h) * tab[r]
+            for r, tab in enumerate((1.0 - g, g)):
+                out[e + r] += h / 2.0 * c(part.nodes[e] + g * h) * tab
     return out[1:-1]
 
 
-def _coupled_oracle(pd, lift, th, cb, rule, yh, mode):
+def _coupled_oracle(pd, source, th, cb, rule, yh):
     """Coupled system block by block: for every x-point, test hat and trial
     hat, a dense y-matrix placed at rows j * n_a + a_t, columns
-    j' * n_a + a_s. mode "delta_h" folds k Lap(h) into F and drops the
-    lifting terms; any other mode keeps them (weak lifting)."""
+    j' * n_a + a_s, and the source's load against the test hat."""
     act = cb.active
     n_a, n_i = act.size, yh.n - 1
     A = np.zeros((n_a * n_i, n_a * n_i))
@@ -432,21 +399,11 @@ def _coupled_oracle(pd, lift, th, cb, rule, yh, mode):
         D = _dense_p1(yh, at_x(pd.b2), "grad")
         Mk = _dense_p1(yh, at_x(pd.k), "mass")
         Mb = _dense_p1(yh, at_x(pd.b1), "mass")
-        if mode == "delta_h":
-            g = _dense_load(yh, lambda y: float(
-                pd.F(x, y) + pd.k(x, y) * lift.laplacian(x, y)))
-            g_der = np.zeros(n_i)
-        else:
-            g = (_dense_load(yh, at_x(pd.F))
-                 - _dense_load(yh, lambda y: float(pd.k(x, y) * lift.dy(x, y)),
-                               against_deriv=True)
-                 - _dense_load(yh, lambda y: float(pd.b1(x, y) * lift.dx(x, y)
-                                                   + pd.b2(x, y) * lift.dy(x, y))))
-            g_der = _dense_load(yh, lambda y: float(pd.k(x, y) * lift.dx(x, y)))
+        g = _dense_load(yh, at_x(source))
         val, der = _scalar_tables(th, cb, [x])
         for a_t in range(n_a):
             v_t, d_t = val[0, a_t], der[0, a_t]
-            rhs[a_t::n_a] += al * (v_t * g - d_t * g_der)
+            rhs[a_t::n_a] += al * v_t * g
             for a_s in range(n_a):
                 v_s, d_s = val[0, a_s], der[0, a_s]
                 A[a_t::n_a, a_s::n_a] += al * (v_s * v_t * (K + D)
@@ -458,8 +415,8 @@ def _coupled_oracle(pd, lift, th, cb, rule, yh, mode):
 def test_coupled_system_matches_blockwise_oracle(mode, dense_from_band):
     """Three parameters with a gap: long hats, an inserted midpoint, n_a = 5,
     nonsymmetric advection; band storage, dense oracle and dense solve. The
-    system is assembled from the mode's snapshot problem; the oracle treats
-    the lifting per mode on its own."""
+    system is assembled from the mode's snapshot source, which the oracle
+    evaluates point by point."""
     th = build_uniform_partition(0.0, 2.0, 10)  # H = 0.2
     yh = build_uniform_partition(0.0, 1.0, 9)
     pd = _pd(
@@ -474,14 +431,14 @@ def test_coupled_system_matches_blockwise_oracle(mode, dense_from_band):
     rule = augment_quadrature(th, mu)
     assert cb.active.tolist() == [1, 2, 3, 7, 8]
     assert rule.qhat == 1
-    ops = reference_operators(pd, lift, TensorGrid(th, yh), mode)
-    snap_pd, snap_lift = ops.snapshot_problem
-    system = _system(snap_pd, snap_lift, th, yh, mu)
+    source = reference_operators(pd, lift, TensorGrid(th, yh),
+                                 mode).snapshot_source()
+    system = _system(pd, source, th, yh, mu)
 
     n_a, n_i = cb.active.size, yh.n - 1
     bw = 2 * n_a - 1
     assert system.matrix.shape == (n_a * n_i, 3 * bw + 1)
-    A, rhs = _coupled_oracle(pd, lift, th, cb, rule, yh, mode)
+    A, rhs = _coupled_oracle(pd, source, th, cb, rule, yh)
     assert np.max(np.abs(dense_from_band(system.matrix) - A)) \
         <= 1e-14 * np.max(np.abs(A))
     assert np.max(np.abs(system.rhs - rhs)) <= 1e-14 * np.max(np.abs(rhs))
@@ -496,8 +453,8 @@ def test_coupled_system_matches_blockwise_oracle(mode, dense_from_band):
 
     # no diffusion, no advection: a singular system is a RuntimeError
     zero = lambda x, y: np.zeros(np.broadcast(x, y).shape)
-    solver = TransverseSolver(dataclasses.replace(snap_pd, k=zero, b1=zero,
-                                                  b2=zero), snap_lift, th, yh)
+    solver = TransverseSolver(dataclasses.replace(pd, k=zero, b1=zero,
+                                                  b2=zero), source, th, yh)
     with pytest.raises(RuntimeError) as info:
         solver.solve_many([mu])
     assert not isinstance(info.value, np.linalg.LinAlgError)
@@ -527,12 +484,12 @@ def _scalar_tables(th, cb, x):
     return val, der
 
 
-def _scalar_system(pd, lift, th, cb, rule, yh):
+def _scalar_system(pd, source, th, cb, rule, yh):
     """The coupled system of one parameter vector assembled one key at a
     time: hats from _scalar_tables, and the blocks and right-hand side
     accumulated point by point, l = 0, 1, ..., each point's block as
     (K + D) + Mk + Mb terms in that order."""
-    rows = y_rows(pd, lift, rule.points, yh)
+    rows = y_rows(pd, source, rule.points, yh)
     val, der = _scalar_tables(th, cb, rule.points)
     n_a = cb.active.size
     blocks = np.zeros((rows.kd.shape[1], n_a, n_a))  # [p, test, trial]
@@ -544,7 +501,6 @@ def _scalar_system(pd, lift, th, cb, rule, yh):
         block += np.outer(val[l], w_der) * rows.mb[l][:, None, None]
         blocks += block
         rhs += w_val * rows.load[l][:, None]
-        rhs -= w_der * rows.load_der[l][:, None]
     return TransverseSystem(block_band(blocks), rhs.ravel(), cb)
 
 
@@ -573,7 +529,6 @@ def test_hat_tables_keep_the_assembly_bitwise():
     th = build_uniform_partition(0.0, 2.0, 10)  # H = 0.2
     yh = build_uniform_partition(0.0, 1.0, 6)
     pd = _pd(**_COEFS)
-    lift = skew_lifting()
     grid = np.concatenate([np.linspace(0.013, 1.987, 23), th.nodes[1:-1]])
     keys = []
     for i, lo in enumerate(grid):
@@ -588,10 +543,10 @@ def test_hat_tables_keep_the_assembly_bitwise():
         ref_val, ref_der = _scalar_tables(th, cb, rule.points)
         assert np.array_equal(val[g], ref_val)
         assert np.array_equal(der[g], ref_der)
-    for key, (blocks, rhs, cb, _) in zip(keys, _batch_systems(pd, lift, th,
+    for key, (blocks, rhs, cb, _) in zip(keys, _batch_systems(pd, pd.F, th,
                                                               yh, keys)):
         got = assemble_transverse(blocks, rhs, cb)
-        ref = _scalar_system(pd, lift, th, cb, augment_quadrature(th, key),
+        ref = _scalar_system(pd, pd.F, th, cb, augment_quadrature(th, key),
                              yh)
         assert np.array_equal(got.matrix, ref.matrix)
         assert np.array_equal(got.rhs, ref.rhs)
@@ -629,7 +584,6 @@ def test_mixed_batch_matches_batches_of_one_and_the_scalar_oracle(omega_x):
     th = build_uniform_partition(*omega_x, 16)
     yh = build_uniform_partition(0.0, 1.0, 7)
     pd = _pd(omega_x=omega_x, **_COEFS)
-    lift = skew_lifting()
     keys = _mixed_keys(th)
     by_key = _groups_by_key(th, keys)
     groups = {id(group) for group, _ in by_key}
@@ -657,16 +611,16 @@ def test_mixed_batch_matches_batches_of_one_and_the_scalar_oracle(omega_x):
     assert seen == {(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (2, 4),
                     (3, 3), (3, 4), (3, 5), (3, 6)}
 
-    solver = TransverseSolver(pd, lift, th, yh)
+    solver = TransverseSolver(pd, pd.F, th, yh)
     with pytest.raises(QuadPointsInSameElement):
         solver.solve_many(keys + [tuple(th.a + r * th.h
                                         for r in (9.2, 3.1, 9.5))])
     assert not solver._cache
     got = solver.solve_many(keys)
     for key, snaps in zip(keys, got):
-        one = TransverseSolver(pd, lift, th, yh).solve_many([key])[0]
+        one = TransverseSolver(pd, pd.F, th, yh).solve_many([key])[0]
         ref = snapshot_solve(_scalar_system(
-            pd, lift, th, build_coupled_basis(th, key),
+            pd, pd.F, th, build_coupled_basis(th, key),
             augment_quadrature(th, key), yh))
         assert snaps.tobytes() == one.tobytes() == ref.tobytes(), key
 
@@ -715,25 +669,10 @@ def test_no_interior_hats_raises():
     yh = build_uniform_partition(0.0, 1.0, 4)
     cb = build_coupled_basis(th, (1.0,))
     assert cb.active.size == 0
-    solver = TransverseSolver(_pd(), LiftingFunction.zero(), th, yh)
+    solver = TransverseSolver(_pd(), _pd().F, th, yh)
     with pytest.raises(ValueError):
         solver.solve_many([(1.0,)])
     assert not solver._cache
-
-
-def test_zero_lifting_assembles_like_a_fresh_all_zero_lifting():
-    # the shared zero lifting goes through every lifting term, at b != 0
-    zero = lambda x, y: np.zeros(np.broadcast(x, y).shape)
-    th = build_uniform_partition(0.0, 2.0, 10)
-    yh = build_uniform_partition(0.0, 1.0, 6)
-    pd = _pd(k=lambda x, y: 1.0 + 0.2 * x, b1=lambda x, y: 1.0 + 0.5 * y,
-             b2=lambda x, y: -0.7 + 0.3 * x,
-             F=lambda x, y: np.sin(3.0 * x) + y)
-    for mu in ((0.31, 1.47), (0.5, 0.77)):
-        got = _system(pd, LiftingFunction.zero(), th, yh, mu)
-        ref = _system(pd, LiftingFunction(zero, zero, zero, zero), th, yh, mu)
-        assert np.array_equal(got.matrix, ref.matrix)
-        assert np.array_equal(got.rhs, ref.rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -741,7 +680,7 @@ def test_zero_lifting_assembles_like_a_fresh_all_zero_lifting():
 
 
 # what a TransverseSolver holds: its problem and its cache, nothing per call
-_SOLVER_STATE = {"pd", "lift", "th", "yh", "_cache"}
+_SOLVER_STATE = {"pd", "source", "th", "yh", "_cache"}
 
 
 def _count_solves(monkeypatch):
@@ -759,7 +698,7 @@ def _count_solves(monkeypatch):
 def test_solver_snapshot_layout_and_cache():
     th = build_uniform_partition(0.0, 2.0, 4)
     yh = build_uniform_partition(0.0, 1.0, 6)
-    solver = TransverseSolver(_pd(), LiftingFunction.zero(), th, yh)
+    solver = TransverseSolver(_pd(), _pd().F, th, yh)
     snaps = solver.solve_many([(1.75, 0.25)])[0]  # unsorted input
     # one row per active hat, in cb.active order, nodal with boundary zeros
     cb = build_coupled_basis(th, (0.25, 1.75))
@@ -768,7 +707,7 @@ def test_solver_snapshot_layout_and_cache():
     assert np.all(snaps[:, [0, -1]] == 0.0)
     assert np.all(np.isfinite(snaps))
     assert np.all(np.max(np.abs(snaps), axis=1) > 0.0)
-    system = _system(_pd(), LiftingFunction.zero(), th, yh, (0.25, 1.75))
+    system = _system(_pd(), _pd().F, th, yh, (0.25, 1.75))
     assert np.array_equal(snaps, snapshot_solve(system))
     # the cached array is shared by every caller, so it cannot be written
     with pytest.raises(ValueError):
@@ -782,7 +721,7 @@ def test_solver_snapshot_layout_and_cache():
 
 
 @pytest.mark.parametrize("case, mode", [
-    (1, "weak_lifting"), (1, "plain_gD"), (1, "delta_h"), (1, "riesz_recon"),
+    (1, "weak_lifting"), (1, "plain_gD"), (1, "delta_h"),
     (2, "weak_lifting"), (3, "weak_lifting")])
 def test_solve_many_matches_batches_of_one(case, mode, monkeypatch):
     # one y_rows pass over a whole batch gives every parameter the bits of
@@ -792,8 +731,8 @@ def test_solve_many_matches_batches_of_one(case, mode, monkeypatch):
     cs = get_case(case, **({"b": (1.5, -0.5)} if case == 1 else {}))
     th = build_uniform_partition(0.0, 2.0, 16)  # H = 0.125
     yh = build_uniform_partition(*cs.problem.omega_y, 12)
-    problem = reference_operators(cs.problem, cs.lift, TensorGrid(th, yh),
-                                  mode).snapshot_problem
+    source = reference_operators(cs.problem, cs.lift, TensorGrid(th, yh),
+                                 mode).snapshot_source()
     rng = np.random.default_rng(14)
     mus = []
     for qbar in (1, 2, 3):
@@ -806,7 +745,7 @@ def test_solve_many_matches_batches_of_one(case, mode, monkeypatch):
             (1.3, 0.2, 0.9),  # unsorted
             (0.2, 0.9, 1.3), mus[4][::-1], (0.6, 0.7)]  # duplicate keys
     assert build_coupled_basis(th, (0.6, 0.7)).active.size == 3
-    solver = TransverseSolver(*problem, th, yh)
+    solver = TransverseSolver(cs.problem, source, th, yh)
     cached = solver.solve_many([mus[1], mus[7]])
     solved = _count_solves(monkeypatch)
     got = solver.solve_many(mus)
@@ -816,7 +755,7 @@ def test_solve_many_matches_batches_of_one(case, mode, monkeypatch):
     assert got[1] is cached[0] and got[7] is cached[1]
     assert got[-3] is got[-4] and got[-2] is got[4] and got[-1] is got[-5]
     assert set(vars(solver)) == _SOLVER_STATE
-    one = TransverseSolver(*problem, th, yh)
+    one = TransverseSolver(cs.problem, source, th, yh)
     for mu, snaps in zip(mus, got):
         assert snaps is solver.solve_many([mu])[0]
         assert np.array_equal(snaps, one.solve_many([mu])[0]), mu
@@ -828,7 +767,7 @@ def test_solve_many_rejects_a_batch_whole(monkeypatch):
     th = build_uniform_partition(0.0, 2.0, 4)
     yh = build_uniform_partition(0.0, 1.0, 6)
     good = [(0.25, 1.75), (1.1,), (0.3, 1.3)]
-    solver = TransverseSolver(_pd(), LiftingFunction.zero(), th, yh)
+    solver = TransverseSolver(_pd(), _pd().F, th, yh)
     solved = _count_solves(monkeypatch)
     with pytest.raises(QuadPointsInSameElement):
         solver.solve_many([good[0], (0.6, 0.9), *good[1:]])
@@ -836,12 +775,12 @@ def test_solve_many_rejects_a_batch_whole(monkeypatch):
     assert set(vars(solver)) == _SOLVER_STATE
     got = solver.solve_many(good)
     assert set(vars(solver)) == _SOLVER_STATE
-    one = TransverseSolver(_pd(), LiftingFunction.zero(), th, yh)
+    one = TransverseSolver(_pd(), _pd().F, th, yh)
     for mu, snaps in zip(good, got):
         assert np.array_equal(snaps, one.solve_many([mu])[0])
     # a failed solve inside a batch caches nothing
     zero = lambda x, y: np.zeros(np.broadcast(x, y).shape)
-    singular = TransverseSolver(_pd(k=zero), LiftingFunction.zero(), th, yh)
+    singular = TransverseSolver(_pd(k=zero), _pd().F, th, yh)
     with pytest.raises(RuntimeError, match="singular"):
         singular.solve_many(good)
     assert not singular._cache
