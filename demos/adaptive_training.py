@@ -7,6 +7,10 @@ fresh children, and the survivors age. The run below prints the cell
 population before and after, then compresses all snapshots with POD and
 shows the energy tail that drives the reduced-space quality.
 
+An eta of "--" marks an unscored cell: before the run every cell, after it
+the children of the last round, which would be scored at the next
+extension (their snapshots are already in the pool).
+
 Run:  python demos/adaptive_training.py      (a few seconds)
 """
 
@@ -63,6 +67,8 @@ def main():
         coarse_nhp=10, qbar=2, seed=0)
     show_cells(result.cells,
                "after 4 extension steps (10 smallest cells shown)", limit=10)
+    print("  eta -- : the last round's children, scored at the next "
+          "extension\n")
     summarize(result.cells)
 
     print(f"snapshot pool: {len(result.snapshots)} transverse solves "

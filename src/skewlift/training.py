@@ -23,6 +23,15 @@ refines the most promising cells, as printed in the source algorithm. The
 age indicator sigma(g) = diam(g) * rho(g) forces refinement of long-ignored
 cells.
 
+Only the etas that mark reads are computed. Each mark/refine round first
+scores the cells not yet scored against the current base (every cell in the
+first round of an outer iteration, the previous round's children in a later
+one) and then marks. The children of an outer iteration's last round are
+not scored against its base, because the next outer iteration rescores
+every cell against a new base before marking; they keep eta = NaN, also in
+the cells training returns, and the next _all_snapshots solves their
+snapshots.
+
 The indicator is the reduced Galerkin projection of reduced.py (x-block
 moments Phi^T A_ij Phi, one banded block-tridiagonal solve) taken on the
 coarse N_H' x n_h grid, in span(I (x) [Phi E]), and split by when its pieces
@@ -491,9 +500,17 @@ class TrainingResult:
 def _all_snapshots(cells, solver):
     """Every sample's snapshot rows stacked into one (n_s, n_h + 1) array,
     in sorted-parameter order (each sample's rows in its active-hat
-    order)."""
+    order).
+
+    The samples are requested in slices of _CHUNK, one solve_many each, so
+    the fresh ones (the children of the last round, which no indicator has
+    solved) are prepared _CHUNK at a time, as in element_indicators: one
+    batch of all of them would hold every fresh key's blocks at once (137
+    against 78 MB peak RSS on the benchmark's train-broad workload). A
+    key's snapshot bits do not depend on its batch."""
     mus = sorted(mu for cell in cells for mu in cell.samples)
-    return np.vstack(solver.solve_many(mus))
+    return np.vstack([snaps for lo in range(0, len(mus), _CHUNK)
+                      for snaps in solver.solve_many(mus[lo:lo + _CHUNK])])
 
 
 def adaptive_train_extension(ops, g0, m_max, i_max, n_xi, theta, sigma_thres,
@@ -505,11 +522,16 @@ def adaptive_train_extension(ops, g0, m_max, i_max, n_xi, theta, sigma_thres,
     the int n of the initial regular n^qbar cell grid over the training
     domain. The coarse N_H' x n_h indicator operators are built once, from
     the problem, lifting and mode of ops. Each outer iteration m = 1..m_max
-    computes indicators with the (m-1)-mode POD space of the current
-    snapshots and runs i_max mark/refine/solve rounds; the caller compresses
-    the returned snapshots with pod(). Identical seeds give identical
-    training sets (the RNG is a counter-based Philox generator and snapshot
-    caching is keyed by exact parameter tuples).
+    builds the (m-1)-mode POD space of the current snapshots and runs up to
+    i_max rounds of score/mark/refine: a round scores (element_indicators)
+    the cells without an eta, which are all cells in the first round and
+    the previous round's children after it, marks, and stops the outer
+    iteration when nothing is marked. The last round's children are not
+    scored, so the newest returned cells carry eta = NaN; their snapshots
+    are in the returned set. The caller compresses the returned snapshots
+    with pod(). Identical seeds give identical training sets (the RNG is a
+    counter-based Philox generator and snapshot caching is keyed by exact
+    parameter tuples).
     """
     pd, th, yh = ops.pd, ops.grid.tx, ops.grid.ty
     solver = TransverseSolver(pd, ops.snapshot_source(), th, yh)
@@ -522,12 +544,12 @@ def adaptive_train_extension(ops, g0, m_max, i_max, n_xi, theta, sigma_thres,
         snaps = _all_snapshots(cells, solver)
         space = pod(snaps, yh, count=m - 1) if m > 1 else empty_space(yh)
         base = BaseMoments(coarse, space)
-        element_indicators(base, cells, solver)
+        unscored = cells
         for _ in range(i_max):
+            element_indicators(base, unscored, solver)
             chosen = mark(cells, theta, sigma_thres, th)
             if not chosen:
                 break
             cells = refine(cells, chosen, n_xi, rng, th)
-            new_cells = [c for c in cells if math.isnan(c.eta)]
-            element_indicators(base, new_cells, solver)
+            unscored = [c for c in cells if math.isnan(c.eta)]
     return TrainingResult(_all_snapshots(cells, solver), cells)

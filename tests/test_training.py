@@ -10,7 +10,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from conftest import orthonormalize, same_bits
-from skewlift import training
+from skewlift import training, transverse
 from skewlift.cases import case1
 from skewlift.mesh import TensorGrid, build_uniform_partition
 from skewlift.problem import (LiftingFunction, ProblemData, p1_interior,
@@ -630,3 +630,119 @@ def test_training_takes_lifting_and_mode_from_ops(monkeypatch):
     mus = sorted(mu for cell in run.cells for mu in cell.samples)
     assert np.array_equal(run.snapshots, np.vstack(
         [blend_solver.solve_many([mu])[0] for mu in mus]))
+
+
+def _scoring_every_round(ops, g0, m_max, i_max, n_xi, theta, sigma_thres,
+                         coarse_nhp, qbar, seed):
+    """The training loop that also scored the children of each outer
+    iteration's last round, against a base the next iteration replaces,
+    built from the public pieces. Returns (cells, snapshots, live, dead,
+    dead_ids): live counts the samples of the cells present at the start
+    of each outer iteration plus the children of every round but the last,
+    dead the samples of the last rounds' children, and dead_ids holds the
+    ids of the final outer iteration's last children."""
+    pd, th, yh = ops.pd, ops.grid.tx, ops.grid.ty
+    solver = TransverseSolver(pd, ops.snapshot_source(), th, yh)
+    rng = np.random.Generator(np.random.Philox(seed))
+    cells = initial_cells(pd.omega_x, qbar, g0, n_xi, rng, th)
+    thp = build_uniform_partition(*pd.omega_x, coarse_nhp)
+    coarse = XBlocks(reference_operators(pd, ops.lift, TensorGrid(thp, yh),
+                                         ops.mode))
+
+    def all_snapshots(cells):
+        mus = sorted(mu for cell in cells for mu in cell.samples)
+        return np.vstack(solver.solve_many(mus))
+
+    live = dead = 0
+    for m in range(1, m_max + 1):
+        snaps = all_snapshots(cells)
+        space = pod(snaps, yh, count=m - 1) if m > 1 else empty_space(yh)
+        base = BaseMoments(coarse, space)
+        element_indicators(base, cells, solver)
+        live += sum(len(c.samples) for c in cells)
+        dead_ids = set()
+        for r in range(i_max):
+            chosen = mark(cells, theta, sigma_thres, th)
+            if not chosen:
+                break
+            cells = refine(cells, chosen, n_xi, rng, th)
+            new_cells = [c for c in cells if math.isnan(c.eta)]
+            element_indicators(base, new_cells, solver)
+            n_new = sum(len(c.samples) for c in new_cells)
+            if r < i_max - 1:
+                live += n_new
+            else:
+                dead += n_new
+                dead_ids = {c.id for c in new_cells}
+    return cells, all_snapshots(cells), live, dead, dead_ids
+
+
+@pytest.mark.parametrize("i_max", [1, 2])
+def test_training_scores_only_the_cells_mark_reads(monkeypatch, i_max):
+    # the last round's children are scored by no indicator: the next outer
+    # iteration rescores every cell against its new base before marking.
+    # Leaving them out moves no cell, sample or snapshot bit
+    pd, lift = _smooth_setup()
+    ops = reference_operators(pd, lift, TensorGrid(
+        build_uniform_partition(0.0, 2.0, 12),
+        build_uniform_partition(0.0, 1.0, 8)))
+    kw = dict(m_max=3, i_max=i_max, n_xi=2, theta=0.5, sigma_thres=30.0,
+              coarse_nhp=4, qbar=2, seed=7)
+    old_cells, old_snaps, live, dead, dead_ids = _scoring_every_round(
+        ops, 2, **kw)
+    assert dead > 0
+
+    read = []
+    scored = []
+
+    def checked_mark(cells, *args):
+        assert not any(math.isnan(c.eta) for c in cells)
+        read.append(len(cells))
+        return mark(cells, *args)
+
+    def counted_indicators(base, cells, solver):
+        scored.append(sum(len(c.samples) for c in cells))
+        return element_indicators(base, cells, solver)
+
+    monkeypatch.setattr(training, "mark", checked_mark)
+    monkeypatch.setattr(training, "element_indicators", counted_indicators)
+    run = adaptive_train_extension(ops, 2, **kw)
+
+    assert read
+    assert sum(scored) == live
+    assert [c.id for c in run.cells] == [c.id for c in old_cells]
+    for new, old in zip(run.cells, old_cells):
+        assert same_bits(new.lo, old.lo) and same_bits(new.hi, old.hi)
+        assert new.rho == old.rho
+        assert new.samples == old.samples
+        if math.isnan(new.eta):  # the final iteration's last children
+            assert new.id in dead_ids
+        else:
+            assert new.eta == old.eta
+    assert same_bits(run.snapshots, old_snaps)
+    # one scoring per round that starts: the first of each outer iteration,
+    # and with i_max = 2 a second that scores the first round's children
+    assert (len(scored) > kw["m_max"]) == (i_max > 1)
+
+
+def test_training_solves_snapshots_in_chunks(monkeypatch):
+    # the last round's children reach _all_snapshots unsolved; one
+    # solve_many over all of them would prepare every key's blocks at once
+    pd, lift = _smooth_setup()
+    ops = reference_operators(pd, lift, TensorGrid(
+        build_uniform_partition(0.0, 2.0, 12),
+        build_uniform_partition(0.0, 1.0, 8)))
+    batches = []
+    original = transverse._batch_systems
+
+    def recording(pd, source, th, yh, keys):
+        batches.append(len(keys))
+        return original(pd, source, th, yh, keys)
+
+    monkeypatch.setattr(transverse, "_batch_systems", recording)
+    run = adaptive_train_extension(ops, 2, m_max=1, i_max=1, n_xi=5,
+                                   theta=0.5, sigma_thres=30.0, coarse_nhp=4,
+                                   qbar=2, seed=7)
+    unscored = sum(len(c.samples) for c in run.cells if math.isnan(c.eta))
+    assert unscored > training._CHUNK
+    assert max(batches) <= training._CHUNK
