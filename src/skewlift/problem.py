@@ -116,7 +116,8 @@ class ProblemData:
     that broadcast against each other and return an array broadcastable to
     their shape (scalar returns are broadcast automatically). The assembly
     passes each rule's points as x of shape (cells, n, 1) and y of shape
-    (cells, 1, n); other callers pass arrays of one common shape.
+    (cells, 1, n); the transverse y_rows passes x of shape (points, 1, 1)
+    and y of shape (1, elements, 2).
 
     Parameters
     ----------

@@ -3,8 +3,9 @@
 The training domain is the Qbar-fold product of the dominant-direction
 interval. It is covered by hyper-rectangular cells, each carrying n_xi
 uniform samples; transverse snapshots are solved per sample and compressed by
-POD in the L2(omega_hat) inner product (thin SVD of the mass-weighted
-snapshot matrix). A sample's snapshots are the rows of the one array
+POD in the L2(omega_hat) inner product (the SVD of the mass-weighted
+snapshot matrix, through the R factor of its transpose when it is wide).
+A sample's snapshots are the rows of the one array
 TransverseSolver.solve_many returns, and the training set is one
 (n_s, n_h + 1) array: every sample's rows, stacked in sorted-parameter
 order.
@@ -121,22 +122,30 @@ def empty_space(part):
 
 
 def pod(snapshots, part, count=None):
-    """POD in the L2(omega_hat) inner product by a thin SVD.
+    """POD in the L2(omega_hat) inner product by a thin SVD, taken through a
+    QR for more snapshots than nodes.
 
     snapshots: the rows of one (n_s, n_h + 1) array, or a sequence of n_s
     nodal arrays, over part (boundary entries allowed); S is the
     (n_h + 1) x n_s matrix of their columns. With M = R^T R the banded
     Cholesky factorization of the full tridiagonal transverse mass (R upper
     bidiagonal), the thin SVD R S = U diag(s) W^T gives the energies
-    lambda = s^2 and the M-orthonormal modes R^{-1} U (one banded solve)
-    without squaring S into its Gram matrix, so energies far below
-    eps * lambda_1 stay resolved; singular values below
-    max(shape) * eps * s_1 count as numerically zero. No (n_h + 1)^2 array
-    is formed. Returns a ReductionSpace with modes ordered by descending
-    energy; the number of modes is count (if given), else every numerically
-    meaningful mode. Mode signs are fixed (largest-magnitude entry positive)
-    so equal snapshot sets give identical spaces regardless of input
-    ordering.
+    lambda = s^2 and the M-orthonormal modes R^{-1} U (one banded solve).
+    With more snapshots than nodes, U and s are taken from the Householder
+    QR (R S)^T = Q T, which forms no Q, and the SVD of the
+    (n_h + 1) x (n_h + 1) factor T^T = U diag(s) (Q^T W)^T, so no n_s-long
+    singular vector is formed either (the R-SVD: T. F. Chan, ACM Trans.
+    Math. Software 8, 1982). With at most as many snapshots as nodes, T
+    would be as large as R S and the QR would only add time, so R S goes
+    to the SVD directly. Both paths are orthogonal transformations of R S,
+    never its Gram matrix, so energies far below eps * lambda_1 stay
+    resolved; singular values below max(shape) * eps * s_1 count as
+    numerically zero. No (n_h + 1)^2 array is formed for fewer snapshots
+    than nodes. Returns a ReductionSpace with modes ordered by descending
+    energy; the number of modes is count (if given), else every
+    numerically meaningful mode. Mode signs are fixed (largest-magnitude
+    entry positive) so equal snapshot sets give identical spaces
+    regardless of input ordering.
     """
     S = np.asarray(snapshots, dtype=float)
     if S.size == 0:
@@ -148,6 +157,8 @@ def pod(snapshots, part, count=None):
     R = scipy.linalg.cholesky_banded(np.vstack([np.append(0.0, upper), diag]))
     B = R[1, :, None] * S
     B[:-1] += R[0, 1:, None] * S[1:]
+    if B.shape[1] > B.shape[0]:
+        B = np.linalg.qr(B.T, mode="r").T
     U, sv, _ = np.linalg.svd(B, full_matrices=False)
     lam = sv ** 2
     total = lam.sum()
@@ -155,7 +166,7 @@ def pod(snapshots, part, count=None):
         raise ValueError("zero snapshot set (no energy)")
     tails = np.sqrt(np.maximum(lam[::-1].cumsum()[::-1], 0.0) / total)
     pod_tail = np.append(tails, 0.0)  # pod_tail[m], m = 0..rank bound
-    m_avail = int(np.count_nonzero(sv > max(B.shape) * np.finfo(float).eps
+    m_avail = int(np.count_nonzero(sv > max(S.shape) * np.finfo(float).eps
                                    * sv[0]))
     m = m_avail if count is None else min(int(count), m_avail)
     modes = scipy.linalg.solve_banded((0, 1), R, U[:, :m])
@@ -194,18 +205,27 @@ class ParamCell:
 def _draw_samples(rng, lo, hi, n_xi, th):
     """n_xi uniform samples; components redrawn until they land in distinct
     elements of th, classified as the coupled basis does (it rejects
-    same-element parameters)."""
+    same-element parameters).
+
+    The candidates are drawn in blocks of as many as are still missing and
+    accepted in stream order, so the generator is consumed exactly as by
+    drawing one candidate at a time until n_xi are accepted. 200
+    consecutive rejections fail the draw."""
     out = []
-    for _ in range(n_xi):
-        for _attempt in range(200):
-            mu = tuple(np.sort(rng.uniform(lo, hi)))
-            if np.unique(th.element_of(mu)).size == len(mu):
-                out.append(mu)
-                break
-        else:
-            raise RuntimeError(
-                f"cell [{lo}, {hi}] too small to hold distinct-element samples"
-            )
+    rejected = 0
+    while len(out) < n_xi:
+        mus = np.sort(rng.uniform(lo, hi, size=(n_xi - len(out), lo.size)),
+                      axis=1)
+        ok = np.all(np.diff(th.element_of(mus), axis=1) != 0, axis=1)
+        for mu, valid in zip(mus, ok.tolist()):
+            if valid:
+                out.append(tuple(mu))
+                rejected = 0
+            else:
+                rejected += 1
+                if rejected == 200:
+                    raise RuntimeError(f"cell [{lo}, {hi}] too small to hold "
+                                       "distinct-element samples")
     return out
 
 

@@ -53,15 +53,17 @@ together (_batch_systems):
   depend only on the point);
 * per group of keys sharing qbar, n_a and the point count: the hat tables
   and the contraction of the points' rows with them into the n_a x n_a
-  blocks and the right-hand side of each key, O((qbar + qhat) n_a^2 n_h)
-  time per key (_Group.contract), written into one buffer for the batch;
+  blocks and the right-hand side of each key, two batched matrix products
+  of O((qbar + qhat) n_a^2 n_h) time per key (_Group.contract), written
+  into one buffer for the batch;
 * per key, in TransverseSolver.solve: the scatter of its blocks into band
   storage (assemble_transverse) and the banded LU in O(n bw^2) for
   n = n_a n_i unknowns (snapshot_solve).
 
-Every batched step is elementwise along the keys, and the contraction adds
-a key's points in order, so a key gets the bits of a batch of one;
-build_coupled_basis and augment_quadrature are _geometry on a batch of one.
+Every batched step is elementwise along the keys, and the contraction is
+one BLAS call per key on that key's arrays alone, so a key gets the bits
+of a batch of one; build_coupled_basis and augment_quadrature are
+_geometry on a batch of one.
 No dense or sparse n x n matrix is formed.
 
 A parameter vector's snapshots are the rows of one (n_a, n_h + 1) array:
@@ -155,37 +157,32 @@ class _Group:
         with the hat tables, in place: blocks (G, n_a, n_a, 3 n_i - 2) gets
         each key's n_a x n_a blocks of the three y-diagonals (entry
         [t, s, p] couples test hat t to trial hat s in block p of
-        block_pairs order) and rhs (G, n_a, n_i) its right-hand side, in
-        O(G P n_a^2 n_h) time.
+        block_pairs order) and rhs (G, n_a, n_i) its right-hand side.
 
-        The y axis is innermost, so every product runs along 3 n_i - 2
-        contiguous entries. The points are added one at a time,
-        l = 0..P-1, so each key gets the float operations, and the bits,
-        of its own contraction.
+        Each contraction is one batched matrix product: the per-point
+        coefficients of a key, (n_a^2, 3 P), times its point rows,
+        (3 P, 3 n_i - 2), and its weighted test-hat values, (n_a, P), times
+        its loads, (P, n_i). That is O(G P n_a^2 n_h) time in BLAS-3
+        kernels. matmul multiplies each key's two matrices on their own,
+        with the same shapes and strides whatever the group's size, so a
+        key gets the bits of a batch of one; the order in which the points
+        are added is the BLAS kernel's.
         """
         G, P = self.points.shape
-        val, der = self.tables(self.points)
-        w = self.weights[:, :, None, None]
-        # per-point block coefficients [g, l, test hat, trial hat]
-        w_trial_val = w * val[:, :, None, :]
-        w_trial_der = w * der[:, :, None, :]
-        coefs = (w_trial_val * val[..., None], w_trial_der * der[..., None],
-                 w_trial_der * val[..., None])
-        ops = [f.reshape(G, P, 1, 1, -1) for f in (rows.kd, rows.mk, rows.mb)]
-        block, term = np.empty_like(blocks), np.empty_like(blocks)
-        blocks[...] = 0.0
-        for l in range(P):
-            np.multiply(coefs[0][:, l, ..., None], ops[0][:, l], out=block)
-            for coef, op in zip(coefs[1:], ops[1:]):
-                np.multiply(coef[:, l, ..., None], op[:, l], out=term)
-                block += term
-            blocks += block
-
-        w_val = self.weights[..., None] * val
-        load = rows.load.reshape(G, P, 1, -1)
-        rhs[...] = 0.0
-        for l in range(P):
-            rhs += w_val[:, l, :, None] * load[:, l]
+        n_a = self.active.shape[1]
+        val, der = (t.transpose(0, 2, 1) for t in self.tables(self.points))
+        w_val = self.weights[:, None, :] * val  # (G, n_a, P)
+        w_der = self.weights[:, None, :] * der
+        # coefs[g, t, s, l, c]: weight of row c (K + D, Mk, Mb) of point l
+        # in the block that couples test hat t to trial hat s
+        coefs = np.empty((G, n_a, n_a, P, 3))
+        np.multiply(val[:, :, None], w_val[:, None], out=coefs[..., 0])
+        np.multiply(der[:, :, None], w_der[:, None], out=coefs[..., 1])
+        np.multiply(val[:, :, None], w_der[:, None], out=coefs[..., 2])
+        np.matmul(coefs.reshape(G, n_a * n_a, 3 * P),
+                  rows.ops.reshape(G, 3 * P, -1),
+                  out=blocks.reshape(G, n_a * n_a, -1))
+        np.matmul(w_val, rows.load.reshape(G, P, -1), out=rhs)
 
 
 def _weights(th, pts, mu):
@@ -419,50 +416,50 @@ def _y_gauss(part):
 class YRows:
     """The y-operators of a set of x-points, one row per point.
 
-    kd, mk and mb hold the interior diagonals (_interior_stack, block_pairs
-    order) of K + D (int k u' v' + int b2 u' v), of int k u v and of
-    int b1 u v; load holds the interior load int f v of the source f.
-    Indexing takes a subset of the points.
+    ops[:, 0], ops[:, 1] and ops[:, 2] hold the interior diagonals
+    (_interior_stack, block_pairs order) of K + D (int k u' v' +
+    int b2 u' v), of int k u v and of int b1 u v; the rows of P
+    consecutive points are thus one contiguous (3 P, 3 n_i - 2) matrix
+    (_Group.contract). load holds the interior load int f v of the source
+    f. Indexing takes a subset of the points.
     """
 
-    kd: np.ndarray  # (n_points, 3 n_i - 2)
-    mk: np.ndarray
-    mb: np.ndarray
+    ops: np.ndarray  # (n_points, 3, 3 n_i - 2)
     load: np.ndarray  # (n_points, n_i)
 
     def __getitem__(self, points):
-        return YRows(self.kd[points], self.mk[points], self.mb[points],
-                     self.load[points])
+        return YRows(self.ops[points], self.load[points])
 
 
 def y_rows(pd, source, points, yh):
     """YRows of the coefficients of pd and the source at the x-points: every
-    callback is evaluated once, at all points and y Gauss points together.
+    callback is evaluated once, on x of shape (n_points, 1, 1) and the y
+    Gauss points of shape (1, n_e, 2), which broadcast against each other.
 
     Every operation is elementwise along the points, so a point's rows do
     not depend on the other points evaluated with it.
     """
-    X, Y = (np.ascontiguousarray(c) for c in np.broadcast_arrays(
-        np.asarray(points, dtype=float)[:, None, None], _y_gauss(yh)))
-    shape = X.shape
-    n_i = yh.n - 1
-    widths = [3 * n_i - 2] * 3 + [n_i]
+    X = np.asarray(points, dtype=float)[:, None, None]
+    Y = _y_gauss(yh)[None]
+    shape = X.shape[:1] + Y.shape[1:]
+    n, n_i = shape[0], yh.n - 1
     # the rows outlive the temporaries below: one buffer taken before the
     # temporaries keeps the rows out of the space the temporaries free,
     # which would otherwise fragment the heap
-    kd, mk, mb, load = np.split(
-        np.empty((shape[0], sum(widths))), np.cumsum(widths)[:-1], axis=1)
+    buf = np.empty(n * (3 * (3 * n_i - 2) + n_i))
+    ops = buf[:n * 3 * (3 * n_i - 2)].reshape(n, 3, -1)
+    load = buf[ops.size:].reshape(n, n_i)
 
     def at_points(f):
         return np.broadcast_to(np.asarray(f(X, Y), dtype=float), shape)
 
     kv, b1v, b2v = at_points(pd.k), at_points(pd.b1), at_points(pd.b2)
     np.add(_interior_stack(_p1_diagonals(yh, kv, "stiff")),
-           _interior_stack(_p1_diagonals(yh, b2v, "grad")), out=kd)
-    mk[:] = _interior_stack(_p1_diagonals(yh, kv, "mass"))
-    mb[:] = _interior_stack(_p1_diagonals(yh, b1v, "mass"))
+           _interior_stack(_p1_diagonals(yh, b2v, "grad")), out=ops[:, 0])
+    ops[:, 1] = _interior_stack(_p1_diagonals(yh, kv, "mass"))
+    ops[:, 2] = _interior_stack(_p1_diagonals(yh, b1v, "mass"))
     load[:] = _p1_load(yh, at_points(source))
-    return YRows(kd, mk, mb, load)
+    return YRows(ops, load)
 
 
 @dataclass
@@ -499,14 +496,14 @@ def _batch_systems(pd, source, th, yh, keys):
 
     The geometry of all keys comes from one _geometry call, the YRows of
     all their points from one y_rows pass, and the hat tables and the
-    contraction from one _Group.contract per group. Every key's snapshot
-    rows are a view of one array and its blocks and right-hand side views
-    of one buffer, both allocated before the temporaries: the cached
-    snapshots of a batch are then one block of memory, not one small
-    allocation per key among the batch's freed temporaries, which would
-    fragment the heap (up to 1.9 MB more peak RSS on the benchmark's
-    train-broad workload). A key without active interior hats fails the
-    batch with ValueError.
+    contraction (two batched matrix products) from one _Group.contract per
+    group. Every key's snapshot rows are a view of one array and its blocks
+    and right-hand side views of one buffer, both allocated before the
+    temporaries: the cached snapshots of a batch are then one block of
+    memory, not one small allocation per key among the batch's freed
+    temporaries, which would fragment the heap (up to 1.9 MB more peak RSS
+    on the benchmark's train-broad workload). A key without active
+    interior hats fails the batch with ValueError.
     """
     groups = _geometry(th, keys)
     if any(g.active.shape[1] == 0 for g in groups):

@@ -104,9 +104,43 @@ def test_pod_energy_identity_and_tail():
     assert space.tail(n_s + 5) == 0.0
 
 
+@pytest.mark.parametrize("n_s", [120, 12])
+def test_pod_matches_the_direct_svd(n_s):
+    """A wide (more snapshots than nodes) and a tall snapshot set: the
+    energies sum to ||R S||_F^2 = sum_j s_j^T M s_j, the modes are
+    M-orthonormal, and energies and modes equal those of the direct SVD of
+    L^T S (M = L L^T) to round-off."""
+    rng = np.random.default_rng(41)
+    part = build_uniform_partition(0.0, 1.0, 40)
+    M = _exact_mass(part)
+    L = np.linalg.cholesky(M)
+    # graded known energies 1 .. 1e-6, so every mode is well separated
+    r = min(n_s, 12)
+    modes = np.linalg.solve(L.T, np.linalg.qr(rng.standard_normal((41, r)))[0])
+    lam = 10.0 ** (-6.0 * np.arange(r) / (r - 1))
+    mix = np.linalg.qr(rng.standard_normal((n_s, r)))[0].T
+    S = modes @ (np.sqrt(lam)[:, None] * mix) \
+        + 1e-9 * rng.standard_normal((41, n_s))  # full rank, like snapshots
+    space = pod(S.T, part)
+    assert space.m == min(41, n_s)
+
+    total = np.einsum("ij,ij->", S, M @ S)
+    assert abs(space.eigenvalues.sum() - total) <= 1e-12 * total
+    gram = space.modes.T @ (M @ space.modes)
+    assert np.max(np.abs(gram - np.eye(space.m))) <= 1e-12
+
+    U, sv, _ = np.linalg.svd(L.T @ S, full_matrices=False)
+    direct = np.linalg.solve(L.T, U[:, :r])
+    direct *= np.sign(direct[np.abs(direct).argmax(axis=0), np.arange(r)])
+    assert np.max(np.abs(space.eigenvalues - sv ** 2)) <= 1e-14 * sv[0] ** 2
+    assert np.max(np.abs(space.modes[:, :r] - direct)) \
+        <= 1e-10 * np.max(np.abs(direct))
+
+
 def test_pod_resolves_energies_far_below_eps():
-    # 15 known M-orthonormal modes with energies from 1 down to 1e-20: a
-    # Gram-matrix eigensolve loses every energy below ~eps * lambda_1
+    # 15 known M-orthonormal modes with energies from 1 down to 1e-20 in a
+    # wide set (60 snapshots of 41 nodes): a Gram-matrix eigensolve loses
+    # every energy below ~eps * lambda_1
     rng = np.random.default_rng(5)
     part = build_uniform_partition(0.0, 1.0, 40)
     M = _exact_mass(part)
@@ -456,6 +490,55 @@ def test_draw_samples_land_in_distinct_elements():
         _draw_samples(rng, np.array([0.1, 0.15]), np.array([0.12, 0.18]), 1, th)
 
 
+def _draw_one_at_a_time(rng, lo, hi, n_xi, th):
+    """The sampler as one candidate per generator call: each sample redraws
+    until its sorted components lie in distinct elements, at most 200
+    times. Returns the samples and the number of candidates drawn."""
+    out, drawn = [], 0
+    for _ in range(n_xi):
+        for _attempt in range(200):
+            mu = tuple(np.sort(rng.uniform(lo, hi)))
+            drawn += 1
+            if np.unique(th.element_of(mu)).size == len(mu):
+                out.append(mu)
+                break
+        else:
+            raise RuntimeError("no distinct-element sample")
+    return out, drawn
+
+
+def _same_state(a, b):
+    """Whether two generators' bit generator states are equal."""
+    sa, sb = a.bit_generator.state, b.bit_generator.state
+    return sa.keys() == sb.keys() and all(
+        np.array_equal(sa["state"][k], sb["state"][k]) for k in sa["state"]
+    ) and all(np.array_equal(sa[k], sb[k]) for k in sa if k != "state")
+
+
+def test_draw_samples_consume_the_stream_like_one_candidate_at_a_time():
+    # the block sampler accepts its candidates in stream order: the same
+    # samples and the same generator state afterwards as drawing one
+    # candidate at a time, over cells narrow enough to reject many draws
+    th = build_uniform_partition(0.0, 2.0, 16)
+    drawn = accepted = 0
+    for seed in range(20):
+        cells = np.random.default_rng(seed)
+        for qbar in (1, 2, 3):
+            for _ in range(5):
+                # overlapping axes a few elements wide
+                lo = cells.uniform(0.0, 1.2) + cells.uniform(0.0, th.h,
+                                                             size=qbar)
+                hi = lo + cells.uniform(qbar + 1, qbar + 4) * th.h
+                block = np.random.Generator(np.random.Philox(seed))
+                one = np.random.Generator(np.random.Philox(seed))
+                got = _draw_samples(block, lo, hi, 3, th)
+                ref, n = _draw_one_at_a_time(one, lo, hi, 3, th)
+                assert got == ref
+                assert _same_state(block, one)
+                drawn, accepted = drawn + n, accepted + len(ref)
+    assert drawn > 1.25 * accepted
+
+
 def test_draw_samples_classify_elements_like_the_coupled_basis():
     # x_10 - 1e-12 snaps onto node 10, so the pair shares element 10 for
     # build_coupled_basis; the draw must reject it and redraw
@@ -464,8 +547,8 @@ def test_draw_samples_classify_elements_like_the_coupled_basis():
     draws = [np.array([x10 - 1e-12, x10 + 0.005]), np.array([0.5, 1.5])]
 
     class StubRng:
-        def uniform(self, lo, hi):
-            return draws.pop(0)
+        def uniform(self, lo, hi, size):
+            return draws.pop(0).reshape(size)
 
     lo, hi = np.array([0.0, 0.0]), np.array([2.0, 2.0])
     samples = _draw_samples(StubRng(), lo, hi, 1, th)

@@ -8,7 +8,7 @@ import scipy.linalg
 
 from skewlift.cases import get_case, skew_lifting
 from skewlift.mesh import TensorGrid, build_uniform_partition
-from skewlift.problem import ProblemData, reference_operators
+from skewlift.problem import GridField, ProblemData, reference_operators
 from skewlift.transverse import (
     QuadPointsInSameElement,
     TransverseSolver,
@@ -492,13 +492,14 @@ def _scalar_system(pd, source, th, cb, rule, yh):
     rows = y_rows(pd, source, rule.points, yh)
     val, der = _scalar_tables(th, cb, rule.points)
     n_a = cb.active.size
-    blocks = np.zeros((rows.kd.shape[1], n_a, n_a))  # [p, test, trial]
+    blocks = np.zeros((rows.ops.shape[2], n_a, n_a))  # [p, test, trial]
     rhs = np.zeros((rows.load.shape[1], n_a))
     for l, w in enumerate(rule.weights):
         w_val, w_der = w * val[l], w * der[l]  # trial-hat factors
-        block = np.outer(val[l], w_val) * rows.kd[l][:, None, None]
-        block += np.outer(der[l], w_der) * rows.mk[l][:, None, None]
-        block += np.outer(val[l], w_der) * rows.mb[l][:, None, None]
+        kd, mk, mb = rows.ops[l]
+        block = np.outer(val[l], w_val) * kd[:, None, None]
+        block += np.outer(der[l], w_der) * mk[:, None, None]
+        block += np.outer(val[l], w_der) * mb[:, None, None]
         blocks += block
         rhs += w_val * rows.load[l][:, None]
     return TransverseSystem(block_band(blocks), rhs.ravel(), cb)
@@ -521,11 +522,24 @@ _COEFS = dict(
 )
 
 
+def _max_rel_dev(got, ref):
+    """Largest deviation of got from ref, relative to ref's largest entry."""
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+# bound on the batched contraction against the point-by-point oracle, in
+# units of the oracle's largest entry: the BLAS kernel adds a key's points
+# in its own order (measured: 3.5e-16 for the matrix, 1.2e-15 for the
+# snapshots)
+_ORACLE_TOL = 1e-14
+
+
 def test_hat_tables_keep_the_assembly_bitwise():
     """Over a sweep of parameter pairs (adjacent, gapped, on nodes, at the
     ends) in one batch, the batched hat tables equal the one-at-a-time
-    ones bit for bit, and so do the assembled matrix and right-hand side
-    against a one-key-at-a-time assembly."""
+    ones bit for bit, the assembled matrix and right-hand side equal a
+    batch of one's bit for bit, and they agree with a one-key-at-a-time
+    assembly to round-off of its largest entry."""
     th = build_uniform_partition(0.0, 2.0, 10)  # H = 0.2
     yh = build_uniform_partition(0.0, 1.0, 6)
     pd = _pd(**_COEFS)
@@ -546,10 +560,46 @@ def test_hat_tables_keep_the_assembly_bitwise():
     for key, (blocks, rhs, cb, _) in zip(keys, _batch_systems(pd, pd.F, th,
                                                               yh, keys)):
         got = assemble_transverse(blocks, rhs, cb)
+        one = assemble_transverse(*_batch_systems(pd, pd.F, th, yh,
+                                                  [key])[0][:3])
+        assert got.matrix.tobytes() == one.matrix.tobytes(), key
+        assert got.rhs.tobytes() == one.rhs.tobytes(), key
         ref = _scalar_system(pd, pd.F, th, cb, augment_quadrature(th, key),
                              yh)
-        assert np.array_equal(got.matrix, ref.matrix)
-        assert np.array_equal(got.rhs, ref.rhs)
+        assert _max_rel_dev(got.matrix, ref.matrix) <= _ORACLE_TOL, key
+        assert _max_rel_dev(got.rhs, ref.rhs) <= _ORACLE_TOL, key
+
+
+def _materialized(f, shapes):
+    """f called on contiguous copies of its arguments broadcast to one
+    common shape; the shapes it was handed are appended to shapes."""
+    def call(x, y):
+        shapes.append((np.shape(x), np.shape(y)))
+        return f(*(np.ascontiguousarray(c) for c in np.broadcast_arrays(x, y)))
+    return call
+
+
+def test_y_rows_evaluate_on_broadcasting_points():
+    """y_rows hands every callback x of shape (P, 1, 1) and the y Gauss
+    points of shape (1, n_e, 2), and its rows equal, bit for bit, those of
+    callbacks that evaluate on materialized (P, n_e, 2) arrays: with
+    _COEFS, for the analytic source and for a GridField one."""
+    th = build_uniform_partition(-0.7, 1.9, 16)
+    yh = build_uniform_partition(0.0, 1.0, 7)
+    pd = _pd(omega_x=(-0.7, 1.9), **_COEFS)
+    grid = TensorGrid(th, yh)
+    field = GridField(grid, np.random.default_rng(2).normal(size=grid.shape))
+    points = np.concatenate([np.linspace(-0.69, 1.89, 37), th.nodes[1:-1]])
+    for source in (pd.F, field):
+        shapes = []
+        ref = y_rows(dataclasses.replace(
+            pd, **{c: _materialized(getattr(pd, c), shapes)
+                   for c in ("k", "b1", "b2")}),
+            _materialized(source, shapes), points, yh)
+        assert set(shapes) == {((points.size, 1, 1), (1, yh.n, 2))}
+        got = y_rows(pd, source, points, yh)
+        assert got.ops.tobytes() == ref.ops.tobytes()
+        assert got.load.tobytes() == ref.load.tobytes()
 
 
 def _mixed_keys(th):
@@ -576,9 +626,11 @@ def _mixed_keys(th):
 @pytest.mark.parametrize("omega_x", [(0.0, 2.0), (-0.7, 1.9)])
 def test_mixed_batch_matches_batches_of_one_and_the_scalar_oracle(omega_x):
     """One batch that mixes every group gives each key the bits of a batch
-    of one and of the scalar references: kept nodes, active hats, rule
-    points and weights, hat tables and snapshots. A same-element key
-    fails the whole batch before anything is solved or cached. On
+    of one and of the scalar references in kept nodes, active hats, rule
+    points and weights and hat tables, and the bits of a batch of one and
+    the scalar oracle's values to round-off in its snapshots. A
+    same-element key fails the whole batch before anything is solved or
+    cached. On
     (-0.7, 1.9), a + n H is not b, so the hats must take their breakpoints
     from th.nodes."""
     th = build_uniform_partition(*omega_x, 16)
@@ -622,7 +674,8 @@ def test_mixed_batch_matches_batches_of_one_and_the_scalar_oracle(omega_x):
         ref = snapshot_solve(_scalar_system(
             pd, pd.F, th, build_coupled_basis(th, key),
             augment_quadrature(th, key), yh))
-        assert snaps.tobytes() == one.tobytes() == ref.tobytes(), key
+        assert snaps.tobytes() == one.tobytes(), key
+        assert _max_rel_dev(snaps, ref) <= _ORACLE_TOL, key
 
 
 @pytest.mark.parametrize("w", [1, 2, 4])
