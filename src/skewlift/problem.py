@@ -48,24 +48,24 @@ Matrices use the 2x2 Gauss rule on every cell, and every rule keeps its
 tensor structure: the points of a cell are n x-abscissae times n y-abscissae,
 and a callback receives them as two broadcasting arrays of shapes
 (cells, n, 1) and (cells, 1, n), so a factor of x or y alone is evaluated n,
-not n^2, times per cell. Each interior matrix is built directly as its
-9-point stencil, one slab of whole x-columns of cells (about 2^14 cells) at a
+not n^2, times per cell. Each interior matrix is summed in place into its
+nine diagonals, one slab of whole x-columns of cells (about 2^14 cells) at a
 time: the slab's 4 x 4 cell matrices (one product of the coefficient values
-with a table of shape-function products per term) are added by 16 slice-adds
-into the 9 stencil offsets of the slab's node columns, each row's four cells
-in cell-id order. The rows a slab completes are copied straight into the
-matrix's diagonals, and the node column on the slab's border, whose rows have
-only the cells left of it, carries its partial sums into the next slab.
-A_int and G_int are scipy DIA arrays of the stencil's nine diagonals,
-at offsets dx (ny - 1) + dy in ascending order: one (9, n) data array each,
-couplings to boundary nodes stored as zeros (ny = 2 keeps dy = 0 only; ny = 3
-merges the two pairs of diagonals that coincide). Their products sum each row
-in ascending column order, as CSR's do, and their x-blocks A_ij are slices of
-the diagonals (reduced.XBlocks). No coefficient, cell-matrix or offset array
-of the whole grid is formed. The Q1 mass matrix is not assembled: on the
-tensor grid it is Mx (x) My, the Kronecker product of the two interior 1D P1
-masses, and the L2 norm (TensorOperators.l2_norm) and the snapshot source's
-mass solve (_mass_solve) apply it from their tridiagonals. The right-hand
+with a table of shape-function products per term) are added by 16 slice-adds,
+one per pair of local nodes, straight into the diagonals' column-aligned
+data, each entry's cells in cell-id order. A cell's nodes are its corners
+(_CORNERS), the one statement of the cell layout that the stencil, the loads
+and the band test read. A_int and G_int are scipy DIA arrays of the
+stencil's nine diagonals, at offsets dx (ny - 1) + dy in ascending order: one
+(9, n) data array each, couplings to boundary nodes stored as zeros (ny = 2
+keeps dy = 0 only; ny = 3 merges the two pairs of diagonals that coincide).
+Their products sum each row in ascending column order, as CSR's do, and
+their x-blocks A_ij are slices of the diagonals (reduced.XBlocks). No
+coefficient, cell-matrix or offset array of the whole grid is formed. The Q1
+mass matrix is not assembled: on the tensor grid it is Mx (x) My, the
+Kronecker product of the two interior 1D P1 masses, and the L2 norm
+(TensorOperators.l2_norm) and the snapshot source's mass solve
+(_mass_solve) apply it from their tridiagonals. The right-hand
 side of weak_lifting and plain_gD (F and every lifting term) uses 2x2
 Gauss on 4x4 sub-cells of the cells where the lifting's gradient is nonzero
 at a corner or Gauss point (the interface band; for plain_gD the band of the
@@ -77,8 +77,9 @@ integrated over the band alone, where the lifting's gradient has its support,
 except for plain_gD's blend, which is integrated over every cell. A rule is
 its cell ids; loads and the band test build it block by block, 2^14 points at
 a time (_blocks), so the temporaries stay in cache, and each block's cell
-loads are added into the nodal vector as soon as they exist (np.add.at, in
-rule, then cell order), so no point or load array of a whole rule is formed.
+loads are added in place into the nodal vector as soon as they exist (one
+np.add.at per local node, each node's cells in rule, then cell order), so no
+point, load or node-index array of a whole rule is formed.
 The Gram solves (PCG) and the estimator update their work vectors in place: a
 solve holds five stacks of its right-hand sides at most.
 
@@ -242,10 +243,13 @@ _SHAPE_TABLES = {sub: _shape_tables(sub) for sub in (1, _BAND_SUB)}
 
 class _Quadrature:
     """Tensor 2x2 Gauss points on sub x sub sub-cells of the selected cells
-    (default: every cell, one sub-cell), plus cell->global node indexing.
+    (default: every cell, one sub-cell).
 
-    Cell ids are x-major (id = cx * ny_cells + cy). The points of a cell are
-    the tensor product of n = 2 * sub abscissae in x and n in y, kept as the
+    Cell ids are x-major (id = cx * ny_cells + cy); cells holds the selected
+    ids. A cell's nodes are its corners (_CORNERS), which the stencil
+    (_stencil_matrix), the loads (_load) and the band's corner test
+    (_rhs_rules) read. The points of a cell are the
+    tensor product of n = 2 * sub abscissae in x and n in y, kept as the
     1D sets x of shape (cells, n, 1) and y of shape (cells, 1, n): a callback
     receives these two broadcasting arrays, so a factor of x alone or y alone
     is evaluated n, not n^2, times per cell. evaluate returns its values with
@@ -256,23 +260,13 @@ class _Quadrature:
         tx, ty = grid.tx, grid.ty
         cells = np.arange(tx.n * ty.n) if cells is None else np.asarray(cells)
         u1, self.N, dNu, dNv = _SHAPE_TABLES[sub]
-        self._cells = cells
+        self.cells = cells
         cx, cy = np.divmod(cells, ty.n)
         self.x = (tx.nodes[cx][:, None] + u1[None, :] * tx.h)[:, :, None]
         self.y = (ty.nodes[cy][:, None] + u1[None, :] * ty.h)[:, None, :]
         self.w = tx.h * ty.h / (4.0 * sub * sub)
         self.dNx = dNu / tx.h
         self.dNy = dNv / ty.h
-        self.grid = grid
-
-    @cached_property
-    def cell_nodes(self):
-        """(cells, 4) global node ids of each cell's local nodes (_CORNERS
-        order), formed on first use: the stencil slabs never use them."""
-        n_y = self.grid.ny + 1
-        cx, cy = np.divmod(self._cells, self.grid.ny)
-        base = cx * n_y + cy
-        return np.stack([base, base + n_y, base + n_y + 1, base + 1], axis=-1)
 
     def evaluate(self, f):
         vals = np.asarray(f(self.x, self.y), dtype=float)
@@ -297,10 +291,11 @@ def _rhs_rules(grid, lift):
     """
     x, y = grid.tx.nodes[:, None], grid.ty.nodes[None, :]
     nonzero = lambda g: np.broadcast_to(np.asarray(g) != 0.0, grid.shape)
-    at_nodes = (nonzero(lift.dx(x, y)) | nonzero(lift.dy(x, y))).ravel()
-    band = np.concatenate([
-        at_nodes[q.cell_nodes].any(axis=1)
-        | (q.evaluate(lift.dx) != 0.0).any(axis=1)
+    at_nodes = nonzero(lift.dx(x, y)) | nonzero(lift.dy(x, y))
+    at_corner = np.logical_or.reduce([at_nodes[a:a + grid.nx, b:b + grid.ny]
+                                      for a, b in _CORNERS]).ravel()
+    band = at_corner | np.concatenate([
+        (q.evaluate(lift.dx) != 0.0).any(axis=1)
         | (q.evaluate(lift.dy) != 0.0).any(axis=1)
         for q in _blocks(grid, np.arange(grid.nx * grid.ny))])
     return (np.nonzero(~band)[0], 1), (np.nonzero(band)[0], _BAND_SUB)
@@ -339,48 +334,33 @@ def _stencil_matrix(grid, cell_matrices):
 
     cell_matrices(quad) returns the (16, cells) cell matrices of the cells
     of the rule quad (row 4 t + s couples test node t with trial node s).
-    They are formed slab by slab (_column_slabs), and each slab is added by
-    one slice-add per (t, s) into the 9 stencil offsets of the node columns
-    it reaches. A row's four cells lie in two neighbouring columns, so the
-    slabs in x order and t = 2, 1, 3, 0 within a slab sum them in cell id
-    order, as one slab of every cell would. A slab completes the rows of
-    its node columns but the last, whose partial sums carry over to the
-    next slab; the completed rows go into the diagonals (one slice copy per
-    offset) as soon as the slab is added, so only one slab's offsets exist
-    at a time.
+    They are formed slab by slab (_column_slabs), and each slab is added in
+    place into the diagonals, one slice-add per (t, s) over the slab's cells
+    whose nodes t and s are both interior. An entry's cells lie in two
+    neighbouring columns, so the slabs in x order and t = 2, 1, 3, 0 within
+    a slab sum them in cell-id order, as one slab of every cell would.
 
     The coupling of interior node (ix, iy), row ix n_y + iy (n_y = ny - 1),
     to (ix + dx, iy + dy) lies on the diagonal of offset dx n_y + dy. The
     (3, 3, nx - 1, n_y) data [dx + 1, dy + 1] is column-aligned, as DIA
-    stores it, and a coupling to a boundary node is stored as a zero."""
+    stores it: entry (t, s) of cell (cx, cy) goes to
+    [a_s - a_t + 1, b_s - b_t + 1, cx + a_s - 1, cy + b_s - 1] (corners
+    (a, b) of _CORNERS), and a coupling to a boundary node is stored as a
+    zero."""
     nx, ny = grid.nx, grid.ny
     n_x, n_y = nx - 1, ny - 1
     D = np.zeros((3, 3, n_x, n_y))
-    carry = 0.0  # offsets of node column lo from the slabs before
     for lo, quad in _column_slabs(grid):
         L = cell_matrices(quad).reshape(4, 4, -1, ny)
         hi = lo + L.shape[2]
-        # offsets of the interior rows of node columns lo .. hi
-        S = np.zeros((3, 3, hi - lo + 1, n_y))
-        S[:, :, 0] = carry
-        # a row node is corner t of cell (ix - at, iy - bt); t = 2, 1, 3, 0
-        # visits its four cells in id order
         for t in (2, 1, 3, 0):
             at, bt = _CORNERS[t]
             for s, (a_s, b_s) in enumerate(_CORNERS):
-                S[a_s - at + 1, b_s - bt + 1, at:at + hi - lo] += L[
-                    t, s, :, 1 - bt:ny - bt]
-        carry = S[:, :, -1].copy()
-        # the rows of node columns max(lo, 1) .. hi - 1, interior block rows
-        # r0 .. r1 - 1, are complete: row (jx - dx, jy - dy) goes to column
-        # (jx, jy)
-        r0, r1 = max(lo, 1) - 1, hi - 1
-        for dx in (-1, 0, 1):
-            j0, j1 = max(r0 + dx, 0), min(r1 + dx, n_x)
-            for dy in (-1, 0, 1) if j0 < j1 else ():
-                D[dx + 1, dy + 1, j0:j1, max(dy, 0):n_y + min(dy, 0)] = S[
-                    dx + 1, dy + 1, j0 - dx + 1 - lo:j1 - dx + 1 - lo,
-                    max(-dy, 0):n_y - max(dy, 0)]
+                # the cells whose corners t and s are both interior nodes
+                x0, x1 = max(lo, 1 - min(at, a_s)), min(hi, nx - max(at, a_s))
+                y0, y1 = 1 - min(bt, b_s), ny - max(bt, b_s)
+                D[a_s - at + 1, b_s - bt + 1, x0 + a_s - 1:x1 + a_s - 1,
+                  y0 + b_s - 1:y1 + b_s - 1] += L[t, s, x0 - lo:x1 - lo, y0:y1]
     e = min(n_y - 1, 1)  # ny = 2: every y-coupling reaches the boundary
     offsets, slot = np.unique((np.arange(-1, 2)[:, None] * n_y
                                + np.arange(-e, e + 1)).ravel(),
@@ -432,13 +412,21 @@ def _interior_matrices(grid, pd):
 
 def _load(grid, rules, local):
     """Nodal vector of the per-cell loads local(quad) (cells, 4) of every
-    (cells, sub) rule, block by block (_blocks). Each block is added into
-    the vector as soon as it is evaluated, node by node in rule, then cell
-    order (zero without rules)."""
+    (cells, sub) rule, block by block (_blocks). Each block is added in
+    place into the vector as soon as it is evaluated, by one np.add.at per
+    local node t: a node is corner t of cell (ix - a_t, iy - b_t), so
+    t = 2, 1, 3, 0 sums each node's cells in rule, then cell order (zero
+    without rules)."""
     out = np.zeros(grid.node_count)
+    n_y = grid.ny + 1
     for cells, sub in rules:
         for quad in _blocks(grid, cells, sub):
-            np.add.at(out, quad.cell_nodes.ravel(), local(quad).ravel())
+            cx, cy = np.divmod(quad.cells, grid.ny)
+            base = cx * n_y + cy
+            loads = local(quad)
+            for t in (2, 1, 3, 0):
+                at, bt = _CORNERS[t]
+                np.add.at(out, base + (at * n_y + bt), loads[:, t])
     return out
 
 

@@ -78,7 +78,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .mesh import GAUSS_NODES, Partition1D
+from .mesh import GAUSS_NODES
 
 
 
@@ -115,7 +115,6 @@ class _Group:
     """The keys of a batch that share qbar, the active-hat count n_a and the
     point count P = qbar + qhat, as (G, .) arrays, one row per key."""
 
-    th: Partition1D
     index: np.ndarray  # (G,) positions of the keys in the batch
     mu: np.ndarray  # (G, qbar) sorted parameters
     keep: np.ndarray  # (G, n + 1) kept-node mask
@@ -265,7 +264,7 @@ def _geometry(th, keys):
                 np.take_along_axis(below[sel], act - 1, axis=1), act,
                 np.take_along_axis(above[sel], act + 1, axis=1)])]
             x = pts[sel][has[sel]].reshape(G, p)
-            groups.append(_Group(th, index[sel], mu[sel], keep[sel], act,
+            groups.append(_Group(index[sel], mu[sel], keep[sel], act,
                                  hats[:, :, None, :], x,
                                  _weights(th, x, mu[sel])))
     return groups

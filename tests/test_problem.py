@@ -270,14 +270,100 @@ def test_stencil_slabs_give_the_one_slab_matrices_bitwise(nx, ny, monkeypatch):
         assert same_bits(got.offsets, want.offsets)
 
 
+def _node_of(grid, cell, t):
+    """Global (x-major) node id of corner t of cell (problem._CORNERS)."""
+    cx, cy = divmod(cell, grid.ny)
+    a, b = problem._CORNERS[t]
+    return (cx + a) * (grid.ny + 1) + cy + b
+
+
+@pytest.mark.parametrize("nx,ny,step", [(9, 2, 2), (9, 2, None), (11, 3, 3),
+                                        (11, 3, 1), (7, 5, 2)])
+def test_stencil_sums_each_entry_in_cell_id_order(nx, ny, step,
+                                                  monkeypatch):
+    # the summation order pinned bit for bit: a plain loop over the cells in
+    # id order adds each cell's 16 entries into a dense matrix, and the DIA
+    # data read from it must be the assembled diagonals' bytes (ny = 2 keeps
+    # dy = 0 only, ny = 3 merges two pairs of diagonals, and step forces
+    # slab borders)
+    cs = case1(b=(100.0, 7.0))
+    pd = replace(cs.problem, k=lambda x, y: 1.0 + 0.3 * np.asarray(x)
+                 + 0.1 * np.asarray(y))
+    grid = build_grid(pd.omega_x, pd.omega_y, nx, ny)
+    if step is not None:
+        monkeypatch.setattr(problem, "_BLOCK_POINTS", ny * step)
+        assert len(list(problem._column_slabs(grid))) > 1
+    # the cell matrices each assembly sums, recorded slab by slab
+    slabs = {False: [], True: []}
+    cell_matrices = problem._cell_matrices
+
+    def recording(quad, diff, b1=None, b2=None):
+        out = cell_matrices(quad, diff, b1, b2)
+        slabs[b1 is not None].append((quad.cells, out.copy()))
+        return out
+
+    monkeypatch.setattr(problem, "_cell_matrices", recording)
+    G, A = problem._interior_matrices(grid, pd)
+    n = (nx - 1) * (ny - 1)
+    interior = np.full(grid.shape, -1)  # interior row of a node, or -1
+    interior[1:-1, 1:-1] = np.arange(n).reshape(nx - 1, ny - 1)
+    interior = interior.ravel()
+    for mat, advective in ((G, False), (A, True)):
+        dense = np.zeros((n, n))
+        for cells, L in slabs[advective]:
+            for i, cell in enumerate(cells.tolist()):
+                rows = [interior[_node_of(grid, cell, t)] for t in range(4)]
+                for t in range(4):
+                    for s in range(4):
+                        if rows[t] >= 0 and rows[s] >= 0:
+                            dense[rows[t], rows[s]] += L[4 * t + s, i]
+        want = np.zeros(mat.data.shape)
+        for k, off in enumerate(mat.offsets.tolist()):
+            for j in range(max(off, 0), n + min(off, 0)):
+                want[k, j] = dense[j - off, j]
+        assert same_bits(mat.data, want)
+
+
+@pytest.mark.parametrize("points", [None, 64])
+def test_loads_sum_each_node_in_rule_then_cell_order(points, monkeypatch):
+    # the oracle adds each block's cell loads node by node, the rules in
+    # order and each rule's cells in order; _load must give its bytes (64
+    # points: band blocks of one cell, plain blocks of 16)
+    cs = case1(b=(100.0, 7.0))
+    pd, lift = cs.problem, cs.lift
+    grid = build_grid(pd.omega_x, pd.omega_y, 13, 7)
+    if points is not None:
+        monkeypatch.setattr(problem, "_BLOCK_POINTS", points)
+    plain, band = problem._rhs_rules(grid, lift)
+    assert plain[0].size and band[0].size
+    for rules in ([plain, band], [band, plain], [band]):
+        blocks = []
+
+        def local(quad):
+            loads = quad.w * (quad.evaluate(pd.F) @ quad.N
+                              + quad.evaluate(lift.dx) @ quad.dNx)
+            blocks.append((quad.cells, loads))
+            return loads
+
+        got = problem._load(grid, rules, local)
+        want = np.zeros(grid.node_count)
+        for cells, loads in blocks:
+            for i, cell in enumerate(cells.tolist()):
+                for t in range(4):
+                    want[_node_of(grid, cell, t)] += loads[i, t]
+        assert same_bits(got, want)
+
+
 def test_operator_assembly_peak_memory():
-    # every coefficient, cell-matrix and offset array lives for one slab of
-    # cells (163 of the 200 columns, 81 of the 400), each completed row goes
-    # straight into the diagonals, and a load lives for one block of its
-    # rule: the peak is the live operators (about 9 interior vectors: the
-    # nine diagonals of one matrix, G_int = A_int at b = 0; the mass is not
-    # assembled) and one slab's arrays. Measured 36.1 and 19.2 interior
-    # vectors; the limits leave about 7 % and 8 %. With the assembled mass
+    # every coefficient and cell-matrix array lives for one slab of cells
+    # (163 of the 200 columns, 81 of the 400) and is summed in place into the
+    # diagonals, and a load lives for one block of its rule and is summed in
+    # place into the nodal vector: the peak is the live operators (about 9
+    # interior vectors: the nine diagonals of one matrix, G_int = A_int at
+    # b = 0; the mass is not assembled) and one slab's arrays. Measured 29.7
+    # and 17.4 interior vectors; the limits, set 7 % and 8 % above the 36.1
+    # and 19.2 of a row-aligned slab array copied into the diagonals and a
+    # cell-to-node index table, stay. With the assembled mass
     # (nine more diagonals) the peak was 45.1 and 28.3, two CSR matrices and
     # their shared pattern peaked at 49.9 and 33.1, whole-grid offsets,
     # gather index and load arrays at 50.5 and 45.8, and the whole-grid
@@ -323,7 +409,7 @@ def test_tensor_evaluation_equals_pointwise_evaluation(case):
                       lambda x, y: cs.exact_total(x, y) - cs.lift.value(x, y)]
     for quad in (full, band):
         X, Y = _rule_points(quad)
-        assert X.shape == (quad.cell_nodes.shape[0], quad.N.shape[0])
+        assert X.shape == (quad.cells.size, quad.N.shape[0])
         for f in callbacks:
             want = np.broadcast_to(np.asarray(f(X, Y), dtype=float), X.shape)
             got = quad.evaluate(f)
