@@ -144,6 +144,19 @@ class CaseSpec:
     exact_total: Optional[Callable] = None  # closed-form p~ = p + interface
 
 
+def _constant(c):
+    """The callback of the constant c, an array of the points' shape."""
+    return lambda x, y: np.full(np.broadcast(x, y).shape, c)
+
+
+def _problem(F, omega_y, b=(0.0, 0.0)):
+    """The ProblemData of every case: k = 1, the constant b and the source F
+    on (0, 2) x omega_y."""
+    return ProblemData(k=_constant(1.0), b1=_constant(b[0]),
+                       b2=_constant(b[1]), F=F, omega_x=(0.0, 2.0),
+                       omega_y=omega_y)
+
+
 def case1(b=(0.0, 0.0)):
     """Skewed cosine interface plus a separable smooth part; closed form."""
     b1c, b2c = float(b[0]), float(b[1])
@@ -161,14 +174,7 @@ def case1(b=(0.0, 0.0)):
             out = out + b2c * (_Ap(y) * _B(x) + _sp(t))
         return out
 
-    pd = ProblemData(
-        k=lambda x, y: np.ones(np.broadcast(x, y).shape),
-        b1=lambda x, y: np.full(np.broadcast(x, y).shape, b1c),
-        b2=lambda x, y: np.full(np.broadcast(x, y).shape, b2c),
-        F=F,
-        omega_x=(0.0, 2.0),
-        omega_y=(0.0, 1.0),
-    )
+    pd = _problem(F, (0.0, 1.0), (b1c, b2c))
     exact = lambda x, y: smooth_part(x, y) + lift.value(x, y)
     return CaseSpec("case1", pd, lift, cosine_profile(), exact)
 
@@ -206,16 +212,8 @@ def case2():
         t = y + _SLOPE * x
         return -(1.0 + _SLOPE ** 2) * _spp(t) + box_source(x, y)
 
-    zero = lambda x, y: np.zeros(np.broadcast(x, y).shape)
-    pd = ProblemData(
-        k=lambda x, y: np.ones(np.broadcast(x, y).shape),
-        b1=zero,
-        b2=zero,
-        F=F,
-        omega_x=(0.0, 2.0),
-        omega_y=(0.0, 1.1),
-    )
-    return CaseSpec("case2", pd, lift, cosine_profile(), None)
+    return CaseSpec("case2", _problem(F, (0.0, 1.1)), lift, cosine_profile(),
+                    None)
 
 
 def case3():
@@ -237,16 +235,8 @@ def case3():
         lap_bent = _spp(tb) * ((_SLOPE - _jp(x)) ** 2 + 1.0) - _sp(tb) * _jpp(x)
         return -(_A(y) * _Bpp(x) + _App(y) * _B(x)) - lap_bent
 
-    zero = lambda x, y: np.zeros(np.broadcast(x, y).shape)
-    pd = ProblemData(
-        k=lambda x, y: np.ones(np.broadcast(x, y).shape),
-        b1=zero,
-        b2=zero,
-        F=F,
-        omega_x=(0.0, 2.0),
-        omega_y=(0.0, 1.0),
-    )
-    return CaseSpec("case3", pd, lift, cosine_profile(), exact_total)
+    return CaseSpec("case3", _problem(F, (0.0, 1.0)), lift, cosine_profile(),
+                    exact_total)
 
 
 CASES = {1: case1, 2: case2, 3: case3}

@@ -106,8 +106,9 @@ class RunConfig:
                 f"(need m_max <= nh - 1)")
         if not 0.0 < self.theta <= 1.0:
             raise ConfigError(f"theta must lie in (0, 1] (got {self.theta})")
-        if self.sigma_thres <= 0.0:
-            raise ConfigError("sigma-thres must be positive")
+        if not self.sigma_thres > 0.0:  # NaN too: it switches sigma off
+            raise ConfigError(
+                f"sigma-thres must be positive (got {self.sigma_thres})")
         # an initial cell is NH / g0 elements wide; the sampler redraws a
         # sample on the diagonal cell until its qbar components land in
         # distinct elements, which needs a whole element of room per

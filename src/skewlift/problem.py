@@ -26,8 +26,9 @@ it (TensorOperators.snapshot_source, the right-hand side's L2
 representative), so no other layer branches on the mode or sees the lifting.
 One TensorOperators object is the handle of a grid:
 solve_reference(ops), reduced.assemble_reduced(ops, space),
-estimator.error_report(ops, ...) and training.adaptive_train_extension(ops,
-...) read the problem, lifting, grid and mode from it.
+training.BaseMoments(ops, space), estimator.error_report(ops, ...) and
+training.adaptive_train_extension(ops, ...) read the problem, lifting, grid
+and mode from it.
 The object is the interior system: the homogenized solution vanishes on the
 boundary, so every matrix and the right-hand side are restricted to the
 interior nodes once, at assembly, and no full-grid array is kept. It holds
@@ -60,8 +61,10 @@ stencil's nine diagonals, at offsets dx (ny - 1) + dy in ascending order: one
 (9, n) data array each, couplings to boundary nodes stored as zeros (ny = 2
 keeps dy = 0 only; ny = 3 merges the two pairs of diagonals that coincide).
 Their products sum each row in ascending column order, as CSR's do, and
-their x-blocks A_ij are slices of the diagonals (reduced.XBlocks). No
-coefficient, cell-matrix or offset array of the whole grid is formed. The Q1
+their x-blocks A_ij are slices of the diagonals, which
+TensorOperators.block_products multiplies in place (the reduced assembly and
+the training indicator go through it, so no other module reads the
+diagonals). No coefficient, cell-matrix or offset array of the whole grid is formed. The Q1
 mass matrix is not assembled: on the tensor grid it is Mx (x) My, the
 Kronecker product of the two interior 1D P1 masses, and the L2 norm
 (TensorOperators.l2_norm) and the snapshot source's mass solve
@@ -98,7 +101,7 @@ import scipy.sparse as sp
 import scipy.linalg  # after scipy.sparse: ~10 ms faster to import
 
 from .mesh import GAUSS_NODES
-from .transverse import _p1_diagonals
+from .transverse import _p1_diagonals, block_pairs
 
 MODES = ("weak_lifting", "delta_h", "plain_gD")
 # PCG stops at sqrt(r . P^-1 r) <= tol sqrt(b . P^-1 b), the relative
@@ -216,6 +219,9 @@ _BAND_SUB = 4  # sub-cells per direction of the lifting-band rule
 _BLOCK_POINTS = 1 << 14
 # corner of the cell's local node t: (0,0), (1,0), (1,1), (0,1)
 _CORNERS = ((0, 0), (1, 0), (1, 1), (0, 1))
+# block rows per slab of TensorOperators.block_products: the slab's products
+# and their work array stay a few MB at 800 x 400 (1.6 MB each at m = 8)
+_SLAB_ROWS = 64
 
 
 def _shape_tables(sub):
@@ -598,7 +604,8 @@ class TensorOperators:
     the coarse indicator grid too, has its own); the object makes no sparse
     factor. lift is the lifting handed in (the coarse indicator grid builds
     its operators from it). snapshot_source gives the one transverse
-    snapshot source of every mode.
+    snapshot source of every mode, and block_products the products of A's
+    x-blocks that the reduced assembly and the training indicator project.
     """
 
     def __init__(self, pd, lift, grid, mode="weak_lifting"):
@@ -707,6 +714,59 @@ class TensorOperators:
 
         s = dx @ rows_my(U, U) + 2.0 * (ex @ rows_my(U[:-1], U[1:]))
         return float(np.sqrt(max(s, 0.0)))
+
+    @property
+    def rhs_blocks(self):
+        """rhs_int as its (nx - 1, ny - 1) x-block rows, a view."""
+        return self.rhs_int.reshape(self.grid.nx - 1, self.grid.ny - 1)
+
+    def block_products(self, X, left=None, out=None):
+        """A_ij X for every nonzero x-block A_ij of A_int, shape
+        (n_pairs, ny - 1, k), or with left (ny - 1, l) given its projection
+        left^T A_ij X, (n_pairs, l, k); written into out if given.
+
+        The blocks, |i - j| <= 1, are the pairs (rows[p], cols[p]) =
+        transverse.block_pairs(nx - 1), the block order of
+        transverse.block_band. Block column j of the coupling (dx, dy) =
+        (j - i, dy) is a slice of A_int's diagonal dx (ny - 1) + dy, read in
+        place. One loop over slabs of _SLAB_ROWS block rows and, in each,
+        over the block offsets dx, whose pairs are consecutive: A_ij X is X
+        times block column j of the diagonals dy = -1, 0, 1, each shifted by
+        dy and added in that order to zeros, every row summed as in the CSR
+        product A @ X. With left, each slab's products are contracted with
+        left^T at once (per block the product of left.T @ block_products(X)),
+        so only slab-sized arrays are formed.
+        """
+        n_x, n_y, k = self.grid.nx - 1, self.grid.ny - 1, X.shape[1]
+        rows, cols = block_pairs(n_x)
+        diagonals = dict(zip(self.A_int.offsets.tolist(),
+                             self.A_int.data.reshape(-1, n_x, n_y)))
+        if out is None:
+            out = np.empty((rows.size, n_y if left is None else left.shape[1],
+                            k))
+        dys = (-1, 0, 1) if n_y > 1 else (0,)  # ny = 2 keeps dy = 0 only
+        tmp = np.empty((min(n_x, _SLAB_ROWS), n_y, k))
+        AX = None if left is None else np.empty_like(tmp)
+        for r0 in range(0, n_x, _SLAB_ROWS):
+            in_slab = (rows >= r0) & (rows < r0 + _SLAB_ROWS)
+            for dx in (-1, 0, 1):
+                p = np.flatnonzero(in_slab & (cols - rows == dx))
+                if not p.size:
+                    continue
+                p0, p1, j0 = p[0], p[-1] + 1, cols[p[0]]
+                ax = out[p0:p1] if left is None else AX[:p.size]
+                ax[...] = 0.0
+                for dy in dys:
+                    src = slice(max(dy, 0), n_y + min(dy, 0))  # X rows
+                    dst = slice(max(-dy, 0), n_y - max(dy, 0))
+                    diag = diagonals[dx * n_y + dy][j0:j0 + p.size]
+                    # a broadcast multiply, 2-3x faster as einsum
+                    np.einsum("py,yk->pyk", diag[:, src], X[src],
+                              out=tmp[:p.size, dst])
+                    ax[:, dst] += tmp[:p.size, dst]
+                if left is not None:
+                    out[p0:p1] = left.T @ ax
+        return out
 
 
 def reference_operators(pd, lift, grid, mode="weak_lifting"):

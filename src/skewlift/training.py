@@ -38,8 +38,7 @@ moments Phi^T A_ij Phi, one banded block-tridiagonal solve) taken on the
 coarse N_H' x n_h grid, in span(I (x) [Phi E]), and split by when its pieces
 change:
 
-* once per training run: the coarse reference operators and their x-block
-  view (reduced.XBlocks);
+* once per training run: the coarse reference operators;
 * once per outer iteration: the block moments A_ij Phi, Phi^T A_ij Phi and
   Phi^T rhs_i of the base space Phi, the (m-1)-mode POD space (BaseMoments);
 * once per chunk of up to _CHUNK samples: one TransverseSolver.solve_many
@@ -51,8 +50,8 @@ change:
   <= 2 Qbar snapshot columns per sample against Phi (_orthonormalize_stack,
   one column slot at a time for every sample, on the (diag, off) pair of
   the interior transverse mass), the products
-  A_ij E of all its new columns (reduced.XBlocks.products, on slices of
-  the diagonals, into the work array BaseMoments owns), the dense
+  A_ij E of all its new columns (TensorOperators.block_products, on slices
+  of the diagonals, into the work array BaseMoments owns), the dense
   products Phi^T A_ij E, E^T A_ij Phi and rhs_i E over all of them, every
   sample's k x k blocks E^T A_ij E in one batched product, and the V-dual
   norms of all its explicit coarse residuals (TensorOperators.residual_norm,
@@ -76,7 +75,6 @@ import scipy.linalg
 
 from .mesh import Partition1D, TensorGrid, build_uniform_partition
 from .problem import p1_interior, reference_operators
-from .reduced import XBlocks
 from .transverse import (TransverseSolver, _p1_diagonals, band_solve,
                          block_band)
 
@@ -386,7 +384,7 @@ _CHUNK = 32
 
 class BaseMoments:
     """Block moments of one base space Phi (interior rows of the POD modes)
-    on the x-blocks of the coarse operators: A_ij Phi, Phi^T A_ij Phi and
+    on the x-blocks of the coarse operators ops: A_ij Phi, Phi^T A_ij Phi and
     Phi^T rhs_i, with the interior transverse mass as its (diag, off) pair
     M_y (problem.p1_interior). Built once per outer iteration; it owns the
     work array that every deltas call fills with its products A_ij E,
@@ -394,13 +392,13 @@ class BaseMoments:
     room, so the chunks of an outer iteration allocate no stack of
     products."""
 
-    def __init__(self, xb, space):
-        self.xb = xb
+    def __init__(self, ops, space):
+        self.ops = ops
         self.phi = phi = space.modes[1:-1, :]
-        self.M_y = p1_interior(xb.ops.grid.ty, "mass")
-        self.A_phi = xb.products(phi)
+        self.M_y = p1_interior(ops.grid.ty, "mass")
+        self.A_phi = ops.block_products(phi)
         self.phi_A_phi = phi.T @ self.A_phi
-        self.phi_rhs = xb.rhs @ phi
+        self.phi_rhs = ops.rhs_blocks @ phi
         self._work = np.empty(0)
 
     def deltas(self, extras):
@@ -427,8 +425,9 @@ class BaseMoments:
         source along the sample's x-lines), the state is zero and Delta is
         the residual norm of the zero state.
         """
-        xb, phi = self.xb, self.phi
-        n_x, n_y, m = xb.n_x, xb.n_y, phi.shape[1]
+        ops, phi = self.ops, self.phi
+        n_pairs, n_y, m = self.A_phi.shape
+        n_x = self.phi_rhs.shape[0]
         n_s = len(extras)
         k_max = max(extra.shape[0] for extra in extras)
         stack = np.zeros((n_s, k_max, n_y))
@@ -437,21 +436,21 @@ class BaseMoments:
         E, counts = _orthonormalize_stack(phi, stack, self.M_y)
         # entry s's columns are s * k_max + c of every chunk-wide product
         E_cat = E.reshape(n_s * k_max, n_y).T
-        size = xb.rows.size * n_y * n_s * k_max
+        size = n_pairs * n_y * n_s * k_max
         if self._work.size < size:  # the first chunk, or a larger one
             self._work = np.empty(size)
-        A_E = xb.products(E_cat, out=self._work[:size].reshape(
-            xb.rows.size, n_y, -1))
+        A_E = ops.block_products(E_cat, out=self._work[:size].reshape(
+            n_pairs, n_y, -1))
         phi_A_E = phi.T @ A_E
         E_A_phi = E_cat.T @ self.A_phi
-        rhs_E = xb.rhs @ E_cat
+        rhs_E = ops.rhs_blocks @ E_cat
         # (n_s, n_pairs, k_max, k_max): one batched product over the entries
         E_A_E = E[:, None] @ A_E.reshape(-1, n_y, n_s, k_max).transpose(
             2, 0, 1, 3)
         w_max = m + k_max
         # bordered blocks, right-hand side and basis [Phi E]; the Phi parts
         # are the same for every entry
-        blocks = np.empty((xb.rows.size, w_max, w_max))
+        blocks = np.empty((n_pairs, w_max, w_max))
         blocks[:, :m, :m] = self.phi_A_phi
         rhs_r = np.empty((n_x, w_max))
         rhs_r[:, :m] = self.phi_rhs
@@ -479,7 +478,7 @@ class BaseMoments:
             U[len(solved)] = (sol.reshape(n_x, w) @ basis[:, :w].T).ravel()
             solved.append(s)
         if solved:
-            out[solved] = xb.ops.residual_norm(U[:len(solved)])
+            out[solved] = ops.residual_norm(U[:len(solved)])
         return out
 
 
@@ -558,8 +557,7 @@ def adaptive_train_extension(ops, g0, m_max, i_max, n_xi, theta, sigma_thres,
     rng = np.random.Generator(np.random.Philox(seed))
     cells = initial_cells(pd.omega_x, qbar, g0, n_xi, rng, th)
     thp = build_uniform_partition(pd.omega_x[0], pd.omega_x[1], coarse_nhp)
-    coarse = XBlocks(reference_operators(pd, ops.lift, TensorGrid(thp, yh),
-                                         ops.mode))
+    coarse = reference_operators(pd, ops.lift, TensorGrid(thp, yh), ops.mode)
     for m in range(1, m_max + 1):
         snaps = _all_snapshots(cells, solver)
         space = pod(snaps, yh, count=m - 1) if m > 1 else empty_space(yh)

@@ -1,5 +1,6 @@
 """Regenerate tests/golden_studies.csv, the seeded rows of the console-script
-studies that CI runs (16x10 grids, NHp 4, m_max 2, seed 0).
+studies that CI runs (16x10 grids, NHp 4, m_max 2, seed 0): case 1 in every
+mode and qbar, cases 2 and 3 in every mode at qbar 2.
 
 Each study is one `skewlift run`; the golden file holds every row of its CSV,
 all seven columns, behind a `study` column naming it. Run from the
@@ -26,6 +27,9 @@ STUDIES = {f"{mode}-qbar{q}": _BASE + ["--mode", mode, "--qbar", str(q)]
            for mode in ("lift", "gD", "delta-h") for q in (1, 2, 3)}
 STUDIES["lift-imax2"] = _BASE + ["--i-max", "2"]
 STUDIES["lift-nh2"] = ["--NH", "16", "--nh", "2", "--NHp", "4", "--m-max", "1"]
+STUDIES.update({f"case{case}-{mode}": _BASE + ["--case", str(case),
+                                              "--mode", mode]
+                for case in (2, 3) for mode in ("lift", "gD", "delta-h")})
 
 
 def run_study(name, folder):

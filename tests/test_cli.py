@@ -168,6 +168,9 @@ def test_config_error_exit_code(tmp_path, capsys):
     # solve; validation turns it away before any work
     assert main(_run_args(tmp_path / "s.csv", seed=-1)) == 2
     assert "seed must be at least 0" in capsys.readouterr().err
+    # a NaN threshold would pass a <= test and never mark a cell by age
+    assert main(_run_args(tmp_path / "n.csv", sigma_thres="nan")) == 2
+    assert "sigma-thres must be positive" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args", [

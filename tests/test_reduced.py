@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import STENCIL_GRIDS, build_grid, orthonormalize, same_bits
-from skewlift import reduced
+from skewlift import problem, reduced
 from skewlift.cases import case1, get_case
 from skewlift.mesh import TensorGrid, build_uniform_partition
 from skewlift.problem import (
@@ -20,7 +20,7 @@ from skewlift.problem import (
 )
 from skewlift.reduced import ReducedSystem, assemble_reduced, solve_reduced
 from skewlift.training import ReductionSpace, empty_space
-from skewlift.transverse import block_band
+from skewlift.transverse import block_band, block_pairs
 
 _GP = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 
@@ -254,13 +254,12 @@ def test_projected_products_are_the_contracted_products_bitwise(
     cs, th, space, ops = _advective_setup()
     X = space.modes[1:-1, :]
     L = _random_space(space.part, 3, seed=1).modes[1:-1, :]
-    xb = reduced.XBlocks(ops)
-    assert xb.n_x <= reduced._SLAB_ROWS
-    whole = xb.products(X)
-    assert same_bits(xb.products(X, L), L.T @ whole)
-    monkeypatch.setattr(reduced, "_SLAB_ROWS", slab_rows)
-    assert same_bits(xb.products(X), whole)
-    assert same_bits(xb.products(X, L), L.T @ whole)
+    assert ops.grid.nx - 1 <= problem._SLAB_ROWS
+    whole = ops.block_products(X)
+    assert same_bits(ops.block_products(X, L), L.T @ whole)
+    monkeypatch.setattr(problem, "_SLAB_ROWS", slab_rows)
+    assert same_bits(ops.block_products(X), whole)
+    assert same_bits(ops.block_products(X, L), L.T @ whole)
 
 
 @pytest.mark.parametrize("nx,ny", STENCIL_GRIDS + [(4, 3)])
@@ -272,16 +271,17 @@ def test_products_are_sparse_products_of_one_block_column_bitwise(nx, ny):
     cs = case1(b=(100.0, 7.0))
     pd = replace(cs.problem, k=lambda x, y: 1.0 + 0.3 * np.asarray(x)
                  + 0.1 * np.asarray(y))
-    xb = reduced.XBlocks(reference_operators(
-        pd, cs.lift, build_grid(pd.omega_x, pd.omega_y, nx, ny)))
-    A = xb.ops.A_int.tocsr()
+    ops = reference_operators(
+        pd, cs.lift, build_grid(pd.omega_x, pd.omega_y, nx, ny))
+    n_x, n_y = ops.grid.nx - 1, ops.grid.ny - 1
+    A = ops.A_int.tocsr()
     A.sort_indices()
-    X = np.random.default_rng(3).standard_normal((xb.n_y, 5))
+    X = np.random.default_rng(3).standard_normal((n_y, 5))
     X[:, 1] = 0.0
     X[::2, 3] = -0.0
-    got = xb.products(X)
-    for p, (i, j) in enumerate(zip(xb.rows, xb.cols)):
-        Xj = np.zeros((xb.n_x, xb.n_y, 5))
+    got = ops.block_products(X)
+    for p, (i, j) in enumerate(zip(*block_pairs(n_x))):
+        Xj = np.zeros((n_x, n_y, 5))
         Xj[j] = X
         want = (A @ Xj.reshape(-1, 5)).reshape(Xj.shape)[i]
         assert same_bits(got[p], want), (i, j)

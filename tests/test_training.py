@@ -13,9 +13,10 @@ from conftest import orthonormalize, same_bits
 from skewlift import training, transverse
 from skewlift.cases import case1
 from skewlift.mesh import TensorGrid, build_uniform_partition
+from skewlift.estimator import error_report
 from skewlift.problem import (LiftingFunction, ProblemData, p1_interior,
-                              reference_operators)
-from skewlift.reduced import XBlocks
+                              reference_operators, solve_reference)
+from skewlift.reduced import assemble_reduced, solve_reduced
 from skewlift.training import (
     BaseMoments,
     ParamCell,
@@ -285,7 +286,7 @@ def test_element_indicators_match_explicit_projection(mode, m):
     space = pod(snaps, yh, count=m) if m else empty_space(yh)
     assert space.m == m
     ops = reference_operators(pd, lift, TensorGrid(thp, yh), mode)
-    eta = element_indicators(BaseMoments(XBlocks(ops), space), cells, solver)
+    eta = element_indicators(BaseMoments(ops, space), cells, solver)
 
     A, G, rhs = ops.A_int.toarray(), ops.G_int.toarray(), ops.rhs_int
     for cell, got in zip(cells, eta):
@@ -307,22 +308,22 @@ def _unbatched_delta(base, extra):
     """Delta of one sample, one step at a time: the bordered blocks by
     np.block, scipy's solve_banded (on block_band's storage without its LU
     fill rows), a sparse direct Gram solve."""
-    xb, phi = base.xb, base.phi
+    ops, phi = base.ops, base.phi
     m = phi.shape[1]
     E = orthonormalize(phi, extra.T, base.M_y)[:, m:]
     w = m + E.shape[1]
-    if w >= xb.n_y:
+    if w >= ops.grid.ny - 1:
         return 0.0
-    A_E = xb.products(E)
+    A_E = ops.block_products(E)
     blocks = np.block([[base.phi_A_phi, phi.T @ A_E],
                        [E.T @ base.A_phi, E.T @ A_E]])
-    rhs = np.hstack([base.phi_rhs, xb.rhs @ E]).ravel()
+    rhs = np.hstack([base.phi_rhs, ops.rhs_blocks @ E]).ravel()
     bw = 2 * w - 1
     sol = scipy.linalg.solve_banded((bw, bw), block_band(blocks).T[bw:], rhs)
-    u = (sol.reshape(xb.n_x, w) @ np.hstack([phi, E]).T).ravel()
-    r = xb.ops.rhs_int - xb.ops.A_int @ u
+    u = (sol.reshape(ops.grid.nx - 1, w) @ np.hstack([phi, E]).T).ravel()
+    r = ops.rhs_int - ops.A_int @ u
     return math.sqrt(max(r @ scipy.sparse.linalg.spsolve(
-        xb.ops.G_int.tocsc(), r), 0.0))
+        ops.G_int.tocsc(), r), 0.0))
 
 
 def _indicator_setup(mode, m):
@@ -343,7 +344,7 @@ def _indicator_setup(mode, m):
     space = pod(snaps, yh, count=m) if m else empty_space(yh)
     ops = reference_operators(pd, lift, TensorGrid(thp, yh), mode)
     assert ops.G_int is not ops.A_int
-    return BaseMoments(XBlocks(ops), space), cells, solver
+    return BaseMoments(ops, space), cells, solver
 
 
 def _extra(solver, mu):
@@ -399,7 +400,7 @@ def test_indicator_products_fill_the_work_array_of_the_base():
     snaps = solver.solve_many(mus)
     coarse = reference_operators(pd, cs.lift, TensorGrid(
         build_uniform_partition(*pd.omega_x, 10), yh))
-    base = BaseMoments(XBlocks(coarse), pod(np.vstack(snaps), yh, count=5))
+    base = BaseMoments(coarse, pod(np.vstack(snaps), yh, count=5))
     extras = [s[:, 1:-1] for s in snaps]
     first = base.deltas(extras)
     tracemalloc.start()
@@ -410,7 +411,7 @@ def test_indicator_products_fill_the_work_array_of_the_base():
         tracemalloc.stop()
     assert np.array_equal(again, first)
     columns = len(extras) * max(e.shape[0] for e in extras)
-    stack = 8.0 * base.xb.rows.size * base.xb.n_y * columns
+    stack = 8.0 * base.A_phi.shape[0] * base.A_phi.shape[1] * columns
     assert peak < stack, (f"a deltas call peaks at {peak / stack:.2f} "
                           f"(n_pairs, n_y, columns) stacks (limit 1)")
 
@@ -450,7 +451,7 @@ def test_indicators_vanish_when_the_space_is_full():
         space = pod(snaps, yh, count=8)
         assert space.m == 8
         ops = reference_operators(pd, lift, TensorGrid(thp, yh), "weak_lifting")
-        eta = element_indicators(BaseMoments(XBlocks(ops), space), cells,
+        eta = element_indicators(BaseMoments(ops, space), cells,
                                  solver)
         assert np.all(eta == 0.0)
         marks.append(mark(cells, 0.5, sigma_thres=1e9, th=th))
@@ -462,16 +463,34 @@ def test_indicator_of_a_sample_without_columns_is_the_zero_state():
     # sample's x-lines): the space is {0}, so Delta is the residual norm of
     # the zero state; next to it, a sample that keeps its columns
     base, cells, solver = _indicator_setup("weak_lifting", 0)
-    xb = base.xb
     extra = _extra(solver, cells[0].samples[0])
     got = base.deltas([np.zeros_like(extra), extra])
-    assert got[0] == xb.ops.residual_norm(np.zeros(xb.n_x * xb.n_y))
+    assert got[0] == base.ops.residual_norm(np.zeros(base.ops.rhs_int.size))
     assert got[1] == pytest.approx(base.deltas([extra])[0], rel=1e-12)
     assert got[1] < got[0]
 
 
 # ---------------------------------------------------------------------------
 # Training cells: sampling, marking, refinement
+
+
+@pytest.mark.parametrize("b", [(0.0, 0.0), (1.0, 0.5)])
+def test_indicator_of_a_sample_in_the_base_is_the_estimator_bitwise(b):
+    # the indicator and the estimator are one projection: on one grid, a
+    # sample whose columns all lie in span Phi adds no column, so its Delta
+    # is the estimator of the reduced solution in span Phi, bit for bit
+    cs = case1(b=b)
+    pd = cs.problem
+    th = build_uniform_partition(*pd.omega_x, 12)
+    yh = build_uniform_partition(*pd.omega_y, 12)
+    ops = reference_operators(pd, cs.lift, TensorGrid(th, yh))
+    S = _random_snapshots(np.random.default_rng(5), yh, 8)
+    S[[0, -1]] = 0.0  # modes vanish on the transverse boundary
+    space = pod(S.T, yh, count=3)
+    want = error_report(ops, solve_reference(ops),
+                        solve_reduced(assemble_reduced(ops, space)))
+    got = BaseMoments(ops, space).deltas([space.modes[1:-1].T])
+    assert same_bits(got, np.array([want.delta_m]))
 
 
 def test_draw_samples_land_in_distinct_elements():
@@ -729,8 +748,7 @@ def _scoring_every_round(ops, g0, m_max, i_max, n_xi, theta, sigma_thres,
     rng = np.random.Generator(np.random.Philox(seed))
     cells = initial_cells(pd.omega_x, qbar, g0, n_xi, rng, th)
     thp = build_uniform_partition(*pd.omega_x, coarse_nhp)
-    coarse = XBlocks(reference_operators(pd, ops.lift, TensorGrid(thp, yh),
-                                         ops.mode))
+    coarse = reference_operators(pd, ops.lift, TensorGrid(thp, yh), ops.mode)
 
     def all_snapshots(cells):
         mus = sorted(mu for cell in cells for mu in cell.samples)
